@@ -64,12 +64,15 @@ def build_ring(doc):
     if len(rows) != 1:
         raise InputError(f"line {rows[1][0]}: [ring] takes a single row")
     lineno, line = rows[0]
-    m = re.fullmatch(r"(?:ring\s*=\s*)?zmod\((\d+)\)", line)
-    if m:
-        return finring.make_zmod(int(m.group(1)))
-    m = re.fullmatch(r"(?:ring\s*=\s*)?gf\((\d+)\s*,\s*(\d+)\)", line)
-    if m:
-        return finring.make_gf(int(m.group(1)), int(m.group(2)))
+    try:
+        m = re.fullmatch(r"(?:ring\s*=\s*)?zmod\((\d+)\)", line)
+        if m:
+            return finring.make_zmod(int(m.group(1)))
+        m = re.fullmatch(r"(?:ring\s*=\s*)?gf\((\d+)\s*,\s*(\d+)\)", line)
+        if m:
+            return finring.make_gf(int(m.group(1)), int(m.group(2)))
+    except ValueError as exc:
+        raise InputError(f"line {lineno}: {exc}")
     raise InputError(f"line {lineno}: cannot parse ring spec {line!r}")
 
 
@@ -92,13 +95,14 @@ def _ring_from_tables(rows):
     if elements is None or zero is None or one is None:
         raise InputError("[ring.tables] needs elements, zero and one")
     index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
     try:
         add = [[index[add_rows[(a, b)]] for b in elements] for a in elements]
         mul = [[index[mul_rows[(a, b)]] for b in elements] for a in elements]
+        R = finring.FiniteRing("custom", elements, add, mul, index[zero], index[one])
     except KeyError as missing:
         raise InputError(f"[ring.tables] missing entry for {missing}")
-    R = finring.FiniteRing("custom", elements, add, mul, index[zero], index[one])
+    except ValueError as exc:
+        raise InputError(f"[ring.tables]: {exc}")
     bad = finring.validate_ring(R)
     if bad:
         raise InputError("ring tables violate the ring axioms: " + bad[0])
@@ -106,7 +110,7 @@ def _ring_from_tables(rows):
 
 
 def _parse_group(spec):
-    m = re.fullmatch(r"cyclic\((\d+)\)", spec)
+    m = re.fullmatch(r"cyclic\(([1-9]\d*)\)", spec)
     if m:
         return gpd.cyclic_group(int(m.group(1)))
     if spec == "klein":
@@ -116,9 +120,9 @@ def _parse_group(spec):
 
 def _arrow_token(token, G):
     token = token.strip()
-    if "-" in token:
-        i, j = token.split("-")
-        arrow = (int(i), int(j))
+    m = re.fullmatch(r"(\d+)-(\d+)", token)
+    if m:
+        arrow = (int(m.group(1)), int(m.group(2)))
     else:
         try:
             arrow = int(token)
@@ -134,7 +138,7 @@ def build_groupoid(doc, section="groupoid"):
     if not rows:
         raise InputError(f"missing [{section}] section")
     first = rows[0][1]
-    m = re.fullmatch(r"full_relation\((\d+)\)", first)
+    m = re.fullmatch(r"full_relation\(([1-9]\d*)\)", first)
     if m:
         return gpd.full_relation(int(m.group(1)))
     m = re.fullmatch(r"group\((.+)\)", first)
@@ -181,10 +185,7 @@ def build_cocycle(doc, R, G, section="cocycle"):
         if G.src[a] != G.rng[b]:
             raise InputError(f"line {lineno}: pair ({m.group(1)},{m.group(2)}) "
                              "is not composable")
-        try:
-            values[(a, b)] = R.index(m.group(3))
-        except ValueError:
-            raise InputError(f"line {lineno}: unknown ring element {m.group(3)!r}")
+        values[(a, b)] = _ring_element(R, m.group(3), lineno)
     c = twist_mod.Cocycle(R, G, values)
     bad = twist_mod.check_cocycle(c)
     if bad:
@@ -192,23 +193,29 @@ def build_cocycle(doc, R, G, section="cocycle"):
     return c
 
 
-def _parse_combination(expr, labels, R, A):
-    """Parse `2*a + b` style linear combinations over the algebra basis."""
-    vec = A.zero()
+def _ring_element(R, label, lineno):
+    try:
+        return R.index(label)
+    except ValueError:
+        raise InputError(f"line {lineno}: unknown ring element {label!r}")
+
+
+def _parse_combination(expr, labels, R, lineno):
+    """Parse a `2*a + b` style linear combination over the algebra basis
+    into a sparse {basis index: coefficient} dict."""
+    out = {}
     for term in expr.split("+"):
         term = term.strip()
         if term == "0":
             continue
-        if "*" in term:
-            coeff, label = term.split("*", 1)
-            coeff, label = coeff.strip(), label.strip()
-        else:
-            coeff, label = None, term
+        coeff, star, label = term.rpartition("*")
+        label = label.strip()
         if label not in labels:
-            raise InputError(f"unknown basis label {label!r}")
-        t = R.one if coeff is None else R.index(coeff)
-        vec = A.add(vec, A.basis_vector(labels.index(label), coeff=t))
-    return vec
+            raise InputError(f"line {lineno}: unknown basis label {label!r}")
+        i = labels.index(label)
+        t = _ring_element(R, coeff.strip(), lineno) if star else R.one
+        out[i] = R.add(out.get(i, R.zero), t)
+    return out
 
 
 def build_abstract_pair(doc, R, cap):
@@ -231,32 +238,23 @@ def build_abstract_pair(doc, R, cap):
     for lineno, a, b, rhs in product_rows:
         if a not in labels or b not in labels:
             raise InputError(f"line {lineno}: unknown basis label")
-        entry = {}
-        if rhs.strip() != "0":
-            for term in rhs.split("+"):
-                term = term.strip()
-                if "*" in term:
-                    coeff, label = (s.strip() for s in term.split("*", 1))
-                else:
-                    coeff, label = None, term
-                if label not in labels:
-                    raise InputError(f"line {lineno}: unknown basis label {label!r}")
-                entry[labels.index(label)] = R.one if coeff is None else R.index(coeff)
-        structure[(labels.index(a), labels.index(b))] = entry
+        structure[(labels.index(a), labels.index(b))] = \
+            _parse_combination(rhs, labels, R, lineno)
     try:
         A = pairs_mod.AbstractAlgebra("custom", R, labels, structure)
     except ValueError as exc:
         raise InputError(str(exc))
-    pair_rows = doc.sections.get("pair", [])
-    sub_exprs = []
-    for lineno, line in pair_rows:
+    sub_basis = []
+    for lineno, line in doc.sections.get("pair", []):
         if line.startswith("sub_basis"):
-            sub_exprs = [s.strip() for s in line.split("=", 1)[1].split(",")]
-    if not sub_exprs:
+            sub_basis = [_parse_combination(e, labels, R, lineno)
+                         for e in line.split("=", 1)[1].split(",")]
+    if not sub_basis:
         raise InputError("[pair] needs a sub_basis row")
-    sub_basis = [_parse_combination(e, labels, R, A) for e in sub_exprs]
     try:
-        return pairs_mod.Pair(A, sub_basis, cap=cap)
+        return pairs_mod.Pair(
+            A, [[v.get(i, R.zero) for i in range(A.dim)] for v in sub_basis],
+            cap=cap)
     except ValueError as exc:
         raise InputError(str(exc))
 
@@ -338,7 +336,7 @@ def cmd_reconstruct(doc, cap, oracle):
     R, c, pair = _build_pair(doc, cap)
     if c is None:
         raise InputError("reconstruct needs a groupoid+cocycle input")
-    res = reconstruct.verify_reconstruction_theorem(c, cap=cap)
+    res = reconstruct.verify_reconstruction_theorem(pair)
     report = [
         f"twist over {c.groupoid.name}, coefficients {R.name}",
         f"original twist points: {res['sigma_points']}",
@@ -390,16 +388,17 @@ def cmd_units(doc, cap, oracle):
     return report, summary, 0
 
 
-def _parse_subset(line, free_rank):
+def _parse_subset(line, rank):
+    """The elements of an [upp] A or B row as integer tuples of length rank."""
     out = []
     for token in line.split("=", 1)[1].split():
-        if free_rank == 1:
-            out.append((int(token),))
-        else:
-            parts = token.strip("()").split(",")
-            if len(parts) != free_rank:
-                raise InputError(f"subset element {token!r} has wrong rank")
+        parts = token.strip("()").split(",")
+        if len(parts) != rank:
+            raise InputError(f"subset element {token!r} has wrong rank")
+        try:
             out.append(tuple(int(p) for p in parts))
+        except ValueError:
+            raise InputError(f"subset element {token!r} is not an integer")
     if not out:
         raise InputError("empty subset")
     return out
@@ -431,8 +430,10 @@ def cmd_upp(doc, cap, oracle):
         A = _parse_subset(a_line, rank)
         B = _parse_subset(b_line, rank)
     else:
-        A = [int(t) for t in a_line.split("=", 1)[1].split()]
-        B = [int(t) for t in b_line.split("=", 1)[1].split()]
+        A = [a for (a,) in _parse_subset(a_line, 1)]
+        B = [b for (b,) in _parse_subset(b_line, 1)]
+        if not set(A + B) <= set(H.elements):
+            raise InputError(f"subset element outside {H.name}")
     witness = grouprings.unique_product_search(H, A, B)
     report = []
     summary = {}

@@ -87,7 +87,12 @@ class FiniteRing:
         return f"FiniteRing({self.name}, {len(self.elements)} elements)"
 
 
-def validate_ring(R, samples=2000, seed=0):
+# validate_ring checks this many seeded random triples for |R| > 16
+VALIDATION_SAMPLES = 2000
+VALIDATION_SEED = 0
+
+
+def validate_ring(R):
     """Check the ring axioms, exhaustively for |R| <= 16, sampled above.
 
     Returns a list of human-readable violations (empty means ok).
@@ -110,9 +115,9 @@ def validate_ring(R, samples=2000, seed=0):
     if n <= 16:
         triples = itertools.product(idx, idx, idx)
     else:
-        rng = random.Random(seed)
+        rng = random.Random(VALIDATION_SEED)
         triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                   for _ in range(samples))
+                   for _ in range(VALIDATION_SAMPLES))
     for a, b, c in triples:
         if R.add(R.add(a, b), c) != R.add(a, R.add(b, c)):
             bad.append(f"addition not associative at ({a},{b},{c})")

@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import itertools
 
-from . import finring
+from . import finring, twist as twist_mod
 from .finring import CapExceeded, DEFAULT_CAP
+from .groupoid import group_as_groupoid
 
 
 class TwistedGroupRing:
@@ -21,25 +22,11 @@ class TwistedGroupRing:
         self.ring = ring
         self.group = group
         self.index = {g: i for i, g in enumerate(group.elements)}
-        self.cvals = {}
-        cocycle_values = cocycle_values or {}
-        for a in group.elements:
-            for b in group.elements:
-                v = cocycle_values.get((a, b), ring.one)
-                if not ring.is_unit(v):
-                    raise ValueError(f"cocycle value at ({a},{b}) is not a unit")
-                self.cvals[(a, b)] = v
-        e = group.identity
-        for g in group.elements:
-            if self.cvals[(e, g)] != ring.one or self.cvals[(g, e)] != ring.one:
-                raise ValueError("cocycle is not normalised")
-        for a, b, g in itertools.product(group.elements, repeat=3):
-            ab = group.mul[(a, b)]
-            bg = group.mul[(b, g)]
-            lhs = ring.mul(self.cvals[(a, b)], self.cvals[(ab, g)])
-            rhs = ring.mul(self.cvals[(a, bg)], self.cvals[(b, g)])
-            if lhs != rhs:
-                raise ValueError(f"cocycle identity fails at ({a},{b},{g})")
+        c = twist_mod.Cocycle(ring, group_as_groupoid(group), cocycle_values)
+        bad = twist_mod.check_cocycle(c)
+        if bad:
+            raise ValueError("invalid cocycle: " + bad[0])
+        self.cvals = c.values
 
     def zero(self):
         return tuple([self.ring.zero] * len(self.group))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import finring, steinberg
+from . import grouprings, steinberg, twist as twist_mod
 from .finring import CapExceeded, DEFAULT_CAP
 
 
@@ -140,6 +140,9 @@ class Pair:
         self._minimal = None
         self._idempotents = None
         self._atoms = None
+        self._expectation = None
+        self._classification = None
+        self._twist = None
 
     # -- idempotents --------------------------------------------------
 
@@ -361,6 +364,8 @@ class Pair:
         dict; 'map' is None when some basis vector is not a normaliser or
         the result fails the expectation axioms.
         """
+        if self._expectation is not None:
+            return self._expectation
         A, R = self.algebra, self.algebra.ring
         idem, atoms = self.idempotents_of_B()
         images = []
@@ -368,7 +373,9 @@ class Pair:
             n = A.basis_vector(i)
             k = self.dagger_of(n)
             if k is None:
-                return {"map": None, "reason": f"basis vector {i} is not a normaliser"}
+                self._expectation = {
+                    "map": None, "reason": f"basis vector {i} is not a normaliser"}
+                return self._expectation
             source = A.mul(k, n)
             e = A.zero()
             for a in atoms:
@@ -385,6 +392,7 @@ class Pair:
 
         report = self.check_expectation(P)
         report["map"] = P if report["is_expectation"] else None
+        self._expectation = report
         return report
 
     def check_expectation(self, P):
@@ -455,6 +463,8 @@ class Pair:
 
     def classify(self):
         """The full flag report with the implication chain asserted."""
+        if self._classification is not None:
+            return self._classification
         A = self.algebra
         report = {}
         wt, warning = self.satisfies_wt()
@@ -487,7 +497,14 @@ class Pair:
             raise AssertionError("implication ADP => ACP violated")
         if report["ACP"] and not report["AQP"]:
             raise AssertionError("implication ACP => AQP violated")
+        self._classification = report
         return report
+
+    def explicit_twist(self):
+        """The explicit twist of the pair's cocycle, built on first use."""
+        if self._twist is None:
+            self._twist = twist_mod.twist_from_cocycle(self.cocycle)
+        return self._twist
 
 
 def pair_from_twist(cocycle, cap=DEFAULT_CAP):
@@ -522,49 +539,40 @@ def vector_to_element(pair, vec):
         pair.cocycle, {g: vec[i] for g, i in pair.arrow_index.items()})
 
 
-def check_lbh(cocycle, cap=DEFAULT_CAP, cross_validate=None):
-    """The local bisection hypothesis for a twist.
+def check_lbh(pair):
+    """The local bisection hypothesis for the twist of a pair_from_twist pair.
 
     Primary path: for each object, the twisted group ring of the isotropy
     fibre must have trivial units only; a nontrivial fibre unit yields a
-    normaliser witness whose base support is not a bisection.  When the
-    algebra is small enough (or cross_validate is forced) the result is
-    checked against the definition over the full normaliser enumeration.
+    normaliser witness whose base support is not a bisection.  When
+    |A| <= 256 the result is checked against the definition over the
+    pair's full normaliser enumeration.
     """
-    from . import twist as twist_mod
-    from . import grouprings
-    T = twist_mod.twist_from_cocycle(cocycle)
-    G = cocycle.groupoid
+    cocycle, A = pair.cocycle, pair.algebra
+    R, G = A.ring, cocycle.groupoid
+    T = pair.explicit_twist()
     holds, witness = True, None
     for x in G.objects:
         fibre = twist_mod.fibre_cocycle(T, x)
-        ring_T = grouprings.TwistedGroupRing(cocycle.ring, fibre.group, fibre.values)
-        _, _, nontrivial = grouprings.enumerate_units(ring_T, cap=cap)
+        ring_T = grouprings.TwistedGroupRing(R, fibre.group, fibre.values)
+        _, _, nontrivial = grouprings.enumerate_units(ring_T, cap=pair.cap)
         if nontrivial:
             u = nontrivial[0]
             coeffs = {g: u[i] for i, g in enumerate(fibre.group.elements)
-                      if u[i] != cocycle.ring.zero}
+                      if u[i] != R.zero}
             witness = steinberg.AlgebraElement(cocycle, coeffs)
             holds = False
             break
-    size = cocycle.ring.size ** len(G.arrows)
-    if cross_validate is None:
-        cross_validate = size <= 256
-    if cross_validate:
-        pair = pair_from_twist(cocycle, cap=cap)
-        by_definition = True
-        for n in pair.enumerate_normalisers("full"):
-            support = [pair.algebra.basis[i] for i, v in enumerate(n)
-                       if v != cocycle.ring.zero]
-            if not steinberg.is_bisection(G, support):
-                by_definition = False
-                break
+    if A.size() <= 256:
+        by_definition = all(
+            steinberg.is_bisection(G, [A.basis[i] for i, v in enumerate(n)
+                                       if v != R.zero])
+            for n in pair.enumerate_normalisers("full"))
         if by_definition != holds:
             raise AssertionError("fibre-unit test disagrees with the definition")
     if witness is not None:
         if steinberg.is_bisection(G, witness.support()):
             raise AssertionError("witness support is unexpectedly a bisection")
-        pair = pair_from_twist(cocycle, cap=cap)
         if not pair.is_normaliser(element_to_vector(pair, witness)):
             raise AssertionError("witness is not a normaliser")
     return holds, witness

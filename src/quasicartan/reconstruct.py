@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 
 from . import finring, steinberg, pairs as pairs_mod, twist as twist_mod
-from .finring import DEFAULT_CAP
 from .groupoid import make_groupoid, validate_groupoid
-from .twist import ExplicitTwist, Cocycle
+from .twist import ExplicitTwist
 
 
 class UltraGroupoid:
@@ -131,18 +130,17 @@ def build_ultra_groupoid(pair):
     return ug
 
 
-def phi_map(cocycle, pair=None):
-    """The embedding of the original twist points into the ultrafilter points.
+def phi_map(pair):
+    """The embedding of the twist points of a pair_from_twist pair into the
+    ultrafilter points.
 
     The twist point (γ, t) maps to the minimal normaliser t·δ_γ.  Returns
     (mapping, ultra, report) with injectivity, equivariance, homomorphism
     and surjectivity verdicts.
     """
-    if pair is None:
-        pair = pairs_mod.pair_from_twist(cocycle)
     ug = build_ultra_groupoid(pair)
     A = pair.algebra
-    T = twist_mod.twist_from_cocycle(cocycle)
+    T = pair.explicit_twist()
     mapping = {}
     for (g, t) in T.total.arrows:
         mapping[(g, t)] = A.scale(t, A.basis_vector(pair.arrow_index[g]))
@@ -171,13 +169,13 @@ def phi_map(cocycle, pair=None):
     return mapping, ug, report
 
 
-def verify_reconstruction_theorem(cocycle, cap=DEFAULT_CAP):
-    """The three-way equivalence: quasi-Cartan classification of the pair,
-    the local bisection hypothesis, and surjectivity of the embedding."""
-    pair = pairs_mod.pair_from_twist(cocycle, cap=cap)
+def verify_reconstruction_theorem(pair):
+    """The three-way equivalence for a pair_from_twist pair: quasi-Cartan
+    classification of the pair, the local bisection hypothesis of its
+    twist, and surjectivity of the embedding."""
     classification = pair.classify()
-    lbh, witness = pairs_mod.check_lbh(cocycle, cap=cap)
-    mapping, ug, phi_report = phi_map(cocycle, pair)
+    lbh, witness = pairs_mod.check_lbh(pair)
+    mapping, ug, phi_report = phi_map(pair)
     report = {
         "aqp": classification["AQP"],
         "lbh": lbh,
@@ -198,7 +196,6 @@ def verify_reconstruction_theorem(cocycle, cap=DEFAULT_CAP):
         raise AssertionError("embedding properties failed")
     if report["phi_surjective"]:
         # the induced base map must be a bijection making the squares commute
-        T = twist_mod.twist_from_cocycle(cocycle)
         base_map = {}
         for (g, t), m in mapping.items():
             cls = ug.class_rep[m]
@@ -207,8 +204,8 @@ def verify_reconstruction_theorem(cocycle, cap=DEFAULT_CAP):
             base_map[g] = cls
         if len(set(base_map.values())) != len(ug.classes):
             raise AssertionError("base map is not a bijection")
-        for (a, b), ab in cocycle.groupoid.compose.items():
-            rebuilt = ug.to_twist()
+        rebuilt = ug.to_twist()
+        for (a, b), ab in pair.cocycle.groupoid.compose.items():
             if rebuilt.base.compose[(base_map[a], base_map[b])] != base_map[ab]:
                 raise AssertionError("base map is not multiplicative")
     return report
@@ -227,7 +224,11 @@ def _atom_coefficient(pair, b, e):
     return hits[0]
 
 
-def ahat_iso(pair, check_linearity_limit=128):
+# ahat_iso tests all element pairs up to this |A|, scaled basis pairs above
+LINEARITY_CHECK_LIMIT = 128
+
+
+def ahat_iso(pair):
     """The coordinate isomorphism onto the convolution algebra of the
     rebuilt twist, for quasi-Cartan pairs.
 
@@ -260,7 +261,7 @@ def ahat_iso(pair, check_linearity_limit=128):
     report["injective"] = len(set(images.values())) == len(everything)
     codomain_size = R.size ** len(ug.classes)
     report["bijective"] = report["injective"] and len(everything) == codomain_size
-    small = len(everything) <= check_linearity_limit
+    small = len(everything) <= LINEARITY_CHECK_LIMIT
     lin = True
     mult = True
     if small:
@@ -269,12 +270,12 @@ def ahat_iso(pair, check_linearity_limit=128):
         test_pairs = ((A.basis_vector(i, coeff=t), A.basis_vector(j, coeff=u))
                       for i in range(A.dim) for j in range(A.dim)
                       for t in R.all_indices() for u in R.all_indices())
+    # images holds every element of A, so sums and products are looked up
     for x, y in test_pairs:
-        if images.get(x, ahat(x)) + images.get(y, ahat(y)) != ahat(A.add(x, y)):
+        if images[x] + images[y] != images[A.add(x, y)]:
             lin = False
             break
-        if steinberg.convolve(images.get(x, ahat(x)), images.get(y, ahat(y))) \
-                != ahat(A.mul(x, y)):
+        if steinberg.convolve(images[x], images[y]) != images[A.mul(x, y)]:
             mult = False
             break
     report["linear"] = lin
@@ -463,7 +464,11 @@ def algebra_iso_from_twist_iso(c1, c2, iso):
 # -- the filter oracle ----------------------------------------------
 
 
-def ultrafilter_oracle(pair, exhaustive_limit=16):
+# ultrafilter_oracle tries every subset of up to this many nonzero normalisers
+EXHAUSTIVE_FILTER_LIMIT = 16
+
+
+def ultrafilter_oracle(pair):
     """Cross-validate the minimal-normaliser representation of ultrafilters.
 
     Works directly with up-sets of the normaliser order: checks the order
@@ -502,7 +507,7 @@ def ultrafilter_oracle(pair, exhaustive_limit=16):
     minimal_by_order = {n for n in nonzero
                         if not any(le[(m, n)] and m != n for m in nonzero)}
     report["minima_agree"] = minimal_by_order == set(pair.enumerate_normalisers("minimal"))
-    if len(nonzero) <= exhaustive_limit:
+    if len(nonzero) <= EXHAUSTIVE_FILTER_LIMIT:
         all_principal = True
         max_filters = set()
         elements = list(nonzero)

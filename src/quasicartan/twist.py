@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import finring
-from .groupoid import FiniteGroupoid, FiniteGroup, make_groupoid, validate_groupoid
+from .groupoid import isotropy_fibre_group, make_groupoid, validate_groupoid
 
 
 class Cocycle:
@@ -30,19 +30,9 @@ class Cocycle:
         for pair in values:
             if pair not in self.values:
                 raise ValueError(f"cocycle value on non-composable pair {pair}")
-        self._factorizations = None
 
     def value(self, a, b):
         return self.values[(a, b)]
-
-    def factorizations(self):
-        """Map arrow -> list of composable pairs multiplying to it (cached)."""
-        if self._factorizations is None:
-            table = {g: [] for g in self.groupoid.arrows}
-            for (a, b), c in self.groupoid.compose.items():
-                table[c].append((a, b))
-            self._factorizations = table
-        return self._factorizations
 
 
 def trivial_cocycle(ring, groupoid):
@@ -256,7 +246,8 @@ def fibre_cocycle(T, x, zeta=None):
     the first preimage in arrow order is chosen for each fibre arrow.
     """
     base, total = T.base, T.total
-    fib = [a for a in base.arrows if base.src[a] == x and base.rng[a] == x]
+    group = isotropy_fibre_group(base, x)
+    fib = group.elements
     if zeta is None:
         zeta = {}
         for g in fib:
@@ -265,14 +256,12 @@ def fibre_cocycle(T, x, zeta=None):
             else:
                 zeta[g] = next(s for s in total.arrows if T.proj[s] == g)
     units = T.units_of_ring()
-    mul = {(a, b): base.compose[(a, b)] for a in fib for b in fib}
-    group = FiniteGroup(f"iso({base.name},{x})", fib, mul)
     values = {}
     for a in fib:
         for b in fib:
             prod = total.compose[(zeta[a], zeta[b])]
             for t in units:
-                if T.act(t, zeta[mul[(a, b)]]) == prod:
+                if T.act(t, zeta[group.mul[(a, b)]]) == prod:
                     values[(a, b)] = t
                     break
             else:

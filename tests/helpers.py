@@ -59,7 +59,7 @@ def classification(name):
 
 @lru_cache(maxsize=None)
 def recon(name):
-    return rc.verify_reconstruction_theorem(make_twist(name))
+    return rc.verify_reconstruction_theorem(make_pair(name))
 
 
 @lru_cache(maxsize=None)

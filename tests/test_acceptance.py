@@ -21,7 +21,7 @@ def test_criterion_1_matrix_pairs():
         pair = matrix_pair(n, p, k)
         flags = pair.classify()
         ok &= flags["ADP"] and flags["ACP"] and flags["AQP"]
-        report = rc.verify_reconstruction_theorem(pair.cocycle)
+        report = rc.verify_reconstruction_theorem(pair)
         ok &= report["sigma_prime_points"] == n * n * (q - 1)
         ok &= report["g_prime_arrows"] == n * n
         rebuilt = rc.build_ultra_groupoid(pair).rebuilt_cocycle()
@@ -58,7 +58,7 @@ def test_criterion_3_z4_group_fixture():
     ok = a == (1, 2) and T.mul(a, inv) == T.one()
     ok &= not T.is_trivial_unit(a)
     flags = classification("z2_z4")
-    lbh, witness = pr.check_lbh(make_twist("z2_z4"))
+    lbh, witness = pr.check_lbh(make_pair("z2_z4"))
     ok &= not flags["AQP"] and not lbh and witness is not None
     report = recon("z2_z4")
     ok &= report["phi_injective"] and not report["phi_surjective"]

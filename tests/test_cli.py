@@ -1,6 +1,8 @@
+import collections
+
 import pytest
 
-from quasicartan import cli
+from quasicartan import cli, pairs, twist
 
 
 CLASSIFY_PAIR2 = """\
@@ -180,6 +182,46 @@ def test_bad_cocycle_exit_code(tmp_path, capsys):
     bad = CLASSIFY_PAIR2.replace("trivial", "c(1-2, 2-1) = 0")
     code, _ = _run("classify", bad, tmp_path, capsys)
     assert code == 3
+
+
+def test_reconstruct_builds_the_pair_and_the_twist_once(tmp_path, capsys,
+                                                       monkeypatch):
+    # Z/4[Z/2]: |A| = 16, so LBH is cross-validated, and LBH fails, so the
+    # witness is checked too; every stage shares the one pair and twist
+    calls = collections.Counter()
+    for module, name in ((pairs, "pair_from_twist"),
+                         (twist, "twist_from_cocycle")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    code, out = _run("reconstruct", CLASSIFY_Z2_Z4, tmp_path, capsys)
+    assert code == 0
+    assert cli.parse_summary(out)["lbh"] == "false"
+    assert calls == {"pair_from_twist": 1, "twist_from_cocycle": 1}
+
+
+MALFORMED = {
+    "ring_order_not_prime": ("classify", CLASSIFY_PAIR2.replace("gf(3,1)", "gf(4,1)")),
+    "empty_group": ("classify", CLASSIFY_Z2_Z4.replace("cyclic(2)", "cyclic(0)")),
+    "arrow_token": ("classify",
+                    CLASSIFY_PAIR2.replace("trivial", "c(1-2-3, 2-1) = 1")),
+    "sub_basis_coefficient": ("classify",
+                              ABSTRACT_PAIR.replace("sub_basis = e", "sub_basis = 7*e")),
+    "upp_integer": ("upp", UPP_Z.replace("A = 0 1 5", "A = 0 x")),
+}
+
+
+@pytest.mark.parametrize("command,text", list(MALFORMED.values()),
+                         ids=list(MALFORMED))
+def test_malformed_input_exit_code(command, text, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code = cli.main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
 
 
 def test_cap_exit_code(tmp_path, capsys):

@@ -266,7 +266,7 @@ def test_expectation_uniqueness_cartan_case():
     ("z2_z4", False), ("z2_gf5_twisted", False), ("klein_gf3", False),
 ])
 def test_lbh(name, holds):
-    flag, witness = pr.check_lbh(make_twist(name))
+    flag, witness = pr.check_lbh(make_pair(name))
     assert flag == holds
     if holds:
         assert witness is None
@@ -276,7 +276,7 @@ def test_lbh(name, holds):
 
 
 def test_lbh_witness_z2_z4():
-    _, witness = pr.check_lbh(make_twist("z2_z4"))
+    _, witness = pr.check_lbh(make_pair("z2_z4"))
     # the witness comes from the nontrivial unit 1 + 2δ_g of Z/4[Z/2]
     assert witness.coeffs == {0: 1, 1: 2}
 

@@ -10,7 +10,7 @@ from helpers import FIXTURE_NAMES, make_pair, make_twist, classification, \
 @pytest.mark.parametrize("n,p,k,q", [(2, 2, 1, 2), (2, 3, 1, 3), (3, 2, 1, 2)])
 def test_matrix_reconstruction_counts(n, p, k, q):
     pair = matrix_pair(n, p, k)
-    report = rc.verify_reconstruction_theorem(pair.cocycle)
+    report = rc.verify_reconstruction_theorem(pair)
     assert report["aqp"] and report["lbh"] and report["phi_surjective"]
     assert report["sigma_prime_points"] == n * n * (q - 1)
     assert report["g_prime_arrows"] == n * n

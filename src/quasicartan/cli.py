@@ -54,7 +54,13 @@ def _section_value(doc, name):
     return rows[0][1]
 
 
-def build_ring(doc):
+def _check_size(size, cap):
+    """Refuse a table of size entries before it is allocated."""
+    if size > cap:
+        raise CapExceeded(size, cap)
+
+
+def build_ring(doc, cap=DEFAULT_CAP):
     rows = doc.sections.get("ring")
     tables = doc.sections.get("ring.tables")
     if tables is not None:
@@ -65,12 +71,18 @@ def build_ring(doc):
         raise InputError(f"line {rows[1][0]}: [ring] takes a single row")
     lineno, line = rows[0]
     try:
+        # the add and mul tables have |R|² entries each
         m = re.fullmatch(r"(?:ring\s*=\s*)?zmod\((\d+)\)", line)
         if m:
-            return finring.make_zmod(int(m.group(1)))
+            n = int(m.group(1))
+            _check_size(n * n, cap)
+            return finring.make_zmod(n)
         m = re.fullmatch(r"(?:ring\s*=\s*)?gf\((\d+)\s*,\s*(\d+)\)", line)
         if m:
-            return finring.make_gf(int(m.group(1)), int(m.group(2)))
+            p, k = int(m.group(1)), int(m.group(2))
+            # past cap.bit_length() the power already exceeds the cap
+            _check_size(p ** (2 * min(k, cap.bit_length())), cap)
+            return finring.make_gf(p, k)
     except ValueError as exc:
         raise InputError(f"line {lineno}: {exc}")
     raise InputError(f"line {lineno}: cannot parse ring spec {line!r}")
@@ -109,10 +121,12 @@ def _ring_from_tables(rows):
     return R
 
 
-def _parse_group(spec):
+def _parse_group(spec, cap=DEFAULT_CAP):
     m = re.fullmatch(r"cyclic\(([1-9]\d*)\)", spec)
     if m:
-        return gpd.cyclic_group(int(m.group(1)))
+        n = int(m.group(1))
+        _check_size(n * n, cap)  # the product table
+        return gpd.cyclic_group(n)
     if spec == "klein":
         return gpd.direct_product_group(gpd.cyclic_group(2), gpd.cyclic_group(2))
     raise InputError(f"cannot parse group spec {spec!r}")
@@ -133,17 +147,19 @@ def _arrow_token(token, G):
     return arrow
 
 
-def build_groupoid(doc, section="groupoid"):
+def build_groupoid(doc, section="groupoid", cap=DEFAULT_CAP):
     rows = doc.sections.get(section)
     if not rows:
         raise InputError(f"missing [{section}] section")
     first = rows[0][1]
     m = re.fullmatch(r"full_relation\(([1-9]\d*)\)", first)
     if m:
-        return gpd.full_relation(int(m.group(1)))
+        n = int(m.group(1))
+        _check_size(n ** 3, cap)  # the composition table
+        return gpd.full_relation(n)
     m = re.fullmatch(r"group\((.+)\)", first)
     if m:
-        return gpd.group_as_groupoid(_parse_group(m.group(1)))
+        return gpd.group_as_groupoid(_parse_group(m.group(1), cap))
     # explicit form
     objects, arrows, src, rng, compose = None, [], {}, {}, {}
     for lineno, line in rows:
@@ -280,25 +296,25 @@ def _flag(v):
 
 def _build_pair(doc, cap):
     """Either a twist pair (groupoid+cocycle) or an abstract one."""
-    R = build_ring(doc)
+    R = build_ring(doc, cap)
     if "algebra" in doc.sections:
         if "groupoid" in doc.sections or "cocycle" in doc.sections:
             raise InputError("give either groupoid+cocycle or algebra+pair, not both")
         return R, None, build_abstract_pair(doc, R, cap)
-    G = build_groupoid(doc)
+    G = build_groupoid(doc, cap=cap)
     c = build_cocycle(doc, R, G)
     return R, c, pairs_mod.pair_from_twist(c, cap=cap)
 
 
 def cmd_check(doc, cap, oracle):
     report, summary = [], {}
-    R = build_ring(doc)
+    R = build_ring(doc, cap)
     bad = finring.validate_ring(R)
     report.append(f"ring {R.name}: {'ok' if not bad else bad[0]}")
     summary["ring_ok"] = _flag(not bad)
     violations = len(bad)
     if "groupoid" in doc.sections:
-        G = build_groupoid(doc)
+        G = build_groupoid(doc, cap=cap)
         gb = gpd.validate_groupoid(G)
         violations += len(gb)
         report.append(f"groupoid {G.name}: {'ok' if not gb else gb[0]}")
@@ -364,11 +380,11 @@ def cmd_reconstruct(doc, cap, oracle):
 
 
 def cmd_units(doc, cap, oracle):
-    R = build_ring(doc)
+    R = build_ring(doc, cap)
     spec = _section_value(doc, "group")
     if spec is None:
         raise InputError("units needs a [group] section with one row")
-    H = _parse_group(spec)
+    H = _parse_group(spec, cap)
     G = gpd.group_as_groupoid(H)
     values = {}
     if "cocycle" in doc.sections:
@@ -425,13 +441,14 @@ def cmd_upp(doc, cap, oracle):
     elif group_spec == "z2":
         H, rank = "free_abelian", 2
     else:
-        H, rank = _parse_group(group_spec), None
-    if H == "free_abelian":
-        A = _parse_subset(a_line, rank)
-        B = _parse_subset(b_line, rank)
-    else:
-        A = [a for (a,) in _parse_subset(a_line, 1)]
-        B = [b for (b,) in _parse_subset(b_line, 1)]
+        H = _parse_group(group_spec, cap)
+        e = H.identity
+        rank = len(e) if isinstance(e, tuple) else 1
+    A = _parse_subset(a_line, rank)
+    B = _parse_subset(b_line, rank)
+    if H != "free_abelian":
+        if rank == 1:  # cyclic group elements are plain integers
+            A, B = [a for (a,) in A], [b for (b,) in B]
         if not set(A + B) <= set(H.elements):
             raise InputError(f"subset element outside {H.name}")
     witness = grouprings.unique_product_search(H, A, B)
@@ -451,10 +468,10 @@ def cmd_upp(doc, cap, oracle):
 
 
 def cmd_compare(doc, cap, oracle):
-    R = build_ring(doc)
-    G1 = build_groupoid(doc, "groupoid")
+    R = build_ring(doc, cap)
+    G1 = build_groupoid(doc, "groupoid", cap)
     c1 = build_cocycle(doc, R, G1, "cocycle")
-    G2 = build_groupoid(doc, "groupoid2") if "groupoid2" in doc.sections else G1
+    G2 = build_groupoid(doc, "groupoid2", cap) if "groupoid2" in doc.sections else G1
     c2 = build_cocycle(doc, R, G2, "cocycle2")
     iso = reconstruct.compare_twists(c1, c2)
     report = []

@@ -275,26 +275,65 @@ def is_reduced(R):
 
 
 def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP):
-    """All solution vectors of a system of R-linear equations.
+    """All solution vectors of a system of R-linear equations, sorted.
 
     Each equation is (coefficients, rhs) with len(coefficients) equal to
-    num_unknowns, meaning sum_i coefficients[i]*x_i = rhs.  Solutions are
-    found by exhaustive enumeration, which is exact over any finite ring;
-    the search space |R|^num_unknowns must stay below cap.
+    num_unknowns, meaning sum_i coefficients[i]*x_i = rhs.  Elimination
+    pivots on unit coefficients only: scaling a row by a unit and adding
+    multiples of rows are invertible over any commutative ring, and over a
+    field this is full Gaussian elimination.  The unknowns left without a
+    pivot are then enumerated against the remaining rows, whose
+    coefficients are all non-units; that search space |R|^free must stay
+    below cap.
     """
-    size = R.size ** num_unknowns
+    add, mul, neg, inverse = R.add_table, R.mul_table, R._neg, R._unit_inverse
+    zero = R.zero
+
+    def combine(acc, terms, values):
+        for f, c in terms:
+            acc = add[acc][mul[c][values[f]]]
+        return acc
+
+    rows = [list(coeffs) + [rhs] for coeffs, rhs in equations]
+    pivots = []  # (column, row): 1 at its column, 0 at every other pivot's
+    free = list(range(num_unknowns))
+    while True:
+        found = next(((i, col) for i, row in enumerate(rows) for col in free
+                      if row[col] in inverse), None)
+        if found is None:
+            break
+        i, col = found
+        row = rows.pop(i)
+        inv = inverse[row[col]]
+        row[:] = [mul[inv][v] for v in row]
+        for other in rows + [r for _, r in pivots]:
+            t = neg[other[col]]
+            if t != zero:
+                other[:] = [add[v][mul[t][w]] for v, w in zip(other, row)]
+        pivots.append((col, row))
+        free.remove(col)
+    # the rows without a pivot and the pivot rows, as sparse
+    # (position in free, coefficient) terms
+    residual = []
+    for row in rows:
+        terms = [(f, row[c]) for f, c in enumerate(free) if row[c] != zero]
+        if terms:
+            residual.append((terms, row[-1]))
+        elif row[-1] != zero:
+            return []
+    size = R.size ** len(free)
     if size > cap:
         raise CapExceeded(size, cap)
+    back = [(col, row[-1], [(f, neg[row[c]]) for f, c in enumerate(free)
+                            if row[c] != zero]) for col, row in pivots]
     solutions = []
-    for vec in itertools.product(R.all_indices(), repeat=num_unknowns):
-        ok = True
-        for coeffs, rhs in equations:
-            acc = R.zero
-            for c, x in zip(coeffs, vec):
-                acc = R.add(acc, R.mul(c, x))
-            if acc != rhs:
-                ok = False
-                break
-        if ok:
-            solutions.append(vec)
+    for values in itertools.product(R.all_indices(), repeat=len(free)):
+        if all(combine(zero, terms, values) == rhs for terms, rhs in residual):
+            x = [zero] * num_unknowns
+            for f, col in enumerate(free):
+                x[col] = values[f]
+            for col, rhs, terms in back:
+                x[col] = combine(rhs, terms, values)
+            solutions.append(tuple(x))
+    solutions.sort()
     return solutions

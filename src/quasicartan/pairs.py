@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import grouprings, steinberg, twist as twist_mod
+from . import finring, grouprings, steinberg, twist as twist_mod
 from .finring import CapExceeded, DEFAULT_CAP
 
 
@@ -67,17 +67,16 @@ class AbstractAlgebra:
         return tuple(R.mul(t, a) for a in x)
 
     def mul(self, x, y):
-        R = self.ring
-        out = [R.zero] * self.dim
+        zero, add, mul = self.ring.zero, self.ring.add_table, self.ring.mul_table
+        out = [zero] * self.dim
+        y_terms = [(j, yj) for j, yj in enumerate(y) if yj != zero]
         for i, xi in enumerate(x):
-            if xi == R.zero:
+            if xi == zero:
                 continue
-            for j, yj in enumerate(y):
-                if yj == R.zero:
-                    continue
-                coeff = R.mul(xi, yj)
+            for j, yj in y_terms:
+                coeff = mul[xi][yj]
                 for k, s in self.structure[(i, j)].items():
-                    out[k] = R.add(out[k], R.mul(s, coeff))
+                    out[k] = add[out[k]][mul[s][coeff]]
         return tuple(out)
 
     def size(self):
@@ -93,26 +92,15 @@ class AbstractAlgebra:
         return self._all_elements
 
     def span(self, vectors):
-        """Closure of a vector set under addition and ring scalars."""
-        R = self.ring
+        """The R-submodule generated by vectors: the sum of the cyclic
+        submodules R·v, each added in one pass over the span so far."""
         out = {self.zero()}
-        queue = []
         for v in vectors:
-            for t in R.all_indices():
-                w = self.scale(t, tuple(v))
-                if w not in out:
-                    out.add(w)
-                    queue.append(w)
-        # worklist closure under addition: every new element is eventually
-        # paired with everything present when it is processed, and later
-        # arrivals pair with it in their own turn
-        while queue:
-            v = queue.pop()
-            for w in list(out):
-                s = self.add(v, w)
-                if s not in out:
-                    out.add(s)
-                    queue.append(s)
+            v = tuple(v)
+            if v in out:
+                continue
+            multiples = {self.scale(t, v) for t in self.ring.all_indices()}
+            out = {self.add(s, m) for s in out for m in multiples}
         return out
 
     def __repr__(self):
@@ -136,6 +124,7 @@ class Pair:
                 if A.mul(b, b2) not in self.B:
                     raise ValueError("sub_basis span is not closed under multiplication")
         self._dagger_cache = {}
+        self._membership = None
         self._normalisers = None
         self._minimal = None
         self._idempotents = None
@@ -143,6 +132,8 @@ class Pair:
         self._expectation = None
         self._classification = None
         self._twist = None
+        # the ultrafilter groupoid, set by reconstruct.build_ultra_groupoid
+        self.ultra_groupoid = None
 
     # -- idempotents --------------------------------------------------
 
@@ -203,7 +194,7 @@ class Pair:
         """The generalized inverse of n, or None when n is not a normaliser.
 
         Primary strategy: solve the linear system n·k·n = n for k (with
-        linear membership constraints when B is a coordinate subspace),
+        linear membership rows when B is a coordinate subspace),
         then filter the survivors by k·n·k = k and the B-conjugation
         conditions, finally re-verifying the winner against the full
         definition.  oracle=True instead scans every k against the full
@@ -237,55 +228,37 @@ class Pair:
         return result
 
     def _solve_dagger_system(self, n):
-        """All k with n·k·n = n (plus the coordinate membership constraints
-        when B is a coordinate subspace).
+        """All k with n·k·n = n, and with (k·b·n)_i = 0 = (n·b·k)_i off B's
+        support when B is a coordinate subspace: one linear system in the
+        coordinates of k, built from the columns n·e_j·n."""
+        A = self.algebra
+        basis = [A.basis_vector(j) for j in range(A.dim)]
+        columns = [A.mul(A.mul(n, e), n) for e in basis]
+        equations = [([col[i] for col in columns], n[i]) for i in range(A.dim)]
+        off, factors = self._membership_factors()
+        for b, basis_times_b in factors:
+            left = [A.mul(eb, n) for eb in basis_times_b]
+            nb = A.mul(n, b)
+            right = [A.mul(nb, e) for e in basis]
+            for i in off:
+                equations.append(([v[i] for v in left], A.ring.zero))
+                equations.append(([v[i] for v in right], A.ring.zero))
+        return finring.solve_linear(A.ring, equations, A.dim, cap=self.cap)
 
-        The system is linear in k, so k ↦ Σ k_j·(n·b_j·n) is evaluated by
-        meet-in-the-middle over a coordinate split instead of scanning all
-        |R|^dim candidates one multiplication at a time.
-        """
-        A, R = self.algebra, self.algebra.ring
-        if A.size() > self.cap:
-            raise CapExceeded(A.size(), self.cap)
-        conj = [A.mul(A.mul(n, A.basis_vector(j)), n) for j in range(A.dim)]
-        half = A.dim // 2
-        right_idx = list(range(half, A.dim))
-        right_sums = {}
-        for combo in itertools.product(R.all_indices(), repeat=len(right_idx)):
-            acc = A.zero()
-            for j, kj in zip(right_idx, combo):
-                if kj != R.zero:
-                    acc = A.add(acc, A.scale(kj, conj[j]))
-            right_sums.setdefault(acc, []).append(combo)
-        candidates = []
-        for combo in itertools.product(R.all_indices(), repeat=half):
-            acc = A.zero()
-            for j, kj in enumerate(combo):
-                if kj != R.zero:
-                    acc = A.add(acc, A.scale(kj, conj[j]))
-            need = A.sub(n, acc)
-            for rcombo in right_sums.get(need, ()):
-                candidates.append(tuple(combo) + tuple(rcombo))
-        support = self._b_coordinate_support()
-        if support is None:
-            return candidates
-        off = [i for i in range(A.dim) if i not in support]
-        out = []
-        for k in candidates:
-            if self._coordinate_membership_ok(k, n, off):
-                out.append(k)
-        return out
-
-    def _coordinate_membership_ok(self, k, n, off):
-        """k·b·n and n·b·k supported inside B's coordinate support, for every
-        spanning b of B."""
-        A, R = self.algebra, self.algebra.ring
-        for b in self.sub_basis:
-            kbn = A.mul(A.mul(k, b), n)
-            nbk = A.mul(A.mul(n, b), k)
-            if any(kbn[i] != R.zero or nbk[i] != R.zero for i in off):
-                return False
-        return True
+    def _membership_factors(self):
+        """(coordinates off B's support, [(b, [e_j·b for each j])] over the
+        spanning b), or ((), []) when B is not a coordinate subspace."""
+        if self._membership is None:
+            A = self.algebra
+            support = self._b_coordinate_support()
+            if support is None:
+                self._membership = (), []
+            else:
+                off = [i for i in range(A.dim) if i not in support]
+                self._membership = off, [
+                    (b, [A.mul(A.basis_vector(j), b) for j in range(A.dim)])
+                    for b in self.sub_basis]
+        return self._membership
 
     def _full_dagger_check(self, n, k):
         A = self.algebra

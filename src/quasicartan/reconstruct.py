@@ -21,8 +21,9 @@ class UltraGroupoid:
     """The groupoid of ultrafilter points with its unit-group action."""
 
     def __init__(self, pair):
-        self.pair = pair
-        A = pair.algebra
+        # the algebra, not the pair: the pair caches this groupoid, and a
+        # reference back would make every pair a cycle for the collector
+        self.algebra = A = pair.algebra
         R = A.ring
         self.units = sorted(finring.ring_units(R))
         self.points = list(pair.enumerate_normalisers("minimal"))
@@ -70,7 +71,7 @@ class UltraGroupoid:
         """Defined when source(m) = range(n); the algebra product."""
         if self.source[m] != self.range[n]:
             raise ValueError("points not composable")
-        out = self.pair.algebra.mul(m, n)
+        out = self.algebra.mul(m, n)
         if out not in self.orbit_of:
             raise AssertionError("composition left the point set")
         return out
@@ -79,7 +80,7 @@ class UltraGroupoid:
         """Assemble the total/base groupoids and the extension maps."""
         if self._twist is not None:
             return self._twist
-        A = self.pair.algebra
+        A = self.algebra
         total_compose = {}
         for m in self.points:
             for n in self.points:
@@ -117,6 +118,10 @@ class UltraGroupoid:
 
 
 def build_ultra_groupoid(pair):
+    """The pair's ultrafilter groupoid, with its rebuilt twist checked
+    against the twist axioms; built once per pair and cached on it."""
+    if pair.ultra_groupoid is not None:
+        return pair.ultra_groupoid
     wt, _ = pair.satisfies_wt()
     if not wt:
         raise ValueError("pair does not satisfy the nondegeneracy condition")
@@ -127,6 +132,7 @@ def build_ultra_groupoid(pair):
     bad = twist_mod.check_twist_axioms(T)
     if bad:
         raise AssertionError("rebuilt extension fails its axioms: " + bad[0])
+    pair.ultra_groupoid = ug
     return ug
 
 

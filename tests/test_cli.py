@@ -161,6 +161,16 @@ def test_upp_subgroup_has_none(tmp_path, capsys):
     assert summary["witness"] == "none"
 
 
+def test_upp_klein_group(tmp_path, capsys):
+    # Klein elements are pairs, so subset rows parse at rank 2
+    text = "[upp]\ngroup = klein\nA = (0,0) (1,0)\nB = (0,0)\n"
+    code, out = _run("upp", text, tmp_path, capsys)
+    assert code == 0
+    summary = cli.parse_summary(out)
+    assert summary["witness"] == "(0, 0)"
+    assert summary["second_witness"] == "true"
+
+
 def test_compare(tmp_path, capsys):
     code, out = _run("compare", COMPARE_GF5, tmp_path, capsys)
     assert code == 0
@@ -227,6 +237,17 @@ def test_malformed_input_exit_code(command, text, tmp_path, capsys):
 def test_cap_exit_code(tmp_path, capsys):
     text = CLASSIFY_PAIR2 + "[options]\ncap = 10\n"
     code, _ = _run("classify", text, tmp_path, capsys)
+    assert code == 2
+
+
+@pytest.mark.parametrize("command,text", [
+    ("check", "[ring]\nzmod(11)\n"),                          # 11² table entries
+    ("check", "[ring]\ngf(2,1)\n[groupoid]\nfull_relation(5)\n"),  # 5³ compositions
+    ("upp", "[upp]\ngroup = cyclic(11)\nA = 0 1\nB = 0\n"),  # 11² products
+], ids=["ring", "full_relation", "cyclic"])
+def test_oversize_tables_exit_on_the_cap(command, text, tmp_path, capsys):
+    # each of these inputs exits 0 under the default cap
+    code, _ = _run(command, text + "[options]\ncap = 100\n", tmp_path, capsys)
     assert code == 2
 
 

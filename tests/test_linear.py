@@ -1,0 +1,104 @@
+"""The exact linear layer against definitional references written here:
+solve_linear against a scan of every vector, span against a closure under
+adding scalar multiples of the generators, and the dagger solver against
+its oracle when B is not a coordinate subspace."""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from quasicartan import finring as fr, pairs as pr
+
+
+def _dual_numbers_gf2():
+    """GF(2)[x]/(x²) built from tables: a + b·x has index a + 2b."""
+    def pack(a, b):
+        return a + 2 * b
+
+    pairs = [(a, b) for b in (0, 1) for a in (0, 1)]
+    add = [[pack((a + c) % 2, (b + d) % 2) for c, d in pairs] for a, b in pairs]
+    mul = [[pack(a * c % 2, (a * d + b * c) % 2) for c, d in pairs]
+           for a, b in pairs]
+    R = fr.FiniteRing("gf2[x]/(x^2)", ["0", "1", "x", "1+x"], add, mul, 0, 1)
+    assert fr.validate_ring(R) == []
+    return R
+
+
+RINGS = [fr.make_zmod(4), fr.make_zmod(6), fr.make_zmod(9), fr.make_gf(2, 2),
+         fr.make_gf(3, 2), _dual_numbers_gf2()]
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+def _evaluate(R, coeffs, x):
+    acc = R.zero
+    for c, v in zip(coeffs, x):
+        acc = R.add(acc, R.mul(c, v))
+    return acc
+
+
+@st.composite
+def systems(draw):
+    """(R, equations, num_unknowns); half the systems are made consistent
+    by reading the right-hand sides off a drawn vector."""
+    R = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(0, 3))
+    element = st.integers(0, R.size - 1)
+    rows = draw(st.lists(st.lists(element, min_size=n, max_size=n), max_size=4))
+    if draw(st.booleans()):
+        x = draw(st.lists(element, min_size=n, max_size=n))
+        return R, [(row, _evaluate(R, row, x)) for row in rows], n
+    return R, [(row, draw(element)) for row in rows], n
+
+
+@PROPERTY
+@given(systems())
+def test_solve_linear_equals_a_full_scan(system):
+    R, equations, n = system
+    scan = [x for x in itertools.product(R.all_indices(), repeat=n)
+            if all(_evaluate(R, c, x) == rhs for c, rhs in equations)]
+    assert fr.solve_linear(R, equations, n) == scan
+
+
+@st.composite
+def generator_sets(draw):
+    R = draw(st.sampled_from(RINGS))
+    dim = draw(st.integers(1, 3 if R.size <= 6 else 2))
+    vector = st.tuples(*[st.integers(0, R.size - 1)] * dim)
+    return R, dim, draw(st.lists(vector, max_size=4))
+
+
+@PROPERTY
+@given(generator_sets())
+def test_span_equals_the_definitional_closure(case):
+    R, dim, vectors = case
+    A = pr.AbstractAlgebra("free", R, list(range(dim)), {})
+    closure, todo = {A.zero()}, [A.zero()]
+    while todo:
+        x = todo.pop()
+        for v in vectors:
+            for t in R.all_indices():
+                y = A.add(x, A.scale(t, v))
+                if y not in closure:
+                    closure.add(y)
+                    todo.append(y)
+    assert A.span(vectors) == closure
+
+
+def test_dagger_matches_oracle_off_a_coordinate_subspace():
+    # M_2(GF(3)) with B the scalar matrices: the identity e11 + e22 has two
+    # nonzero coordinates, so no membership rows are added
+    R = fr.make_gf(3)
+    units = [(i, j) for i in range(2) for j in range(2)]
+    structure = {(a, b): {units.index((units[a][0], units[b][1])): R.one}
+                 for a in range(4) for b in range(4)
+                 if units[a][1] == units[b][0]}
+    A = pr.AbstractAlgebra("m2", R, units, structure)
+    pair = pr.Pair(A, [(R.one, R.zero, R.zero, R.one)])
+    assert pair._b_coordinate_support() is None
+    found = 0
+    for n in A.all_elements():
+        dagger = pair.dagger_of(n)
+        assert dagger == pair.dagger_of(n, oracle=True)
+        found += dagger is not None
+    assert 0 < found < A.size()

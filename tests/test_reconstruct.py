@@ -63,7 +63,7 @@ def test_build_rejects_degenerate_pairs():
 
 def test_scalar_action_structure():
     ug = rc.build_ultra_groupoid(make_pair("pair2_gf3"))
-    A = ug.pair.algebra
+    A = ug.algebra
     # orbits partition the points with size = number of units
     seen = set()
     for m in ug.points:
@@ -84,7 +84,7 @@ def test_composition_respects_cocycle():
     ug = rc.build_ultra_groupoid(make_pair("z2_gf5_twisted"))
     c = ug.rebuilt_cocycle()
     T = ug.to_twist()
-    A = ug.pair.algebra
+    A = ug.algebra
     for g in T.base.arrows:
         for h in T.base.arrows:
             if T.base.src[g] != T.base.rng[h]:
@@ -206,3 +206,20 @@ def test_ultrafilter_counts_match_points():
         report = rc.ultrafilter_oracle(pair)
         ug = rc.build_ultra_groupoid(pair)
         assert report["maximal_principal_filters"] == len(ug.points)
+
+
+def test_ultra_groupoid_built_once_per_pair(monkeypatch):
+    # a fresh pair, so that no earlier test has filled its cache
+    pair = pr.pair_from_twist(make_twist("z2_gf3"))
+    built = []
+    init = rc.UltraGroupoid.__init__
+
+    def counting_init(self, p):
+        built.append(p)
+        init(self, p)
+
+    monkeypatch.setattr(rc.UltraGroupoid, "__init__", counting_init)
+    rc.verify_reconstruction_theorem(pair)
+    _, report = rc.ahat_iso(pair)
+    assert report["bijective"]
+    assert built == [pair]

@@ -54,6 +54,15 @@ def _section_value(doc, name):
     return rows[0][1]
 
 
+def _int(digits):
+    """int() of a matched digit string; past Python's conversion limit
+    (4300 digits) the input is malformed."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
 def _check_size(size, cap):
     """Refuse a table of size entries before it is allocated."""
     if size > cap:
@@ -124,7 +133,7 @@ def _ring_from_tables(rows):
 def _parse_group(spec, cap=DEFAULT_CAP):
     m = re.fullmatch(r"cyclic\(([1-9]\d*)\)", spec)
     if m:
-        n = int(m.group(1))
+        n = _int(m.group(1))
         _check_size(n * n, cap)  # the product table
         return gpd.cyclic_group(n)
     if spec == "klein":
@@ -136,7 +145,7 @@ def _arrow_token(token, G):
     token = token.strip()
     m = re.fullmatch(r"(\d+)-(\d+)", token)
     if m:
-        arrow = (int(m.group(1)), int(m.group(2)))
+        arrow = (_int(m.group(1)), _int(m.group(2)))
     else:
         try:
             arrow = int(token)
@@ -154,7 +163,7 @@ def build_groupoid(doc, section="groupoid", cap=DEFAULT_CAP):
     first = rows[0][1]
     m = re.fullmatch(r"full_relation\(([1-9]\d*)\)", first)
     if m:
-        n = int(m.group(1))
+        n = _int(m.group(1))
         _check_size(n ** 3, cap)  # the composition table
         return gpd.full_relation(n)
     m = re.fullmatch(r"group\((.+)\)", first)
@@ -280,7 +289,7 @@ def get_options(doc):
     for lineno, line in doc.sections.get("options", []):
         m = re.fullmatch(r"cap\s*=\s*(\d+)", line)
         if m:
-            cap = int(m.group(1))
+            cap = _int(m.group(1))
             continue
         m = re.fullmatch(r"oracle\s*=\s*(on|off)", line)
         if m:

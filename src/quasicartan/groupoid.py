@@ -73,9 +73,6 @@ class FiniteGroupoid:
         self.unit_at = dict(unit_at)
         self.units = set(unit_at.values())
 
-    def composable(self, a, b):
-        return self.src[a] == self.rng[b]
-
     def composable_pairs(self):
         for a in self.arrows:
             for b in self.arrows:
@@ -94,6 +91,7 @@ def make_groupoid(name, objects, arrows, src, rng, compose):
     src = dict(src)
     rng = dict(rng)
     compose = dict(compose)
+    _check_composition(arrows, src, rng, compose)
     unit_at = {}
     for x in objects:
         for u in arrows:
@@ -118,9 +116,64 @@ def make_groupoid(name, objects, arrows, src, rng, compose):
     return FiniteGroupoid(name, objects, arrows, src, rng, compose, inv, unit_at)
 
 
+def _check_composition(arrows, src, rng, compose):
+    """Raise ValueError unless compose is defined exactly on the composable
+    pairs, each composite an arrow from src(b) to rng(a)."""
+    arrow_set = set(arrows)
+    for (a, b), ab in compose.items():
+        if a not in arrow_set or b not in arrow_set or src[a] != rng[b]:
+            raise ValueError(f"composite given for a non-composable pair ({a},{b})")
+        if ab not in arrow_set:
+            raise ValueError(f"composite {ab} of ({a},{b}) is not an arrow")
+        if src[ab] != src[b] or rng[ab] != rng[a]:
+            raise ValueError(f"composite {ab} of ({a},{b}) has the wrong ends")
+    ending = {}
+    for a in arrows:
+        ending.setdefault(rng[a], []).append(a)
+    # every entry is a composable pair, so a count shows a missing one
+    if len(compose) != sum(len(ending.get(src[a], ())) for a in arrows):
+        for a in arrows:
+            for b in ending.get(src[a], ()):
+                if (a, b) not in compose:
+                    raise ValueError(f"no composite given for ({a},{b})")
+
+
+def _associativity_faults(G):
+    """(a∘b)∘c == a∘(b∘c) on every composable triple, one row comparison per
+    composable pair (a, b); assumes a complete, well-ended composition.
+
+    ending[x] lists the indices of the arrows with range x, in arrow order,
+    and pos[j] is the place of arrow j in its list.  The row of arrow a
+    holds pos[a∘c] for c in ending[src a].  For c in ending[src b], both
+    (a∘b)∘c and a∘(b∘c) end at rng a, so they are equal exactly when
+    row[a∘b][k] == row[a][row[b][k]].
+    """
+    arrows = G.arrows
+    index = {a: i for i, a in enumerate(arrows)}
+    ending, pos = {}, []
+    for a in arrows:
+        into = ending.setdefault(G.rng[a], [])
+        pos.append(len(into))
+        into.append(index[a])
+    rows = [[pos[index[G.compose[(a, arrows[j])]]]
+             for j in ending.get(G.src[a], ())] for a in arrows]
+    bad = []
+    for a, row_a in zip(arrows, rows):
+        into_a = ending[G.rng[a]]
+        for j in ending.get(G.src[a], ()):
+            ab_row = rows[into_a[row_a[pos[j]]]]
+            a_bc = list(map(row_a.__getitem__, rows[j]))
+            if ab_row != a_bc:
+                b, cs = arrows[j], ending[G.src[arrows[j]]]
+                bad.extend(f"associativity fails at ({a},{b},{arrows[k]})"
+                           for k, x, y in zip(cs, ab_row, a_bc) if x != y)
+    return bad
+
+
 def validate_groupoid(G):
     """Exhaustively check the groupoid axioms; returns a violation list."""
     bad = []
+    arrow_set = set(G.arrows)
     for a in G.arrows:
         if G.src[a] not in G.objects or G.rng[a] not in G.objects:
             bad.append(f"arrow {a} has src/rng outside the object set")
@@ -132,14 +185,12 @@ def validate_groupoid(G):
                 bad.append(f"compose domain wrong at ({a},{b})")
             elif defined:
                 c = G.compose[(a, b)]
-                if G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
+                if c not in arrow_set:
+                    bad.append(f"composite at ({a},{b}) is not an arrow")
+                elif G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
                     bad.append(f"src/rng of composite wrong at ({a},{b})")
-    for a, b in G.composable_pairs():
-        ab = G.compose[(a, b)]
-        for c in G.arrows:
-            if G.src[b] == G.rng[c]:
-                if G.compose[(ab, c)] != G.compose[(a, G.compose[(b, c)])]:
-                    bad.append(f"associativity fails at ({a},{b},{c})")
+    if not bad:
+        bad.extend(_associativity_faults(G))
     for x in G.objects:
         u = G.unit_at.get(x)
         if u is None or G.src[u] != x or G.rng[u] != x:

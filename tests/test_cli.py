@@ -311,3 +311,61 @@ trivial
 def test_unknown_command_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["frobnicate", "x.txt"])
+
+
+def _explicit_full_relation_3(replace=None):
+    """full_relation(3) in the explicit form: aij runs from j to i.  With
+    replace=(row, new) the composition row `row` becomes `new` (None drops it)."""
+    objects = "1 2 3"
+    rows = [f"a{i}{j}: {j} -> {i}" for i in objects.split() for j in objects.split()]
+    for i in objects.split():
+        for j in objects.split():
+            for k in objects.split():
+                row = f"a{i}{j} . a{j}{k} = a{i}{k}"
+                if replace and row == replace[0]:
+                    row = replace[1]
+                if row is not None:
+                    rows.append(row)
+    return "\n".join(["[ring]", "gf(2,1)", "[groupoid]", f"objects = {objects}",
+                      *rows, "[cocycle]", "trivial", ""])
+
+
+BAD_COMPOSITION = {
+    "missing": ("a12 . a23 = a13", None),
+    "not_an_arrow": ("a12 . a23 = a13", "a12 . a23 = zzz"),
+    "wrong_ends": ("a12 . a23 = a13", "a12 . a23 = a11"),
+}
+
+
+def test_explicit_full_relation_3_is_accepted(tmp_path, capsys):
+    code, out = _run("check", _explicit_full_relation_3(), tmp_path, capsys)
+    assert code == 0 and cli.parse_summary(out)["groupoid_ok"] == "true"
+
+
+@pytest.mark.parametrize("command", ["check", "classify", "reconstruct"])
+@pytest.mark.parametrize("defect", list(BAD_COMPOSITION))
+def test_bad_composition_table_exit_code(defect, command, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(_explicit_full_relation_3(BAD_COMPOSITION[defect]))
+    code = cli.main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("input error:")
+
+
+LONG = "1" * 5000  # past Python's 4300-digit limit on int()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("check", f"[ring]\ngf(2,1)\n[groupoid]\nfull_relation({LONG})\n"),
+    ("units", f"[ring]\nzmod(2)\n[group]\ncyclic({LONG})\n"),
+    ("classify", CLASSIFY_PAIR2 + f"[options]\ncap = {LONG}\n"),
+    ("classify", CLASSIFY_PAIR2.replace("trivial", f"c(1-{LONG}, 1-1) = 0")),
+], ids=["full_relation", "cyclic", "cap", "arrow_token"])
+def test_overlong_numbers_exit_code(command, text, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code = cli.main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("input error:")

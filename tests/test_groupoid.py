@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasicartan import groupoid as gp
 
@@ -80,6 +81,91 @@ def test_validate_catches_defects():
         "broken2", H.objects, H.arrows, H.src, H.rng, H.compose,
         broken_inv, H.unit_at))
     assert any("inv" in v for v in bad2)
+
+
+# full_relation(3) with the entry for ((1,2),(2,3)) dropped, sent outside
+# the arrows or to an arrow with the wrong ends, or with an entry added
+# for the non-composable pair ((1,2),(1,2))
+COMPOSITION_DEFECTS = ["missing", "not_an_arrow", "wrong_ends", "not_composable"]
+
+
+def _defective_full_relation(defect):
+    G = gp.full_relation(3)
+    compose = dict(G.compose)
+    if defect == "missing":
+        del compose[((1, 2), (2, 3))]
+    elif defect == "not_an_arrow":
+        compose[((1, 2), (2, 3))] = "zzz"
+    elif defect == "wrong_ends":
+        compose[((1, 2), (2, 3))] = (1, 1)
+    else:
+        compose[((1, 2), (1, 2))] = (1, 2)
+    return G, compose
+
+
+@pytest.mark.parametrize("defect", COMPOSITION_DEFECTS)
+def test_validate_reports_composition_defects(defect):
+    G, compose = _defective_full_relation(defect)
+    bad = gp.validate_groupoid(gp.FiniteGroupoid(
+        "broken", G.objects, G.arrows, G.src, G.rng, compose, G.inv, G.unit_at))
+    assert bad != []
+
+
+@pytest.mark.parametrize("defect", COMPOSITION_DEFECTS)
+def test_make_groupoid_rejects_bad_composition(defect):
+    G, compose = _defective_full_relation(defect)
+    with pytest.raises(ValueError):
+        gp.make_groupoid("broken", G.objects, G.arrows, G.src, G.rng, compose)
+
+
+def _associativity_by_definition(G):
+    """The associativity violations from the definition: every composable
+    triple, in arrow order."""
+    bad = []
+    for a in G.arrows:
+        for b in G.arrows:
+            if G.src[a] != G.rng[b]:
+                continue
+            for c in G.arrows:
+                if G.src[b] == G.rng[c] and G.compose[(G.compose[(a, b)], c)] \
+                        != G.compose[(a, G.compose[(b, c)])]:
+                    bad.append(f"associativity fails at ({a},{b},{c})")
+    return bad
+
+
+_KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
+COMPONENTS = st.one_of(
+    st.integers(1, 3).map(gp.full_relation),
+    st.integers(1, 5).map(lambda n: gp.group_as_groupoid(gp.cyclic_group(n))),
+    st.just(gp.group_as_groupoid(_KLEIN)))
+
+
+@st.composite
+def perturbed_groupoids(draw):
+    """A disjoint union of small groupoids with 0-3 composition entries
+    sent to other arrows with the same ends."""
+    parts = draw(st.lists(COMPONENTS, min_size=1, max_size=3))
+    G = parts[0]
+    for H in parts[1:]:
+        G = gp.disjoint_union(G, H)
+    compose = dict(G.compose)
+    pairs = sorted(compose, key=repr)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(pairs))
+        compose[(a, b)] = draw(st.sampled_from(
+            [c for c in G.arrows if G.src[c] == G.src[b] and G.rng[c] == G.rng[a]]))
+    return gp.FiniteGroupoid("perturbed", G.objects, G.arrows, G.src, G.rng,
+                             compose, G.inv, G.unit_at)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(perturbed_groupoids())
+def test_associativity_equals_the_triple_loop(G):
+    found = gp.validate_groupoid(G)
+    assoc = [v for v in found if v.startswith("associativity")]
+    assert assoc == _associativity_by_definition(G)
+    # the composition stays well-ended, so these faults are listed first
+    assert found[:len(assoc)] == assoc
 
 
 def test_make_groupoid_rejects_missing_units():

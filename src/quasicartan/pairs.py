@@ -9,6 +9,7 @@ tuples over the basis, with ring elements as table indices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from . import finring, grouprings, steinberg, twist as twist_mod
@@ -125,8 +126,7 @@ class Pair:
                     raise ValueError("sub_basis span is not closed under multiplication")
         self._dagger_cache = {}
         self._membership = None
-        self._normalisers = None
-        self._minimal = None
+        self._normalisers = {}  # (mode, oracle) -> sorted list
         self._idempotents = None
         self._atoms = None
         self._expectation = None
@@ -211,7 +211,10 @@ class Pair:
             winners = [k for k in A.all_elements(cap=self.cap)
                        if self._full_dagger_check(n, k)]
         else:
-            candidates = self._solve_dagger_system(n)
+            # 0† = 0: k·0·k = k forces k = 0, and the system for n = 0
+            # would list all of A
+            candidates = ([n] if n == A.zero()
+                          else self._solve_dagger_system(n))
             winners = []
             for k in candidates:
                 if A.mul(A.mul(k, n), k) != k:
@@ -276,32 +279,78 @@ class Pair:
 
     def enumerate_normalisers(self, mode="full", oracle=False):
         """full: every normaliser of B; minimal: the nonzero normalisers n
-        whose source idempotent n†n is an atom (scanned corner-by-corner)."""
+        whose source idempotent n†n is an atom.  Both sorted.
+
+        Let n be a normaliser and e an atom of B.  Then n·e is a normaliser
+        with dagger e·n†: n†n lies in the commutative B, so
+        (ne)(en†)(ne) = n·n†n·e = ne and (en†)(ne)(en†) = e·n†n·n† = en†,
+        while en†·b·ne = e(n†bn)e and ne·b·en† = n(ebe)n† lie in B.  Its
+        source e·n†n is an idempotent below the atom e, so it is e or 0,
+        and ne = ne·(ne)†·ne = 0 in the second case.  When it is e, the
+        range f = n·e·n† is an atom too: a nonzero idempotent f' ≤ f gives
+        the nonzero idempotent n†f'n ≤ e, so n†f'n = e and f' = nen† = f.
+        Then ne = f·ne·e lies in the corner f·A·e, which is the span of the
+        f·b_i·e.  Conversely a nonzero normaliser m of a corner f·A·e has
+        m†m ≤ e, so its source is the atom e.  Hence minimal is the set of
+        nonzero normalisers in the corners, each taken as a span.
+
+        Suppose an idempotent u of B is a two-sided identity of A
+        (has_local_units).  Then u is the sum of the atoms: r = u − Σ_e e is
+        an idempotent orthogonal to every atom, and if r were nonzero some
+        atom e ≤ r would give e = e·r = 0.  Every n†n = n†un lies in B, and n = n·u = Σ_e n·e.
+        So every normaliser lies in Σ_e ({0} ∪ S_e), S_e the minimal
+        normalisers with source e, and full checks these sums with
+        is_normaliser.  Without such a u, full scans every element of A.
+
+        oracle=True scans all of A (full) or every f·x·e over all of A
+        (minimal), testing each with the oracle dagger.
+        """
+        key = (mode, oracle)
+        if key not in self._normalisers:
+            A = self.algebra
+            if A.size() > self.cap:
+                raise CapExceeded(A.size(), self.cap)
+            if mode == "full":
+                found = self._full_normalisers(oracle)
+            elif mode == "minimal":
+                found = self._minimal_normalisers(oracle)
+            else:
+                raise ValueError(f"unknown mode {mode!r}")
+            self._normalisers[key] = found
+        return self._normalisers[key]
+
+    def _minimal_normalisers(self, oracle):
         A = self.algebra
-        if mode == "full":
-            if self._normalisers is None:
-                self._normalisers = [n for n in A.all_elements(cap=self.cap)
-                                     if self.is_normaliser(n, oracle=oracle)]
-            return self._normalisers
-        if mode == "minimal":
-            if self._minimal is None:
-                _, atoms = self.idempotents_of_B()
-                found = set()
-                for e in atoms:
-                    for f in atoms:
-                        corner = {A.mul(A.mul(f, x), e)
-                                  for x in A.all_elements(cap=self.cap)}
-                        for n in corner:
-                            if n == A.zero() or n in found:
-                                continue
-                            k = self.dagger_of(n, oracle=oracle)
-                            if k is None:
-                                continue
-                            if A.mul(k, n) in atoms:
-                                found.add(n)
-                self._minimal = sorted(found)
-            return self._minimal
-        raise ValueError(f"unknown mode {mode!r}")
+        _, atoms = self.idempotents_of_B()
+        basis = [A.basis_vector(i) for i in range(A.dim)]
+        found = set()
+        for e in atoms:
+            for f in atoms:
+                if oracle:
+                    corner = {A.mul(A.mul(f, x), e)
+                              for x in A.all_elements(cap=self.cap)}
+                else:
+                    corner = A.span([A.mul(A.mul(f, b), e) for b in basis])
+                for n in corner:
+                    if n == A.zero() or n in found:
+                        continue
+                    k = self.dagger_of(n, oracle=oracle)
+                    if k is not None and A.mul(k, n) in atoms:
+                        found.add(n)
+        return sorted(found)
+
+    def _full_normalisers(self, oracle):
+        A = self.algebra
+        _, atoms = self.idempotents_of_B()
+        if oracle or not self.has_local_units():
+            return [n for n in A.all_elements(cap=self.cap)
+                    if self.is_normaliser(n, oracle=oracle)]
+        by_source = {e: [A.zero()] for e in atoms}
+        for m in self.enumerate_normalisers("minimal"):
+            by_source[A.mul(self.dagger_of(m), m)].append(m)
+        sums = {functools.reduce(A.add, parts, A.zero())
+                for parts in itertools.product(*by_source.values())}
+        return [n for n in sorted(sums) if self.is_normaliser(n)]
 
     # -- order and free normalisers -----------------------------------
 
@@ -403,14 +452,7 @@ class Pair:
             report["implemented_by_idempotents"] = False
             return report
         normalisers = self.enumerate_normalisers("full")
-        faithful = True
-        for a in A.all_elements(cap=self.cap):
-            if a == A.zero():
-                continue
-            if not any(P(A.mul(n, a)) != A.zero() for n in normalisers):
-                faithful = False
-                break
-        report["faithful"] = faithful
+        report["faithful"] = self._faithfulness_kernel(P) == [A.zero()]
         idem, _ = self.idempotents_of_B()
         implemented = True
         for n in normalisers:
@@ -420,6 +462,33 @@ class Pair:
                 break
         report["implemented_by_idempotents"] = implemented
         return report
+
+    def _faithfulness_kernel(self, P):
+        """The a with P(n·a) = 0 for every normaliser n, for a linear P."""
+        A = self.algebra
+        basis = [A.basis_vector(j) for j in range(A.dim)]
+        return self._common_kernel(
+            [P(A.mul(n, b)) for b in basis]
+            for n in self.enumerate_normalisers("full"))
+
+    def _commutant(self):
+        """The a with a·b = b·a for every spanning b of B."""
+        A = self.algebra
+        basis = [A.basis_vector(j) for j in range(A.dim)]
+        return self._common_kernel(
+            [A.sub(A.mul(x, b), A.mul(b, x)) for x in basis]
+            for b in self.sub_basis)
+
+    def _common_kernel(self, maps):
+        """The common kernel of linear maps on A, each given by its images
+        of the basis vectors: one homogeneous system in the coordinates,
+        solved with solve_linear."""
+        A = self.algebra
+        rows = {tuple(image[i] for image in images)
+                for images in maps for i in range(A.dim)}
+        return finring.solve_linear(
+            A.ring, [(row, A.ring.zero) for row in sorted(rows)], A.dim,
+            cap=self.cap)
 
     # -- classification -----------------------------------------------
 
@@ -448,8 +517,8 @@ class Pair:
         idem, _ = self.idempotents_of_B()
         report["B_spanned_by_idempotents"] = A.span(idem) == self.B
         normalisers = self.enumerate_normalisers("full")
-        all_elements = set(A.all_elements(cap=self.cap))
-        report["A_spanned_by_normalisers"] = A.span(normalisers) == all_elements
+        report["A_spanned_by_normalisers"] = \
+            len(A.span(normalisers)) == A.size()
         base = (report["WT"] and report["local_units"] and
                 report["B_spanned_by_idempotents"] and
                 report["A_spanned_by_normalisers"])
@@ -460,12 +529,10 @@ class Pair:
         # quasi-Cartan: the expectation is additionally implemented by idempotents
         report["AQP"] = base and bool(ce.get("implemented_by_idempotents"))
         # Cartan: B is a maximal commutative subalgebra (commutant of B = B)
-        commutant = {a for a in all_elements
-                     if all(A.mul(a, b) == A.mul(b, a) for b in self.sub_basis)}
-        report["ACP"] = base and commutant == self.B
+        report["ACP"] = base and set(self._commutant()) == self.B
         # diagonal: the free normalisers span A
         free = [n for n in normalisers if self.is_free_normaliser(n)]
-        report["ADP"] = base and A.span(free) == all_elements
+        report["ADP"] = base and len(A.span(free)) == A.size()
         if report["ADP"] and not report["ACP"]:
             raise AssertionError("implication ADP => ACP violated")
         if report["ACP"] and not report["AQP"]:

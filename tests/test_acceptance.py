@@ -18,7 +18,7 @@ def _verdict(number, ok, text):
 def test_criterion_1_matrix_pairs():
     ok = True
     for n, q, p, k in [(2, 2, 2, 1), (2, 3, 3, 1), (3, 2, 2, 1), (2, 4, 2, 2),
-                       (2, 7, 7, 1)]:
+                       (2, 7, 7, 1), (3, 3, 3, 1)]:
         pair = matrix_pair(n, p, k)
         flags = pair.classify()
         ok &= flags["ADP"] and flags["ACP"] and flags["AQP"]

@@ -1,0 +1,232 @@
+"""The atom path of Pair.enumerate_normalisers, and the faithfulness kernel
+and the commutant as linear systems, against scans of the whole algebra."""
+
+import functools
+import math
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quasicartan import finring as fr, groupoid as gp, pairs as pr, \
+    reconstruct as rc, twist as tw
+
+from helpers import FIXTURE_NAMES, make_pair
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+# the oracle scans test every k of A for every n of A, so keep |A| small
+ORACLE_SIZE = 81
+
+RINGS = [fr.make_zmod(2), fr.make_zmod(3), fr.make_zmod(4), fr.make_gf(2, 2),
+         fr.make_zmod(6), fr.make_gf(7)]
+
+
+def _component(kind, n):
+    if kind == "full":
+        return gp.full_relation(n)
+    return gp.group_as_groupoid(gp.cyclic_group(n))
+
+
+def _times_coboundary(c, rng):
+    """c·∂b for a random b: arrows → units with b = 1 on unit arrows."""
+    R, G = c.ring, c.groupoid
+    units = sorted(fr.ring_units(R))
+    b = {g: rng.choice(units) for g in G.arrows if not G.is_unit(g)}
+    d = tw.coboundary_cocycle(R, G, b)
+    return tw.Cocycle(R, G, {p: R.mul(v, d.values[p])
+                             for p, v in c.values.items()})
+
+
+@st.composite
+def twist_pairs(draw):
+    """Disjoint unions of full_relation(n ≤ 3) and cyclic groups, with the
+    cyclic carry cocycle u^[x+y ≥ n] on one group, times a coboundary."""
+    R = draw(st.sampled_from(RINGS))
+    budget = int(math.log(ORACLE_SIZE + 0.5, R.size))
+    parts = []
+    while budget and (not parts or draw(st.booleans())):
+        kind = draw(st.sampled_from(["full", "cyclic"] if budget > 1
+                                    else ["full"]))
+        if kind == "full":
+            n = draw(st.integers(1, min(3, math.isqrt(budget))))
+            budget -= n * n
+        else:
+            n = draw(st.integers(2, min(3, budget)))
+            budget -= n
+        parts.append((kind, n))
+    G = functools.reduce(gp.disjoint_union,
+                         [_component(kind, n) for kind, n in parts])
+    values = {}
+    if parts[0][0] == "cyclic" and len(parts) == 1:
+        n, u = parts[0][1], draw(st.sampled_from(sorted(fr.ring_units(R))))
+        values = {(x, y): u for x in G.arrows for y in G.arrows if x + y >= n}
+    c = tw.Cocycle(R, G, values)
+    assert tw.check_cocycle(c) == []
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    return pr.pair_from_twist(_times_coboundary(c, rng))
+
+
+def _scan(pair, oracle=False):
+    """(full, minimal) by their definitions over every element of A."""
+    A = pair.algebra
+    _, atoms = pair.idempotents_of_B()
+    full = [n for n in A.all_elements()
+            if pair.dagger_of(n, oracle=oracle) is not None]
+    minimal = [n for n in full if n != A.zero()
+               and A.mul(pair.dagger_of(n, oracle=oracle), n) in atoms]
+    return full, minimal
+
+
+def _kernel_scan(pair, P):
+    A = pair.algebra
+    N = pair.enumerate_normalisers("full")
+    return [a for a in A.all_elements()
+            if all(P(A.mul(n, a)) == A.zero() for n in N)]
+
+
+def _commutant_scan(pair):
+    A = pair.algebra
+    return [a for a in A.all_elements()
+            if all(A.mul(a, b) == A.mul(b, a) for b in pair.sub_basis)]
+
+
+def _linear_map(A, images):
+    def P(x):
+        out = A.zero()
+        for xi, image in zip(x, images):
+            out = A.add(out, A.scale(xi, image))
+        return out
+    return P
+
+
+def _check_against_scans(pair, images):
+    full, minimal = _scan(pair)
+    assert pair.enumerate_normalisers("full") == full
+    assert pair.enumerate_normalisers("minimal") == minimal
+    assert pair._commutant() == _commutant_scan(pair)
+    P = _linear_map(pair.algebra, images)
+    assert pair._faithfulness_kernel(P) == _kernel_scan(pair, P)
+    ce = pair.canonical_expectation()
+    if ce["map"] is not None:
+        assert pair._faithfulness_kernel(ce["map"]) == \
+            _kernel_scan(pair, ce["map"])
+
+
+def _random_images(A, seed):
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(A.ring.size) for _ in range(A.dim))
+            for _ in range(A.dim)]
+
+
+@PROPERTY
+@given(twist_pairs(), st.integers(0, 2 ** 16))
+def test_atom_path_equals_the_oracle_scans(pair, seed):
+    for mode in ("full", "minimal"):
+        assert pair.enumerate_normalisers(mode) == \
+            pair.enumerate_normalisers(mode, oracle=True)
+    _check_against_scans(pair, _random_images(pair.algebra, seed))
+
+
+def _matrix_units(R, units, extra=()):
+    """The span of the matrix units in units (closed under products), plus
+    central orthogonal idempotents named in extra."""
+    structure = {(a, b): {units.index((i, l)): R.one}
+                 for a, (i, j) in enumerate(units)
+                 for b, (k, l) in enumerate(units) if j == k}
+    for f in range(len(units), len(units) + len(extra)):
+        structure[(f, f)] = {f: R.one}
+    return pr.AbstractAlgebra("units", R, list(units) + list(extra), structure)
+
+
+def _left_unit(R):
+    """e² = e, e·x = x, x·e = 0 = x²: e is a left identity only."""
+    return pr.AbstractAlgebra("left_unit", R, ["e", "x"],
+                              {(0, 0): {0: R.one}, (0, 1): {1: R.one}})
+
+
+FULL = [(1, 1), (1, 2), (2, 1), (2, 2)]
+UPPER = [(1, 1), (1, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("A,sub_basis,local_units", [
+    # no idempotent of B is an identity of A: the scan fallback
+    (_matrix_units(fr.make_gf(2), FULL, ["f"]), [[(1, 1)], [(2, 2)]], False),
+    (_matrix_units(fr.make_gf(3), [], ["e", "f"]), [["e"]], False),
+    (_left_unit(fr.make_zmod(4)), [["e"]], False),
+    # one atom, the identity: B the scalar matrices
+    (_matrix_units(fr.make_gf(3), FULL), [[(1, 1), (2, 2)]], True),
+    # two atoms summing to the identity of an algebra that is not a twist's
+    (_matrix_units(fr.make_gf(3), UPPER), [[(1, 1)], [(2, 2)]], True),
+], ids=["m2_plus_f_gf2", "gf3_squared", "left_unit_z4", "m2_gf3_scalars",
+        "t2_gf3_diagonal"])
+def test_abstract_pairs_against_the_oracle_scans(A, sub_basis, local_units):
+    R = A.ring
+    pair = pr.Pair(A, [tuple(R.one if label in part else R.zero
+                             for label in A.basis) for part in sub_basis])
+    assert pair.has_local_units() == local_units
+    full, minimal = _scan(pair, oracle=True)
+    assert pair.enumerate_normalisers("full", oracle=True) == full
+    assert pair.enumerate_normalisers("minimal", oracle=True) == minimal
+    _check_against_scans(pair, _random_images(A, 7))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_normalisers_equal_a_scan_of_A(name):
+    pair = make_pair(name)
+    assert pair.algebra.size() <= 729
+    _check_against_scans(pair, _random_images(pair.algebra, 11))
+
+
+def test_one_atom_group_ring_equals_a_scan_of_A():
+    # Z/4[C2×C2]: the unit is the only atom, so its corner is all of A
+    klein = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
+    c = tw.trivial_cocycle(fr.make_zmod(4), gp.group_as_groupoid(klein))
+    pair = pr.pair_from_twist(_times_coboundary(c, random.Random(3)))
+    assert len(pair.idempotents_of_B()[1]) == 1
+    _check_against_scans(pair, _random_images(pair.algebra, 5))
+
+
+def test_oracle_enumeration_has_its_own_cache(monkeypatch):
+    pair = pr.pair_from_twist(
+        tw.trivial_cocycle(fr.make_gf(2), gp.full_relation(2)))
+    pair.enumerate_normalisers("full")
+    pair.enumerate_normalisers("minimal")
+    seen = []
+    dagger_of = pr.Pair.dagger_of
+
+    def spy(self, n, oracle=False):
+        seen.append(oracle)
+        return dagger_of(self, n, oracle=oracle)
+
+    monkeypatch.setattr(pr.Pair, "dagger_of", spy)
+    for mode in ("full", "minimal"):
+        seen.clear()
+        assert pair.enumerate_normalisers(mode, oracle=True) == \
+            pair.enumerate_normalisers(mode)
+        assert seen and all(seen)
+
+
+def test_dagger_of_zero_is_zero_without_a_solve(monkeypatch):
+    pair = pr.pair_from_twist(
+        tw.trivial_cocycle(fr.make_gf(3), gp.full_relation(3)))
+    monkeypatch.setattr(pr.Pair, "_solve_dagger_system", None)
+    zero = pair.algebra.zero()
+    assert pair.dagger_of(zero) == zero
+
+
+def test_large_rung_without_a_scan_of_A(monkeypatch):
+    # M_3(GF(3)), |A| = 3^9; criterion 1's counts n²(q−1) = 18 and n² = 9
+    def refuse(self, cap=fr.DEFAULT_CAP):
+        raise AssertionError("scanned all of A")
+
+    monkeypatch.setattr(pr.AbstractAlgebra, "all_elements", refuse)
+    pair = pr.pair_from_twist(
+        tw.trivial_cocycle(fr.make_gf(3), gp.full_relation(3)))
+    flags = pair.classify()
+    assert flags["ADP"] and flags["ACP"] and flags["AQP"]
+    assert len(pair.enumerate_normalisers("full")) == 139
+    report = rc.verify_reconstruction_theorem(pair)
+    assert report["consistent"] and report["aqp"]
+    assert report["sigma_prime_points"] == 18
+    assert report["g_prime_arrows"] == 9

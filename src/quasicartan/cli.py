@@ -13,11 +13,7 @@ import sys
 
 from . import finring, groupoid as gpd, grouprings, pairs as pairs_mod, \
     reconstruct, steinberg, twist as twist_mod
-from .finring import CapExceeded, DEFAULT_CAP
-
-
-class InputError(Exception):
-    pass
+from .finring import CapExceeded, DEFAULT_CAP, InputError
 
 
 class InputDocument:
@@ -482,7 +478,7 @@ def cmd_compare(doc, cap, oracle):
     c1 = build_cocycle(doc, R, G1, "cocycle")
     G2 = build_groupoid(doc, "groupoid2", cap) if "groupoid2" in doc.sections else G1
     c2 = build_cocycle(doc, R, G2, "cocycle2")
-    iso = reconstruct.compare_twists(c1, c2)
+    iso = reconstruct.compare_twists(c1, c2, cap)
     report = []
     summary = {"isomorphic": _flag(iso is not None)}
     if iso is None:

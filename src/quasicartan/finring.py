@@ -20,6 +20,11 @@ class CapExceeded(Exception):
         self.cap = cap
 
 
+class InputError(Exception):
+    """Raised when the input is malformed or lies outside the hypotheses a
+    computation needs."""
+
+
 DEFAULT_CAP = 10 ** 6
 
 

@@ -13,7 +13,7 @@ import functools
 import itertools
 
 from . import finring, grouprings, steinberg, twist as twist_mod
-from .finring import CapExceeded, DEFAULT_CAP
+from .finring import CapExceeded, DEFAULT_CAP, InputError
 
 
 class AbstractAlgebra:
@@ -199,6 +199,16 @@ class Pair:
         conditions, finally re-verifying the winner against the full
         definition.  oracle=True instead scans every k against the full
         definition directly.
+
+        When some idempotent u of B is an identity of A the dagger is
+        unique, so two winners are a theorem failure (AssertionError).
+        For daggers k₁, k₂ of n, each k_i·n = k_i·u·n and n·k_i = n·u·k_i
+        lies in B, which is commutative, so
+        k₁ = k₁nk₁ = k₁(nk₂n)k₁ = (k₁n)(k₂n)k₁ = (k₂n)(k₁n)k₁ = k₂nk₁
+           = k₂(nk₂n)k₁ = k₂(nk₂)(nk₁) = k₂(nk₁)(nk₂) = k₂nk₂ = k₂.
+        Without local units the dagger need not be unique (e22 in M_2 with
+        B = span(e11) has 9 over GF(3)); the pair lies outside the
+        hypotheses and two winners raise InputError.
         """
         n = tuple(n)
         key = (n, oracle)
@@ -224,8 +234,11 @@ class Pair:
                     winners.append(k)
             winners = [k for k in winners if self._full_dagger_check(n, k)]
         if len(winners) > 1:
-            raise AssertionError(
-                f"dagger not unique for {n}: found {len(winners)} candidates")
+            message = f"dagger not unique for {n}: found {len(winners)} candidates"
+            if not self.has_local_units():
+                raise InputError(f"{message}; no idempotent of B is an identity "
+                                 "of A, so the pair has no local units")
+            raise AssertionError(message)
         result = winners[0] if winners else None
         self._dagger_cache[key] = result
         return result

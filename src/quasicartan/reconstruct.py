@@ -11,8 +11,10 @@ filter oracle on small instances.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 from . import finring, steinberg, pairs as pairs_mod, twist as twist_mod
+from .finring import DEFAULT_CAP
 from .groupoid import make_groupoid, validate_groupoid
 from .twist import ExplicitTwist
 
@@ -297,145 +299,189 @@ def ahat_iso(pair):
 # -- twist comparison ------------------------------------------------
 
 
-def _groupoid_isos(G1, G2):
-    """All isomorphisms G1 → G2 as (object bijection, arrow bijection)."""
-    if len(G1.objects) != len(G2.objects) or len(G1.arrows) != len(G2.arrows):
-        return
-    for perm in itertools.permutations(G2.objects):
-        obj_map = dict(zip(G1.objects, perm))
-        # quick prune: hom-set sizes must match
-        ok = True
-        for x in G1.objects:
-            for y in G1.objects:
-                n1 = sum(1 for a in G1.arrows
-                         if G1.src[a] == x and G1.rng[a] == y)
-                n2 = sum(1 for a in G2.arrows
-                         if G2.src[a] == obj_map[x] and G2.rng[a] == obj_map[y])
-                if n1 != n2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        yield from _extend_arrow_map(G1, G2, obj_map, {}, list(G1.arrows))
+class _TwistWalk:
+    """The ψ-independent data of one comparison of cocycles c1 → c2.
 
+    Arrows of G1 are numbered in G1.arrows order.  Each composable pair
+    (α, β) of G1 is an equation (α, β, αβ) of arrow numbers; eqs_of[i]
+    lists the equations that contain arrow i, and closes[i] those whose
+    last arrow in that order is i.  Every object bijection, arrow-map
+    extension and scalar branch tried counts once; the walk raises
+    CapExceeded once the count passes cap.
+    """
 
-def _extend_arrow_map(G1, G2, obj_map, arrow_map, remaining):
-    if not remaining:
-        # full multiplicativity check
-        for (a, b), ab in G1.compose.items():
-            if G2.compose.get((arrow_map[a], arrow_map[b])) != arrow_map[ab]:
-                return
-        yield obj_map, dict(arrow_map)
-        return
-    a = remaining[0]
-    used = set(arrow_map.values())
-    for cand in G2.arrows:
-        if cand in used:
-            continue
-        if G2.src[cand] != obj_map[G1.src[a]] or G2.rng[cand] != obj_map[G1.rng[a]]:
-            continue
-        if G1.is_unit(a) != G2.is_unit(cand):
-            continue
-        arrow_map[a] = cand
-        consistent = True
-        for b in arrow_map:
-            if b == a:
-                continue
-            for (x, y) in ((a, b), (b, a)):
-                if G1.src[x] == G1.rng[y]:
-                    img = arrow_map.get(G1.compose[(x, y)])
-                    if img is not None and \
-                            G2.compose[(arrow_map[x], arrow_map[y])] != img:
-                        consistent = False
+    def __init__(self, c1, c2, cap):
+        G1, G2 = c1.groupoid, c2.groupoid
+        self.R, self.G1, self.G2, self.c2 = c1.ring, G1, G2, c2
+        self.cap, self.count = cap, 0
+        number = {g: i for i, g in enumerate(G1.arrows)}
+        self.pairs = list(G1.compose)
+        self.eqs = [(number[a], number[b], number[ab])
+                    for (a, b), ab in G1.compose.items()]
+        self.eqs_of = [[] for _ in G1.arrows]
+        self.closes = [[] for _ in G1.arrows]
+        for k, eq in enumerate(self.eqs):
+            for i in set(eq):
+                self.eqs_of[i].append(k)
+            self.closes[max(eq)].append(k)
+        self.c1_inverse = [self.R.unit_inverse(c1.values[p]) for p in self.pairs]
+        self.unit_numbers = [i for i, g in enumerate(G1.arrows) if g in G1.units]
+        self.order = [i for i, g in enumerate(G1.arrows) if g not in G1.units]
+        self.units = sorted(finring.ring_units(self.R))
+        self.hom1 = Counter((G1.src[g], G1.rng[g]) for g in G1.arrows)
+        self.hom2 = Counter((G2.src[g], G2.rng[g]) for g in G2.arrows)
+        # (source, range, is a unit) → the arrows of G2 with them, in order
+        self.targets = {}
+        for g in G2.arrows:
+            key = (G2.src[g], G2.rng[g], g in G2.units)
+            self.targets.setdefault(key, []).append(g)
+
+    def spend(self):
+        self.count += 1
+        if self.count > self.cap:
+            raise finring.CapExceeded(self.count, self.cap)
+
+    def isos(self):
+        """All isomorphisms G1 → G2 as (object bijection, arrow bijection),
+        object permutations of G2 first, then arrows in G2.arrows order."""
+        G1, G2 = self.G1, self.G2
+        if len(G1.objects) != len(G2.objects) or \
+                len(G1.arrows) != len(G2.arrows):
+            return
+        for perm in itertools.permutations(G2.objects):
+            self.spend()
+            obj_map = dict(zip(G1.objects, perm))
+            if all(self.hom2[(obj_map[x], obj_map[y])] == n
+                   for (x, y), n in self.hom1.items()):
+                yield from self._extend(obj_map)
+
+    def _extend(self, obj_map):
+        """The arrow bijections over obj_map that preserve composition,
+        depth first over G1.arrows.  The depth is the number of arrows, so
+        the walk keeps a stack of candidate iterators instead of recursing."""
+        G1, G2 = self.G1, self.G2
+        image, used, levels = [], set(), []
+        while True:
+            if len(image) == len(G1.arrows):
+                yield obj_map, dict(zip(G1.arrows, image))
+            else:
+                a = G1.arrows[len(image)]
+                levels.append(iter(self.targets.get(
+                    (obj_map[G1.src[a]], obj_map[G1.rng[a]], a in G1.units),
+                    ())))
+            while levels:  # the next extension, backing up past spent levels
+                i = len(levels) - 1
+                if len(image) > i:
+                    used.discard(image.pop())
+                for cand in levels[-1]:
+                    if cand in used:
+                        continue
+                    self.spend()
+                    image.append(cand)
+                    # each equation is checked once, when its last arrow is
+                    # mapped
+                    if all(G2.compose.get((image[x], image[y])) == image[xy]
+                           for x, y, xy in (self.eqs[k] for k in self.closes[i])):
+                        used.add(cand)
                         break
-            if not consistent:
+                    image.pop()
+                else:
+                    levels.pop()
+                    continue
                 break
-        if consistent:
-            yield from _extend_arrow_map(G1, G2, obj_map, arrow_map, remaining[1:])
-        del arrow_map[a]
+            else:
+                return
 
+    def adjustment(self, arrow_map):
+        """u: arrows → units with u(unit) = 1 and
+        u(αβ)·c1(α,β) = c2(ψα,ψβ)·u(α)·u(β); None when no assignment works.
 
-def _scalar_adjustment(c1, c2, obj_map, arrow_map):
-    """Search for u: arrows → units with u(unit) = 1 and
-    u(αβ)·c1(α,β) = c2(ψα,ψβ)·u(α)·u(β); None when no assignment works."""
-    R = c1.ring
-    G1 = c1.groupoid
-    units = sorted(finring.ring_units(R))
-    u = {g: R.one for g in G1.units}
-    order = [g for g in G1.arrows if g not in G1.units]
+        Units are fixed first; then, depth first, the first open arrow of
+        self.order takes each unit of R in sorted order.  Branches are a
+        stack, since there can be as many as arrows.
+        """
+        mul = self.R.mul_table
+        c2 = self.c2.values
+        ratio = [mul[c2[(arrow_map[a], arrow_map[b])]][inv]
+                 for (a, b), inv in zip(self.pairs, self.c1_inverse)]
+        u = [None] * len(self.G1.arrows)
+        for i in self.unit_numbers:
+            u[i] = self.R.one
+        trail = list(self.unit_numbers)
+        if not self._propagate(u, ratio, trail, 0):
+            return None
+        order, branches, pos = self.order, [], 0
+        while True:
+            while pos < len(order) and u[order[pos]] is not None:
+                pos += 1
+            if pos == len(order):
+                return dict(zip(self.G1.arrows, u))
+            branches.append((pos, len(trail), iter(self.units)))
+            while branches:  # the next value, backing up past spent branches
+                pos, mark, values = branches[-1]
+                for i in trail[mark:]:
+                    u[i] = None
+                del trail[mark:]
+                t = next(values, None)
+                if t is None:
+                    branches.pop()
+                    continue
+                self.spend()
+                u[order[pos]] = t
+                trail.append(order[pos])
+                if self._propagate(u, ratio, trail, mark):
+                    break
+            else:
+                return None
+            pos += 1
 
-    def consistent():
-        for (a, b), ab in G1.compose.items():
-            if a in u and b in u and ab in u:
-                lhs = R.mul(u[ab], c1.value(a, b))
-                rhs = R.mul(c2.value(arrow_map[a], arrow_map[b]),
-                            R.mul(u[a], u[b]))
-                if lhs != rhs:
+    def _propagate(self, u, ratio, trail, start):
+        """Work through the arrows trail[start:], appending every value an
+        equation forces once two of its three places are known; False at
+        the first equation that fails with all three known."""
+        mul, inverse, eqs = self.R.mul_table, self.R.unit_inverse, self.eqs
+        pos = start
+        while pos < len(trail):
+            for k in self.eqs_of[trail[pos]]:
+                a, b, ab = eqs[k]
+                ua, ub, uab = u[a], u[b], u[ab]
+                if uab is None:
+                    if ua is None or ub is None:
+                        continue
+                    u[ab] = mul[mul[ratio[k]][ua]][ub]
+                    trail.append(ab)
+                elif ua is None:
+                    if ub is None:
+                        continue
+                    u[a] = mul[uab][inverse(mul[ratio[k]][ub])]
+                    trail.append(a)
+                elif ub is None:
+                    u[b] = mul[uab][inverse(mul[ratio[k]][ua])]
+                    trail.append(b)
+                elif uab != mul[mul[ratio[k]][ua]][ub]:
                     return False
+            pos += 1
         return True
 
-    def propagate():
-        """Fill forced values; returns False on contradiction."""
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), ab in G1.compose.items():
-                known = (a in u) + (b in u) + (ab in u)
-                if known != 2:
-                    continue
-                c2v = c2.value(arrow_map[a], arrow_map[b])
-                if ab not in u:
-                    val = R.mul(R.mul(c2v, R.mul(u[a], u[b])),
-                                R.unit_inverse(c1.value(a, b)))
-                    u[ab] = val
-                    changed = True
-                elif a not in u:
-                    val = R.mul(R.mul(u[ab], c1.value(a, b)),
-                                R.unit_inverse(R.mul(c2v, u[b])))
-                    u[a] = val
-                    changed = True
-                else:
-                    val = R.mul(R.mul(u[ab], c1.value(a, b)),
-                                R.unit_inverse(R.mul(c2v, u[a])))
-                    u[b] = val
-                    changed = True
-        return consistent()
 
-    def search():
-        if not propagate():
-            return None
-        missing = [g for g in order if g not in u]
-        if not missing:
-            return dict(u)
-        g = missing[0]
-        snapshot = dict(u)
-        for t in units:
-            u.clear()
-            u.update(snapshot)
-            u[g] = t
-            result = search()
-            if result is not None:
-                return result
-        u.clear()
-        u.update(snapshot)
-        return None
-
-    return search()
-
-
-def compare_twists(c1, c2):
+def compare_twists(c1, c2, cap=DEFAULT_CAP):
     """Decide isomorphism of two cocycle-presented twists.
 
     Returns (obj_map, arrow_map, u) where the twist map is
-    (γ, t) ↦ (ψ_G(γ), u(γ)·t), or None after an exhaustive search.
+    (γ, t) ↦ (ψ_G(γ), u(γ)·t), or None after an exhaustive search.  For
+    each groupoid isomorphism ψ the condition on u is one equation
+    u(αβ) = r(α,β)·u(α)·u(β) per composable pair, r = c2(ψα,ψβ)·c1(α,β)⁻¹;
+    known values propagate through the equations of each arrow, and only
+    arrows that stay open branch over the units of R.  Raises CapExceeded
+    once more than cap object bijections, arrow-map extensions and scalar
+    branches have been tried.
     """
     if c1.ring.size != c2.ring.size or \
             finring.ring_units(c1.ring) != finring.ring_units(c2.ring):
         return None
-    for obj_map, arrow_map in _groupoid_isos(c1.groupoid, c2.groupoid):
-        u = _scalar_adjustment(c1, c2, obj_map, arrow_map)
+    walk = _TwistWalk(c1, c2, cap)
+    for obj_map, arrow_map in walk.isos():
+        u = walk.adjustment(arrow_map)
         if u is not None:
             return obj_map, arrow_map, u
     return None

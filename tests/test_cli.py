@@ -178,6 +178,33 @@ def test_compare(tmp_path, capsys):
     assert summary["isomorphic"] == "true"
 
 
+def _c2_copies(k):
+    """k disjoint copies of C2 over GF(3); c(g0, g0) = 2 is not a coboundary
+    (2 is not a square), so the walk tries all k! object bijections."""
+    rows = ["[ring]", "gf(3,1)", "[groupoid]",
+            "objects = " + " ".join(f"x{i}" for i in range(k))]
+    for i in range(k):
+        rows += [f"e{i} : x{i} -> x{i}", f"g{i} : x{i} -> x{i}"]
+    for i in range(k):
+        rows += [f"e{i} . e{i} = e{i}", f"e{i} . g{i} = g{i}",
+                 f"g{i} . e{i} = g{i}", f"g{i} . g{i} = e{i}"]
+    return "\n".join(rows + ["[cocycle]", "c(g0, g0) = 2",
+                              "[cocycle2]", "trivial", ""])
+
+
+def test_compare_exhaustive_under_the_default_cap(tmp_path, capsys):
+    code, out = _run("compare", _c2_copies(5), tmp_path, capsys)
+    assert code == 0
+    assert cli.parse_summary(out)["isomorphic"] == "false"
+
+
+def test_compare_exits_on_the_cap(tmp_path, capsys):
+    # 7! = 5040 object bijections alone pass the cap
+    text = _c2_copies(7) + "[options]\ncap = 1000\n"
+    code, _ = _run("compare", text, tmp_path, capsys)
+    assert code == 2
+
+
 def test_missing_ring_exit_code(tmp_path, capsys):
     code, _ = _run("classify", "[groupoid]\nfull_relation(2)\n[cocycle]\ntrivial\n",
                    tmp_path, capsys)
@@ -369,3 +396,21 @@ def test_overlong_numbers_exit_code(command, text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("input error:")
+
+
+def test_dagger_not_unique_without_local_units(tmp_path, capsys):
+    # M_2(GF(3)) with B = span(e11): e22 has 9 daggers, and no idempotent
+    # of B is an identity of A
+    names = {(1, 1): "a", (1, 2): "b", (2, 1): "c", (2, 2): "d"}
+    rows = [f"{x} * {y} = {names[(i, l)]}"
+            for (i, j), x in names.items() for (k, l), y in names.items()
+            if j == k]
+    text = "\n".join(["[ring]", "gf(3,1)", "[algebra]", "basis = a b c d",
+                      *rows, "[pair]", "sub_basis = a", ""])
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code = cli.main(["classify", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("input error: dagger not unique for (0, 0, 0, 1)")
+    assert "no local units" in err

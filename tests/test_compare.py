@@ -1,0 +1,175 @@
+"""compare_twists against the definition of a twist isomorphism: every
+composition-preserving arrow bijection ψ and every u: arrows → R^× with
+u = 1 on units and u(αβ)·c1(α,β) = c2(ψα,ψβ)·u(α)·u(β)."""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quasicartan import finring as fr, groupoid as gp, reconstruct as rc, \
+    twist as tw
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+# Z/8 has the non-cyclic unit group C2×C2
+RINGS = [fr.make_gf(3), fr.make_gf(5), fr.make_zmod(4), fr.make_zmod(8),
+         fr.make_zmod(9)]
+
+
+def _cyclic(n):
+    return gp.group_as_groupoid(gp.cyclic_group(n))
+
+
+# (groupoid, the cyclic coordinate of an arrow and its order, which the
+# carry cocycle t^[x+y ≥ n] reads; None for no carry)
+SHAPES = [
+    (gp.full_relation(2), None),
+    (_cyclic(2), (lambda g: g, 2)),
+    (_cyclic(3), (lambda g: g, 3)),
+    (_cyclic(4), (lambda g: g, 4)),
+    (gp.group_as_groupoid(gp.direct_product_group(gp.cyclic_group(2),
+                                                  gp.cyclic_group(2))),
+     (lambda g: g[0], 2)),
+    (gp.disjoint_union(gp.full_relation(2), _cyclic(2)),
+     (lambda g: g[1] if g[0] == 1 else 0, 2)),
+]
+
+
+def _reversed(G):
+    """G with its objects and arrows listed in reverse order."""
+    return gp.make_groupoid(G.name, G.objects[::-1], G.arrows[::-1],
+                            G.src, G.rng, G.compose)
+
+
+@st.composite
+def cocycle_pairs(draw):
+    """Two cocycles on one shape, each a carry cocycle (or trivial) times a
+    random coboundary, each on the shape or on its reversed listing."""
+    G, carry = draw(st.sampled_from(SHAPES))
+    R = draw(st.sampled_from(RINGS))
+    units = sorted(fr.ring_units(R))
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+
+    def cocycle(G):
+        values = {}
+        if carry is not None:
+            coordinate, n = carry
+            t = draw(st.sampled_from(units))
+            values = {(a, b): t for a, b in G.compose
+                      if coordinate(a) + coordinate(b) >= n}
+        b = {g: rng.choice(units) for g in G.arrows if not G.is_unit(g)}
+        d = tw.coboundary_cocycle(R, G, b)
+        c = tw.Cocycle(R, G, {p: R.mul(values.get(p, R.one), v)
+                              for p, v in d.values.items()})
+        assert tw.check_cocycle(c) == []
+        return c
+
+    return tuple(cocycle(_reversed(G) if draw(st.booleans()) else G)
+                 for _ in range(2))
+
+
+def _isomorphisms(G1, G2):
+    """Every arrow bijection that carries the composition table of G1 onto
+    that of G2.  Such a bijection sends the idempotent arrows, the units,
+    to units, so units and the other arrows are permuted apart."""
+    def split(G):
+        return ([g for g in G.arrows if G.is_unit(g)],
+                [g for g in G.arrows if not G.is_unit(g)])
+    (units1, others1), (units2, others2) = split(G1), split(G2)
+    for image in itertools.product(itertools.permutations(units2),
+                                   itertools.permutations(others2)):
+        psi = dict(zip(units1 + others1, image[0] + image[1]))
+        if {(psi[a], psi[b]): psi[ab]
+                for (a, b), ab in G1.compose.items()} == G2.compose:
+            yield psi
+
+
+def _assignments(c):
+    """Every u: arrows → R^× with u = 1 on units."""
+    R, G = c.ring, c.groupoid
+    free = [g for g in G.arrows if not G.is_unit(g)]
+    for values in itertools.product(sorted(fr.ring_units(R)), repeat=len(free)):
+        u = dict.fromkeys(G.units, R.one)
+        u.update(zip(free, values))
+        yield u
+
+
+def _is_twist_iso(c1, c2, psi, u):
+    R = c1.ring
+    return all(R.mul(u[ab], c1.value(a, b)) ==
+               R.mul(c2.value(psi[a], psi[b]), R.mul(u[a], u[b]))
+               for (a, b), ab in c1.groupoid.compose.items())
+
+
+def _check_against_the_definition(c1, c2):
+    G1, G2, R = c1.groupoid, c2.groupoid, c1.ring
+    isos = list(_isomorphisms(G1, G2))
+    walked = [psi for _, psi in rc._TwistWalk(c1, c2, fr.DEFAULT_CAP).isos()]
+    assert len(walked) == len(isos)
+    assert {frozenset(psi.items()) for psi in walked} == \
+        {frozenset(psi.items()) for psi in isos}
+    expected = any(_is_twist_iso(c1, c2, psi, u)
+                   for psi in isos for u in _assignments(c1))
+    found = rc.compare_twists(c1, c2)
+    assert (found is not None) == expected
+    if found is not None:
+        obj_map, psi, u = found
+        assert psi in isos
+        assert all(obj_map[G1.src[g]] == G2.src[psi[g]] and
+                   obj_map[G1.rng[g]] == G2.rng[psi[g]] for g in G1.arrows)
+        assert set(u) == set(G1.arrows)
+        assert all(u[g] == R.one for g in G1.units)
+        assert all(R.is_unit(v) for v in u.values())
+        assert _is_twist_iso(c1, c2, psi, u)
+    return found
+
+
+@PROPERTY
+@given(cocycle_pairs())
+def test_compare_twists_equals_the_definition(cocycles):
+    _check_against_the_definition(*cocycles)
+
+
+def _full_relation_2_times_c2():
+    """Arrows (i, j, s) for i, j ∈ {1, 2} and s ∈ C2, composed as
+    (i, j, s)·(j, k, t) = (i, k, s + t): an arrow between objects that
+    composes with isotropy, so values propagate from a known α and αβ."""
+    arrows = [(i, j, s) for i in (1, 2) for j in (1, 2) for s in (0, 1)]
+    return gp.make_groupoid(
+        "full_relation(2)xC2", [1, 2], arrows, {g: g[1] for g in arrows},
+        {g: g[0] for g in arrows},
+        {(a, b): (a[0], b[1], (a[2] + b[2]) % 2)
+         for a in arrows for b in arrows if a[1] == b[0]})
+
+
+@pytest.mark.parametrize("reverse1", [False, True])
+@pytest.mark.parametrize("reverse2", [False, True])
+def test_compare_twists_with_a_nontrivial_isotropy_value(reverse1, reverse2):
+    # u(g)²·4 = 1 at each isotropy arrow g = (i, i, 1) over GF(5), so
+    # u(g) ∈ {2, 3}; listed in reverse, u(α) of such a g is known when
+    # (α, β) forces u(β)
+    R, G = fr.make_gf(5), _full_relation_2_times_c2()
+    G1 = _reversed(G) if reverse1 else G
+    G2 = _reversed(G) if reverse2 else G
+    c1 = tw.Cocycle(R, G1, {(a, b): 4 for a, b in G1.compose
+                            if a[2] + b[2] >= 2})
+    assert tw.check_cocycle(c1) == []
+    assert _check_against_the_definition(
+        c1, tw.trivial_cocycle(R, G2)) is not None
+
+
+def test_compare_twists_deeper_than_the_recursion_limit():
+    # 510 copies of C2: 1,020 arrows to map and 510 scalar branches on one
+    # path, more than Python's default recursion limit of 1,000
+    k = 510
+    arrows = [(x, i) for i in range(k) for x in "eg"]
+    ends = {a: a[1] for a in arrows}
+    G = gp.make_groupoid(
+        "copies of C2", range(k), arrows, ends, ends,
+        {((x, i), (y, i)): ("e" if x == y else "g", i)
+         for i in range(k) for x in "eg" for y in "eg"})
+    c = tw.trivial_cocycle(fr.make_gf(3), G)
+    obj_map, arrow_map, u = rc.compare_twists(c, c)
+    assert all(arrow_map[g] == g for g in arrows)

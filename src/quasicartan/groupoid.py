@@ -171,13 +171,23 @@ def _associativity_faults(G):
 
 
 def validate_groupoid(G):
-    """Exhaustively check the groupoid axioms; returns a violation list."""
+    """Exhaustively check the groupoid axioms; returns a violation list.
+
+    The composition domain and ends take one pass over compose
+    (_check_composition); the loop over all pairs of arrows runs only when
+    that pass finds a fault, to name each one.
+    """
     bad = []
     arrow_set = set(G.arrows)
     for a in G.arrows:
         if G.src[a] not in G.objects or G.rng[a] not in G.objects:
             bad.append(f"arrow {a} has src/rng outside the object set")
-    for a in G.arrows:
+    try:
+        _check_composition(G.arrows, G.src, G.rng, G.compose)
+        rows_to_name = []
+    except ValueError:
+        rows_to_name = G.arrows
+    for a in rows_to_name:
         for b in G.arrows:
             defined = (a, b) in G.compose
             should = G.src[a] == G.rng[b]

@@ -20,7 +20,9 @@ class AbstractAlgebra:
     """A finite-dimensional associative algebra by structure constants.
 
     structure maps a basis index pair (i, j) to a sparse {k: coeff} dict
-    describing b_i·b_j.
+    describing b_i·b_j.  It is compiled once into rows: rows[i] lists the
+    (j, k, s) with s ≠ 0 the coefficient of b_k in b_i·b_j, so a product
+    walks only the nonzero structure constants.
     """
 
     def __init__(self, name, ring, basis, structure):
@@ -28,21 +30,20 @@ class AbstractAlgebra:
         self.ring = ring
         self.basis = list(basis)
         self.dim = len(self.basis)
-        self.structure = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                entry = structure.get((i, j), {})
-                self.structure[(i, j)] = {k: v for k, v in entry.items()
-                                          if v != ring.zero}
+        self.rows = [tuple((j, k, s) for j in range(self.dim)
+                           for k, s in structure.get((i, j), {}).items()
+                           if s != ring.zero)
+                     for i in range(self.dim)]
+        self.basis_vectors = [
+            tuple(ring.one if j == i else ring.zero for j in range(self.dim))
+            for i in range(self.dim)]
         self._check_associative()
 
     def _check_associative(self):
+        e = self.basis_vectors
+        products = [[self.mul(x, y) for y in e] for x in e]
         for i, j, k in itertools.product(range(self.dim), repeat=3):
-            left = self.mul(self.mul(self.basis_vector(i), self.basis_vector(j)),
-                            self.basis_vector(k))
-            right = self.mul(self.basis_vector(i),
-                             self.mul(self.basis_vector(j), self.basis_vector(k)))
-            if left != right:
+            if self.mul(products[i][j], e[k]) != self.mul(e[i], products[j][k]):
                 raise ValueError(f"structure constants not associative at ({i},{j},{k})")
 
     def zero(self):
@@ -50,34 +51,34 @@ class AbstractAlgebra:
 
     def basis_vector(self, i, coeff=None):
         if coeff is None:
-            coeff = self.ring.one
+            return self.basis_vectors[i]
         vec = [self.ring.zero] * self.dim
         vec[i] = coeff
         return tuple(vec)
 
     def add(self, x, y):
-        R = self.ring
-        return tuple(R.add(a, b) for a, b in zip(x, y))
+        add = self.ring.add_table
+        return tuple([add[a][b] for a, b in zip(x, y)])
 
     def sub(self, x, y):
         R = self.ring
         return tuple(R.sub(a, b) for a, b in zip(x, y))
 
     def scale(self, t, x):
-        R = self.ring
-        return tuple(R.mul(t, a) for a in x)
+        mul_t = self.ring.mul_table[t]
+        return tuple([mul_t[a] for a in x])
 
     def mul(self, x, y):
+        """x·y = Σ x_i·y_j·s·b_k over the entries (j, k, s) of rows[i]."""
         zero, add, mul = self.ring.zero, self.ring.add_table, self.ring.mul_table
         out = [zero] * self.dim
-        y_terms = [(j, yj) for j, yj in enumerate(y) if yj != zero]
-        for i, xi in enumerate(x):
-            if xi == zero:
-                continue
-            for j, yj in y_terms:
-                coeff = mul[xi][yj]
-                for k, s in self.structure[(i, j)].items():
-                    out[k] = add[out[k]][mul[s][coeff]]
+        for xi, row in zip(x, self.rows):
+            if xi != zero:
+                mul_x = mul[xi]
+                for j, k, s in row:
+                    yj = y[j]
+                    if yj != zero:
+                        out[k] = add[out[k]][mul[s][mul_x[yj]]]
         return tuple(out)
 
     def size(self):
@@ -118,11 +119,13 @@ class Pair:
         self.cap = cap
         A = algebra
         self.B = A.span(self.sub_basis)
-        for b in self.B:
-            for b2 in self.B:
-                if A.mul(b, b2) != A.mul(b2, b):
+        # the product is bilinear, so the spanning set decides both
+        for b in self.sub_basis:
+            for b2 in self.sub_basis:
+                product = A.mul(b, b2)
+                if product != A.mul(b2, b):
                     raise ValueError("subalgebra is not commutative")
-                if A.mul(b, b2) not in self.B:
+                if product not in self.B:
                     raise ValueError("sub_basis span is not closed under multiplication")
         self._dagger_cache = {}
         self._membership = None
@@ -193,12 +196,15 @@ class Pair:
     def dagger_of(self, n, oracle=False):
         """The generalized inverse of n, or None when n is not a normaliser.
 
-        Primary strategy: solve the linear system n·k·n = n for k (with
-        linear membership rows when B is a coordinate subspace),
-        then filter the survivors by k·n·k = k and the B-conjugation
-        conditions, finally re-verifying the winner against the full
-        definition.  oracle=True instead scans every k against the full
-        definition directly.
+        k is a dagger of n when n·k·n = n, k·n·k = k, and k·b·n and n·b·k
+        lie in B for every b in B.  Both maps b ↦ k·b·n and b ↦ n·b·k are
+        R-linear and B = span(sub_basis) is an R-submodule, so the last
+        two conditions hold for all of B exactly when they hold on
+        sub_basis.  The fast path solves the linear system n·k·n = n for
+        k (with linear membership rows when B is a coordinate subspace)
+        and checks each solution once against the definition over
+        sub_basis.  oracle=True instead tests every k of A against the
+        definition over every b of B.
 
         When some idempotent u of B is an identity of A the dagger is
         unique, so two winners are a theorem failure (AssertionError).
@@ -214,25 +220,19 @@ class Pair:
         key = (n, oracle)
         if key in self._dagger_cache:
             return self._dagger_cache[key]
-        A, R = self.algebra, self.algebra.ring
+        A = self.algebra
         if A.size() > self.cap:
             raise CapExceeded(A.size(), self.cap)
         if oracle:
             winners = [k for k in A.all_elements(cap=self.cap)
-                       if self._full_dagger_check(n, k)]
+                       if self._is_dagger(n, k, self.B)]
         else:
             # 0† = 0: k·0·k = k forces k = 0, and the system for n = 0
             # would list all of A
             candidates = ([n] if n == A.zero()
                           else self._solve_dagger_system(n))
-            winners = []
-            for k in candidates:
-                if A.mul(A.mul(k, n), k) != k:
-                    continue
-                if all(self.in_B(A.mul(A.mul(k, b), n)) and
-                       self.in_B(A.mul(A.mul(n, b), k)) for b in self.sub_basis):
-                    winners.append(k)
-            winners = [k for k in winners if self._full_dagger_check(n, k)]
+            winners = [k for k in candidates
+                       if self._is_dagger(n, k, self.sub_basis)]
         if len(winners) > 1:
             message = f"dagger not unique for {n}: found {len(winners)} candidates"
             if not self.has_local_units():
@@ -248,7 +248,7 @@ class Pair:
         support when B is a coordinate subspace: one linear system in the
         coordinates of k, built from the columns n·e_j·n."""
         A = self.algebra
-        basis = [A.basis_vector(j) for j in range(A.dim)]
+        basis = A.basis_vectors
         columns = [A.mul(A.mul(n, e), n) for e in basis]
         equations = [([col[i] for col in columns], n[i]) for i in range(A.dim)]
         off, factors = self._membership_factors()
@@ -272,20 +272,17 @@ class Pair:
             else:
                 off = [i for i in range(A.dim) if i not in support]
                 self._membership = off, [
-                    (b, [A.mul(A.basis_vector(j), b) for j in range(A.dim)])
+                    (b, [A.mul(e, b) for e in A.basis_vectors])
                     for b in self.sub_basis]
         return self._membership
 
-    def _full_dagger_check(self, n, k):
+    def _is_dagger(self, n, k, over):
+        """n·k·n = n, k·n·k = k, and k·b·n, n·b·k in B for every b in over."""
         A = self.algebra
-        if A.mul(A.mul(n, k), n) != n or A.mul(A.mul(k, n), k) != k:
+        if A.mul(A.mul(k, n), k) != k or A.mul(A.mul(n, k), n) != n:
             return False
-        for b in self.B:
-            if not self.in_B(A.mul(A.mul(k, b), n)):
-                return False
-            if not self.in_B(A.mul(A.mul(n, b), k)):
-                return False
-        return True
+        return all(self.in_B(A.mul(A.mul(k, b), n)) and
+                   self.in_B(A.mul(A.mul(n, b), k)) for b in over)
 
     def is_normaliser(self, n, oracle=False):
         return self.dagger_of(n, oracle=oracle) is not None
@@ -335,7 +332,6 @@ class Pair:
     def _minimal_normalisers(self, oracle):
         A = self.algebra
         _, atoms = self.idempotents_of_B()
-        basis = [A.basis_vector(i) for i in range(A.dim)]
         found = set()
         for e in atoms:
             for f in atoms:
@@ -343,7 +339,8 @@ class Pair:
                     corner = {A.mul(A.mul(f, x), e)
                               for x in A.all_elements(cap=self.cap)}
                 else:
-                    corner = A.span([A.mul(A.mul(f, b), e) for b in basis])
+                    corner = A.span([A.mul(A.mul(f, b), e)
+                                     for b in A.basis_vectors])
                 for n in corner:
                     if n == A.zero() or n in found:
                         continue
@@ -404,8 +401,7 @@ class Pair:
         A, R = self.algebra, self.algebra.ring
         idem, atoms = self.idempotents_of_B()
         images = []
-        for i in range(A.dim):
-            n = A.basis_vector(i)
+        for i, n in enumerate(A.basis_vectors):
             k = self.dagger_of(n)
             if k is None:
                 self._expectation = {
@@ -442,16 +438,15 @@ class Pair:
                 ok = False
                 break
         if ok:
-            for i in range(A.dim):
-                if not self.in_B(P(A.basis_vector(i))):
+            for a in A.basis_vectors:
+                if not self.in_B(P(a)):
                     ok = False
                     break
         # bimodularity on spanning sets (enough by linearity)
         if ok:
             for b in self.sub_basis:
                 for b2 in self.sub_basis:
-                    for i in range(A.dim):
-                        a = A.basis_vector(i)
+                    for a in A.basis_vectors:
                         if P(A.mul(A.mul(b, a), b2)) != A.mul(A.mul(b, P(a)), b2):
                             ok = False
                             break
@@ -479,17 +474,15 @@ class Pair:
     def _faithfulness_kernel(self, P):
         """The a with P(n·a) = 0 for every normaliser n, for a linear P."""
         A = self.algebra
-        basis = [A.basis_vector(j) for j in range(A.dim)]
         return self._common_kernel(
-            [P(A.mul(n, b)) for b in basis]
+            [P(A.mul(n, b)) for b in A.basis_vectors]
             for n in self.enumerate_normalisers("full"))
 
     def _commutant(self):
         """The a with a·b = b·a for every spanning b of B."""
         A = self.algebra
-        basis = [A.basis_vector(j) for j in range(A.dim)]
         return self._common_kernel(
-            [A.sub(A.mul(x, b), A.mul(b, x)) for x in basis]
+            [A.sub(A.mul(x, b), A.mul(b, x)) for x in A.basis_vectors]
             for b in self.sub_basis)
 
     def _common_kernel(self, maps):
@@ -510,9 +503,8 @@ class Pair:
         A = self.algebra
         idem, _ = self.idempotents_of_B()
         for e in idem:
-            if all(A.mul(e, A.basis_vector(i)) == A.basis_vector(i) and
-                   A.mul(A.basis_vector(i), e) == A.basis_vector(i)
-                   for i in range(A.dim)):
+            if all(A.mul(e, b) == b and A.mul(b, e) == b
+                   for b in A.basis_vectors):
                 return True
         return False
 
@@ -571,7 +563,7 @@ def pair_from_twist(cocycle, cap=DEFAULT_CAP):
     for (a, b), ab in G.compose.items():
         structure[(index[a], index[b])] = {index[ab]: cocycle.value(a, b)}
     A = AbstractAlgebra(f"conv({G.name};{R.name})", R, arrows, structure)
-    sub_basis = [A.basis_vector(index[G.unit_at[x]]) for x in G.objects]
+    sub_basis = [A.basis_vectors[index[G.unit_at[x]]] for x in G.objects]
     pair = Pair(A, sub_basis, cap=cap)
     pair.cocycle = cocycle
     pair.arrow_index = index

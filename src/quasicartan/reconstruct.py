@@ -53,9 +53,13 @@ class UltraGroupoid:
                 raise AssertionError("scalar action is not free")
             self.orbit_of[m] = orbit
         # canonical class representatives: the atom itself for unit classes,
-        # the lexicographically least member otherwise
+        # the lexicographically least member otherwise; coordinates[p] is
+        # the (t, rep) with p = t·rep, and point_at its inverse
         self.class_rep = {}
+        self.coordinates = {}
         for m in self.points:
+            if m in self.class_rep:
+                continue
             orbit = self.orbit_of[m]
             rep = None
             for e in self.atoms:
@@ -64,8 +68,11 @@ class UltraGroupoid:
                     break
             if rep is None:
                 rep = min(orbit)
-            for p in orbit:
+            for t in self.units:
+                p = A.scale(t, rep)
                 self.class_rep[p] = rep
+                self.coordinates[p] = (t, rep)
+        self.point_at = {tr: p for p, tr in self.coordinates.items()}
         self.classes = sorted(set(self.class_rep.values()))
         self._twist = None
 
@@ -79,27 +86,39 @@ class UltraGroupoid:
         return out
 
     def to_twist(self):
-        """Assemble the total/base groupoids and the extension maps."""
+        """Assemble the total/base groupoids and the extension maps.
+
+        One product per composable pair of classes (g, h), with gh = u·r
+        for a class r: the product is bilinear, so points t·g and s·h
+        compose to (t·g)(s·h) = ts·(gh) = (tsu)·r.  A point's source and
+        range are those of its class, so these are all the composable
+        pairs of points.
+        """
         if self._twist is not None:
             return self._twist
-        A = self.algebra
-        total_compose = {}
-        for m in self.points:
-            for n in self.points:
-                if self.source[m] == self.range[n]:
-                    total_compose[(m, n)] = A.mul(m, n)
-        total = make_groupoid("ultra_total", self.atoms, self.points,
-                              self.source, self.range, total_compose)
-        base_src = {}
-        base_rng = {}
-        for g in self.classes:
-            base_src[g] = self.source[g]
-            base_rng[g] = self.range[g]
+        A, mul = self.algebra, self.algebra.ring.mul_table
+        class_product = {}
         base_compose = {}
         for g in self.classes:
             for h in self.classes:
-                if base_src[g] == base_rng[h]:
-                    base_compose[(g, h)] = self.class_rep[A.mul(g, h)]
+                if self.source[g] == self.range[h]:
+                    u, r = self.coordinates[self.compose(g, h)]
+                    class_product[(g, h)] = u, r
+                    base_compose[(g, h)] = r
+        ending = {}
+        for n in self.points:
+            ending.setdefault(self.range[n], []).append(n)
+        total_compose = {}
+        for m in self.points:
+            t, g = self.coordinates[m]
+            for n in ending.get(self.source[m], ()):
+                s, h = self.coordinates[n]
+                u, r = class_product[(g, h)]
+                total_compose[(m, n)] = self.point_at[(mul[mul[t][s]][u], r)]
+        total = make_groupoid("ultra_total", self.atoms, self.points,
+                              self.source, self.range, total_compose)
+        base_src = {g: self.source[g] for g in self.classes}
+        base_rng = {g: self.range[g] for g in self.classes}
         base = make_groupoid("ultra_base", self.atoms, self.classes,
                              base_src, base_rng, base_compose)
         inj = {(e, t): A.scale(t, e) for e in self.atoms for t in self.units}

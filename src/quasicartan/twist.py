@@ -62,18 +62,17 @@ def check_cocycle(c):
     for pair, v in c.values.items():
         if not R.is_unit(v):
             bad.append(f"value at {pair} is not a unit")
+    # ending[x]: the arrows with range x, in arrow order
+    ending = {}
+    for g in G.arrows:
+        ending.setdefault(G.rng[g], []).append(g)
+    value, compose, mul = c.values, G.compose, R.mul_table
     for a in G.arrows:
-        for b in G.arrows:
-            if G.src[a] != G.rng[b]:
-                continue
-            ab = G.compose[(a, b)]
-            for g in G.arrows:
-                if G.src[b] != G.rng[g]:
-                    continue
-                bg = G.compose[(b, g)]
-                lhs = R.mul(c.value(a, b), c.value(ab, g))
-                rhs = R.mul(c.value(a, bg), c.value(b, g))
-                if lhs != rhs:
+        for b in ending.get(G.src[a], ()):
+            ab, left = compose[(a, b)], mul[value[(a, b)]]
+            for g in ending.get(G.src[b], ()):
+                if left[value[(ab, g)]] != \
+                        mul[value[(a, compose[(b, g)])]][value[(b, g)]]:
                     bad.append(f"cocycle identity fails at ({a},{b},{g})")
     for g in G.arrows:
         if c.value(G.unit_at[G.rng[g]], g) != R.one:

@@ -1,5 +1,6 @@
 """Shared fixture twists and memoized expensive computations for the tests."""
 
+import random
 from functools import lru_cache
 
 from quasicartan import finring as fr, groupoid as gp, twist as tw, \
@@ -42,6 +43,22 @@ SMALL_FIXTURES = ["pair2_gf3", "pair2_z4", "z2_gf3", "z2_gf5_twisted",
                   "z2_z4", "klein_gf3", "z3_gf2", "pair2_gf3_coboundary"]
 
 
+def times_coboundary(c, rng):
+    """c·∂b for a random b: arrows → units with b = 1 on unit arrows."""
+    R, G = c.ring, c.groupoid
+    units = sorted(fr.ring_units(R))
+    b = {g: rng.choice(units) for g in G.arrows if not G.is_unit(g)}
+    d = tw.coboundary_cocycle(R, G, b)
+    return tw.Cocycle(R, G, {p: R.mul(v, d.values[p])
+                             for p, v in c.values.items()})
+
+
+def klein_z4_pair():
+    """Z/4[C2×C2] times a coboundary: one atom, 128 ultrafilter points."""
+    c = tw.trivial_cocycle(fr.make_zmod(4), gp.group_as_groupoid(_klein()))
+    return pr.pair_from_twist(times_coboundary(c, random.Random(3)))
+
+
 @lru_cache(maxsize=None)
 def make_twist(name):
     return FIXTURE_BUILDERS[name]()
@@ -66,3 +83,54 @@ def recon(name):
 def matrix_pair(n, p, k=1):
     c = tw.trivial_cocycle(fr.make_gf(p, k), gp.full_relation(n))
     return pr.pair_from_twist(c)
+
+
+# -- algebras by structure constants ----------------------------------
+
+FULL = [(1, 1), (1, 2), (2, 1), (2, 2)]
+UPPER = [(1, 1), (1, 2), (2, 2)]
+
+
+def matrix_units(R, units, extra=()):
+    """(labels, structure) of the span of the matrix units in units (closed
+    under products), plus central orthogonal idempotents named in extra."""
+    structure = {(a, b): {units.index((i, l)): R.one}
+                 for a, (i, j) in enumerate(units)
+                 for b, (k, l) in enumerate(units) if j == k}
+    for f in range(len(units), len(units) + len(extra)):
+        structure[(f, f)] = {f: R.one}
+    return list(units) + list(extra), structure
+
+
+def left_unit(R):
+    """e² = e, e·x = x, x·e = 0 = x²: e is a left identity only."""
+    return ["e", "x"], {(0, 0): {0: R.one}, (0, 1): {1: R.one}}
+
+
+# id -> (ring, (labels, structure), B's spanning sets as label lists,
+# whether the pair has local units)
+ABSTRACT_PAIRS = {
+    # no idempotent of B is an identity of A: the scan fallback
+    "m2_plus_f_gf2": (fr.make_gf(2), matrix_units(fr.make_gf(2), FULL, ["f"]),
+                      [[(1, 1)], [(2, 2)]], False),
+    "gf3_squared": (fr.make_gf(3), matrix_units(fr.make_gf(3), [], ["e", "f"]),
+                    [["e"]], False),
+    "left_unit_z4": (fr.make_zmod(4), left_unit(fr.make_zmod(4)), [["e"]], False),
+    # one atom, the identity: B the scalar matrices
+    "m2_gf3_scalars": (fr.make_gf(3), matrix_units(fr.make_gf(3), FULL),
+                       [[(1, 1), (2, 2)]], True),
+    # two atoms summing to the identity of an algebra that is not a twist's
+    "t2_gf3_diagonal": (fr.make_gf(3), matrix_units(fr.make_gf(3), UPPER),
+                        [[(1, 1)], [(2, 2)]], True),
+    # B = {a·1 + b·e12}: not a coordinate subspace, with a nilpotent
+    "t2_gf3_unipotent": (fr.make_gf(3), matrix_units(fr.make_gf(3), UPPER),
+                         [[(1, 1), (2, 2)], [(1, 2)]], True),
+}
+
+
+def abstract_pair(name):
+    """A fresh Pair for ABSTRACT_PAIRS[name]."""
+    R, (labels, structure), parts, _ = ABSTRACT_PAIRS[name]
+    A = pr.AbstractAlgebra(name, R, labels, structure)
+    return pr.Pair(A, [tuple(R.one if label in part else R.zero
+                             for label in labels) for part in parts])

@@ -168,6 +168,92 @@ def test_associativity_equals_the_triple_loop(G):
     assert found[:len(assoc)] == assoc
 
 
+def _validate_by_definition(G):
+    """validate_groupoid by its definition: the domain and ends of compose
+    over every pair of arrows, then associativity over every triple."""
+    bad = []
+    arrow_set = set(G.arrows)
+    for a in G.arrows:
+        if G.src[a] not in G.objects or G.rng[a] not in G.objects:
+            bad.append(f"arrow {a} has src/rng outside the object set")
+    for a in G.arrows:
+        for b in G.arrows:
+            defined = (a, b) in G.compose
+            should = G.src[a] == G.rng[b]
+            if defined != should:
+                bad.append(f"compose domain wrong at ({a},{b})")
+            elif defined:
+                c = G.compose[(a, b)]
+                if c not in arrow_set:
+                    bad.append(f"composite at ({a},{b}) is not an arrow")
+                elif G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
+                    bad.append(f"src/rng of composite wrong at ({a},{b})")
+    if not bad:
+        bad.extend(_associativity_by_definition(G))
+    for x in G.objects:
+        u = G.unit_at.get(x)
+        if u is None or G.src[u] != x or G.rng[u] != x:
+            bad.append(f"unit at {x} missing or not an endo-arrow")
+            continue
+        for b in G.arrows:
+            if G.rng[b] == x and G.compose.get((u, b)) != b:
+                bad.append(f"unit at {x} not a left identity for {b}")
+            if G.src[b] == x and G.compose.get((b, u)) != b:
+                bad.append(f"unit at {x} not a right identity for {b}")
+    for a in G.arrows:
+        ai = G.inv.get(a)
+        if ai is None:
+            bad.append(f"no inverse recorded for {a}")
+            continue
+        if G.compose.get((ai, a)) != G.unit_at[G.src[a]]:
+            bad.append(f"inv({a})∘{a} is not the unit at src")
+        if G.compose.get((a, ai)) != G.unit_at[G.rng[a]]:
+            bad.append(f"{a}∘inv({a}) is not the unit at rng")
+    return bad
+
+
+@st.composite
+def domain_faulted_groupoids(draw):
+    """A perturbed groupoid with 0-3 domain faults: an entry for a
+    non-composable pair, a dropped entry, or a composite with wrong ends
+    or outside the arrows."""
+    G = draw(perturbed_groupoids())
+    compose = dict(G.compose)
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["extra", "dropped", "wrong_ends",
+                                      "not_an_arrow"]))
+        a, b = draw(st.sampled_from(G.arrows)), draw(st.sampled_from(G.arrows))
+        if fault == "extra":
+            if G.src[a] != G.rng[b]:
+                compose[(a, b)] = draw(st.sampled_from(G.arrows))
+            continue
+        pair = draw(st.sampled_from(sorted(G.compose, key=repr)))
+        if fault == "dropped":
+            compose.pop(pair, None)
+        elif fault == "wrong_ends":
+            c = draw(st.sampled_from(G.arrows))
+            if (G.src[c], G.rng[c]) != (G.src[pair[1]], G.rng[pair[0]]):
+                compose[pair] = c
+        else:
+            compose[pair] = "zzz"
+    return gp.FiniteGroupoid("faulted", G.objects, G.arrows, G.src, G.rng,
+                             compose, G.inv, G.unit_at)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(domain_faulted_groupoids())
+def test_validate_equals_the_all_pairs_definition(G):
+    assert gp.validate_groupoid(G) == _validate_by_definition(G)
+
+
+@pytest.mark.parametrize("defect", COMPOSITION_DEFECTS)
+def test_validate_names_composition_defects_as_the_definition(defect):
+    G, compose = _defective_full_relation(defect)
+    broken = gp.FiniteGroupoid("broken", G.objects, G.arrows, G.src, G.rng,
+                               compose, G.inv, G.unit_at)
+    assert gp.validate_groupoid(broken) == _validate_by_definition(broken)
+
+
 def test_make_groupoid_rejects_missing_units():
     with pytest.raises(ValueError):
         gp.make_groupoid("bad", ["x"], ["a"], {"a": "x"}, {"a": "x"}, {})

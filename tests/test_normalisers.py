@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from quasicartan import finring as fr, groupoid as gp, pairs as pr, \
     reconstruct as rc, twist as tw
 
-from helpers import FIXTURE_NAMES, make_pair
+from helpers import ABSTRACT_PAIRS, FIXTURE_NAMES, abstract_pair, \
+    klein_z4_pair, make_pair, times_coboundary
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -26,16 +27,6 @@ def _component(kind, n):
     if kind == "full":
         return gp.full_relation(n)
     return gp.group_as_groupoid(gp.cyclic_group(n))
-
-
-def _times_coboundary(c, rng):
-    """c·∂b for a random b: arrows → units with b = 1 on unit arrows."""
-    R, G = c.ring, c.groupoid
-    units = sorted(fr.ring_units(R))
-    b = {g: rng.choice(units) for g in G.arrows if not G.is_unit(g)}
-    d = tw.coboundary_cocycle(R, G, b)
-    return tw.Cocycle(R, G, {p: R.mul(v, d.values[p])
-                             for p, v in c.values.items()})
 
 
 @st.composite
@@ -64,7 +55,7 @@ def twist_pairs(draw):
     c = tw.Cocycle(R, G, values)
     assert tw.check_cocycle(c) == []
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
-    return pr.pair_from_twist(_times_coboundary(c, rng))
+    return pr.pair_from_twist(times_coboundary(c, rng))
 
 
 def _scan(pair, oracle=False):
@@ -128,47 +119,15 @@ def test_atom_path_equals_the_oracle_scans(pair, seed):
     _check_against_scans(pair, _random_images(pair.algebra, seed))
 
 
-def _matrix_units(R, units, extra=()):
-    """The span of the matrix units in units (closed under products), plus
-    central orthogonal idempotents named in extra."""
-    structure = {(a, b): {units.index((i, l)): R.one}
-                 for a, (i, j) in enumerate(units)
-                 for b, (k, l) in enumerate(units) if j == k}
-    for f in range(len(units), len(units) + len(extra)):
-        structure[(f, f)] = {f: R.one}
-    return pr.AbstractAlgebra("units", R, list(units) + list(extra), structure)
-
-
-def _left_unit(R):
-    """e² = e, e·x = x, x·e = 0 = x²: e is a left identity only."""
-    return pr.AbstractAlgebra("left_unit", R, ["e", "x"],
-                              {(0, 0): {0: R.one}, (0, 1): {1: R.one}})
-
-
-FULL = [(1, 1), (1, 2), (2, 1), (2, 2)]
-UPPER = [(1, 1), (1, 2), (2, 2)]
-
-
-@pytest.mark.parametrize("A,sub_basis,local_units", [
-    # no idempotent of B is an identity of A: the scan fallback
-    (_matrix_units(fr.make_gf(2), FULL, ["f"]), [[(1, 1)], [(2, 2)]], False),
-    (_matrix_units(fr.make_gf(3), [], ["e", "f"]), [["e"]], False),
-    (_left_unit(fr.make_zmod(4)), [["e"]], False),
-    # one atom, the identity: B the scalar matrices
-    (_matrix_units(fr.make_gf(3), FULL), [[(1, 1), (2, 2)]], True),
-    # two atoms summing to the identity of an algebra that is not a twist's
-    (_matrix_units(fr.make_gf(3), UPPER), [[(1, 1)], [(2, 2)]], True),
-], ids=["m2_plus_f_gf2", "gf3_squared", "left_unit_z4", "m2_gf3_scalars",
-        "t2_gf3_diagonal"])
-def test_abstract_pairs_against_the_oracle_scans(A, sub_basis, local_units):
-    R = A.ring
-    pair = pr.Pair(A, [tuple(R.one if label in part else R.zero
-                             for label in A.basis) for part in sub_basis])
+@pytest.mark.parametrize("name", list(ABSTRACT_PAIRS))
+def test_abstract_pairs_against_the_oracle_scans(name):
+    pair = abstract_pair(name)
+    local_units = ABSTRACT_PAIRS[name][-1]
     assert pair.has_local_units() == local_units
     full, minimal = _scan(pair, oracle=True)
     assert pair.enumerate_normalisers("full", oracle=True) == full
     assert pair.enumerate_normalisers("minimal", oracle=True) == minimal
-    _check_against_scans(pair, _random_images(A, 7))
+    _check_against_scans(pair, _random_images(pair.algebra, 7))
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -180,9 +139,7 @@ def test_fixture_normalisers_equal_a_scan_of_A(name):
 
 def test_one_atom_group_ring_equals_a_scan_of_A():
     # Z/4[C2×C2]: the unit is the only atom, so its corner is all of A
-    klein = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
-    c = tw.trivial_cocycle(fr.make_zmod(4), gp.group_as_groupoid(klein))
-    pair = pr.pair_from_twist(_times_coboundary(c, random.Random(3)))
+    pair = klein_z4_pair()
     assert len(pair.idempotents_of_B()[1]) == 1
     _check_against_scans(pair, _random_images(pair.algebra, 5))
 

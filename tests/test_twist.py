@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasicartan import finring as fr, groupoid as gp, twist as tw
 
@@ -41,6 +44,59 @@ def test_cocycle_identity_violation_detected():
     a, b = (1, 0), (0, 1)
     bad = tw.Cocycle(R, G, {(a, b): 2})
     assert any("identity" in v for v in tw.check_cocycle(bad))
+
+
+def _check_cocycle_by_definition(c):
+    """check_cocycle by its definition: the identity over every triple of
+    arrows, composable ones only."""
+    R, G = c.ring, c.groupoid
+    bad = [f"value at {pair} is not a unit"
+           for pair, v in c.values.items() if not R.is_unit(v)]
+    for a in G.arrows:
+        for b in G.arrows:
+            for g in G.arrows:
+                if G.src[a] != G.rng[b] or G.src[b] != G.rng[g]:
+                    continue
+                lhs = R.mul(c.value(a, b), c.value(G.compose[(a, b)], g))
+                rhs = R.mul(c.value(a, G.compose[(b, g)]), c.value(b, g))
+                if lhs != rhs:
+                    bad.append(f"cocycle identity fails at ({a},{b},{g})")
+    for g in G.arrows:
+        if c.value(G.unit_at[G.rng[g]], g) != R.one:
+            bad.append(f"not normalised on (unit, {g})")
+        if c.value(g, G.unit_at[G.src[g]]) != R.one:
+            bad.append(f"not normalised on ({g}, unit)")
+    return bad
+
+
+_KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
+COMPONENTS = st.one_of(
+    st.integers(1, 3).map(gp.full_relation),
+    st.integers(1, 4).map(lambda n: gp.group_as_groupoid(gp.cyclic_group(n))),
+    st.just(gp.group_as_groupoid(_KLEIN)))
+
+
+@st.composite
+def perturbed_cocycles(draw):
+    """A coboundary on a disjoint union of small groupoids with 0-3 values
+    replaced by arbitrary ring elements."""
+    R = draw(st.sampled_from([fr.make_gf(3), fr.make_zmod(4), fr.make_gf(5)]))
+    G = functools.reduce(gp.disjoint_union,
+                         draw(st.lists(COMPONENTS, min_size=1, max_size=3)))
+    units = sorted(fr.ring_units(R))
+    b = {g: draw(st.sampled_from(units)) for g in G.arrows if not G.is_unit(g)}
+    c = tw.coboundary_cocycle(R, G, b)
+    pairs = sorted(c.values, key=repr)
+    for _ in range(draw(st.integers(0, 3))):
+        c.values[draw(st.sampled_from(pairs))] = draw(
+            st.sampled_from(R.all_indices()))
+    return c
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(perturbed_cocycles())
+def test_check_cocycle_equals_the_triple_loop(c):
+    assert tw.check_cocycle(c) == _check_cocycle_by_definition(c)
 
 
 def test_coboundary_is_a_cocycle_and_trivial_in_cohomology():

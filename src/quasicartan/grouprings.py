@@ -86,10 +86,25 @@ class TwistedGroupRing:
 def enumerate_units(T, cap=DEFAULT_CAP, oracle=False):
     """All invertible elements, split into trivial and nontrivial.
 
-    The primary path solves f*x = δ_e as a linear system per candidate f
-    and then verifies x*f = δ_e; with oracle=True a full pairwise product
-    scan is used instead.
+    The primary path decides invertibility once per orbit of the trivial
+    units U = {t·δ_g : t ∈ R^×, g ∈ H} acting by left multiplication.
+    Every cocycle value is a unit (check_cocycle), so each t·δ_g is a
+    unit, and U is a group: (t·δ_g)(s·δ_h) = ts·c(g,h)·δ_gh.  If
+    f·x = δ_e = x·f and u ∈ U, then (u·f)(x·u⁻¹) = δ_e = (x·u⁻¹)(u·f), and
+    f = u⁻¹·(u·f) gives the converse; so f is a unit iff every element
+    of its orbit is.  Left multiplication by t·δ_g permutes coordinates
+    with scaling, (t·δ_g·f)(gh) = t·c(g,h)·f(h), so an orbit is listed
+    without products.  Walking the elements in order, the first one not
+    yet seen represents its orbit: it is tested by solving f*x = δ_e and
+    checking x*f = δ_e, and the verdict holds for the whole orbit.
+
+    With oracle=True every pair (f, x) is tried as a product instead;
+    its |R[H]|² products are checked against the cap before it starts.
+    The lists come back in the order of T.elements().
     """
+    pairs = (T.ring.size ** len(T.group)) ** 2
+    if oracle and pairs > cap:
+        raise CapExceeded(pairs, cap)
     one = T.one()
     everything = T.elements(cap=cap)
     units, trivial, nontrivial = [], [], []
@@ -102,16 +117,36 @@ def enumerate_units(T, cap=DEFAULT_CAP, oracle=False):
                     break
         found = set(left_inverse)
     else:
-        found = set()
+        shifts = _trivial_unit_shifts(T)
+        seen, found = set(), set()
         for f in everything:
+            if f in seen:
+                continue
+            orbit = {tuple(row[f[i]] for i, row in shift) for shift in shifts}
+            seen |= orbit
             inv = _solve_right_inverse(T, f, cap=cap)
             if inv is not None and T.mul(inv, f) == one:
-                found.add(f)
+                found |= orbit
     for f in everything:
         if f in found:
             units.append(f)
             (trivial if T.is_trivial_unit(f) else nontrivial).append(f)
     return units, trivial, nontrivial
+
+
+def _trivial_unit_shifts(T):
+    """Left multiplication by each t·δ_g as a list over the coordinates β:
+    (index of g⁻¹β, the ring's multiplication row of t·c(g, g⁻¹β))."""
+    R, H = T.ring, T.group
+    units = finring.ring_units(R)
+    shifts = []
+    for g in H.elements:
+        ginv = H.inverse[g]
+        sources = [H.mul[(ginv, beta)] for beta in H.elements]
+        for t in units:
+            shifts.append([(T.index[h], R.mul_table[R.mul(t, T.cvals[(g, h)])])
+                           for h in sources])
+    return shifts
 
 
 def _solve_right_inverse(T, f, cap=DEFAULT_CAP):

@@ -252,10 +252,11 @@ class Pair:
         columns = [A.mul(A.mul(n, e), n) for e in basis]
         equations = [([col[i] for col in columns], n[i]) for i in range(A.dim)]
         off, factors = self._membership_factors()
+        zero = A.zero()
         for b, basis_times_b in factors:
-            left = [A.mul(eb, n) for eb in basis_times_b]
+            left = [zero if eb == zero else A.mul(eb, n) for eb in basis_times_b]
             nb = A.mul(n, b)
-            right = [A.mul(nb, e) for e in basis]
+            right = [zero] * A.dim if nb == zero else [A.mul(nb, e) for e in basis]
             for i in off:
                 equations.append(([v[i] for v in left], A.ring.zero))
                 equations.append(([v[i] for v in right], A.ring.zero))

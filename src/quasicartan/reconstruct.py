@@ -509,9 +509,24 @@ def compare_twists(c1, c2, cap=DEFAULT_CAP):
 def algebra_iso_from_twist_iso(c1, c2, iso):
     """The diagonal-preserving convolution-algebra isomorphism induced by a
     twist isomorphism; verified multiplicative, bijective and diagonal-
-    preserving on the basis.  Returns (map, report)."""
+    preserving on the basis.  Returns (map, report).
+
+    Multiplicativity is checked on the pairs of point masses.  When the
+    arrow map ψ is injective, the composable pairs are enough.  Let (a, b)
+    be a pair that is not composable, so ψ(δ_a*δ_b) = 0, and suppose
+    ψ(δ_a) = u(a)·δ_ψa and ψ(δ_b) = u(b)·δ_ψb are nonzero (otherwise
+    ψ(δ_a)*ψ(δ_b) = 0 as well).  With s the unit at the source of a, the
+    checked pair (a, s) gives u(a)·δ_ψa = ψ(δ_a*δ_s) = ψ(δ_a)*ψ(δ_s) (c1
+    is normalised), a nonzero multiple of δ_(ψa·ψs); so ψs is the unit at
+    the source of ψa.
+    Likewise ψ maps the unit r at the range of b to the unit at the range
+    of ψb.  If ψa and ψb were composable, ψs = ψr, so s = r and (a, b)
+    would be composable; hence ψ(δ_a)*ψ(δ_b) = 0 too.  A map that is not
+    injective has every pair of arrows convolved.
+    """
     obj_map, arrow_map, u = iso
     R = c1.ring
+    G1 = c1.groupoid
 
     def psi(f):
         return steinberg.AlgebraElement(
@@ -519,9 +534,14 @@ def algebra_iso_from_twist_iso(c1, c2, iso):
                  for g, v in f.coeffs.items()})
 
     report = {}
-    basis = [steinberg.point_mass(c1, g) for g in c1.groupoid.arrows]
+    point = {g: steinberg.point_mass(c1, g) for g in G1.arrows}
+    basis = list(point.values())
+    if len({arrow_map[g] for g in G1.arrows}) == len(G1.arrows):
+        pairs = [(point[a], point[b]) for a, b in G1.compose]
+    else:
+        pairs = [(x, y) for x in basis for y in basis]
     mult = all(psi(steinberg.convolve(x, y)) == steinberg.convolve(psi(x), psi(y))
-               for x in basis for y in basis)
+               for x, y in pairs)
     report["multiplicative"] = mult
     report["bijective_on_basis"] = len({tuple(sorted(psi(x).coeffs.items(),
                                                      key=str)) for x in basis}) == len(basis)

@@ -146,6 +146,14 @@ def test_units(tmp_path, capsys):
     assert "witness" in out
 
 
+def test_units_oracle_caps_its_pairwise_products(tmp_path, capsys):
+    # 81 elements, so the pairwise scan would make 81² = 6561 > 1000 products
+    text = "[ring]\ngf(3,1)\n[group]\ncyclic(4)\n[options]\n" \
+           "oracle = on\ncap = 1000\n"
+    code, _ = _run("units", text, tmp_path, capsys)
+    assert code == 2
+
+
 def test_upp_witness(tmp_path, capsys):
     code, out = _run("upp", UPP_Z, tmp_path, capsys)
     assert code == 0

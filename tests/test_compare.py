@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasicartan import finring as fr, groupoid as gp, reconstruct as rc, \
-    twist as tw
+    steinberg as sb, twist as tw
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -123,7 +123,18 @@ def _check_against_the_definition(c1, c2):
         assert all(u[g] == R.one for g in G1.units)
         assert all(R.is_unit(v) for v in u.values())
         assert _is_twist_iso(c1, c2, psi, u)
+        _, report = rc.algebra_iso_from_twist_iso(c1, c2, found)
+        assert report["multiplicative"]
+        assert _multiplicative_on_all_pairs(c1, c2, found)
     return found
+
+
+def _multiplicative_on_all_pairs(c1, c2, iso):
+    """ψ(δ_a*δ_b) = ψ(δ_a)*ψ(δ_b) for every pair of arrows (a, b)."""
+    psi, _ = rc.algebra_iso_from_twist_iso(c1, c2, iso)
+    basis = [sb.point_mass(c1, g) for g in c1.groupoid.arrows]
+    return all(psi(sb.convolve(x, y)) == sb.convolve(psi(x), psi(y))
+               for x in basis for y in basis)
 
 
 @PROPERTY
@@ -173,3 +184,68 @@ def test_compare_twists_deeper_than_the_recursion_limit():
     c = tw.trivial_cocycle(fr.make_gf(3), G)
     obj_map, arrow_map, u = rc.compare_twists(c, c)
     assert all(arrow_map[g] == g for g in arrows)
+
+
+def _swap_two_arrows(G, arrow_map, u):
+    a, b = G.arrows[0], G.arrows[-1]
+    return {**arrow_map, a: arrow_map[b], b: arrow_map[a]}, u
+
+
+def _merge_two_arrows(G, arrow_map, u):
+    return {**arrow_map, G.arrows[0]: arrow_map[G.arrows[-1]]}, u
+
+
+def _zero_scalar(G, arrow_map, u):
+    return arrow_map, {**u, G.arrows[-1]: 0}
+
+
+@pytest.mark.parametrize("alter", [_swap_two_arrows, _merge_two_arrows,
+                                   _zero_scalar])
+@pytest.mark.parametrize("G", [_cyclic(3), gp.full_relation(3),
+                               _full_relation_2_times_c2()],
+                         ids=["c3", "full_relation_3", "full_relation_2xc2"])
+def test_induced_algebra_map_is_multiplicative_as_on_all_pairs(G, alter):
+    R = fr.make_gf(5)
+    b = {g: 2 for g in G.arrows if not G.is_unit(g)}
+    c1, c2 = tw.trivial_cocycle(R, G), tw.coboundary_cocycle(R, G, b)
+    obj_map, arrow_map, u = rc.compare_twists(c1, c2)
+    iso = (obj_map, *alter(G, arrow_map, u))
+    _, report = rc.algebra_iso_from_twist_iso(c1, c2, iso)
+    assert report["multiplicative"] == _multiplicative_on_all_pairs(c1, c2, iso)
+    assert not report["multiplicative"]
+
+
+def test_induced_algebra_map_of_a_folding_arrow_map():
+    # two copies of full_relation(2), the second folded onto the first:
+    # multiplicative on every composable pair, but δ_a*δ_b = 0 for a and b
+    # in different copies while their images compose
+    R, G = fr.make_gf(3), gp.disjoint_union(gp.full_relation(2),
+                                             gp.full_relation(2))
+    c = tw.trivial_cocycle(R, G)
+    iso = ({x: (0, x[1]) for x in G.objects}, {g: (0, g[1]) for g in G.arrows},
+           dict.fromkeys(G.arrows, R.one))
+    psi, report = rc.algebra_iso_from_twist_iso(c, c, iso)
+    assert all(psi(sb.convolve(sb.point_mass(c, a), sb.point_mass(c, b))) ==
+               sb.convolve(psi(sb.point_mass(c, a)), psi(sb.point_mass(c, b)))
+               for a, b in G.compose)
+    assert not report["multiplicative"]
+    assert not _multiplicative_on_all_pairs(c, c, iso)
+
+
+def test_induced_algebra_map_convolves_only_composable_pairs(monkeypatch):
+    R, G = fr.make_gf(5), gp.full_relation(3)
+    c1 = tw.trivial_cocycle(R, G)
+    c2 = tw.coboundary_cocycle(R, G, {g: 2 for g in G.arrows
+                                      if not G.is_unit(g)})
+    iso = rc.compare_twists(c1, c2)
+    calls = []
+    convolve = sb.convolve
+
+    def counted(f, g):
+        calls.append((f, g))
+        return convolve(f, g)
+
+    monkeypatch.setattr(sb, "convolve", counted)
+    _, report = rc.algebra_iso_from_twist_iso(c1, c2, iso)
+    assert report["multiplicative"]
+    assert len(calls) == 2 * len(G.compose) == 2 * 27

@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quasicartan import finring as fr, groupoid as gp, grouprings as gr
+from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
+    twist as tw
 
 
 def _ring(name):
@@ -68,6 +70,105 @@ def test_units_of_twisted_ring_against_oracle():
     # matches the untwisted ring
     untwisted = gr.TwistedGroupRing(fr.make_gf(5), gp.cyclic_group(2))
     assert len(fast[0]) == len(gr.enumerate_units(untwisted)[0])
+
+
+def _units_by_definition(T):
+    """One right-inverse solve and a two-sided check per element of R[H]."""
+    one = T.one()
+    everything = T.elements()
+    found = set()
+    for f in everything:
+        inv = gr._solve_right_inverse(T, f)
+        if inv is not None and T.mul(inv, f) == one:
+            found.add(f)
+    units = [f for f in everything if f in found]
+    return (units, [f for f in units if T.is_trivial_unit(f)],
+            [f for f in units if not T.is_trivial_unit(f)])
+
+
+_KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
+# (group, the cyclic coordinate of an element and its order, which the
+# carry cocycle t^[x+y ≥ n] reads)
+_GROUPS = [(gp.cyclic_group(n), lambda g: g, n) for n in range(2, 7)] + \
+    [(_KLEIN, lambda g: g[0], 2)]
+_RINGS = [fr.make_gf(2), fr.make_gf(3), fr.make_zmod(4), fr.make_zmod(6),
+          fr.make_zmod(8), fr.make_zmod(9), fr.make_gf(2, 2), fr.make_gf(5),
+          fr.make_gf(7)]
+_SMALL_GROUP_RINGS = [(H, coordinate, n, R) for H, coordinate, n in _GROUPS
+                      for R in _RINGS if R.size ** len(H) <= 729]
+
+
+@st.composite
+def twisted_group_rings(draw):
+    """R(H, c) with c a carry cocycle times a random coboundary."""
+    H, coordinate, n, R = draw(st.sampled_from(_SMALL_GROUP_RINGS))
+    G = gp.group_as_groupoid(H)
+    units = sorted(fr.ring_units(R))
+    t = draw(st.sampled_from(units))
+    b = {g: draw(st.sampled_from(units)) for g in H.elements
+         if g != H.identity}
+    d = tw.coboundary_cocycle(R, G, b)
+    c = {(x, y): R.mul(t, v) if coordinate(x) + coordinate(y) >= n else v
+         for (x, y), v in d.values.items()}
+    return gr.TwistedGroupRing(R, H, c)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(twisted_group_rings())
+def test_units_by_orbits_equal_the_definition(T):
+    assert gr.enumerate_units(T) == _units_by_definition(T)
+
+
+def _orbit_count(T):
+    """Orbits of the trivial units acting on the left, by products."""
+    R, H = T.ring, T.group
+    trivial = [T.delta(g, t) for g in H.elements for t in fr.ring_units(R)]
+    return len({frozenset(T.mul(u, f) for u in trivial)
+                for f in T.elements()})
+
+
+@pytest.mark.parametrize("R,H,values", [
+    (fr.make_gf(5), gp.cyclic_group(2), {(1, 1): 2}),
+    (fr.make_zmod(4), _KLEIN, {(x, y): 3 for x in _KLEIN.elements
+                               for y in _KLEIN.elements if x[0] + y[0] == 2}),
+    (fr.make_gf(3), gp.cyclic_group(3), {}),
+], ids=["gf5_c2_twisted", "z4_klein_twisted", "gf3_c3"])
+def test_units_take_one_solve_per_orbit(R, H, values, monkeypatch):
+    T = gr.TwistedGroupRing(R, H, values)
+    solves = []
+    solve = gr._solve_right_inverse
+
+    def counted(T, f, cap=fr.DEFAULT_CAP):
+        solves.append(f)
+        return solve(T, f, cap=cap)
+
+    monkeypatch.setattr(gr, "_solve_right_inverse", counted)
+    gr.enumerate_units(T)
+    assert len(solves) == _orbit_count(T)
+
+
+def test_units_of_the_field_of_25_elements():
+    # 2 is not a square mod 5, so GF(5)[C2] with δ_g² = 2 is GF(25)
+    T = gr.TwistedGroupRing(fr.make_gf(5), gp.cyclic_group(2), {(1, 1): 2})
+    units, trivial, nontrivial = gr.enumerate_units(T)
+    assert (len(units), len(trivial), len(nontrivial)) == (24, 8, 16)
+    untwisted = gr.TwistedGroupRing(fr.make_gf(5), gp.cyclic_group(2))
+    assert len(gr.enumerate_units(untwisted)[0]) == 16
+
+
+def test_units_of_gf3_c9():
+    # GF(3)[C9] = GF(3)[x]/(x − 1)^9 is local with residue field GF(3):
+    # the units are the 2·3^8 elements off its maximal ideal
+    T = gr.TwistedGroupRing(fr.make_gf(3), gp.cyclic_group(9))
+    units, trivial, nontrivial = gr.enumerate_units(T)
+    assert (len(units), len(trivial)) == (13122, 18)
+
+
+def test_pairwise_oracle_checks_its_products_against_the_cap():
+    T = gr.TwistedGroupRing(fr.make_gf(3), gp.cyclic_group(9))
+    with pytest.raises(gr.CapExceeded) as info:
+        gr.enumerate_units(T, oracle=True)
+    assert info.value.attempted_size == 19683 ** 2
 
 
 def test_every_enumerated_unit_is_invertible():

@@ -10,16 +10,17 @@ import itertools
 from . import finring, twist as twist_mod
 from .finring import CapExceeded, DEFAULT_CAP
 from .groupoid import group_as_groupoid
+from .pairs import AbstractAlgebra
 
 
-class TwistedGroupRing:
-    """R(H, c): functions H → R with cocycle-corrected convolution.
+class TwistedGroupRing(AbstractAlgebra):
+    """R(H, c): functions H → R with cocycle-corrected convolution, the
+    AbstractAlgebra on the basis group.elements with b_g·b_h = c(g,h)·b_gh.
 
     Elements are coefficient tuples in the order of group.elements.
     """
 
     def __init__(self, ring, group, cocycle_values=None):
-        self.ring = ring
         self.group = group
         self.index = {g: i for i, g in enumerate(group.elements)}
         c = twist_mod.Cocycle(ring, group_as_groupoid(group), cocycle_values)
@@ -27,48 +28,27 @@ class TwistedGroupRing:
         if bad:
             raise ValueError("invalid cocycle: " + bad[0])
         self.cvals = c.values
+        index = self.index
+        super().__init__(
+            f"{ring.name}[{group.name}]", ring, group.elements,
+            {(index[g], index[h]): {index[gh]: c.values[(g, h)]}
+             for (g, h), gh in group.mul.items()})
 
-    def zero(self):
-        return tuple([self.ring.zero] * len(self.group))
+    def _check_associative(self):
+        """Already done by check_cocycle: (b_g·b_h)·b_k = c(g,h)·c(gh,k)·b_ghk
+        and b_g·(b_h·b_k) = c(h,k)·c(g,hk)·b_ghk, so associativity on the
+        basis is the cocycle identity."""
 
     def delta(self, g, t=None):
-        if t is None:
-            t = self.ring.one
-        vec = [self.ring.zero] * len(self.group)
-        vec[self.index[g]] = t
-        return tuple(vec)
+        return self.basis_vector(self.index[g], t)
 
     def one(self):
         return self.delta(self.group.identity)
 
-    def add(self, f, g):
-        R = self.ring
-        return tuple(R.add(a, b) for a, b in zip(f, g))
-
-    def sub(self, f, g):
-        R = self.ring
-        return tuple(R.sub(a, b) for a, b in zip(f, g))
-
-    def scale(self, t, f):
-        R = self.ring
-        return tuple(R.mul(t, a) for a in f)
-
     def mul(self, f, g):
-        """(f*g)(β) = Σ_α c(α, α⁻¹β)·f(α)·g(α⁻¹β)."""
-        R, H = self.ring, self.group
-        out = [R.zero] * len(H)
-        for i, a in enumerate(H.elements):
-            fa = f[i]
-            if fa == R.zero:
-                continue
-            ainv = H.inverse[a]
-            for k, b in enumerate(H.elements):
-                gb = g[self.index[H.mul[(ainv, b)]]]
-                if gb == R.zero:
-                    continue
-                term = R.mul(self.cvals[(a, H.mul[(ainv, b)])], R.mul(fa, gb))
-                out[k] = R.add(out[k], term)
-        return tuple(out)
+        # AbstractAlgebra.mul itself; bench/spans.py counts
+        # TwistedGroupRing.mul by name, so it keeps a binding of its own
+        return AbstractAlgebra.mul(self, f, g)
 
     def elements(self, cap=DEFAULT_CAP):
         size = self.ring.size ** len(self.group)
@@ -135,36 +115,27 @@ def enumerate_units(T, cap=DEFAULT_CAP, oracle=False):
 
 
 def _trivial_unit_shifts(T):
-    """Left multiplication by each t·δ_g as a list over the coordinates β:
-    (index of g⁻¹β, the ring's multiplication row of t·c(g, g⁻¹β))."""
-    R, H = T.ring, T.group
-    units = finring.ring_units(R)
+    """Left multiplication by each t·δ_g as a list over the coordinates k:
+    (j, the ring's multiplication row of t·s) for the entry (j, k, s) of
+    T.rows[g], since t·δ_g·b_j = t·s·b_k."""
+    mul, units = T.ring.mul_table, finring.ring_units(T.ring)
     shifts = []
-    for g in H.elements:
-        ginv = H.inverse[g]
-        sources = [H.mul[(ginv, beta)] for beta in H.elements]
+    for row in T.rows:
         for t in units:
-            shifts.append([(T.index[h], R.mul_table[R.mul(t, T.cvals[(g, h)])])
-                           for h in sources])
+            shift = [None] * T.dim
+            for j, k, s in row:
+                shift[k] = (j, mul[mul[t][s]])
+            shifts.append(shift)
     return shifts
 
 
 def _solve_right_inverse(T, f, cap=DEFAULT_CAP):
-    """Solve f*x = δ_e via the ring's linear solver; None when unsolvable."""
-    R, H = T.ring, T.group
-    n = len(H)
-    # coefficient of x_j in (f*x)(β_k): c(α, α⁻¹β_k)·f(α) where α⁻¹β_k = basis j
-    equations = []
-    one_vec = T.one()
-    for k, beta in enumerate(H.elements):
-        coeffs = [R.zero] * n
-        for i, a in enumerate(H.elements):
-            if f[i] == R.zero:
-                continue
-            j = T.index[H.mul[(H.inverse[a], beta)]]
-            coeffs[j] = R.add(coeffs[j], R.mul(T.cvals[(a, H.mul[(H.inverse[a], beta)])], f[i]))
-        equations.append((coeffs, one_vec[k]))
-    solutions = finring.solve_linear(R, equations, n, cap=cap)
+    """Solve f*x = δ_e via the ring's linear solver; None when unsolvable.
+    The columns of the system are the products f·b_j."""
+    columns = [T.mul(f, e) for e in T.basis_vectors]
+    one = T.one()
+    equations = [([col[k] for col in columns], one[k]) for k in range(T.dim)]
+    solutions = finring.solve_linear(T.ring, equations, T.dim, cap=cap)
     return tuple(solutions[0]) if solutions else None
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 
-from . import finring, grouprings, steinberg, twist as twist_mod
+from . import finring, steinberg, twist as twist_mod
 from .finring import CapExceeded, DEFAULT_CAP, InputError
+from .groupoid import isotropy_fibre_group
 
 
 class AbstractAlgebra:
@@ -588,23 +589,29 @@ def vector_to_element(pair, vec):
 def check_lbh(pair):
     """The local bisection hypothesis for the twist of a pair_from_twist pair.
 
-    Primary path: for each object, the twisted group ring of the isotropy
-    fibre must have trivial units only; a nontrivial fibre unit yields a
-    normaliser witness whose base support is not a bisection.  When
+    Primary path: for each object x, the twisted group ring R(H, c|) of
+    the isotropy group H at x, with c| the pair's cocycle restricted to H,
+    must have trivial units only.  That ring is the corner δ_x·A·δ_x in
+    the same coordinates, so a nontrivial unit u is a normaliser of the
+    pair (its dagger is its inverse in the corner, and δ_x·b·δ_x = b(x)·δ_x
+    for b in B) whose base support is not a bisection: the witness.  When
     |A| <= 256 the result is checked against the definition over the
     pair's full normaliser enumeration.
     """
+    # grouprings subclasses AbstractAlgebra, so it is imported here, not
+    # at the top of this module
+    from .grouprings import TwistedGroupRing, enumerate_units
+
     cocycle, A = pair.cocycle, pair.algebra
     R, G = A.ring, cocycle.groupoid
-    T = pair.explicit_twist()
     holds, witness = True, None
     for x in G.objects:
-        fibre = twist_mod.fibre_cocycle(T, x)
-        ring_T = grouprings.TwistedGroupRing(R, fibre.group, fibre.values)
-        _, _, nontrivial = grouprings.enumerate_units(ring_T, cap=pair.cap)
+        H = isotropy_fibre_group(G, x)
+        ring_T = TwistedGroupRing(R, H, {p: cocycle.values[p] for p in H.mul})
+        _, _, nontrivial = enumerate_units(ring_T, cap=pair.cap)
         if nontrivial:
             u = nontrivial[0]
-            coeffs = {g: u[i] for i, g in enumerate(fibre.group.elements)
+            coeffs = {g: u[i] for i, g in enumerate(H.elements)
                       if u[i] != R.zero}
             witness = steinberg.AlgebraElement(cocycle, coeffs)
             holds = False

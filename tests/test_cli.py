@@ -137,6 +137,22 @@ def test_reconstruct_non_surjective(tmp_path, capsys):
     assert summary["sigma_prime_points"] == "8"
 
 
+@pytest.mark.parametrize("ring,group", [
+    ("gf(2,2)", "cyclic(2)"), ("gf(2,2)", "cyclic(3)"), ("gf(3,2)", "cyclic(2)"),
+])
+def test_reconstruct_over_gf_pk_with_nontrivial_fibre_units(ring, group,
+                                                          tmp_path, capsys):
+    # the fibre ring GF(p^k)[H] has nontrivial units, so LBH fails with a
+    # witness that must be a normaliser of the pair (exit 1 would claim a
+    # theorem failure)
+    text = RECONSTRUCT_Z2_GF3.replace("gf(3,1)", ring).replace("cyclic(2)", group)
+    code, out = _run("reconstruct", text, tmp_path, capsys)
+    assert code == 0
+    summary = cli.parse_summary(out)
+    assert (summary["lbh"], summary["aqp"], summary["consistent"]) == \
+        ("false", "false", "true")
+
+
 def test_units(tmp_path, capsys):
     code, out = _run("units", UNITS_Z4, tmp_path, capsys)
     assert code == 0
@@ -227,6 +243,18 @@ def test_bad_cocycle_exit_code(tmp_path, capsys):
     bad = CLASSIFY_PAIR2.replace("trivial", "c(1-2, 2-1) = 0")
     code, _ = _run("classify", bad, tmp_path, capsys)
     assert code == 3
+
+
+def test_check_reports_an_invalid_cocycle(tmp_path, capsys):
+    # c(1, 1) = 2 is not a unit of Z/4: check reports the violation and
+    # exits 1, and builds no twist from it
+    text = CLASSIFY_Z2_Z4.replace("trivial", "c(1, 1) = 2")
+    code, out = _run("check", text, tmp_path, capsys)
+    assert code == 1
+    assert "cocycle: value at (1, 1) is not a unit" in out
+    summary = cli.parse_summary(out)
+    assert summary == {"ring_ok": "true", "groupoid_ok": "true",
+                       "cocycle_ok": "false", "ok": "false"}
 
 
 def test_reconstruct_builds_the_pair_and_the_twist_once(tmp_path, capsys,

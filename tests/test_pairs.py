@@ -261,18 +261,30 @@ def test_expectation_uniqueness_cartan_case():
     assert count == 1
 
 
+def _lbh_pair(name):
+    # z2_gf4: GF(4)[C2] ≅ GF(4)[x]/(x+1)² has nontrivial units, and GF(4)
+    # has a unit other than 1 for a section of the twist to pick
+    if name == "z2_gf4":
+        return pr.pair_from_twist(tw.trivial_cocycle(
+            fr.make_gf(2, 2), gp.group_as_groupoid(gp.cyclic_group(2))))
+    return make_pair(name)
+
+
 @pytest.mark.parametrize("name,holds", [
     ("pair2_gf3", True), ("z2_gf3", True), ("z3_gf2", True),
     ("z2_z4", False), ("z2_gf5_twisted", False), ("klein_gf3", False),
+    ("z2_gf4", False),
 ])
 def test_lbh(name, holds):
-    flag, witness = pr.check_lbh(make_pair(name))
+    pair = _lbh_pair(name)
+    flag, witness = pr.check_lbh(pair)
     assert flag == holds
     if holds:
         assert witness is None
     else:
         assert witness is not None
-        assert not sb.is_bisection(make_twist(name).groupoid, witness.support())
+        assert not sb.is_bisection(pair.cocycle.groupoid, witness.support())
+        assert pair.is_normaliser(pr.element_to_vector(pair, witness))
 
 
 def test_lbh_witness_z2_z4():

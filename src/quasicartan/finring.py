@@ -279,34 +279,24 @@ def is_reduced(R):
     return True
 
 
-def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP):
-    """All solution vectors of a system of R-linear equations, sorted.
-
-    Each equation is (coefficients, rhs) with len(coefficients) equal to
-    num_unknowns, meaning sum_i coefficients[i]*x_i = rhs.  Elimination
-    pivots on unit coefficients only: scaling a row by a unit and adding
-    multiples of rows are invertible over any commutative ring, and over a
-    field this is full Gaussian elimination.  The unknowns left without a
-    pivot are then enumerated against the remaining rows, whose
-    coefficients are all non-units; that search space |R|^free must stay
-    below cap.
+def _eliminate(R, rows, width):
+    """Unit-pivot elimination on rows (lists, reduced in place) over their
+    first width columns.  Returns (pivots, rest, free): pivots lists the
+    (column, row) with a 1 at its column and 0 at every other pivot's
+    column, rest the rows left without a pivot, whose entries in the free
+    columns are all non-units.  Scaling a row by a unit and adding
+    multiples of rows are invertible over any commutative ring, so the
+    rows keep their span; over a field this is full Gaussian elimination.
     """
     add, mul, neg, inverse = R.add_table, R.mul_table, R._neg, R._unit_inverse
     zero = R.zero
-
-    def combine(acc, terms, values):
-        for f, c in terms:
-            acc = add[acc][mul[c][values[f]]]
-        return acc
-
-    rows = [list(coeffs) + [rhs] for coeffs, rhs in equations]
-    pivots = []  # (column, row): 1 at its column, 0 at every other pivot's
-    free = list(range(num_unknowns))
+    pivots = []
+    free = list(range(width))
     while True:
         found = next(((i, col) for i, row in enumerate(rows) for col in free
                       if row[col] in inverse), None)
         if found is None:
-            break
+            return pivots, rows, free
         i, col = found
         row = rows.pop(i)
         inv = inverse[row[col]]
@@ -317,6 +307,55 @@ def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP):
                 other[:] = [add[v][mul[t][w]] for v, w in zip(other, row)]
         pivots.append((col, row))
         free.remove(col)
+
+
+def unit_pivot_rank(R, vectors):
+    """The number of unit pivots that elimination finds among vectors.
+
+    Over a local ring R the vectors span R^d exactly when this is d.  If
+    it is d, the reduced pivot rows are the standard basis of R^d, which
+    lies in the span.  Conversely let m be the maximal ideal, which is the
+    set of non-units of a finite local ring.  After elimination the pivot
+    rows are independent modulo m and every other row lies in m^d, so the
+    images of the vectors span (R/m)^d only when there are d pivots; and
+    if the vectors span R^d, their images span (R/m)^d.  A finite
+    commutative ring is local exactly when it is indecomposable
+    (is_indecomposable), being a product of local rings.  Over Z/6 the
+    test fails: (2) and (3) span Z/6 with no unit pivot.
+    """
+    vectors = {tuple(v) for v in vectors}
+    width = len(next(iter(vectors))) if vectors else 0
+    pivots, _, _ = _eliminate(R, [list(v) for v in vectors], width)
+    return len(pivots)
+
+
+def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP, one=False):
+    """All solution vectors of a system of R-linear equations, sorted.
+
+    Each equation is (coefficients, rhs) with len(coefficients) equal to
+    num_unknowns, meaning sum_i coefficients[i]*x_i = rhs.  Elimination
+    pivots on unit coefficients only (_eliminate).  The unknowns left
+    without a pivot are then enumerated against the remaining rows, whose
+    coefficients are all non-units; that search space |R|^free must stay
+    below cap.
+
+    one=True asks for at most one solution, the first one found.  When
+    elimination leaves no row to satisfy (always over a field), any values
+    of the free unknowns give a solution, so the first is taken without a
+    search and the cap is not consulted.
+    """
+    add, mul, neg = R.add_table, R.mul_table, R._neg
+    zero = R.zero
+
+    def combine(acc, terms, values):
+        for f, c in terms:
+            acc = add[acc][mul[c][values[f]]]
+        return acc
+
+    # a row of zeros states 0 = 0 and is dropped before elimination
+    rows = [row for row in (list(coeffs) + [rhs] for coeffs, rhs in equations)
+            if row.count(zero) < len(row)]
+    pivots, rows, free = _eliminate(R, rows, num_unknowns)
     # the rows without a pivot and the pivot rows, as sparse
     # (position in free, coefficient) terms
     residual = []
@@ -327,7 +366,7 @@ def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP):
         elif row[-1] != zero:
             return []
     size = R.size ** len(free)
-    if size > cap:
+    if size > cap and (residual or not one):
         raise CapExceeded(size, cap)
     back = [(col, row[-1], [(f, neg[row[c]]) for f, c in enumerate(free)
                             if row[c] != zero]) for col, row in pivots]
@@ -340,5 +379,7 @@ def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP):
             for col, rhs, terms in back:
                 x[col] = combine(rhs, terms, values)
             solutions.append(tuple(x))
+            if one:
+                break
     solutions.sort()
     return solutions

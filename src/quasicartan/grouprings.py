@@ -131,12 +131,14 @@ def _trivial_unit_shifts(T):
 
 def _solve_right_inverse(T, f, cap=DEFAULT_CAP):
     """Solve f*x = δ_e via the ring's linear solver; None when unsolvable.
-    The columns of the system are the products f·b_j."""
+    The columns of the system are the products f·b_j.  One solution is
+    enough: a right inverse in a finite ring is the inverse."""
     columns = [T.mul(f, e) for e in T.basis_vectors]
     one = T.one()
     equations = [([col[k] for col in columns], one[k]) for k in range(T.dim)]
-    solutions = finring.solve_linear(T.ring, equations, T.dim, cap=cap)
-    return tuple(solutions[0]) if solutions else None
+    solutions = finring.solve_linear(T.ring, equations, T.dim, cap=cap,
+                                     one=True)
+    return solutions[0] if solutions else None
 
 
 def decomposable_unit(T, f_idem, g):

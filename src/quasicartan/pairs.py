@@ -129,6 +129,7 @@ class Pair:
                 if product not in self.B:
                     raise ValueError("sub_basis span is not closed under multiplication")
         self._dagger_cache = {}
+        self._local_units = None
         self._membership = None
         self._normalisers = {}  # (mode, oracle) -> sorted list
         self._idempotents = None
@@ -207,6 +208,20 @@ class Pair:
         sub_basis.  oracle=True instead tests every k of A against the
         definition over every b of B.
 
+        With local units and a coordinate subspace B one solution k0 of
+        that system is enough: k = k0·n·k0 is the dagger, checked once
+        over sub_basis.  Let u be an idempotent of B that is an identity
+        of A.  Then n·k·n = n·k0·(n·k0·n) = n·k0·n = n, and
+        k·n·k = k0·(n·k0·n)·k0·n·k0 = k0·n·k0·n·k0 = k0·(n·k0·n)·k0 = k.
+        The membership rows put k0·b·n and n·b·k0 in B for every b in
+        sub_basis, hence for every b in B, u included; so k0·n = k0·u·n and
+        n·k0 lie in B.  Then k·b·n = (k0·n)(k0·b·n) and
+        n·b·k = (n·b·k0)(n·k0) are products in the subalgebra B.  A dagger
+        solves the system, so n is a normaliser iff the system is
+        consistent.  This is the step from a {1}-inverse to a
+        {1,2}-inverse (Ben-Israel and Greville, Generalized Inverses,
+        ch. 1).
+
         When some idempotent u of B is an identity of A the dagger is
         unique, so two winners are a theorem failure (AssertionError).
         For daggers k₁, k₂ of n, each k_i·n = k_i·u·n and n·k_i = n·u·k_i
@@ -227,12 +242,17 @@ class Pair:
         if oracle:
             winners = [k for k in A.all_elements(cap=self.cap)
                        if self._is_dagger(n, k, self.B)]
-        else:
+        elif n == A.zero():
             # 0† = 0: k·0·k = k forces k = 0, and the system for n = 0
             # would list all of A
-            candidates = ([n] if n == A.zero()
-                          else self._solve_dagger_system(n))
-            winners = [k for k in candidates
+            winners = [n]
+        elif self.has_local_units() and self._membership_factors():
+            winners = [A.mul(A.mul(k0, n), k0)
+                       for k0 in self._solve_dagger_system(n, one=True)]
+            if winners and not self._is_dagger(n, winners[0], self.sub_basis):
+                raise AssertionError(f"k0·n·k0 is not a dagger of {n}")
+        else:
+            winners = [k for k in self._solve_dagger_system(n)
                        if self._is_dagger(n, k, self.sub_basis)]
         if len(winners) > 1:
             message = f"dagger not unique for {n}: found {len(winners)} candidates"
@@ -244,15 +264,16 @@ class Pair:
         self._dagger_cache[key] = result
         return result
 
-    def _solve_dagger_system(self, n):
+    def _solve_dagger_system(self, n, one=False):
         """All k with n·k·n = n, and with (k·b·n)_i = 0 = (n·b·k)_i off B's
         support when B is a coordinate subspace: one linear system in the
-        coordinates of k, built from the columns n·e_j·n."""
+        coordinates of k, built from the columns n·e_j·n.  one=True asks
+        solve_linear for at most one solution."""
         A = self.algebra
         basis = A.basis_vectors
         columns = [A.mul(A.mul(n, e), n) for e in basis]
         equations = [([col[i] for col in columns], n[i]) for i in range(A.dim)]
-        off, factors = self._membership_factors()
+        off, factors = self._membership_factors() or ((), ())
         zero = A.zero()
         for b, basis_times_b in factors:
             left = [zero if eb == zero else A.mul(eb, n) for eb in basis_times_b]
@@ -261,16 +282,17 @@ class Pair:
             for i in off:
                 equations.append(([v[i] for v in left], A.ring.zero))
                 equations.append(([v[i] for v in right], A.ring.zero))
-        return finring.solve_linear(A.ring, equations, A.dim, cap=self.cap)
+        return finring.solve_linear(A.ring, equations, A.dim, cap=self.cap,
+                                    one=one)
 
     def _membership_factors(self):
         """(coordinates off B's support, [(b, [e_j·b for each j])] over the
-        spanning b), or ((), []) when B is not a coordinate subspace."""
+        spanning b), or False when B is not a coordinate subspace."""
         if self._membership is None:
             A = self.algebra
             support = self._b_coordinate_support()
             if support is None:
-                self._membership = (), []
+                self._membership = False
             else:
                 off = [i for i in range(A.dim) if i not in support]
                 self._membership = off, [
@@ -316,6 +338,10 @@ class Pair:
 
         oracle=True scans all of A (full) or every f·x·e over all of A
         (minimal), testing each with the oracle dagger.
+
+        classify reads only minimal on pairs with local units (see
+        _deciding_normalisers), so full serves check_lbh's cross-check for
+        |A| <= 256, reconstruct.ultrafilter_oracle and the tests.
         """
         key = (mode, oracle)
         if key not in self._normalisers:
@@ -430,7 +456,8 @@ class Pair:
 
     def check_expectation(self, P):
         """Evaluate the expectation axioms, faithfulness, and whether P is
-        implemented by idempotents on every normaliser."""
+        implemented by idempotents on every normaliser.  The last two are
+        decided on _deciding_normalisers."""
         A, R = self.algebra, self.algebra.ring
         report = {}
         ok = True
@@ -461,7 +488,7 @@ class Pair:
             report["faithful"] = False
             report["implemented_by_idempotents"] = False
             return report
-        normalisers = self.enumerate_normalisers("full")
+        normalisers = self._deciding_normalisers()
         report["faithful"] = self._faithfulness_kernel(P) == [A.zero()]
         idem, _ = self.idempotents_of_B()
         implemented = True
@@ -474,11 +501,13 @@ class Pair:
         return report
 
     def _faithfulness_kernel(self, P):
-        """The a with P(n·a) = 0 for every normaliser n, for a linear P."""
+        """The a with P(n·a) = 0 for every normaliser n, for a linear P.
+        P(n·a) is linear in n, so the n of _deciding_normalisers, which
+        span every normaliser, give the same kernel."""
         A = self.algebra
         return self._common_kernel(
             [P(A.mul(n, b)) for b in A.basis_vectors]
-            for n in self.enumerate_normalisers("full"))
+            for n in self._deciding_normalisers())
 
     def _commutant(self):
         """The a with a·b = b·a for every spanning b of B."""
@@ -501,17 +530,54 @@ class Pair:
     # -- classification -----------------------------------------------
 
     def has_local_units(self):
-        """Some idempotent of B is a two-sided identity for the whole basis."""
+        """Some idempotent of B is a two-sided identity for the whole basis;
+        decided once per pair."""
+        if self._local_units is None:
+            A = self.algebra
+            idem, _ = self.idempotents_of_B()
+            self._local_units = any(
+                all(A.mul(e, b) == b and A.mul(b, e) == b
+                    for b in A.basis_vectors) for e in idem)
+        return self._local_units
+
+    def _deciding_normalisers(self):
+        """The normalisers that decide every flag of classify: the minimal
+        ones S when the pair has local units, else all of them.
+
+        With local units every normaliser is n = Σ_e m_e over the atoms e,
+        with m_e = n·e in {0} ∪ S_e and pairwise distinct ranges, and
+        conversely (enumerate_normalisers).  So:
+        - span(N) = span(S), as S ⊆ N ⊆ span(S); the faithfulness kernel
+          is linear in n, so it is the same over N and over S.
+        - A free n has its sources orthogonal to its ranges, or lies in B
+          and then so does each n·e; either way each summand is free, so
+          span(free N) = span(free S).
+        - Let P be an expectation implemented by idempotents on S.  For m
+          in S_e with m·f = P(m) = f·m, f an idempotent, e·f is an
+          idempotent below the atom e, so P(m) = m·e·f is 0 or m.  When it
+          is m, m = P(m) lies in the commutative B, so m = m·e = e·m and
+          its range m·m† = e·m·m† is an atom below e, that is e.  Let E be the sum of the atoms e with
+          P(m_e) = m_e ≠ 0.  Then n·E = Σ P(m_e) since the atoms are
+          orthogonal, and E·n = Σ P(m_e) since each other nonzero m_e
+          has a range distinct from every atom of E.  So P is implemented
+          by idempotents on all of N.
+        """
+        if self.has_local_units():
+            return self.enumerate_normalisers("minimal")
+        return self.enumerate_normalisers("full")
+
+    def _spans_A(self, vectors):
+        """Whether vectors span A as an R-module.  Over a local ring this is
+        a rank test (finring.unit_pivot_rank); otherwise the span is built."""
         A = self.algebra
-        idem, _ = self.idempotents_of_B()
-        for e in idem:
-            if all(A.mul(e, b) == b and A.mul(b, e) == b
-                   for b in A.basis_vectors):
-                return True
-        return False
+        if finring.is_indecomposable(A.ring):
+            return finring.unit_pivot_rank(A.ring, vectors) == A.dim
+        return len(A.span(vectors)) == A.size()
 
     def classify(self):
-        """The full flag report with the implication chain asserted."""
+        """The full flag report with the implication chain asserted.  The
+        normaliser flags are decided on _deciding_normalisers, and the
+        spanning tests by _spans_A."""
         if self._classification is not None:
             return self._classification
         A = self.algebra
@@ -523,9 +589,8 @@ class Pair:
         report["local_units"] = self.has_local_units()
         idem, _ = self.idempotents_of_B()
         report["B_spanned_by_idempotents"] = A.span(idem) == self.B
-        normalisers = self.enumerate_normalisers("full")
-        report["A_spanned_by_normalisers"] = \
-            len(A.span(normalisers)) == A.size()
+        normalisers = self._deciding_normalisers()
+        report["A_spanned_by_normalisers"] = self._spans_A(normalisers)
         base = (report["WT"] and report["local_units"] and
                 report["B_spanned_by_idempotents"] and
                 report["A_spanned_by_normalisers"])
@@ -539,7 +604,7 @@ class Pair:
         report["ACP"] = base and set(self._commutant()) == self.B
         # diagonal: the free normalisers span A
         free = [n for n in normalisers if self.is_free_normaliser(n)]
-        report["ADP"] = base and len(A.span(free)) == A.size()
+        report["ADP"] = base and self._spans_A(free)
         if report["ADP"] and not report["ACP"]:
             raise AssertionError("implication ADP => ACP violated")
         if report["ACP"] and not report["AQP"]:

@@ -158,7 +158,7 @@ def perturbed_groupoids(draw):
                              compose, G.inv, G.unit_at)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(perturbed_groupoids())
 def test_associativity_equals_the_triple_loop(G):
     found = gp.validate_groupoid(G)
@@ -240,7 +240,7 @@ def domain_faulted_groupoids(draw):
                              compose, G.inv, G.unit_at)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(domain_faulted_groupoids())
 def test_validate_equals_the_all_pairs_definition(G):
     assert gp.validate_groupoid(G) == _validate_by_definition(G)

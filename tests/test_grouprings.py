@@ -113,7 +113,7 @@ def twisted_group_rings(draw):
     return gr.TwistedGroupRing(R, H, c)
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(twisted_group_rings())
 def test_units_by_orbits_equal_the_definition(T):
     assert gr.enumerate_units(T) == _units_by_definition(T)

@@ -13,7 +13,7 @@ from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
 from helpers import ABSTRACT_PAIRS, FIXTURE_NAMES, abstract_pair, \
     klein_z4_pair, make_pair, make_twist, times_coboundary
 
-PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+PROPERTY = settings(max_examples=150)
 
 
 def _vectors(pair):
@@ -67,7 +67,7 @@ def group_ring_element_pairs(draw):
     return gr.TwistedGroupRing(R, H, c.values), c, draw(element), draw(element)
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(group_ring_element_pairs())
 def test_group_ring_mul_equals_convolution(args):
     T, c, f, g = args

@@ -1,5 +1,6 @@
 """The exact linear layer against definitional references written here:
-solve_linear against a scan of every vector, span against a closure under
+solve_linear (all solutions, or one) against a scan of every vector, span
+and, over a local ring, the unit-pivot rank against a closure under
 adding scalar multiples of the generators, and the dagger solver against
 its oracle when B is not a coordinate subspace."""
 
@@ -27,7 +28,7 @@ def _dual_numbers_gf2():
 RINGS = [fr.make_zmod(4), fr.make_zmod(6), fr.make_zmod(9), fr.make_gf(2, 2),
          fr.make_gf(3, 2), _dual_numbers_gf2()]
 
-PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+PROPERTY = settings(max_examples=150)
 
 
 def _evaluate(R, coeffs, x):
@@ -58,6 +59,8 @@ def test_solve_linear_equals_a_full_scan(system):
     scan = [x for x in itertools.product(R.all_indices(), repeat=n)
             if all(_evaluate(R, c, x) == rhs for c, rhs in equations)]
     assert fr.solve_linear(R, equations, n) == scan
+    one = fr.solve_linear(R, equations, n, one=True)
+    assert len(one) == min(1, len(scan)) and set(one) <= set(scan)
 
 
 @st.composite
@@ -83,6 +86,9 @@ def test_span_equals_the_definitional_closure(case):
                     closure.add(y)
                     todo.append(y)
     assert A.span(vectors) == closure
+    if fr.is_indecomposable(R):
+        assert (fr.unit_pivot_rank(R, vectors) == dim) == \
+            (len(closure) == R.size ** dim)
 
 
 def test_dagger_matches_oracle_off_a_coordinate_subspace():

@@ -1,5 +1,6 @@
-"""The atom path of Pair.enumerate_normalisers, and the faithfulness kernel
-and the commutant as linear systems, against scans of the whole algebra."""
+"""The atom path of Pair.enumerate_normalisers, the faithfulness kernel
+and the commutant as linear systems, and classify read off the minimal
+normalisers, against scans of the whole algebra."""
 
 import functools
 import math
@@ -14,7 +15,7 @@ from quasicartan import finring as fr, groupoid as gp, pairs as pr, \
 from helpers import ABSTRACT_PAIRS, FIXTURE_NAMES, abstract_pair, \
     klein_z4_pair, make_pair, times_coboundary
 
-PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+PROPERTY = settings(max_examples=60)
 
 # the oracle scans test every k of A for every n of A, so keep |A| small
 ORACLE_SIZE = 81
@@ -69,11 +70,10 @@ def _scan(pair, oracle=False):
     return full, minimal
 
 
-def _kernel_scan(pair, P):
+def _kernel_scan(pair, P, normalisers):
     A = pair.algebra
-    N = pair.enumerate_normalisers("full")
     return [a for a in A.all_elements()
-            if all(P(A.mul(n, a)) == A.zero() for n in N)]
+            if all(P(A.mul(n, a)) == A.zero() for n in normalisers)]
 
 
 def _commutant_scan(pair):
@@ -97,11 +97,11 @@ def _check_against_scans(pair, images):
     assert pair.enumerate_normalisers("minimal") == minimal
     assert pair._commutant() == _commutant_scan(pair)
     P = _linear_map(pair.algebra, images)
-    assert pair._faithfulness_kernel(P) == _kernel_scan(pair, P)
+    assert pair._faithfulness_kernel(P) == _kernel_scan(pair, P, full)
     ce = pair.canonical_expectation()
     if ce["map"] is not None:
         assert pair._faithfulness_kernel(ce["map"]) == \
-            _kernel_scan(pair, ce["map"])
+            _kernel_scan(pair, ce["map"], full)
 
 
 def _random_images(A, seed):
@@ -142,6 +142,61 @@ def test_one_atom_group_ring_equals_a_scan_of_A():
     pair = klein_z4_pair()
     assert len(pair.idempotents_of_B()[1]) == 1
     _check_against_scans(pair, _random_images(pair.algebra, 5))
+
+
+def _flags_by_definition(pair):
+    """classify's flags from every normaliser, listed by the oracle scan,
+    with spans built by A.span and the faithfulness kernel scanned over
+    that list."""
+    A = pair.algebra
+    N = pair.enumerate_normalisers("full", oracle=True)
+    idem, _ = pair.idempotents_of_B()
+
+    def spans_A(vectors):
+        return len(A.span(vectors)) == A.size()
+
+    def free(n):
+        k = pair.dagger_of(n, oracle=True)
+        return pair.in_B(n) or \
+            A.mul(A.mul(k, n), A.mul(n, k)) == A.zero()
+
+    P = pair.canonical_expectation()["map"]
+    flags = {
+        "WT": pair.satisfies_wt()[0],
+        "local_units": any(all(A.mul(e, a) == a == A.mul(a, e)
+                               for a in A.basis_vectors) for e in idem),
+        "B_spanned_by_idempotents": A.span(idem) == pair.B,
+        "A_spanned_by_normalisers": spans_A(N),
+        "faithful_CE_exists": P is not None and
+        _kernel_scan(pair, P, N) == [A.zero()],
+    }
+    base = all(flags.values())
+    flags["AQP"] = base and all(
+        any(A.mul(n, e) == P(n) == A.mul(e, n) for e in idem) for n in N)
+    flags["ACP"] = base and set(_commutant_scan(pair)) == pair.B
+    flags["ADP"] = base and spans_A([n for n in N if free(n)])
+    return flags
+
+
+def _check_classify_by_definition(pair):
+    flags = dict(pair.classify())
+    flags.pop("warnings", None)
+    assert flags == _flags_by_definition(pair)
+    for n in pair.algebra.all_elements():
+        assert pair.dagger_of(n) == pair.dagger_of(n, oracle=True)
+
+
+@PROPERTY
+@given(twist_pairs())
+def test_classify_equals_the_flags_by_definition(pair):
+    _check_classify_by_definition(pair)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(ABSTRACT_PAIRS))
+def test_classify_equals_the_flags_by_definition_on_named_pairs(name):
+    pair = abstract_pair(name) if name in ABSTRACT_PAIRS else make_pair(name)
+    assert pair.algebra.size() <= 729
+    _check_classify_by_definition(pair)
 
 
 def test_oracle_enumeration_has_its_own_cache(monkeypatch):
@@ -187,3 +242,32 @@ def test_large_rung_without_a_scan_of_A(monkeypatch):
     assert report["consistent"] and report["aqp"]
     assert report["sigma_prime_points"] == 18
     assert report["g_prime_arrows"] == 9
+
+
+@pytest.mark.parametrize("n, q, cap", [(3, 3, fr.DEFAULT_CAP),
+                                       (4, 2, fr.DEFAULT_CAP), (5, 2, 2 ** 26)])
+def test_large_rungs_without_the_full_list_or_a_span_above_B(
+        monkeypatch, n, q, cap):
+    # |A| = q^(n²) but |B| = q^n; criterion 1's counts are n²(q−1) points
+    # and n² classes
+    def refuse(self, oracle):
+        raise AssertionError("listed every normaliser")
+
+    span = pr.AbstractAlgebra.span
+
+    def small_span(self, vectors):
+        out = span(self, vectors)
+        if len(out) > q ** n:
+            raise AssertionError(f"built a span of {len(out)} elements")
+        return out
+
+    monkeypatch.setattr(pr.Pair, "_full_normalisers", refuse)
+    monkeypatch.setattr(pr.AbstractAlgebra, "span", small_span)
+    pair = pr.pair_from_twist(
+        tw.trivial_cocycle(fr.make_gf(q), gp.full_relation(n)), cap=cap)
+    flags = pair.classify()
+    assert flags["ADP"] and flags["ACP"] and flags["AQP"]
+    report = rc.verify_reconstruction_theorem(pair)
+    assert report["consistent"] and report["aqp"]
+    assert report["sigma_prime_points"] == n * n * (q - 1)
+    assert report["g_prime_arrows"] == n * n

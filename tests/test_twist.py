@@ -93,7 +93,7 @@ def perturbed_cocycles(draw):
     return c
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(perturbed_cocycles())
 def test_check_cocycle_equals_the_triple_loop(c):
     assert tw.check_cocycle(c) == _check_cocycle_by_definition(c)

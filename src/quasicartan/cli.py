@@ -200,7 +200,7 @@ def build_cocycle(doc, R, G, section="cocycle"):
 
 
 def _parse_cocycle(doc, R, G, section="cocycle"):
-    """The cocycle of a section as written, not yet checked."""
+    """The cocycle of a section as written; ConvolutionAlgebra checks it."""
     rows = doc.sections.get(section)
     if rows is None:
         raise InputError(f"missing [{section}] section")
@@ -254,6 +254,8 @@ def build_abstract_pair(doc, R, cap):
     for lineno, line in rows:
         if line.startswith("basis"):
             labels = line.split("=", 1)[1].split()
+            if len(set(labels)) < len(labels):
+                raise InputError(f"line {lineno}: a basis label is repeated")
         else:
             m = re.fullmatch(r"(\S+)\s*\*\s*(\S+)\s*=\s*(.+)", line)
             if not m:
@@ -313,8 +315,11 @@ def _build_pair(doc, cap):
             raise InputError("give either groupoid+cocycle or algebra+pair, not both")
         return R, None, build_abstract_pair(doc, R, cap)
     G = build_groupoid(doc, cap=cap)
-    c = build_cocycle(doc, R, G)
-    return R, c, pairs_mod.pair_from_twist(c, cap=cap)
+    c = _parse_cocycle(doc, R, G)
+    try:
+        return R, c, pairs_mod.pair_from_twist(c, cap=cap)
+    except pairs_mod.InvalidTwist as exc:
+        raise InputError(str(exc))
 
 
 def cmd_check(doc, cap, oracle):
@@ -398,12 +403,13 @@ def cmd_units(doc, cap, oracle):
     if spec is None:
         raise InputError("units needs a [group] section with one row")
     H = _parse_group(spec, cap)
-    G = gpd.group_as_groupoid(H)
-    values = {}
+    values = None
     if "cocycle" in doc.sections:
-        c = build_cocycle(doc, R, G)
-        values = {(a, b): v for (a, b), v in c.values.items()}
-    T = grouprings.TwistedGroupRing(R, H, values)
+        values = _parse_cocycle(doc, R, gpd.group_as_groupoid(H)).values
+    try:
+        T = grouprings.TwistedGroupRing(R, H, values)
+    except pairs_mod.InvalidTwist as exc:
+        raise InputError(str(exc))
     units, trivial, nontrivial = grouprings.enumerate_units(T, cap=cap, oracle=oracle)
     report = [f"group ring of {H.name} over {R.name}: "
               f"{len(units)} units, {len(nontrivial)} nontrivial"]
@@ -483,8 +489,12 @@ def cmd_upp(doc, cap, oracle):
 def cmd_compare(doc, cap, oracle):
     R = build_ring(doc, cap)
     G1 = build_groupoid(doc, "groupoid", cap)
-    c1 = build_cocycle(doc, R, G1, "cocycle")
     G2 = build_groupoid(doc, "groupoid2", cap) if "groupoid2" in doc.sections else G1
+    for G in dict.fromkeys((G1, G2)):
+        bad = gpd.validate_groupoid(G)
+        if bad:
+            raise InputError("groupoid invalid: " + bad[0])
+    c1 = build_cocycle(doc, R, G1, "cocycle")
     c2 = build_cocycle(doc, R, G2, "cocycle2")
     iso = reconstruct.compare_twists(c1, c2, cap)
     report = []

@@ -337,7 +337,9 @@ def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP, one=False):
     pivots on unit coefficients only (_eliminate).  The unknowns left
     without a pivot are then enumerated against the remaining rows, whose
     coefficients are all non-units; that search space |R|^free must stay
-    below cap.
+    below cap, unless a remaining row has a unit right-hand side over a
+    local ring (is_indecomposable): its non-units form the maximal ideal,
+    so there is no solution.
 
     one=True asks for at most one solution, the first one found.  When
     elimination leaves no row to satisfy (always over a field), any values
@@ -365,6 +367,9 @@ def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP, one=False):
             residual.append((terms, row[-1]))
         elif row[-1] != zero:
             return []
+    if any(rhs in R._unit_inverse for _, rhs in residual) and \
+            is_indecomposable(R):
+        return []
     size = R.size ** len(free)
     if size > cap and (residual or not one):
         raise CapExceeded(size, cap)

@@ -10,6 +10,7 @@ is_principal, so the coincidence is a checked fact, not a shortcut.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 
 class FiniteGroup:
@@ -88,6 +89,9 @@ class FiniteGroupoid:
 
 def make_groupoid(name, objects, arrows, src, rng, compose):
     """Assemble a groupoid from composition data, deriving units and inverses."""
+    bad = _repeated_labels(objects, arrows)
+    if bad:
+        raise ValueError(bad[0])
     src = dict(src)
     rng = dict(rng)
     compose = dict(compose)
@@ -114,6 +118,13 @@ def make_groupoid(name, objects, arrows, src, rng, compose):
         if a not in inv:
             raise ValueError(f"arrow {a} has no inverse")
     return FiniteGroupoid(name, objects, arrows, src, rng, compose, inv, unit_at)
+
+
+def _repeated_labels(objects, arrows):
+    """A message for each object or arrow label given more than once."""
+    return [f"{kind} label {x!r} is repeated"
+            for kind, labels in (("object", objects), ("arrow", arrows))
+            for x, k in Counter(labels).items() if k > 1]
 
 
 def _check_composition(arrows, src, rng, compose):
@@ -177,7 +188,7 @@ def validate_groupoid(G):
     (_check_composition); the loop over all pairs of arrows runs only when
     that pass finds a fault, to name each one.
     """
-    bad = []
+    bad = _repeated_labels(G.objects, G.arrows)
     arrow_set = set(G.arrows)
     for a in G.arrows:
         if G.src[a] not in G.objects or G.rng[a] not in G.objects:

@@ -5,39 +5,25 @@ unique-product searches on subsets of abelian groups.
 
 from __future__ import annotations
 
-import itertools
-
 from . import finring, twist as twist_mod
 from .finring import CapExceeded, DEFAULT_CAP
 from .groupoid import group_as_groupoid
-from .pairs import AbstractAlgebra
+from .pairs import AbstractAlgebra, ConvolutionAlgebra
 
 
-class TwistedGroupRing(AbstractAlgebra):
+class TwistedGroupRing(ConvolutionAlgebra):
     """R(H, c): functions H → R with cocycle-corrected convolution, the
-    AbstractAlgebra on the basis group.elements with b_g·b_h = c(g,h)·b_gh.
+    convolution algebra of c on H as a one-object groupoid, so
+    b_g·b_h = c(g,h)·b_gh.
 
     Elements are coefficient tuples in the order of group.elements.
     """
 
     def __init__(self, ring, group, cocycle_values=None):
         self.group = group
-        self.index = {g: i for i, g in enumerate(group.elements)}
-        c = twist_mod.Cocycle(ring, group_as_groupoid(group), cocycle_values)
-        bad = twist_mod.check_cocycle(c)
-        if bad:
-            raise ValueError("invalid cocycle: " + bad[0])
-        self.cvals = c.values
-        index = self.index
-        super().__init__(
-            f"{ring.name}[{group.name}]", ring, group.elements,
-            {(index[g], index[h]): {index[gh]: c.values[(g, h)]}
-             for (g, h), gh in group.mul.items()})
-
-    def _check_associative(self):
-        """Already done by check_cocycle: (b_g·b_h)·b_k = c(g,h)·c(gh,k)·b_ghk
-        and b_g·(b_h·b_k) = c(h,k)·c(g,hk)·b_ghk, so associativity on the
-        basis is the cocycle identity."""
+        super().__init__(twist_mod.Cocycle(ring, group_as_groupoid(group),
+                                           cocycle_values))
+        self.name = f"{ring.name}[{group.name}]"
 
     def delta(self, g, t=None):
         return self.basis_vector(self.index[g], t)
@@ -49,13 +35,6 @@ class TwistedGroupRing(AbstractAlgebra):
         # AbstractAlgebra.mul itself; bench/spans.py counts
         # TwistedGroupRing.mul by name, so it keeps a binding of its own
         return AbstractAlgebra.mul(self, f, g)
-
-    def elements(self, cap=DEFAULT_CAP):
-        size = self.ring.size ** len(self.group)
-        if size > cap:
-            raise CapExceeded(size, cap)
-        return [tuple(v) for v in itertools.product(
-            self.ring.all_indices(), repeat=len(self.group))]
 
     def is_trivial_unit(self, f):
         """Of the form t·δ_g with t a ring unit."""
@@ -80,13 +59,13 @@ def enumerate_units(T, cap=DEFAULT_CAP, oracle=False):
 
     With oracle=True every pair (f, x) is tried as a product instead;
     its |R[H]|² products are checked against the cap before it starts.
-    The lists come back in the order of T.elements().
+    The lists come back in the order of T.all_elements().
     """
     pairs = (T.ring.size ** len(T.group)) ** 2
     if oracle and pairs > cap:
         raise CapExceeded(pairs, cap)
     one = T.one()
-    everything = T.elements(cap=cap)
+    everything = T.all_elements(cap=cap)
     units, trivial, nontrivial = [], [], []
     if oracle:
         left_inverse = {}
@@ -152,7 +131,7 @@ def decomposable_unit(T, f_idem, g):
         raise ValueError("need a non-identity group element")
     comp = R.sub(R.one, f_idem)
     a = T.add(T.delta(H.identity, f_idem), T.delta(g, comp))
-    cg = T.cvals[(g, H.inverse[g])]
+    cg = T.cocycle.value(g, H.inverse[g])
     b = T.add(T.delta(H.identity, f_idem),
               T.delta(H.inverse[g], R.mul(comp, R.unit_inverse(cg))))
     if T.mul(a, b) != T.one() or T.mul(b, a) != T.one():

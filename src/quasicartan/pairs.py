@@ -2,9 +2,9 @@
 dagger, the induced partial order, conditional expectations, and the
 diagonal/Cartan/quasi-Cartan classifier.
 
-Works uniformly for convolution algebras of twists (via their arrow basis)
-and for hand-given structure-constant algebras.  Elements are coefficient
-tuples over the basis, with ring elements as table indices.
+Works uniformly for convolution algebras of twists (ConvolutionAlgebra, on
+the arrow basis) and for hand-given structure-constant algebras.  Elements
+are coefficient tuples over the basis, with ring elements as table indices.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 
 from . import finring, steinberg, twist as twist_mod
 from .finring import CapExceeded, DEFAULT_CAP, InputError
-from .groupoid import isotropy_fibre_group
+from .groupoid import isotropy_fibre_group, validate_groupoid
 
 
 class AbstractAlgebra:
@@ -108,6 +108,44 @@ class AbstractAlgebra:
 
     def __repr__(self):
         return f"AbstractAlgebra({self.name}, dim {self.dim} over {self.ring.name})"
+
+
+class InvalidTwist(ValueError):
+    """A groupoid or cocycle given to ConvolutionAlgebra fails its axioms."""
+
+
+class ConvolutionAlgebra(AbstractAlgebra):
+    """The convolution algebra of a twist's cocycle c on a groupoid G: the
+    arrow basis (index: arrow → basis index), b_a·b_b = c(a,b)·b_ab when a
+    and b compose, else 0.  The one place a cocycle becomes structure
+    constants.
+
+    Associativity is checked on G and c, not on the dim³ basis triples.
+    For arrows a, b, d: if a and b do not compose, neither do a and bd,
+    which has the range of b, so both sides of (b_a·b_b)·b_d =
+    b_a·(b_b·b_d) are 0; likewise if b and d do not.  A composable triple
+    gives c(a,b)c(ab,d)·b_(ab)d on the left and c(b,d)c(a,bd)·b_a(bd) on
+    the right.  With unit values these agree exactly when (ab)d = a(bd)
+    (validate_groupoid) and the cocycle identity holds (check_cocycle).
+    A fault in either check raises InvalidTwist.
+    """
+
+    def __init__(self, cocycle):
+        G, R = cocycle.groupoid, cocycle.ring
+        self.cocycle = cocycle
+        self.index = index = {g: i for i, g in enumerate(G.arrows)}
+        super().__init__(
+            f"conv({G.name};{R.name})", R, G.arrows,
+            {(index[a], index[b]): {index[ab]: cocycle.value(a, b)}
+             for (a, b), ab in G.compose.items()})
+
+    def _check_associative(self):
+        bad = validate_groupoid(self.cocycle.groupoid)
+        if bad:
+            raise InvalidTwist("groupoid invalid: " + bad[0])
+        bad = twist_mod.check_cocycle(self.cocycle)
+        if bad:
+            raise InvalidTwist("cocycle invalid: " + bad[0])
 
 
 class Pair:
@@ -622,18 +660,11 @@ class Pair:
 def pair_from_twist(cocycle, cap=DEFAULT_CAP):
     """The convolution algebra of a twist with its diagonal subalgebra,
     presented on the arrow basis."""
+    A = ConvolutionAlgebra(cocycle)
     G = cocycle.groupoid
-    R = cocycle.ring
-    arrows = list(G.arrows)
-    index = {g: i for i, g in enumerate(arrows)}
-    structure = {}
-    for (a, b), ab in G.compose.items():
-        structure[(index[a], index[b])] = {index[ab]: cocycle.value(a, b)}
-    A = AbstractAlgebra(f"conv({G.name};{R.name})", R, arrows, structure)
-    sub_basis = [A.basis_vectors[index[G.unit_at[x]]] for x in G.objects]
-    pair = Pair(A, sub_basis, cap=cap)
+    pair = Pair(A, [A.basis_vectors[A.index[G.unit_at[x]]] for x in G.objects],
+                cap=cap)
     pair.cocycle = cocycle
-    pair.arrow_index = index
     return pair
 
 
@@ -642,13 +673,13 @@ def element_to_vector(pair, f):
     A = pair.algebra
     vec = [A.ring.zero] * A.dim
     for g, v in f.coeffs.items():
-        vec[pair.arrow_index[g]] = v
+        vec[A.index[g]] = v
     return tuple(vec)
 
 
 def vector_to_element(pair, vec):
     return steinberg.AlgebraElement(
-        pair.cocycle, {g: vec[i] for g, i in pair.arrow_index.items()})
+        pair.cocycle, {g: vec[i] for g, i in pair.algebra.index.items()})
 
 
 def check_lbh(pair):
@@ -663,8 +694,8 @@ def check_lbh(pair):
     |A| <= 256 the result is checked against the definition over the
     pair's full normaliser enumeration.
     """
-    # grouprings subclasses AbstractAlgebra, so it is imported here, not
-    # at the top of this module
+    # grouprings subclasses ConvolutionAlgebra, so it is imported here,
+    # not at the top of this module
     from .grouprings import TwistedGroupRing, enumerate_units
 
     cocycle, A = pair.cocycle, pair.algebra

@@ -170,7 +170,7 @@ def phi_map(pair):
     T = pair.explicit_twist()
     mapping = {}
     for (g, t) in T.total.arrows:
-        mapping[(g, t)] = A.scale(t, A.basis_vector(pair.arrow_index[g]))
+        mapping[(g, t)] = A.scale(t, A.basis_vector(A.index[g]))
     point_set = set(ug.points)
     report = {}
     report["well_defined"] = all(v in point_set for v in mapping.values())

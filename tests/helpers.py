@@ -43,6 +43,13 @@ SMALL_FIXTURES = ["pair2_gf3", "pair2_z4", "z2_gf3", "z2_gf5_twisted",
                   "z2_z4", "klein_gf3", "z3_gf2", "pair2_gf3_coboundary"]
 
 
+# a loop of order 5 in which every element is its own inverse: on one
+# object it has units and inverses, so make_groupoid takes it, but it is
+# not associative
+LOOP_TABLE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+              [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
 def times_coboundary(c, rng):
     """c·∂b for a random b: arrows → units with b = 1 on unit arrows."""
     R, G = c.ring, c.groupoid

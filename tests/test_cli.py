@@ -4,6 +4,8 @@ import pytest
 
 from quasicartan import cli, pairs, twist
 
+from helpers import LOOP_TABLE
+
 
 CLASSIFY_PAIR2 = """\
 [ring]
@@ -450,3 +452,71 @@ def test_dagger_not_unique_without_local_units(tmp_path, capsys):
     assert code == 3
     assert err.startswith("input error: dagger not unique for (0, 0, 0, 1)")
     assert "no local units" in err
+
+
+LOOP_LABELS = "eabcd"
+
+
+def _one_object_groupoid(arrow_rows, compose, objects="x"):
+    rows = ["[ring]", "gf(2,1)", "[groupoid]", f"objects = {objects}",
+            *arrow_rows]
+    rows += [f"{a} . {b} = {ab}" for (a, b), ab in compose.items()]
+    return "\n".join(rows + ["[cocycle]", "trivial", "[cocycle2]", "trivial",
+                             "[group]", "cyclic(2)", ""])
+
+
+REPEATED_ARROW = _one_object_groupoid(
+    ["e : x -> x", "e : x -> x"], {("e", "e"): "e"})
+LOOP = _one_object_groupoid(
+    [f"{g} : x -> x" for g in LOOP_LABELS],
+    {(a, b): LOOP_LABELS[LOOP_TABLE[i][j]]
+     for i, a in enumerate(LOOP_LABELS) for j, b in enumerate(LOOP_LABELS)})
+
+NOT_A_GROUPOID = {
+    "repeated_arrow": (["check", "classify", "reconstruct", "compare"],
+                       REPEATED_ARROW),
+    "repeated_object": (["check", "classify", "reconstruct", "compare"],
+                        _one_object_groupoid(["e : x -> x"], {("e", "e"): "e"},
+                                             objects="x x")),
+    "loop": (["classify", "reconstruct", "compare"], LOOP),
+    "repeated_basis": (["classify", "reconstruct"],
+                       "[ring]\ngf(2,1)\n[algebra]\nbasis = e e\ne * e = e\n"
+                       "[pair]\nsub_basis = e\n"),
+}
+
+
+@pytest.mark.parametrize("command,text", [
+    (command, text) for commands, text in NOT_A_GROUPOID.values()
+    for command in commands],
+    ids=[f"{name}-{command}" for name, (commands, _) in NOT_A_GROUPOID.items()
+         for command in commands])
+def test_input_that_is_not_a_groupoid_exit_code(command, text, tmp_path,
+                                                capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code = cli.main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
+def test_check_reports_the_loop(tmp_path, capsys):
+    code, out = _run("check", LOOP, tmp_path, capsys)
+    assert code == 1
+    assert "groupoid custom: associativity fails at" in out
+
+
+@pytest.mark.parametrize("command,text", [
+    ("classify", CLASSIFY_PAIR2.replace("trivial", "c(1-2, 2-1) = 2")),
+    ("reconstruct", CLASSIFY_PAIR2.replace("trivial", "c(1-2, 2-1) = 2")),
+    ("units", UNITS_Z4 + "[cocycle]\nc(1, 1) = 2\n"),
+], ids=["classify", "reconstruct", "units"])
+def test_bad_cocycle_is_refused_by_the_algebra(command, text, tmp_path,
+                                               capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code = cli.main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("input error: cocycle invalid: ")

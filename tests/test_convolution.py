@@ -1,0 +1,123 @@
+"""ConvolutionAlgebra, the one constructor of a twist's convolution algebra,
+against AbstractAlgebra built from the same structure constants written out
+here: the generic check multiplies out every basis triple, the convolution
+check reads the groupoid axioms and the cocycle identity."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from quasicartan import finring as fr, groupoid as gp, pairs as pr, \
+    twist as tw
+
+from helpers import FIXTURE_NAMES, LOOP_TABLE, make_pair
+
+_KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
+GROUPOIDS = [gp.full_relation(n) for n in (1, 2, 3)] + \
+    [gp.group_as_groupoid(gp.cyclic_group(n)) for n in (1, 2, 3, 4)] + \
+    [gp.group_as_groupoid(_KLEIN),
+     gp.disjoint_union(gp.full_relation(2),
+                       gp.group_as_groupoid(gp.cyclic_group(2)))]
+RINGS = [fr.make_zmod(4), fr.make_gf(3), fr.make_gf(2, 2)]
+
+
+def loop_groupoid():
+    arrows = list(range(5))
+    ends = {g: "*" for g in arrows}
+    return gp.make_groupoid("loop", ["*"], arrows, ends, ends,
+                            {(a, b): LOOP_TABLE[a][b]
+                             for a in arrows for b in arrows})
+
+
+def generic(c):
+    """AbstractAlgebra on the arrow basis with b_a·b_b = c(a,b)·b_ab."""
+    G = c.groupoid
+    index = {g: i for i, g in enumerate(G.arrows)}
+    return pr.AbstractAlgebra(
+        "generic", c.ring, G.arrows,
+        {(index[a], index[b]): {index[ab]: c.value(a, b)}
+         for (a, b), ab in G.compose.items()})
+
+
+def _raises(build, c):
+    try:
+        build(c)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def normalised_tables(draw):
+    """A coboundary, which is a cocycle, with up to two of its values off
+    the units redrawn: unit-valued and normalised, but not always a
+    cocycle."""
+    G = draw(st.sampled_from(GROUPOIDS))
+    R = draw(st.sampled_from(RINGS))
+    units = sorted(fr.ring_units(R))
+    b = {g: draw(st.sampled_from(units)) for g in G.arrows if not G.is_unit(g)}
+    values = dict(tw.coboundary_cocycle(R, G, b).values)
+    inner = sorted((p for p in values
+                    if not (G.is_unit(p[0]) or G.is_unit(p[1]))), key=repr)
+    if inner:
+        for _ in range(draw(st.integers(0, 2))):
+            values[draw(st.sampled_from(inner))] = draw(st.sampled_from(units))
+    return tw.Cocycle(R, G, values)
+
+
+@settings(max_examples=150)
+@given(normalised_tables())
+def test_cocycle_check_equals_the_generic_check(c):
+    assert _raises(pr.ConvolutionAlgebra, c) == _raises(generic, c)
+
+
+def test_the_tables_reach_both_verdicts():
+    # the strategy's two shapes on full_relation(2) over GF(3)
+    G, R = gp.full_relation(2), fr.make_gf(3)
+    cocycle = tw.coboundary_cocycle(R, G, {(1, 2): 2, (2, 1): 1})
+    broken = dict(cocycle.values)
+    broken[((1, 2), (2, 1))] = R.mul(2, broken[((1, 2), (2, 1))])
+    for values, fails in ((cocycle.values, False), (broken, True)):
+        c = tw.Cocycle(R, G, values)
+        assert _raises(pr.ConvolutionAlgebra, c) == _raises(generic, c) == fails
+
+
+def test_both_checks_refuse_the_loop():
+    c = tw.trivial_cocycle(fr.make_gf(3), loop_groupoid())
+    with pytest.raises(pr.InvalidTwist,
+                       match="groupoid invalid: associativity fails"):
+        pr.ConvolutionAlgebra(c)
+    with pytest.raises(ValueError, match="not associative"):
+        generic(c)
+
+
+def test_a_repeated_arrow_label_is_refused():
+    # the index of arrows would merge the two labels
+    ends = {"e": "x"}
+    G = gp.FiniteGroupoid("twice", ["x"], ["e", "e"], ends, ends,
+                          {("e", "e"): "e"}, {"e": "e"}, {"x": "e"})
+    with pytest.raises(pr.InvalidTwist,
+                       match="groupoid invalid: arrow label 'e' is repeated"):
+        pr.ConvolutionAlgebra(tw.trivial_cocycle(fr.make_gf(3), G))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_rows_equal_the_generic_rows(name):
+    A = make_pair(name).algebra
+    assert A.rows == generic(A.cocycle).rows
+    assert [A.basis[i] for i in A.index.values()] == A.basis
+
+
+def test_large_rung_builds_without_triple_products(monkeypatch):
+    # M_7(GF(2)), dim 49: the generic check takes 49² + 2·49³ products
+    count = itertools.count()
+    mul = pr.AbstractAlgebra.mul
+
+    def counted(self, x, y):
+        next(count)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(pr.AbstractAlgebra, "mul", counted)
+    pr.pair_from_twist(tw.trivial_cocycle(fr.make_gf(2), gp.full_relation(7)))
+    assert next(count) < 1000

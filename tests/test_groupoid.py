@@ -254,6 +254,26 @@ def test_validate_names_composition_defects_as_the_definition(defect):
     assert gp.validate_groupoid(broken) == _validate_by_definition(broken)
 
 
+def _twice(objects, arrows):
+    """One object x and one arrow e, with one of the two labels listed twice."""
+    ends = {"e": "x"}
+    return gp.FiniteGroupoid("twice", objects, arrows, ends, ends,
+                             {("e", "e"): "e"}, {"e": "e"}, {"x": "e"})
+
+
+REPEATED_LABELS = {"object": (["x", "x"], ["e"]), "arrow": (["x"], ["e", "e"])}
+
+
+@pytest.mark.parametrize("kind", REPEATED_LABELS)
+def test_repeated_labels_are_refused(kind):
+    G = _twice(*REPEATED_LABELS[kind])
+    label = "x" if kind == "object" else "e"
+    message = f"{kind} label {label!r} is repeated"
+    assert gp.validate_groupoid(G) == [message]
+    with pytest.raises(ValueError, match=message):
+        gp.make_groupoid("twice", G.objects, G.arrows, G.src, G.rng, G.compose)
+
+
 def test_make_groupoid_rejects_missing_units():
     with pytest.raises(ValueError):
         gp.make_groupoid("bad", ["x"], ["a"], {"a": "x"}, {"a": "x"}, {})

@@ -18,7 +18,7 @@ def test_ring_axioms_of_group_ring():
     # the group ring is itself a ring: spot-check the laws randomly
     T = gr.TwistedGroupRing(fr.make_gf(5), gp.cyclic_group(3))
     rng = random.Random(1)
-    elems = T.elements()
+    elems = T.all_elements()
     for _ in range(200):
         f, g, h = (elems[rng.randrange(len(elems))] for _ in range(3))
         assert T.mul(T.mul(f, g), h) == T.mul(f, T.mul(g, h))
@@ -75,7 +75,7 @@ def test_units_of_twisted_ring_against_oracle():
 def _units_by_definition(T):
     """One right-inverse solve and a two-sided check per element of R[H]."""
     one = T.one()
-    everything = T.elements()
+    everything = T.all_elements()
     found = set()
     for f in everything:
         inv = gr._solve_right_inverse(T, f)
@@ -124,7 +124,7 @@ def _orbit_count(T):
     R, H = T.ring, T.group
     trivial = [T.delta(g, t) for g in H.elements for t in fr.ring_units(R)]
     return len({frozenset(T.mul(u, f) for u in trivial)
-                for f in T.elements()})
+                for f in T.all_elements()})
 
 
 @pytest.mark.parametrize("R,H,values", [
@@ -271,7 +271,15 @@ def test_subgroup_certifies_no_unique_product():
     assert gr.unique_product_search(H, sub, sub) is None
 
 
+def test_right_inverse_of_a_non_unit_is_refused_before_the_cap():
+    # 3·δ_e in Z/9[C6]: the row 3·x_e = 1 has non-unit coefficients and a
+    # unit right-hand side over the local ring Z/9, so elimination decides
+    # it before a search over the 9^6 > 729 values of the free unknowns
+    T = gr.TwistedGroupRing(fr.make_zmod(9), gp.cyclic_group(6))
+    assert gr._solve_right_inverse(T, T.delta(0, 3), cap=729) is None
+
+
 def test_elements_cap():
     T = gr.TwistedGroupRing(fr.make_zmod(8), gp.cyclic_group(8))
     with pytest.raises(gr.CapExceeded):
-        T.elements(cap=10 ** 6)
+        T.all_elements(cap=10 ** 6)

@@ -25,8 +25,8 @@ def _dual_numbers_gf2():
     return R
 
 
-RINGS = [fr.make_zmod(4), fr.make_zmod(6), fr.make_zmod(9), fr.make_gf(2, 2),
-         fr.make_gf(3, 2), _dual_numbers_gf2()]
+RINGS = [fr.make_zmod(4), fr.make_zmod(6), fr.make_zmod(8), fr.make_zmod(9),
+         fr.make_gf(2, 2), fr.make_gf(3, 2), _dual_numbers_gf2()]
 
 PROPERTY = settings(max_examples=150)
 
@@ -41,7 +41,9 @@ def _evaluate(R, coeffs, x):
 @st.composite
 def systems(draw):
     """(R, equations, num_unknowns); half the systems are made consistent
-    by reading the right-hand sides off a drawn vector."""
+    by reading the right-hand sides off a drawn vector.  Over Z/8 and Z/9
+    half the others get a row of non-units with a unit right-hand side,
+    which no vector solves."""
     R = draw(st.sampled_from(RINGS))
     n = draw(st.integers(0, 3))
     element = st.integers(0, R.size - 1)
@@ -49,7 +51,14 @@ def systems(draw):
     if draw(st.booleans()):
         x = draw(st.lists(element, min_size=n, max_size=n))
         return R, [(row, _evaluate(R, row, x)) for row in rows], n
-    return R, [(row, draw(element)) for row in rows], n
+    equations = [(row, draw(element)) for row in rows]
+    if R.name in ("zmod(8)", "zmod(9)") and draw(st.booleans()):
+        non_units = st.sampled_from([t for t in R.all_indices()
+                                     if not R.is_unit(t)])
+        row = draw(st.lists(non_units, min_size=n, max_size=n))
+        equations.insert(draw(st.integers(0, len(equations))),
+                         (row, draw(st.sampled_from(sorted(fr.ring_units(R))))))
+    return R, equations, n
 
 
 @PROPERTY

@@ -149,15 +149,14 @@ def _check_composition(arrows, src, rng, compose):
                     raise ValueError(f"no composite given for ({a},{b})")
 
 
-def _associativity_faults(G):
-    """(a∘b)∘c == a∘(b∘c) on every composable triple, one row comparison per
-    composable pair (a, b); assumes a complete, well-ended composition.
+def composition_rows(G):
+    """The composition of G as rows of positions, (ending, pos, rows);
+    assumes a complete, well-ended composition.
 
     ending[x] lists the indices of the arrows with range x, in arrow order,
     and pos[j] is the place of arrow j in its list.  The row of arrow a
-    holds pos[a∘c] for c in ending[src a].  For c in ending[src b], both
-    (a∘b)∘c and a∘(b∘c) end at rng a, so they are equal exactly when
-    row[a∘b][k] == row[a][row[b][k]].
+    holds pos[a∘c] for c in ending[src a]; a∘c ends at rng a, so it is
+    arrow ending[rng a][row[k]].
     """
     arrows = G.arrows
     index = {a: i for i, a in enumerate(arrows)}
@@ -168,6 +167,18 @@ def _associativity_faults(G):
         into.append(index[a])
     rows = [[pos[index[G.compose[(a, arrows[j])]]]
              for j in ending.get(G.src[a], ())] for a in arrows]
+    return ending, pos, rows
+
+
+def _associativity_faults(G):
+    """(a∘b)∘c == a∘(b∘c) on every composable triple, one row comparison per
+    composable pair (a, b), with the rows of composition_rows.
+
+    For c in ending[src b], both (a∘b)∘c and a∘(b∘c) end at rng a, so they
+    are equal exactly when row[a∘b][k] == row[a][row[b][k]].
+    """
+    arrows = G.arrows
+    ending, pos, rows = composition_rows(G)
     bad = []
     for a, row_a in zip(arrows, rows):
         into_a = ending[G.rng[a]]

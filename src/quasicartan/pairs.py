@@ -174,7 +174,6 @@ class Pair:
         self._atoms = None
         self._expectation = None
         self._classification = None
-        self._twist = None
         # the ultrafilter groupoid, set by reconstruct.build_ultra_groupoid
         self.ultra_groupoid = None
 
@@ -649,12 +648,6 @@ class Pair:
             raise AssertionError("implication ACP => AQP violated")
         self._classification = report
         return report
-
-    def explicit_twist(self):
-        """The explicit twist of the pair's cocycle, built on first use."""
-        if self._twist is None:
-            self._twist = twist_mod.twist_from_cocycle(self.cocycle)
-        return self._twist
 
 
 def pair_from_twist(cocycle, cap=DEFAULT_CAP):

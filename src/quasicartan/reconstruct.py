@@ -16,7 +16,6 @@ from collections import Counter
 from . import finring, steinberg, pairs as pairs_mod, twist as twist_mod
 from .finring import DEFAULT_CAP
 from .groupoid import make_groupoid, validate_groupoid
-from .twist import ExplicitTwist
 
 
 class UltraGroupoid:
@@ -54,7 +53,7 @@ class UltraGroupoid:
             self.orbit_of[m] = orbit
         # canonical class representatives: the atom itself for unit classes,
         # the lexicographically least member otherwise; coordinates[p] is
-        # the (t, rep) with p = t·rep, and point_at its inverse
+        # the (t, rep) with p = t·rep
         self.class_rep = {}
         self.coordinates = {}
         for m in self.points:
@@ -72,7 +71,6 @@ class UltraGroupoid:
                 p = A.scale(t, rep)
                 self.class_rep[p] = rep
                 self.coordinates[p] = (t, rep)
-        self.point_at = {tr: p for p, tr in self.coordinates.items()}
         self.classes = sorted(set(self.class_rep.values()))
         self._twist = None
 
@@ -86,61 +84,47 @@ class UltraGroupoid:
         return out
 
     def to_twist(self):
-        """Assemble the total/base groupoids and the extension maps.
+        """The rebuilt twist as a normalised cocycle c′ on the class
+        groupoid G′.
 
-        One product per composable pair of classes (g, h), with gh = u·r
-        for a class r: the product is bilinear, so points t·g and s·h
-        compose to (t·g)(s·h) = ts·(gh) = (tsu)·r.  A point's source and
-        range are those of its class, so these are all the composable
-        pairs of points.
+        G′ has the atoms as objects and the class representatives as
+        arrows, each unit class represented by its atom.  One product per
+        composable pair of classes (g, h): gh = u·r for a class r gives
+        g∘h = r and c′(g, h) = u.
         """
         if self._twist is not None:
             return self._twist
-        A, mul = self.algebra, self.algebra.ring.mul_table
-        class_product = {}
-        base_compose = {}
+        compose, values = {}, {}
         for g in self.classes:
             for h in self.classes:
                 if self.source[g] == self.range[h]:
                     u, r = self.coordinates[self.compose(g, h)]
-                    class_product[(g, h)] = u, r
-                    base_compose[(g, h)] = r
-        ending = {}
-        for n in self.points:
-            ending.setdefault(self.range[n], []).append(n)
-        total_compose = {}
-        for m in self.points:
-            t, g = self.coordinates[m]
-            for n in ending.get(self.source[m], ()):
-                s, h = self.coordinates[n]
-                u, r = class_product[(g, h)]
-                total_compose[(m, n)] = self.point_at[(mul[mul[t][s]][u], r)]
-        total = make_groupoid("ultra_total", self.atoms, self.points,
-                              self.source, self.range, total_compose)
-        base_src = {g: self.source[g] for g in self.classes}
-        base_rng = {g: self.range[g] for g in self.classes}
+                    values[(g, h)], compose[(g, h)] = u, r
+        src = {g: self.source[g] for g in self.classes}
+        rng = {g: self.range[g] for g in self.classes}
         base = make_groupoid("ultra_base", self.atoms, self.classes,
-                             base_src, base_rng, base_compose)
-        inj = {(e, t): A.scale(t, e) for e in self.atoms for t in self.units}
-        proj = {m: self.class_rep[m] for m in self.points}
-        self._twist = ExplicitTwist(A.ring, total, base, inj, proj)
+                             src, rng, compose)
+        self._twist = twist_mod.Cocycle(self.algebra.ring, base, values)
         return self._twist
-
-    def rebuilt_cocycle(self):
-        """The cocycle read off the section sending each class to its
-        representative point."""
-        T = self.to_twist()
-        zeta = dict()
-        for g in T.base.arrows:
-            zeta[g] = g  # class representatives are themselves points
-        for x in T.base.objects:
-            zeta[T.base.unit_at[x]] = T.total.unit_at[x]
-        return twist_mod.cocycle_from_section(T, zeta)
 
 
 def build_ultra_groupoid(pair):
-    """The pair's ultrafilter groupoid, with its rebuilt twist checked
-    against the twist axioms; built once per pair and cached on it."""
+    """The pair's ultrafilter groupoid, with its rebuilt twist checked as
+    an input twist is: the class groupoid G′ against the groupoid axioms,
+    then c′ by check_cocycle.  Built once per pair and cached on it.
+
+    These two checks are the extension axioms of the twist of points.
+    The coordinates p ↦ (t, class) are a bijection, since UltraGroupoid
+    checks that the unit action is free and closes the point set.  Source
+    and range are constant on a class: the dagger is unique under local
+    units and t⁻¹·k is a dagger of t·m when k is one of m, so
+    (t·m)†·(t·m) = m†·m, and likewise the range.  The product is
+    bilinear, so (t·g)(s·h) = ts·(gh) = ts·c′(g,h)·(g∘h).  So the points
+    with the unit action, the inclusion e ↦ t·e of the atoms and the
+    projection onto classes are twist_from_cocycle(c′) relabelled by
+    (g, t) ↦ t·g, and the extension axioms hold exactly when G′ is a
+    groupoid and c′ is a normalised unit-valued 2-cocycle.
+    """
     if pair.ultra_groupoid is not None:
         return pair.ultra_groupoid
     wt, _ = pair.satisfies_wt()
@@ -149,10 +133,10 @@ def build_ultra_groupoid(pair):
     if not pair.has_local_units():
         raise ValueError("pair lacks local units")
     ug = UltraGroupoid(pair)
-    T = ug.to_twist()
-    bad = twist_mod.check_twist_axioms(T)
+    c = ug.to_twist()
+    bad = validate_groupoid(c.groupoid) or twist_mod.check_cocycle(c)
     if bad:
-        raise AssertionError("rebuilt extension fails its axioms: " + bad[0])
+        raise AssertionError("rebuilt twist fails its axioms: " + bad[0])
     pair.ultra_groupoid = ug
     return ug
 
@@ -161,37 +145,36 @@ def phi_map(pair):
     """The embedding of the twist points of a pair_from_twist pair into the
     ultrafilter points.
 
-    The twist point (γ, t) maps to the minimal normaliser t·δ_γ.  Returns
+    The twist point (γ, t) maps to the minimal normaliser t·δ_γ.  The
+    points of the pair's twist compose as (α, t)(β, s) = (αβ, c(α,β)·ts),
+    and a unit t acts as t·(γ, s) = (γ, ts), c being normalised.  Returns
     (mapping, ultra, report) with injectivity, equivariance, homomorphism
     and surjectivity verdicts.
     """
     ug = build_ultra_groupoid(pair)
-    A = pair.algebra
-    T = pair.explicit_twist()
+    A, c = pair.algebra, pair.cocycle
+    G, R = c.groupoid, A.ring
+    mul = R.mul_table
     mapping = {}
-    for (g, t) in T.total.arrows:
-        mapping[(g, t)] = A.scale(t, A.basis_vector(A.index[g]))
+    for g in G.arrows:
+        for t in ug.units:
+            mapping[(g, t)] = A.scale(t, A.basis_vector(A.index[g]))
     point_set = set(ug.points)
     report = {}
     report["well_defined"] = all(v in point_set for v in mapping.values())
     report["injective"] = len(set(mapping.values())) == len(mapping)
-    hom = True
-    for (a, b), ab in T.total.compose.items():
-        if ug.compose(mapping[a], mapping[b]) != mapping[ab]:
-            hom = False
-            break
-    report["homomorphism"] = hom
-    equivariant = True
-    for s in T.total.arrows:
-        for t in ug.units:
-            if mapping[T.act(t, s)] != A.scale(t, mapping[s]):
-                equivariant = False
-                break
-    report["equivariant"] = equivariant
-    # units of the original twist must land bijectively on unit points
-    unit_points = {ug.to_twist().total.unit_at[e] for e in ug.atoms}
-    image_of_units = {mapping[T.total.unit_at[x]] for x in T.total.objects}
-    report["unit_bijective"] = image_of_units == unit_points
+    report["homomorphism"] = all(
+        ug.compose(mapping[(a, t)], mapping[(b, s)]) ==
+        mapping[(ab, mul[mul[c.values[(a, b)]][t]][s])]
+        for (a, b), ab in G.compose.items()
+        for t in ug.units for s in ug.units)
+    report["equivariant"] = all(
+        mapping[(g, mul[t][s])] == A.scale(t, mapping[(g, s)])
+        for g in G.arrows for s in ug.units for t in ug.units)
+    # units of the original twist must land bijectively on unit points,
+    # the atoms
+    image_of_units = {mapping[(G.unit_at[x], R.one)] for x in G.objects}
+    report["unit_bijective"] = image_of_units == set(ug.atoms)
     report["surjective"] = set(mapping.values()) == point_set
     return mapping, ug, report
 
@@ -231,9 +214,9 @@ def verify_reconstruction_theorem(pair):
             base_map[g] = cls
         if len(set(base_map.values())) != len(ug.classes):
             raise AssertionError("base map is not a bijection")
-        rebuilt = ug.to_twist()
+        rebuilt = ug.to_twist().groupoid
         for (a, b), ab in pair.cocycle.groupoid.compose.items():
-            if rebuilt.base.compose[(base_map[a], base_map[b])] != base_map[ab]:
+            if rebuilt.compose[(base_map[a], base_map[b])] != base_map[ab]:
                 raise AssertionError("base map is not multiplicative")
     return report
 
@@ -268,7 +251,7 @@ def ahat_iso(pair):
     ce = pair.canonical_expectation()
     P = ce["map"]
     ug = build_ultra_groupoid(pair)
-    rebuilt = ug.rebuilt_cocycle()
+    rebuilt = ug.to_twist()
     A, R = pair.algebra, pair.algebra.ring
 
     def ahat(a):

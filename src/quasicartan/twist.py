@@ -3,10 +3,10 @@
 Two representations are used.  The canonical one is a normalised 2-cocycle
 c on the base groupoid with values in the unit group of the coefficient
 ring; the twist groupoid is then the cartesian product of base arrows with
-units, multiplied with the cocycle correction.  The explicit-extension
-form keeps the total groupoid, the central injection and the projection as
-first-class data so the extension axioms can be checked directly and so a
-rebuilt twist can be compared against an input one.
+units, multiplied with the cocycle correction.  Input and rebuilt twists
+are both cocycles.  The explicit-extension form keeps the total groupoid,
+the central injection and the projection as first-class data so the
+extension axioms can be checked directly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import finring
-from .groupoid import isotropy_fibre_group, make_groupoid, validate_groupoid
+from .groupoid import composition_rows, isotropy_fibre_group, make_groupoid, \
+    validate_groupoid
 
 
 class Cocycle:
@@ -56,24 +57,35 @@ def coboundary_cocycle(ring, groupoid, b):
 
 
 def check_cocycle(c):
-    """Unit-valuedness, the 2-cocycle identity, normalisation.  Violation list."""
+    """Unit-valuedness, the 2-cocycle identity, normalisation.  Violation list.
+
+    Assumes a complete, well-ended composition, as make_groupoid ensures;
+    associativity is not assumed.  The identity
+    c(a,b)·c(ab,g) = c(a,bg)·c(b,g) takes one row comparison per composable
+    pair (a, b), over g in ending[src b] (groupoid.composition_rows), with
+    vals[a][k] = c(a, k-th arrow of ending[src a]).  As src(ab) = src b,
+    c(ab, g) is vals[ab][k] and c(b, g) is vals[b][k]; as bg ends at src a,
+    c(a, bg) is vals[a][row[b][k]].
+    """
     R, G = c.ring, c.groupoid
     bad = []
     for pair, v in c.values.items():
         if not R.is_unit(v):
             bad.append(f"value at {pair} is not a unit")
-    # ending[x]: the arrows with range x, in arrow order
-    ending = {}
-    for g in G.arrows:
-        ending.setdefault(G.rng[g], []).append(g)
-    value, compose, mul = c.values, G.compose, R.mul_table
-    for a in G.arrows:
-        for b in ending.get(G.src[a], ()):
-            ab, left = compose[(a, b)], mul[value[(a, b)]]
-            for g in ending.get(G.src[b], ()):
-                if left[value[(ab, g)]] != \
-                        mul[value[(a, compose[(b, g)])]][value[(b, g)]]:
-                    bad.append(f"cocycle identity fails at ({a},{b},{g})")
+    arrows, value, mul = G.arrows, c.values, R.mul_table
+    ending, _, rows = composition_rows(G)
+    vals = [[value[(a, arrows[j])] for j in ending.get(G.src[a], ())]
+            for a in arrows]
+    for a, row_a, vals_a in zip(arrows, rows, vals):
+        into_a = ending[G.rng[a]]
+        for j, ab_k, v_ab in zip(ending.get(G.src[a], ()), row_a, vals_a):
+            left = mul[v_ab]
+            lhs = list(map(left.__getitem__, vals[into_a[ab_k]]))
+            rhs = [mul[vals_a[k]][v] for k, v in zip(rows[j], vals[j])]
+            if lhs != rhs:
+                b, gs = arrows[j], ending[G.src[arrows[j]]]
+                bad.extend(f"cocycle identity fails at ({a},{b},{arrows[g]})"
+                           for g, x, y in zip(gs, lhs, rhs) if x != y)
     for g in G.arrows:
         if c.value(G.unit_at[G.rng[g]], g) != R.one:
             bad.append(f"not normalised on (unit, {g})")
@@ -201,38 +213,6 @@ def check_twist_axioms(T):
             if t != R.one and T.act(t, s) == s:
                 bad.append(f"action not free: {t}·{s} = {s}")
     return bad
-
-
-def canonical_section(T):
-    """For a cocycle-built twist: γ ↦ (γ, 1)."""
-    return {g: (g, T.ring.one) for g in T.base.arrows}
-
-
-def cocycle_from_section(T, zeta):
-    """Extract the cocycle of a section ζ: ζ(α)ζ(β) = c(α,β)·ζ(αβ)."""
-    R, base, total = T.ring, T.base, T.total
-    units = T.units_of_ring()
-    for g in base.arrows:
-        s = zeta.get(g)
-        if s is None or T.proj[s] != g:
-            raise ValueError(f"ζ is not a section at {g}")
-    for x in base.objects:
-        if zeta[base.unit_at[x]] != total.unit_at[x]:
-            raise ValueError(f"ζ does not preserve the unit at {x}")
-    values = {}
-    for (a, b), ab in base.compose.items():
-        prod = total.compose[(zeta[a], zeta[b])]
-        for t in units:
-            if T.act(t, zeta[ab]) == prod:
-                values[(a, b)] = t
-                break
-        else:
-            raise ValueError(f"section product not in the fibre at ({a},{b})")
-    c = Cocycle(R, base, values)
-    bad = check_cocycle(c)
-    if bad:
-        raise ValueError("extracted values fail the cocycle check: " + bad[0])
-    return c
 
 
 FibreCocycle = namedtuple("FibreCocycle", ["group", "values"])

@@ -60,6 +60,29 @@ def times_coboundary(c, rng):
                              for p, v in c.values.items()})
 
 
+def check_cocycle_by_definition(c):
+    """twist.check_cocycle by its definition: the identity over every
+    triple of arrows, composable ones only."""
+    R, G = c.ring, c.groupoid
+    bad = [f"value at {pair} is not a unit"
+           for pair, v in c.values.items() if not R.is_unit(v)]
+    for a in G.arrows:
+        for b in G.arrows:
+            for g in G.arrows:
+                if G.src[a] != G.rng[b] or G.src[b] != G.rng[g]:
+                    continue
+                lhs = R.mul(c.value(a, b), c.value(G.compose[(a, b)], g))
+                rhs = R.mul(c.value(a, G.compose[(b, g)]), c.value(b, g))
+                if lhs != rhs:
+                    bad.append(f"cocycle identity fails at ({a},{b},{g})")
+    for g in G.arrows:
+        if c.value(G.unit_at[G.rng[g]], g) != R.one:
+            bad.append(f"not normalised on (unit, {g})")
+        if c.value(g, G.unit_at[G.src[g]]) != R.one:
+            bad.append(f"not normalised on ({g}, unit)")
+    return bad
+
+
 def klein_z4_pair():
     """Z/4[C2×C2] times a coboundary: one atom, 128 ultrafilter points."""
     c = tw.trivial_cocycle(fr.make_zmod(4), gp.group_as_groupoid(_klein()))

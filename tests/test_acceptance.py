@@ -25,7 +25,7 @@ def test_criterion_1_matrix_pairs():
         report = rc.verify_reconstruction_theorem(pair)
         ok &= report["sigma_prime_points"] == n * n * (q - 1)
         ok &= report["g_prime_arrows"] == n * n
-        rebuilt = rc.build_ultra_groupoid(pair).rebuilt_cocycle()
+        rebuilt = rc.build_ultra_groupoid(pair).to_twist()
         trivial = tw.trivial_cocycle(fr.make_gf(p, k), gp.full_relation(n))
         ok &= rc.compare_twists(rebuilt, trivial) is not None
     _verdict(1, ok, "matrix pairs classify as diagonal pairs with exact "

@@ -262,10 +262,12 @@ def test_check_reports_an_invalid_cocycle(tmp_path, capsys):
 def test_reconstruct_builds_the_pair_and_the_twist_once(tmp_path, capsys,
                                                        monkeypatch):
     # Z/4[Z/2]: |A| = 16, so LBH is cross-validated, and LBH fails, so the
-    # witness is checked too; every stage shares the one pair and twist
+    # witness is checked too; every stage shares the one pair, and both
+    # twists stay cocycles: no explicit twist is built or checked
     calls = collections.Counter()
     for module, name in ((pairs, "pair_from_twist"),
-                         (twist, "twist_from_cocycle")):
+                         (twist, "twist_from_cocycle"),
+                         (twist, "check_twist_axioms")):
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -273,7 +275,8 @@ def test_reconstruct_builds_the_pair_and_the_twist_once(tmp_path, capsys,
     code, out = _run("reconstruct", CLASSIFY_Z2_Z4, tmp_path, capsys)
     assert code == 0
     assert cli.parse_summary(out)["lbh"] == "false"
-    assert calls == {"pair_from_twist": 1, "twist_from_cocycle": 1}
+    assert calls["twist_from_cocycle"] == calls["check_twist_axioms"] == 0
+    assert calls == {"pair_from_twist": 1}
 
 
 MALFORMED = {

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from quasicartan import finring as fr, groupoid as gp, pairs as pr, \
     twist as tw
 
-from helpers import FIXTURE_NAMES, LOOP_TABLE, make_pair
+from helpers import FIXTURE_NAMES, LOOP_TABLE, check_cocycle_by_definition, \
+    make_pair
 
 _KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
 GROUPOIDS = [gp.full_relation(n) for n in (1, 2, 3)] + \
@@ -70,6 +71,8 @@ def normalised_tables(draw):
 @given(normalised_tables())
 def test_cocycle_check_equals_the_generic_check(c):
     assert _raises(pr.ConvolutionAlgebra, c) == _raises(generic, c)
+    # the row comparisons name the faults of the triple loop, in its order
+    assert tw.check_cocycle(c) == check_cocycle_by_definition(c)
 
 
 def test_the_tables_reach_both_verdicts():
@@ -90,6 +93,14 @@ def test_both_checks_refuse_the_loop():
         pr.ConvolutionAlgebra(c)
     with pytest.raises(ValueError, match="not associative"):
         generic(c)
+
+
+def test_the_row_check_needs_no_associativity():
+    # on the loop, ∂b fails the identity wherever (ab)g ≠ a(bg) and b
+    # tells the two apart
+    R = fr.make_gf(3)
+    c = tw.coboundary_cocycle(R, loop_groupoid(), {1: 2, 2: 2})
+    assert tw.check_cocycle(c) == check_cocycle_by_definition(c) != []
 
 
 def test_a_repeated_arrow_label_is_refused():

@@ -3,8 +3,8 @@ import pytest
 from quasicartan import finring as fr, groupoid as gp, pairs as pr, \
     reconstruct as rc, steinberg as sb, twist as tw
 
-from helpers import FIXTURE_NAMES, make_pair, make_twist, classification, \
-    recon, matrix_pair
+from helpers import FIXTURE_NAMES, klein_z4_pair, make_pair, make_twist, \
+    classification, recon, matrix_pair
 
 
 @pytest.mark.parametrize("n,p,k,q", [(2, 2, 1, 2), (2, 3, 1, 3), (3, 2, 1, 2)])
@@ -47,10 +47,34 @@ def test_embedding_properties(name):
 
 
 def test_rebuilt_twist_satisfies_axioms():
-    for name in ["pair2_gf3", "z2_gf3", "z2_z4", "z2_gf5_twisted"]:
-        ug = rc.build_ultra_groupoid(make_pair(name))
-        assert tw.check_twist_axioms(ug.to_twist()) == []
-        assert tw.check_cocycle(ug.rebuilt_cocycle()) == []
+    # the extension axioms, checked on the explicit twist of the rebuilt
+    # cocycle: the oracle for the groupoid and cocycle checks of
+    # build_ultra_groupoid
+    pairs = [make_pair(name)
+             for name in ["pair2_gf3", "z2_gf3", "z2_z4", "z2_gf5_twisted"]]
+    for pair in pairs + [klein_z4_pair()]:
+        c = rc.build_ultra_groupoid(pair).to_twist()
+        assert tw.check_twist_axioms(tw.twist_from_cocycle(c)) == []
+
+
+def test_a_wrong_rebuilt_cocycle_is_refused(monkeypatch):
+    # a fresh pair, so that no earlier test has filled its cache
+    pair = pr.pair_from_twist(make_twist("pair2_gf3"))
+    to_twist = rc.UltraGroupoid.to_twist
+
+    def wrong_at_one_pair(self):
+        c = to_twist(self)
+        G, R = c.groupoid, c.ring
+        p = next(p for p in G.compose
+                 if not (G.is_unit(p[0]) or G.is_unit(p[1])))
+        t = next(t for t in sorted(fr.ring_units(R)) if t != R.one)
+        c.values[p] = R.mul(t, c.values[p])
+        return c
+
+    monkeypatch.setattr(rc.UltraGroupoid, "to_twist", wrong_at_one_pair)
+    with pytest.raises(AssertionError, match="rebuilt twist fails its axioms: "
+                                             "cocycle identity fails"):
+        rc.build_ultra_groupoid(pair)
 
 
 def test_build_rejects_degenerate_pairs():
@@ -82,21 +106,16 @@ def test_scalar_action_structure():
 
 def test_composition_respects_cocycle():
     ug = rc.build_ultra_groupoid(make_pair("z2_gf5_twisted"))
-    c = ug.rebuilt_cocycle()
-    T = ug.to_twist()
+    c = ug.to_twist()
     A = ug.algebra
-    for g in T.base.arrows:
-        for h in T.base.arrows:
-            if T.base.src[g] != T.base.rng[h]:
-                continue
-            gh = T.base.compose[(g, h)]
-            assert A.mul(g, h) == T.act(c.value(g, h), gh)
+    for (g, h), gh in c.groupoid.compose.items():
+        assert A.mul(g, h) == A.scale(c.value(g, h), gh)
 
 
 def test_rebuilt_twist_isomorphic_to_original():
     for name in ["pair2_gf3", "z2_gf3", "z3_gf2", "z2_gf5_twisted"]:
         c = make_twist(name)
-        rebuilt = rc.build_ultra_groupoid(make_pair(name)).rebuilt_cocycle()
+        rebuilt = rc.build_ultra_groupoid(make_pair(name)).to_twist()
         iso = rc.compare_twists(c, rebuilt)
         if classification(name)["AQP"]:
             assert iso is not None

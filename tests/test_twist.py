@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from quasicartan import finring as fr, groupoid as gp, twist as tw
 
-from helpers import FIXTURE_NAMES, make_twist
+from helpers import FIXTURE_NAMES, check_cocycle_by_definition, make_twist
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -46,29 +46,6 @@ def test_cocycle_identity_violation_detected():
     assert any("identity" in v for v in tw.check_cocycle(bad))
 
 
-def _check_cocycle_by_definition(c):
-    """check_cocycle by its definition: the identity over every triple of
-    arrows, composable ones only."""
-    R, G = c.ring, c.groupoid
-    bad = [f"value at {pair} is not a unit"
-           for pair, v in c.values.items() if not R.is_unit(v)]
-    for a in G.arrows:
-        for b in G.arrows:
-            for g in G.arrows:
-                if G.src[a] != G.rng[b] or G.src[b] != G.rng[g]:
-                    continue
-                lhs = R.mul(c.value(a, b), c.value(G.compose[(a, b)], g))
-                rhs = R.mul(c.value(a, G.compose[(b, g)]), c.value(b, g))
-                if lhs != rhs:
-                    bad.append(f"cocycle identity fails at ({a},{b},{g})")
-    for g in G.arrows:
-        if c.value(G.unit_at[G.rng[g]], g) != R.one:
-            bad.append(f"not normalised on (unit, {g})")
-        if c.value(g, G.unit_at[G.src[g]]) != R.one:
-            bad.append(f"not normalised on ({g}, unit)")
-    return bad
-
-
 _KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
 COMPONENTS = st.one_of(
     st.integers(1, 3).map(gp.full_relation),
@@ -96,7 +73,7 @@ def perturbed_cocycles(draw):
 @settings(max_examples=150)
 @given(perturbed_cocycles())
 def test_check_cocycle_equals_the_triple_loop(c):
-    assert tw.check_cocycle(c) == _check_cocycle_by_definition(c)
+    assert tw.check_cocycle(c) == check_cocycle_by_definition(c)
 
 
 def test_coboundary_is_a_cocycle_and_trivial_in_cohomology():
@@ -105,11 +82,12 @@ def test_coboundary_is_a_cocycle_and_trivial_in_cohomology():
     b = {(1, 2): 2, (2, 1): 3, (1, 3): 4, (3, 1): 4, (2, 3): 2, (3, 2): 3}
     c = tw.coboundary_cocycle(R, G, b)
     assert tw.check_cocycle(c) == []
-    # twisting the canonical section by b itself recovers the trivial cocycle
+    # the canonical section twisted by b itself is multiplicative, so its
+    # cocycle is trivial
     T = tw.twist_from_cocycle(c)
     zeta = {g: (g, R.unit_inverse(b.get(g, R.one))) for g in G.arrows}
-    c2 = tw.cocycle_from_section(T, zeta)
-    assert all(v == R.one for v in c2.values.values())
+    assert all(T.total.compose[(zeta[x], zeta[y])] == zeta[xy]
+               for (x, y), xy in G.compose.items())
 
 
 def test_coboundary_rejects_bad_b():
@@ -122,18 +100,13 @@ def test_coboundary_rejects_bad_b():
 
 
 def test_canonical_section_roundtrip():
+    # along the section γ ↦ (γ, 1) the explicit twist multiplies by c
     for name in ["z2_gf5_twisted", "pair2_gf3_coboundary", "pair2_z4"]:
         c = make_twist(name)
         T = tw.twist_from_cocycle(c)
-        c2 = tw.cocycle_from_section(T, tw.canonical_section(T))
-        assert c2.values == c.values
-
-
-def test_section_validation():
-    c = make_twist("z2_gf3")
-    T = tw.twist_from_cocycle(c)
-    with pytest.raises(ValueError):
-        tw.cocycle_from_section(T, {g: (g, 2) for g in c.groupoid.arrows})
+        one = c.ring.one
+        assert all(T.total.compose[((a, one), (b, one))] == (ab, c.value(a, b))
+                   for (a, b), ab in c.groupoid.compose.items())
 
 
 def test_act_is_a_free_transitive_fibre_action():

@@ -14,8 +14,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import finring
-from .groupoid import composition_rows, isotropy_fibre_group, make_groupoid, \
-    validate_groupoid
+from .groupoid import composition_rows, generator_pairs, isotropy_fibre_group, \
+    make_groupoid, validate_groupoid
 
 
 class Cocycle:
@@ -59,23 +59,72 @@ def coboundary_cocycle(ring, groupoid, b):
 def check_cocycle(c):
     """Unit-valuedness, the 2-cocycle identity, normalisation.  Violation list.
 
-    Assumes a complete, well-ended composition, as make_groupoid ensures;
-    associativity is not assumed.  The identity
-    c(a,b)·c(ab,g) = c(a,bg)·c(b,g) takes one row comparison per composable
-    pair (a, b), over g in ending[src b] (groupoid.composition_rows), with
+    Assumes a complete, well-ended composition, as make_groupoid ensures,
+    and a commutative coefficient ring (validate_ring); associativity of
+    the groupoid is not assumed.  The values are checked to be units
+    first.  When they are, Light's test decides the identity
+    c(a,b)·c(ab,g) = c(a,bg)·c(b,g) with the middle arrow b ranging over
+    groupoid.generating_set only (see groupoid._associativity_faults,
+    with the proof for a composition; Clifford and Preston, The Algebraic
+    Theory of Semigroups I, 1961, §1.2).  Apply that proof to
+    Σ = G × R^× with (a,t)(b,s) = (ab, c(a,b)·ts): its composition is
+    complete and well-ended because c is unit-valued, and as R is
+    commutative and tsr a unit, ((a,t)(b,s))(g,r) = (a,t)((b,s)(g,r))
+    exactly when (ab)g = a(bg) and the identity holds at (a, b, g).  So
+    (b, s) lies in the set T of Σ exactly when b passes both with b in
+    the middle, for every a and g.  As (b₁,1)(b₂,1) lies over b₁b₂, these
+    b are closed under composition; they contain the generators, so they
+    are every arrow.  The test therefore also compares the composition
+    rows of G.  Only when it fails, or a value is not a unit, are the
+    faults named, by one row comparison per composable pair (a, b), in
+    the order of the triple loop.
+
+    In row form, over g in ending[src b] (groupoid.composition_rows),
     vals[a][k] = c(a, k-th arrow of ending[src a]).  As src(ab) = src b,
-    c(ab, g) is vals[ab][k] and c(b, g) is vals[b][k]; as bg ends at src a,
-    c(a, bg) is vals[a][row[b][k]].
+    c(ab, g) is vals[ab][k] and c(b, g) is vals[b][k]; as bg ends at
+    src a, c(a, bg) is vals[a][row[b][k]].
     """
     R, G = c.ring, c.groupoid
     bad = []
     for pair, v in c.values.items():
         if not R.is_unit(v):
             bad.append(f"value at {pair} is not a unit")
-    arrows, value, mul = G.arrows, c.values, R.mul_table
-    ending, _, rows = composition_rows(G)
+    arrows, value = G.arrows, c.values
+    table = composition_rows(G)
+    ending = table[0]
     vals = [[value[(a, arrows[j])] for j in ending.get(G.src[a], ())]
             for a in arrows]
+    if bad or not _passes_light_test(c, table, vals):
+        bad.extend(_cocycle_identity_faults(c, table, vals))
+    for g in G.arrows:
+        if c.value(G.unit_at[G.rng[g]], g) != R.one:
+            bad.append(f"not normalised on (unit, {g})")
+        if c.value(g, G.unit_at[G.src[g]]) != R.one:
+            bad.append(f"not normalised on ({g}, unit)")
+    return bad
+
+
+def _passes_light_test(c, table, vals):
+    """Whether the composition rows of G and the 2-cocycle identity hold
+    with the middle arrow in groupoid.generating_set; see check_cocycle."""
+    mul = c.ring.mul_table
+    _, pos, rows = table
+    for a, b, ab in generator_pairs(c.groupoid, table):
+        row_a, vals_a, row_b = rows[a], vals[a], rows[b]
+        left = mul[vals_a[pos[b]]]
+        if rows[ab] != list(map(row_a.__getitem__, row_b)) or \
+                list(map(left.__getitem__, vals[ab])) != \
+                [mul[vals_a[k]][v] for k, v in zip(row_b, vals[b])]:
+            return False
+    return True
+
+
+def _cocycle_identity_faults(c, table, vals):
+    """The faults of the 2-cocycle identity in triple-loop order, one row
+    comparison per composable pair (a, b); see check_cocycle."""
+    G, mul, arrows = c.groupoid, c.ring.mul_table, c.groupoid.arrows
+    ending, _, rows = table
+    bad = []
     for a, row_a, vals_a in zip(arrows, rows, vals):
         into_a = ending[G.rng[a]]
         for j, ab_k, v_ab in zip(ending.get(G.src[a], ()), row_a, vals_a):
@@ -86,11 +135,6 @@ def check_cocycle(c):
                 b, gs = arrows[j], ending[G.src[arrows[j]]]
                 bad.extend(f"cocycle identity fails at ({a},{b},{arrows[g]})"
                            for g, x, y in zip(gs, lhs, rhs) if x != y)
-    for g in G.arrows:
-        if c.value(G.unit_at[G.rng[g]], g) != R.one:
-            bad.append(f"not normalised on (unit, {g})")
-        if c.value(g, G.unit_at[G.src[g]]) != R.one:
-            bad.append(f"not normalised on ({g}, unit)")
     return bad
 
 

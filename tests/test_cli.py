@@ -510,6 +510,26 @@ def test_check_reports_the_loop(tmp_path, capsys):
     assert "groupoid custom: associativity fails at" in out
 
 
+# C8 with g3 . g4 = g6 instead of g7: a group table broken at a pair of
+# non-generators (the generating set is g0, g1)
+C8_BROKEN = _one_object_groupoid(
+    [f"g{i} : x -> x" for i in range(8)],
+    {(f"g{a}", f"g{b}"): "g6" if (a, b) == (3, 4) else f"g{(a + b) % 8}"
+     for a in range(8) for b in range(8)})
+
+
+def test_check_names_the_first_fault_of_the_triple_loop(tmp_path, capsys):
+    # the generator test finds a fault; the first one named is the triple
+    # loop's, whose middle g2 is not a generator
+    code, out = _run("check", C8_BROKEN, tmp_path, capsys)
+    assert code == 1
+    assert out.splitlines()[1:4] == [
+        "groupoid custom: associativity fails at (g1,g2,g4)",
+        "cocycle: ok",
+        "twist axioms: total groupoid: associativity fails at "
+        "(('g1', 1),('g2', 1),('g4', 1))"]
+
+
 @pytest.mark.parametrize("command,text", [
     ("classify", CLASSIFY_PAIR2.replace("trivial", "c(1-2, 2-1) = 2")),
     ("reconstruct", CLASSIFY_PAIR2.replace("trivial", "c(1-2, 2-1) = 2")),

@@ -1,7 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasicartan import groupoid as gp
+from quasicartan import finring as fr, groupoid as gp, reconstruct as rc, \
+    twist as tw
+
+from helpers import FIXTURE_NAMES, klein_z4_pair, make_twist
 
 
 def test_full_relation_basic():
@@ -134,10 +137,15 @@ def _associativity_by_definition(G):
 
 
 _KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
+# C8's generating set is {0, 1}: most arrows are not generators, so a
+# perturbation there is found by the generator test and named by the
+# fallback scan
+C8 = gp.group_as_groupoid(gp.cyclic_group(8))
 COMPONENTS = st.one_of(
     st.integers(1, 3).map(gp.full_relation),
     st.integers(1, 5).map(lambda n: gp.group_as_groupoid(gp.cyclic_group(n))),
-    st.just(gp.group_as_groupoid(_KLEIN)))
+    st.just(gp.group_as_groupoid(_KLEIN)),
+    st.just(C8))
 
 
 @st.composite
@@ -252,6 +260,67 @@ def test_validate_names_composition_defects_as_the_definition(defect):
     broken = gp.FiniteGroupoid("broken", G.objects, G.arrows, G.src, G.rng,
                                compose, G.inv, G.unit_at)
     assert gp.validate_groupoid(broken) == _validate_by_definition(broken)
+
+
+def test_a_fault_between_non_generators_is_named_as_the_definition():
+    # C8 with 3∘4 sent to 6: neither factor is a generator, and the first
+    # fault of the triple loop, (1, 2, 4), has a non-generator middle
+    assert gp.generating_set(C8) == [0, 1]
+    compose = dict(C8.compose)
+    compose[(3, 4)] = 6
+    broken = gp.FiniteGroupoid("broken", C8.objects, C8.arrows, C8.src,
+                               C8.rng, compose, C8.inv, C8.unit_at)
+    found = gp.validate_groupoid(broken)
+    assert found == _validate_by_definition(broken) != []
+    assert found[0] == "associativity fails at (1,2,4)"
+
+
+def _closure(G, gens):
+    """The arrows reached from gens by composing on the right with gens."""
+    reached, todo = set(), list(gens)
+    while todo:
+        a = todo.pop()
+        if a not in reached:
+            reached.add(a)
+            todo.extend(G.compose[(a, g)] for g in gens if G.src[a] == G.rng[g])
+    return reached
+
+
+def _generating_set_is_sound(G):
+    """generating_set(G) reaches every arrow, and each generator is no
+    composite of the generators before it."""
+    gens = [G.arrows[i] for i in gp.generating_set(G)]
+    assert gens == sorted(gens, key=G.arrows.index)
+    assert all(g not in _closure(G, gens[:k]) for k, g in enumerate(gens))
+    return _closure(G, gens) == set(G.arrows)
+
+
+C2_CUBED = gp.direct_product_group(_KLEIN, gp.cyclic_group(2))
+
+
+@pytest.mark.parametrize("H", [gp.cyclic_group(n) for n in range(1, 17)]
+                         + [_KLEIN, C2_CUBED], ids=lambda H: H.name)
+def test_generating_set_of_a_group_is_logarithmic(H):
+    G = gp.group_as_groupoid(H)
+    assert _generating_set_is_sound(G)
+    assert len(gp.generating_set(G)) <= len(H).bit_length()  # 1 + ⌊log₂ n⌋
+
+
+def _rebuilt_klein_z4():
+    return rc.UltraGroupoid(klein_z4_pair()).to_twist().groupoid
+
+
+def _full6_twist():
+    R = fr.make_gf(7)
+    return tw.twist_from_cocycle(tw.trivial_cocycle(R, gp.full_relation(6))).total
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda name=name: make_twist(name).groupoid for name in FIXTURE_NAMES),
+    _rebuilt_klein_z4, _full6_twist],
+    ids=[*FIXTURE_NAMES, "rebuilt_klein_z4", "full6_gf7_total"])
+def test_generating_set_reaches_every_arrow(build):
+    assert _generating_set_is_sound(build())
 
 
 def _twice(objects, arrows):

@@ -77,6 +77,28 @@ def test_a_wrong_rebuilt_cocycle_is_refused(monkeypatch):
         rc.build_ultra_groupoid(pair)
 
 
+def test_a_rebuilt_cocycle_wrong_off_the_generators_is_refused(monkeypatch):
+    # the 64 classes of Z/4[C2×C2] have 5 generators; c′ is scaled at a
+    # pair of two non-generators
+    pair = klein_z4_pair()
+    to_twist = rc.UltraGroupoid.to_twist
+
+    def wrong_off_the_generators(self):
+        c = to_twist(self)
+        G, R = c.groupoid, c.ring
+        gens = {G.arrows[i] for i in gp.generating_set(G)}
+        assert len(gens) == 5
+        p = next(p for p in G.compose if not gens & set(p))
+        t = next(t for t in sorted(fr.ring_units(R)) if t != R.one)
+        c.values[p] = R.mul(t, c.values[p])
+        return c
+
+    monkeypatch.setattr(rc.UltraGroupoid, "to_twist", wrong_off_the_generators)
+    with pytest.raises(AssertionError, match="rebuilt twist fails its axioms: "
+                                             "cocycle identity fails"):
+        rc.build_ultra_groupoid(pair)
+
+
 def test_build_rejects_degenerate_pairs():
     R = fr.make_zmod(4)
     A = pr.AbstractAlgebra("nil", R, ["x"], {(0, 0): {}})

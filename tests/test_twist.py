@@ -50,7 +50,9 @@ _KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
 COMPONENTS = st.one_of(
     st.integers(1, 3).map(gp.full_relation),
     st.integers(1, 4).map(lambda n: gp.group_as_groupoid(gp.cyclic_group(n))),
-    st.just(gp.group_as_groupoid(_KLEIN)))
+    st.just(gp.group_as_groupoid(_KLEIN)),
+    # generating set {0, 1}: a replaced value mostly sits off the generators
+    st.just(gp.group_as_groupoid(gp.cyclic_group(8))))
 
 
 @st.composite
@@ -74,6 +76,46 @@ def perturbed_cocycles(draw):
 @given(perturbed_cocycles())
 def test_check_cocycle_equals_the_triple_loop(c):
     assert tw.check_cocycle(c) == check_cocycle_by_definition(c)
+
+
+def test_a_fault_between_non_generators_is_named_as_the_definition():
+    R = fr.make_gf(5)
+    G = gp.group_as_groupoid(gp.cyclic_group(8))
+    assert gp.generating_set(G) == [0, 1]
+    c = tw.coboundary_cocycle(R, G, {g: 1 + g % 4 for g in G.arrows if g})
+    assert tw.check_cocycle(c) == []
+    c.values[(3, 4)] = R.mul(2, c.values[(3, 4)])
+    assert tw.check_cocycle(c) == check_cocycle_by_definition(c) != []
+
+
+def test_the_generator_test_also_compares_the_composition():
+    # C8 with 3∘4 sent to 6: each associativity fault with the generator 1
+    # in the middle compares 6 with 7, so the coboundary of b(6) = b(7)
+    # satisfies the identity there, but not at (3, 4, 1)
+    G = gp.group_as_groupoid(gp.cyclic_group(8))
+    compose = dict(G.compose)
+    compose[(3, 4)] = 6
+    G = gp.FiniteGroupoid("broken", G.objects, G.arrows, G.src, G.rng,
+                          compose, G.inv, G.unit_at)
+    c = tw.coboundary_cocycle(fr.make_gf(5), G, {6: 2, 7: 2})
+    bad = tw.check_cocycle(c)
+    assert bad == check_cocycle_by_definition(c)
+    assert "cocycle identity fails at (3,4,1)" in bad
+
+
+def test_the_generator_test_needs_unit_values():
+    # c = 0 on each pair of non-identity arrows with the generator 1 in it:
+    # every triple (a, 1, g) with a, g ≠ 0 holds as 0 = 0, but c(2, 3) = 2
+    # breaks the identity at (2, 3, 2): a product with 0 does not cancel
+    R = fr.make_gf(5)
+    G = gp.group_as_groupoid(gp.cyclic_group(8))
+    values = {(a, b): 0 for a in range(1, 8) for b in range(1, 8)
+              if 1 in (a, b)}
+    values[(2, 3)] = 2
+    c = tw.Cocycle(R, G, values)
+    bad = tw.check_cocycle(c)
+    assert bad == check_cocycle_by_definition(c)
+    assert "cocycle identity fails at (2,3,2)" in bad
 
 
 def test_coboundary_is_a_cocycle_and_trivial_in_cohomology():

@@ -147,7 +147,7 @@ def _arrow_token(token, G):
             arrow = int(token)
         except ValueError:
             arrow = token
-    if arrow not in set(G.arrows):
+    if arrow not in G.src:  # keyed by the arrows
         raise InputError(f"unknown arrow {token!r}")
     return arrow
 

@@ -395,23 +395,87 @@ class Pair:
         return self._normalisers[key]
 
     def _minimal_normalisers(self, oracle):
+        """The nonzero normalisers of the corners f·A·e with source an atom
+        (enumerate_normalisers).  oracle=True scans every f·x·e over all of
+        A.  Otherwise each corner is walked in sorted order and only the
+        elements not yet decided are solved by dagger_of.  Without local
+        units nothing else is decided, so every nonzero corner element is
+        solved once.
+
+        With local units (an idempotent u of B that is an identity of A)
+        the dagger is unique, and normalisers multiply with
+        (m·n)† = n†·m†.  Each of m†m, mm†, n†n, nn† lies in B
+        (m†m = m†·u·m), which is commutative, so
+        mn·n†m†·mn = m(nn†)(m†m)n = m(m†m)(nn†)n = mn and likewise
+        n†m†·mn·n†m† = n†m†, while n†m†·b·mn = n†(m†bm)n and
+        mn·b·n†m† = m(nbn†)m† lie in B.
+
+        Let N_e be the nonzero normalisers of e·A·e, e an atom.  Each has
+        source e, and its range nn† = e·nn† is an atom ≤ e, so it is e.
+        Hence N_e is a group with identity e = e† and inverse n ↦ n†: the
+        source of mn is n†(m†m)n = n†n = e, so mn is not 0.  Three facts
+        then decide most of a corner without a solve.
+        - Orbits: if x in f·A·e is not a normaliser, neither is any x·g
+          with g in N_e, else x = x·e = (x·g)·g† would be one.  So one
+          solve decides the orbit of x under the group found so far,
+          walked over its generators.
+        - Group growth: a solved normaliser g of e·A·e joins N_e as a
+          generator, and the dagger of each new product is the product of
+          the daggers in reverse order.  The closure is Dimino's algorithm
+          (G. Butler, Fundamental Algorithms for Permutation Groups, LNCS
+          559, 1991): for H closed under the generators, the union U of H
+          and right cosets H·r with r·s in U for every coset
+          representative r and generator s is closed under right products
+          by the generators, as h·r·s lies in the coset of r·s.  So U is
+          the group ⟨H, g⟩, and each new coset costs |H| products.
+        - Cosets: if n₀ and n are minimal normalisers in f·A·e, then n₀†n
+          lies in N_e (n₀·n₀†n = f·n = n, so it is not 0) and
+          n = n₀·(n₀†n); conversely n₀·g is a normaliser and not 0, as
+          n₀·g·g† = n₀.  So the minimal normalisers of f·A·e are n₀·N_e
+          or none, and the walk of f·A·e stops at its first normaliser.
+        The daggers found this way go into the dagger cache.
+        """
         A = self.algebra
         _, atoms = self.idempotents_of_B()
-        found = set()
+        if oracle:
+            found = set()
+            for e in atoms:
+                for f in atoms:
+                    for n in {A.mul(A.mul(f, x), e)
+                              for x in A.all_elements(cap=self.cap)}:
+                        if n != A.zero() and n not in found:
+                            k = self.dagger_of(n, oracle=True)
+                            if k is not None and A.mul(k, n) in atoms:
+                                found.add(n)
+            return sorted(found)
+        local = self.has_local_units()
+        zero, found = A.zero(), {}
         for e in atoms:
-            for f in atoms:
-                if oracle:
-                    corner = {A.mul(A.mul(f, x), e)
-                              for x in A.all_elements(cap=self.cap)}
-                else:
-                    corner = A.span([A.mul(A.mul(f, b), e)
-                                     for b in A.basis_vectors])
-                for n in corner:
-                    if n == A.zero() or n in found:
+            # the minimal normalisers of e·A·e with their daggers: the
+            # group N_e under local units, seeded with e = e† unsolved
+            group, gens = ({e: e} if local else {}), []
+            for f in [e] + [a for a in atoms if a != e]:
+                members = group if f == e else {}
+                decided = {zero}
+                corner = A.span([A.mul(A.mul(f, b), e) for b in A.basis_vectors])
+                for n in sorted(corner):
+                    if n in decided or n in members:
                         continue
-                    k = self.dagger_of(n, oracle=oracle)
-                    if k is not None and A.mul(k, n) in atoms:
-                        found.add(n)
+                    k = self.dagger_of(n)
+                    if k is None:
+                        decided |= _orbit(A, n, gens)
+                    elif A.mul(k, n) not in atoms:
+                        continue
+                    elif not local:
+                        members[n] = k
+                    elif f == e:
+                        _adjoin(A, group, gens, n, k)
+                    else:
+                        members = {A.mul(n, g): A.mul(gd, k)
+                                   for g, gd in group.items()}
+                        break
+                found.update(members)
+        self._dagger_cache.update(((n, False), k) for n, k in found.items())
         return sorted(found)
 
     def _full_normalisers(self, oracle):
@@ -540,11 +604,15 @@ class Pair:
     def _faithfulness_kernel(self, P):
         """The a with P(n·a) = 0 for every normaliser n, for a linear P.
         P(n·a) is linear in n, so the n of _deciding_normalisers, which
-        span every normaliser, give the same kernel."""
+        span every normaliser, give the same kernel.  One n per R^×-orbit
+        is read: for a unit t, P((t·n)·a) = t·P(n·a), so t·n and n have
+        the same kernel."""
         A = self.algebra
+        units = finring.ring_units(A.ring)
+        classes = {min(A.scale(t, n) for t in units)
+                   for n in self._deciding_normalisers()}
         return self._common_kernel(
-            [P(A.mul(n, b)) for b in A.basis_vectors]
-            for n in self._deciding_normalisers())
+            [P(A.mul(n, b)) for b in A.basis_vectors] for n in classes)
 
     def _commutant(self):
         """The a with a·b = b·a for every spanning b of B."""
@@ -648,6 +716,39 @@ class Pair:
             raise AssertionError("implication ACP => AQP violated")
         self._classification = report
         return report
+
+
+def _orbit(A, x, gens):
+    """x·H for the group H generated by gens ((element, dagger) pairs),
+    walked over the generators: H is finite, so the right products by
+    gens reach all of it from x = x·e."""
+    orbit, frontier = {x}, [x]
+    while frontier:
+        y = frontier.pop()
+        for g, _ in gens:
+            z = A.mul(y, g)
+            if z not in orbit:
+                orbit.add(z)
+                frontier.append(z)
+    return orbit
+
+
+def _adjoin(A, group, gens, g, gd):
+    """Close group ({element: dagger}, closed under gens) under the new
+    generator g with dagger gd, in place, by Dimino's algorithm (see
+    Pair._minimal_normalisers): one right coset H·r of the old group H per
+    new representative r, the daggers by (h·r)† = r†·h†."""
+    old = list(group.items())
+    gens.append((g, gd))
+    group.update((A.mul(h, g), A.mul(gd, hd)) for h, hd in old)
+    reps = [(g, gd)]
+    for r, rd in reps:  # reps grows while it is walked
+        for s, sd in gens:
+            y = A.mul(r, s)
+            if y not in group:
+                yd = A.mul(sd, rd)
+                group.update((A.mul(h, y), A.mul(yd, hd)) for h, hd in old)
+                reps.append((y, yd))
 
 
 def pair_from_twist(cocycle, cap=DEFAULT_CAP):

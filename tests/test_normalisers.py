@@ -276,3 +276,96 @@ def test_large_rungs_without_the_full_list_or_a_span_above_B(
     assert report["consistent"] and report["aqp"]
     assert report["sigma_prime_points"] == n * n * (q - 1)
     assert report["g_prime_arrows"] == n * n
+
+
+def _count_solves(monkeypatch):
+    """A list that grows by one per call of Pair._solve_dagger_system."""
+    calls = []
+    solve = pr.Pair._solve_dagger_system
+
+    def counted(self, n, one=False):
+        calls.append(n)
+        return solve(self, n, one=one)
+
+    monkeypatch.setattr(pr.Pair, "_solve_dagger_system", counted)
+    return calls
+
+
+def _group_twist(R, n, values=None):
+    return tw.Cocycle(R, gp.group_as_groupoid(gp.cyclic_group(n)), values or {})
+
+
+@pytest.mark.parametrize("name, build, points, solves", [
+    # one atom: one solve per orbit of a non-normaliser under the group of
+    # minimal normalisers found so far, and one per new generator
+    ("z4_klein", klein_z4_pair, 128, 32),
+    ("gf3_c6", lambda: pr.pair_from_twist(_group_twist(fr.make_gf(3), 6)),
+     324, 22),
+    # M_3(GF(3)): the atom e_ii is no solve, 2·e_ii is, and the group
+    # {e_ii, 2·e_ii} then decides each corner after its first normaliser
+    ("m3_gf3", lambda: pr.pair_from_twist(
+        tw.trivial_cocycle(fr.make_gf(3), gp.full_relation(3))), 18, 9),
+])
+def test_minimal_normalisers_solve_once_per_orbit(monkeypatch, name, build,
+                                                  points, solves):
+    pair = build()
+    calls = _count_solves(monkeypatch)
+    assert len(pair.enumerate_normalisers("minimal")) == points
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("name, solves", [
+    ("m2_plus_f_gf2", 4), ("gf3_squared", 2), ("left_unit_z4", 3)])
+def test_without_local_units_every_corner_element_is_solved(
+        monkeypatch, name, solves):
+    pair = abstract_pair(name)
+    A = pair.algebra
+    _, atoms = pair.idempotents_of_B()
+    corners = set().union(*(A.span([A.mul(A.mul(f, b), e)
+                                    for b in A.basis_vectors])
+                            for e in atoms for f in atoms)) - {A.zero()}
+    calls = _count_solves(monkeypatch)
+    pair.enumerate_normalisers("minimal")
+    assert sorted(calls) == sorted(corners)
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("R, n, values, units", [
+    (fr.make_gf(3), 6, {}, 324),
+    (fr.make_gf(5), 4, {}, 256),
+    (fr.make_zmod(9), 3, {}, 486),
+    (fr.make_gf(2), 8, {}, 128),
+    (fr.make_gf(5), 2, {(1, 1): 4}, 16),
+])
+def test_one_object_minimal_normalisers_are_the_group_ring_units(
+        R, n, values, units):
+    # B = R·δ_e is central and δ_e the only atom, so the minimal
+    # normalisers are the units of R(H, c), with the inverse as dagger
+    pair = pr.pair_from_twist(_group_twist(R, n, values))
+    T = gr.TwistedGroupRing(R, gp.cyclic_group(n), values)
+    expected = gr.enumerate_units(T)[0]
+    assert len(expected) == units
+    minimal = pair.enumerate_normalisers("minimal")
+    assert minimal == sorted(expected)
+    one, A = T.one(), pair.algebra
+    for m in minimal:
+        k = pair.dagger_of(m)
+        assert A.mul(m, k) == one == A.mul(k, m)
+
+
+def test_adjoin_closes_a_nonabelian_group():
+    # GL_2(GF(3)) in M_2(GF(3)), basis e11, e12, e21, e22: the two
+    # transvections generate SL_2, which does not commute, and diag(2, 1)
+    # adds the determinant 2
+    pair = abstract_pair("m2_gf3_scalars")
+    A, R = pair.algebra, pair.algebra.ring
+    o, i, two = R.zero, R.one, R.add(R.one, R.one)
+    unit = (i, o, o, i)
+    group, gens = {unit: unit}, []
+    for g in [(i, i, o, i), (i, o, i, i), (two, o, o, i)]:
+        pr._adjoin(A, group, gens, g, pair.dagger_of(g))
+    assert set(group) == {(a, b, c, d) for a, b, c, d in A.all_elements()
+                          if R.sub(R.mul(a, d), R.mul(b, c)) != o}
+    assert len(group) == 48
+    for g, gd in group.items():
+        assert A.mul(g, gd) == unit == A.mul(gd, g)

@@ -343,6 +343,10 @@ def cmd_check(doc, cap, oracle):
             summary["cocycle_ok"] = _flag(not cb)
             # twist_from_cocycle refuses an invalid cocycle
             if not cb:
+                # the explicit twist has |G|·|R^×| arrows and
+                # |compose|·|R^×|² composites
+                n = len(finring.ring_units(R))
+                _check_size((len(G.compose) * n + len(G.arrows)) * n, cap)
                 tb = twist_mod.check_twist_axioms(twist_mod.twist_from_cocycle(c))
                 violations += len(tb)
                 report.append(f"twist axioms: {'ok' if not tb else tb[0]}")
@@ -500,7 +504,10 @@ def cmd_compare(doc, cap, oracle):
     report = []
     summary = {"isomorphic": _flag(iso is not None)}
     if iso is None:
-        report.append("the twists are not isomorphic (exhaustive search)")
+        decided = reconstruct.pairings_differ(
+            reconstruct.commutator_pairing(c1), reconstruct.commutator_pairing(c2))
+        reason = "commutator pairings differ" if decided else "exhaustive search"
+        report.append(f"the twists are not isomorphic ({reason})")
     else:
         obj_map, arrow_map, u = iso
         report.append("the twists are isomorphic")

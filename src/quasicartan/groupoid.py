@@ -60,7 +60,9 @@ class FiniteGroupoid:
     """A finite groupoid: objects, arrows, source/range, partial composition.
 
     compose[(a, b)] is defined exactly when src(a) == rng(b), and the
-    composite a∘b runs "b first, then a".
+    composite a∘b runs "b first, then a".  A FiniteGroupoid is not
+    mutated after construction, so the index of its composition
+    (composition_rows) is built once and kept on it.
     """
 
     def __init__(self, name, objects, arrows, src, rng, compose, inv, unit_at):
@@ -73,6 +75,7 @@ class FiniteGroupoid:
         self.inv = dict(inv)
         self.unit_at = dict(unit_at)
         self.units = set(unit_at.values())
+        self._composition_index = None
 
     def composable_pairs(self):
         for a in self.arrows:
@@ -88,36 +91,22 @@ class FiniteGroupoid:
 
 
 def make_groupoid(name, objects, arrows, src, rng, compose):
-    """Assemble a groupoid from composition data, deriving units and inverses."""
+    """Assemble a groupoid from composition data, deriving units and
+    inverses from the index of its composition, which the groupoid keeps.
+
+    The unit at x is the first arrow in arrow order that is a two-sided
+    identity at x, and the inverse of a the first arrow b in arrow order
+    with a∘b and b∘a units; an object without a unit, an arrow that ends
+    outside the objects or one without an inverse raises ValueError.
+    """
     bad = _repeated_labels(objects, arrows)
     if bad:
         raise ValueError(bad[0])
-    src = dict(src)
-    rng = dict(rng)
-    compose = dict(compose)
-    _check_composition(arrows, src, rng, compose)
-    unit_at = {}
-    for x in objects:
-        for u in arrows:
-            if src[u] != x or rng[u] != x:
-                continue
-            if all(compose.get((u, b)) == b for b in arrows if src[u] == rng[b]) and \
-               all(compose.get((a, u)) == a for a in arrows if src[a] == rng[u]):
-                unit_at[x] = u
-                break
-        if x not in unit_at:
-            raise ValueError(f"no unit arrow at object {x}")
-    inv = {}
-    for a in arrows:
-        for b in arrows:
-            if src[b] == rng[a] and rng[b] == src[a] \
-                    and compose.get((b, a)) == unit_at[src[a]] \
-                    and compose.get((a, b)) == unit_at[rng[a]]:
-                inv[a] = b
-                break
-        if a not in inv:
-            raise ValueError(f"arrow {a} has no inverse")
-    return FiniteGroupoid(name, objects, arrows, src, rng, compose, inv, unit_at)
+    table = index_composition(arrows, src, rng, compose)
+    unit_at, inv = _units_and_inverses(objects, arrows, src, rng, table)
+    G = FiniteGroupoid(name, objects, arrows, src, rng, compose, inv, unit_at)
+    G._composition_index = table
+    return G
 
 
 def _repeated_labels(objects, arrows):
@@ -127,55 +116,103 @@ def _repeated_labels(objects, arrows):
             for x, k in Counter(labels).items() if k > 1]
 
 
-def _check_composition(arrows, src, rng, compose):
-    """Raise ValueError unless compose is defined exactly on the composable
-    pairs, each composite an arrow from src(b) to rng(a)."""
-    arrow_set = set(arrows)
-    for (a, b), ab in compose.items():
-        if a not in arrow_set or b not in arrow_set or src[a] != rng[b]:
-            raise ValueError(f"composite given for a non-composable pair ({a},{b})")
-        if ab not in arrow_set:
-            raise ValueError(f"composite {ab} of ({a},{b}) is not an arrow")
-        if src[ab] != src[b] or rng[ab] != rng[a]:
-            raise ValueError(f"composite {ab} of ({a},{b}) has the wrong ends")
-    ending = {}
-    for a in arrows:
-        ending.setdefault(rng[a], []).append(a)
-    # every entry is a composable pair, so a count shows a missing one
-    if len(compose) != sum(len(ending.get(src[a], ())) for a in arrows):
-        for a in arrows:
-            for b in ending.get(src[a], ()):
-                if (a, b) not in compose:
-                    raise ValueError(f"no composite given for ({a},{b})")
-
-
-def composition_rows(G):
-    """The composition of G as rows of positions, (ending, pos, rows);
-    assumes a complete, well-ended composition.
+def index_composition(arrows, src, rng, compose):
+    """The composition as rows of positions, (ending, pos, rows), in one
+    pass over compose.  Raises ValueError unless compose is defined
+    exactly on the composable pairs, each composite an arrow from src(b)
+    to rng(a); the faults of each entry are tested in the order
+    non-composable pair, composite not an arrow, wrong ends, and a
+    missing composite only after every entry.
 
     ending[x] lists the indices of the arrows with range x, in arrow order,
     and pos[j] is the place of arrow j in its list.  The row of arrow a
     holds pos[a∘c] for c in ending[src a]; a∘c ends at rng a, so it is
     arrow ending[rng a][row[k]].
     """
-    arrows = G.arrows
     index = {a: i for i, a in enumerate(arrows)}
+    s = [src[a] for a in arrows]
+    r = [rng[a] for a in arrows]
     ending, pos = {}, []
-    for a in arrows:
-        into = ending.setdefault(G.rng[a], [])
+    for i, x in enumerate(r):
+        into = ending.setdefault(x, [])
         pos.append(len(into))
-        into.append(index[a])
-    rows = [[pos[index[G.compose[(a, arrows[j])]]]
-             for j in ending.get(G.src[a], ())] for a in arrows]
+        into.append(i)
+    rows = [[None] * len(ending.get(x, ())) for x in s]
+    for (a, b), ab in compose.items():
+        i, j, k = index.get(a), index.get(b), index.get(ab)
+        if i is None or j is None or s[i] != r[j]:
+            raise ValueError(f"composite given for a non-composable pair ({a},{b})")
+        if k is None:
+            raise ValueError(f"composite {ab} of ({a},{b}) is not an arrow")
+        if s[k] != s[j] or r[k] != r[i]:
+            raise ValueError(f"composite {ab} of ({a},{b}) has the wrong ends")
+        rows[i][pos[j]] = pos[k]
+    # with distinct labels each entry fills its own place, so a count
+    # shows a missing one
+    if len(compose) != sum(map(len, rows)):
+        for a, x, row in zip(arrows, s, rows):
+            for j, v in zip(ending.get(x, ()), row):
+                if v is None:
+                    raise ValueError(f"no composite given for ({a},{arrows[j]})")
     return ending, pos, rows
 
 
-def generating_set(G, table=None):
+def _units_and_inverses(objects, arrows, src, rng, table):
+    """unit_at and inv for make_groupoid, read off the rows of table in
+    O(|compose|).
+
+    An arrow u from x to x is a left identity when u∘c = c for each c in
+    ending[x], that is, when its row is 0, 1, 2, …, and a right identity
+    when a∘u = a, row[a][pos u] == pos a, for each a starting at x.  b is
+    an inverse of a when a∘b is the unit at rng a, found in the row of a
+    over the candidates b in ending[src a], and b∘a the unit at src a.
+    """
+    ending, pos, rows = table
+    s = [src[a] for a in arrows]
+    r = [rng[a] for a in arrows]
+    starting = {}
+    for i, x in enumerate(s):
+        starting.setdefault(x, []).append(i)
+    unit_at = {}
+    for x in objects:
+        into = ending.get(x, ())
+        identity = list(range(len(into)))
+        for u in into:
+            if s[u] == x and rows[u] == identity and \
+                    all(rows[a][pos[u]] == pos[a] for a in starting[x]):
+                unit_at[x] = u
+                break
+        else:
+            raise ValueError(f"no unit arrow at object {x}")
+    inv = {}
+    for i, a in enumerate(arrows):
+        if s[i] not in unit_at or r[i] not in unit_at:
+            raise ValueError(f"arrow {a} has src/rng outside the object set")
+        at_rng, at_src = pos[unit_at[r[i]]], pos[unit_at[s[i]]]
+        for b, ab in zip(ending[s[i]], rows[i]):
+            if ab == at_rng and rows[b][pos[i]] == at_src:
+                inv[a] = arrows[b]
+                break
+        else:
+            raise ValueError(f"arrow {a} has no inverse")
+    return {x: arrows[u] for x, u in unit_at.items()}, inv
+
+
+def composition_rows(G):
+    """index_composition of G, built once and kept on G: make_groupoid
+    stores it, and a FiniteGroupoid built directly gets it on first use."""
+    if G._composition_index is None:
+        G._composition_index = index_composition(G.arrows, G.src, G.rng,
+                                                 G.compose)
+    return G._composition_index
+
+
+def generating_set(G):
     """A greedy generating set S of G: the indices of the arrows, in arrow
     order, that are not composites of the arrows taken before them.
 
-    table is composition_rows(G), computed when not given; the composition
-    must be complete and well-ended.  Every arrow lies in the closure of S
+    The composition must be complete and well-ended, as composition_rows
+    checks.  Every arrow lies in the closure of S
     under right composition by S, the composites (…(s₁∘s₂)∘…)∘s_k.  The
     closure is kept as S grows: a new generator s is composed on the right
     of each arrow already reached, and each newly reached arrow with every
@@ -183,7 +220,7 @@ def generating_set(G, table=None):
     O(|arrows|·|S|) in all.  In a group of order n each new generator at
     least doubles the subgroup reached, so |S| ≤ 1 + ⌊log₂ n⌋.
     """
-    ending, pos, rows = table or composition_rows(G)
+    ending, pos, rows = composition_rows(G)
     src = [G.src[a] for a in G.arrows]
     rng = [G.rng[a] for a in G.arrows]
     reached = [False] * len(src)
@@ -208,15 +245,15 @@ def generating_set(G, table=None):
     return gens
 
 
-def generator_pairs(G, table):
+def generator_pairs(G):
     """(a, b, a∘b) as arrow indices for each composable pair whose right
-    factor b is in generating_set(G); table is composition_rows(G)."""
-    ending, pos, rows = table
+    factor b is in generating_set(G)."""
+    ending, pos, rows = composition_rows(G)
     starting = {}
     for i, a in enumerate(G.arrows):
         starting.setdefault(G.src[a], []).append(i)
     return [(a, b, ending[G.rng[G.arrows[a]]][rows[a][pos[b]]])
-            for b in generating_set(G, table)
+            for b in generating_set(G)
             for a in starting.get(G.rng[G.arrows[b]], ())]
 
 
@@ -240,10 +277,9 @@ def _associativity_faults(G):
     (a∘b)∘c and a∘(b∘c) end at rng a, so they are equal exactly when
     row[a∘b][k] == row[a][row[b][k]].
     """
-    table = composition_rows(G)
-    ending, pos, rows = table
+    ending, pos, rows = composition_rows(G)
     if all(rows[ab] == list(map(rows[a].__getitem__, rows[b]))
-           for a, b, ab in generator_pairs(G, table)):
+           for a, b, ab in generator_pairs(G)):
         return []
     arrows = G.arrows
     bad = []
@@ -262,10 +298,11 @@ def _associativity_faults(G):
 def validate_groupoid(G):
     """Exhaustively check the groupoid axioms; returns a violation list.
 
-    The composition domain and ends take one pass over compose
-    (_check_composition); the loop over all pairs of arrows runs only when
-    that pass finds a fault, to name each one.  Associativity is checked
-    only on a complete, well-ended composition with distinct labels, by
+    The composition domain and ends take one pass over compose, the one
+    that indexes it (composition_rows); the loop over all pairs of arrows
+    runs only when that pass finds a fault, to name each one.
+    Associativity is checked only on a complete, well-ended composition
+    with distinct labels, by
     Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
     I, 1961, §1.2): the middle arrow ranges over generating_set(G), which
     decides the identity for every triple, since the middle arrows at
@@ -279,11 +316,11 @@ def validate_groupoid(G):
         if G.src[a] not in G.objects or G.rng[a] not in G.objects:
             bad.append(f"arrow {a} has src/rng outside the object set")
     try:
-        _check_composition(G.arrows, G.src, G.rng, G.compose)
-        rows_to_name = []
-    except ValueError:
-        rows_to_name = G.arrows
-    for a in rows_to_name:
+        composition_rows(G)
+        fault = None
+    except ValueError as exc:
+        fault = str(exc)
+    for a in G.arrows if fault else ():
         for b in G.arrows:
             defined = (a, b) in G.compose
             should = G.src[a] == G.rng[b]
@@ -295,6 +332,9 @@ def validate_groupoid(G):
                     bad.append(f"composite at ({a},{b}) is not an arrow")
                 elif G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
                     bad.append(f"src/rng of composite wrong at ({a},{b})")
+    if fault and not bad:
+        # every pair of arrows is right, so compose has a key outside them
+        bad.append(fault)
     if not bad:
         bad.extend(_associativity_faults(G))
     for x in G.objects:

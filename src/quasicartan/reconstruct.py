@@ -466,23 +466,62 @@ class _TwistWalk:
         return True
 
 
+def commutator_pairing(c):
+    """ω(α, β) = c(α,β)·c(β,α)⁻¹ on each commuting pair of isotropy
+    arrows, α and β at one object with αβ = βα, as {(α, β): ω}."""
+    G, mul, inverse = c.groupoid, c.ring.mul_table, c.ring.unit_inverse
+    fibres = {}
+    for g in G.arrows:
+        if G.src[g] == G.rng[g]:
+            fibres.setdefault(G.src[g], []).append(g)
+    return {(a, b): mul[c.values[(a, b)]][inverse(c.values[(b, a)])]
+            for fibre in fibres.values() for a in fibre for b in fibre
+            if G.compose[(a, b)] == G.compose[(b, a)]}
+
+
+def pairings_differ(omega1, omega2):
+    """Whether two commutator pairings take their values with different
+    multiplicities, which rules out a twist isomorphism (see
+    compare_twists)."""
+    return Counter(omega1.values()) != Counter(omega2.values())
+
+
 def compare_twists(c1, c2, cap=DEFAULT_CAP):
     """Decide isomorphism of two cocycle-presented twists.
 
     Returns (obj_map, arrow_map, u) where the twist map is
-    (γ, t) ↦ (ψ_G(γ), u(γ)·t), or None after an exhaustive search.  For
-    each groupoid isomorphism ψ the condition on u is one equation
-    u(αβ) = r(α,β)·u(α)·u(β) per composable pair, r = c2(ψα,ψβ)·c1(α,β)⁻¹;
-    known values propagate through the equations of each arrow, and only
+    (γ, t) ↦ (ψ_G(γ), u(γ)·t), or None.  For each groupoid isomorphism ψ
+    the condition on u is one equation
+    u(αβ)·c1(α,β) = c2(ψα,ψβ)·u(α)·u(β) per composable pair; with
+    r = c2(ψα,ψβ)·c1(α,β)⁻¹ it reads u(αβ) = r(α,β)·u(α)·u(β).  Known
+    values propagate through the equations of each arrow, and only
     arrows that stay open branch over the units of R.  Raises CapExceeded
     once more than cap object bijections, arrow-map extensions and scalar
     branches have been tried.
+
+    The commutator pairing ω(α,β) = c(α,β)·c(β,α)⁻¹ on commuting
+    isotropy pairs (Kleppner, Multipliers on abelian groups, Math. Ann.
+    158, 1965) is checked first.  If u adjusts ψ and αβ = βα, divide the
+    equation at (α, β) by the one at (β, α): u(αβ) = u(βα) cancels, and
+    u(α)·u(β) = u(β)·u(α) cancels because R is commutative, leaving
+    ω1(α,β) = ω2(ψα,ψβ).  A groupoid isomorphism maps the commuting
+    isotropy pairs of G1 one to one onto those of G2, so the values of ω1
+    and ω2 then agree with multiplicity.  So when the multisets differ
+    no ψ is enumerated, and a ψ that does not carry ω1 to ω2 is skipped
+    without solving for u.  Every other ψ is solved, so the search stays
+    exhaustive where the pairing does not decide.
     """
     if c1.ring.size != c2.ring.size or \
             finring.ring_units(c1.ring) != finring.ring_units(c2.ring):
         return None
+    omega1, omega2 = commutator_pairing(c1), commutator_pairing(c2)
+    if pairings_differ(omega1, omega2):
+        return None
     walk = _TwistWalk(c1, c2, cap)
     for obj_map, arrow_map in walk.isos():
+        if any(omega2[(arrow_map[a], arrow_map[b])] != w
+               for (a, b), w in omega1.items()):
+            continue
         u = walk.adjustment(arrow_map)
         if u is not None:
             return obj_map, arrow_map, u

@@ -1,8 +1,12 @@
 import collections
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
-from quasicartan import cli, pairs, twist
+from quasicartan import cli, pairs, reconstruct, twist
 
 from helpers import LOOP_TABLE
 
@@ -221,7 +225,46 @@ def _c2_copies(k):
 def test_compare_exhaustive_under_the_default_cap(tmp_path, capsys):
     code, out = _run("compare", _c2_copies(5), tmp_path, capsys)
     assert code == 0
+    assert out.splitlines()[0] == \
+        "the twists are not isomorphic (exhaustive search)"
     assert cli.parse_summary(out)["isomorphic"] == "false"
+
+
+def _c2_cubed_heisenberg():
+    """C2³ on one object over GF(5), the arrow gi the bits (x₁, x₂, x₃) of
+    i; c(x, y) = 4 = −1 where x₁y₂ = 1, against a coboundary.  That
+    cocycle is not symmetric, so its commutator pairing is not 1."""
+    def bit(i, k):
+        return i >> (2 - k) & 1
+    b = {i: 1 + i % 4 for i in range(1, 8)}
+    b[0] = 1
+    rows = ["[ring]", "gf(5,1)", "[groupoid]", "objects = x"]
+    rows += [f"g{i} : x -> x" for i in range(8)]
+    rows += [f"g{i} . g{j} = g{i ^ j}" for i in range(8) for j in range(8)]
+    rows += ["[cocycle]"] + [f"c(g{i}, g{j}) = 4" for i in range(8)
+                             for j in range(8) if bit(i, 0) and bit(j, 1)]
+    # ∂b(x, y) = b(x)·b(y)·b(x + y)⁻¹ over GF(5), where 2·3 = 4·4 = 1
+    inverse = {1: 1, 2: 3, 3: 2, 4: 4}
+    rows += ["[cocycle2]"] + [f"c(g{i}, g{j}) = {b[i] * b[j] * inverse[b[i ^ j]] % 5}"
+                              for i in range(8) for j in range(8)]
+    return "\n".join(rows + ["[options]", "cap = 1000", ""])
+
+
+def test_compare_decides_by_the_commutator_pairing(tmp_path, capsys,
+                                                   monkeypatch):
+    # the exhaustive walk over the 168 automorphisms of C2³ passes the cap
+    # of 1000; the commutator pairings differ, so no map is solved
+    solved = []
+    adjustment = reconstruct._TwistWalk.adjustment
+    monkeypatch.setattr(reconstruct._TwistWalk, "adjustment",
+                        lambda walk, arrow_map: solved.append(arrow_map)
+                        or adjustment(walk, arrow_map))
+    code, out = _run("compare", _c2_cubed_heisenberg(), tmp_path, capsys)
+    assert code == 0
+    assert out.splitlines()[0] == \
+        "the twists are not isomorphic (commutator pairings differ)"
+    assert cli.parse_summary(out) == {"isomorphic": "false"}
+    assert solved == []
 
 
 def test_compare_exits_on_the_cap(tmp_path, capsys):
@@ -317,6 +360,51 @@ def test_oversize_tables_exit_on_the_cap(command, text, tmp_path, capsys):
     # each of these inputs exits 0 under the default cap
     code, _ = _run(command, text + "[options]\ncap = 100\n", tmp_path, capsys)
     assert code == 2
+
+
+# full_relation(4) over GF(11): 16 arrows, 64 compositions and 10 units,
+# so the explicit twist has 160 arrows and 6,400 composites
+FULL4_GF11 = "[ring]\ngf(11,1)\n[groupoid]\nfull_relation(4)\n" \
+    "[cocycle]\ntrivial\n"
+
+
+@pytest.mark.parametrize("options,expected", [("[options]\ncap = 1000\n", 2),
+                                              ("", 0)],
+                         ids=["cap_1000", "default_cap"])
+def test_check_charges_the_explicit_twist_to_the_cap(options, expected,
+                                                     tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(FULL4_GF11 + options)
+    assert cli.main(["check", str(path)]) == expected
+    captured = capsys.readouterr()
+    if expected == 2:
+        assert captured.err.startswith("cap exceeded:")
+    else:
+        assert cli.parse_summary(captured.out)["twist_ok"] == "true"
+
+
+def test_check_exits_on_the_cap_before_building_a_large_twist(tmp_path):
+    # 1,000 compositions under the default cap, but 10⁷ composites in the
+    # explicit twist over GF(101): refused before any is built, within a
+    # 1.5 GB address space
+    path = tmp_path / "input.txt"
+    path.write_text(FULL4_GF11.replace("gf(11,1)", "gf(101,1)")
+                    .replace("full_relation(4)", "full_relation(10)"))
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                 else [])))
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "quasicartan.cli", "check", str(path)],
+        env=env, preexec_fn=limit_address_space, capture_output=True,
+        text=True, timeout=120)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("cap exceeded:")
 
 
 def test_deterministic_output(tmp_path, capsys):
@@ -485,22 +573,38 @@ NOT_A_GROUPOID = {
     "repeated_basis": (["classify", "reconstruct"],
                        "[ring]\ngf(2,1)\n[algebra]\nbasis = e e\ne * e = e\n"
                        "[pair]\nsub_basis = e\n"),
+    # a∘b = a for all a, b: no arrow is a left identity
+    "no_unit": (["check", "classify", "compare"],
+                _one_object_groupoid(["a : x -> x", "b : x -> x"],
+                                     {(a, b): a for a in "ab" for b in "ab"})),
+    # the monoid {e, z} with z∘z = z
+    "no_inverse": (["check", "classify", "compare"],
+                   _one_object_groupoid(["e : x -> x", "z : x -> x"],
+                                        {("e", "e"): "e", ("e", "z"): "z",
+                                         ("z", "e"): "z", ("z", "z"): "z"})),
+}
+
+# the message make_groupoid gives, where a test pins it
+NOT_A_GROUPOID_ERRORS = {
+    "no_unit": "input error: [groupoid]: no unit arrow at object x\n",
+    "no_inverse": "input error: [groupoid]: arrow z has no inverse\n",
 }
 
 
-@pytest.mark.parametrize("command,text", [
-    (command, text) for commands, text in NOT_A_GROUPOID.values()
+@pytest.mark.parametrize("command,text,error", [
+    (command, text, NOT_A_GROUPOID_ERRORS.get(name, "input error:"))
+    for name, (commands, text) in NOT_A_GROUPOID.items()
     for command in commands],
     ids=[f"{name}-{command}" for name, (commands, _) in NOT_A_GROUPOID.items()
          for command in commands])
-def test_input_that_is_not_a_groupoid_exit_code(command, text, tmp_path,
-                                                capsys):
+def test_input_that_is_not_a_groupoid_exit_code(command, text, error,
+                                                tmp_path, capsys):
     path = tmp_path / "input.txt"
     path.write_text(text)
     code = cli.main([command, str(path)])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("input error:")
+    assert err.startswith(error)
     assert "Traceback" not in err
 
 

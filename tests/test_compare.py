@@ -23,17 +23,19 @@ def _cyclic(n):
 
 
 # (groupoid, the cyclic coordinate of an arrow and its order, which the
-# carry cocycle t^[x+y ≥ n] reads; None for no carry)
+# carry cocycle t^[x+y ≥ n] reads, or None for no carry; the pairs at
+# which the bilinear cocycle (−1)^(x₁y₂) is −1, or None where there is none)
 SHAPES = [
-    (gp.full_relation(2), None),
-    (_cyclic(2), (lambda g: g, 2)),
-    (_cyclic(3), (lambda g: g, 3)),
-    (_cyclic(4), (lambda g: g, 4)),
+    (gp.full_relation(2), None, None),
+    (_cyclic(2), (lambda g: g, 2), None),
+    (_cyclic(3), (lambda g: g, 3), None),
+    (_cyclic(4), (lambda g: g, 4), None),
+    # (−1)^(x₁y₂) is not symmetric, so its commutator pairing is not 1
     (gp.group_as_groupoid(gp.direct_product_group(gp.cyclic_group(2),
                                                   gp.cyclic_group(2))),
-     (lambda g: g[0], 2)),
+     (lambda g: g[0], 2), lambda a, b: a[0] * b[1] == 1),
     (gp.disjoint_union(gp.full_relation(2), _cyclic(2)),
-     (lambda g: g[1] if g[0] == 1 else 0, 2)),
+     (lambda g: g[1] if g[0] == 1 else 0, 2), None),
 ]
 
 
@@ -45,16 +47,20 @@ def _reversed(G):
 
 @st.composite
 def cocycle_pairs(draw):
-    """Two cocycles on one shape, each a carry cocycle (or trivial) times a
-    random coboundary, each on the shape or on its reversed listing."""
-    G, carry = draw(st.sampled_from(SHAPES))
+    """Two cocycles on one shape, each a carry cocycle (or trivial) or a
+    bilinear one times a random coboundary, each on the shape or on its
+    reversed listing."""
+    G, carry, bilinear = draw(st.sampled_from(SHAPES))
     R = draw(st.sampled_from(RINGS))
     units = sorted(fr.ring_units(R))
     rng = random.Random(draw(st.integers(0, 2 ** 16)))
 
     def cocycle(G):
         values = {}
-        if carry is not None:
+        if bilinear is not None and draw(st.booleans()):
+            values = {(a, b): R.neg(R.one) for a, b in G.compose
+                      if bilinear(a, b)}
+        elif carry is not None:
             coordinate, n = carry
             t = draw(st.sampled_from(units))
             values = {(a, b): t for a, b in G.compose
@@ -249,3 +255,59 @@ def test_induced_algebra_map_convolves_only_composable_pairs(monkeypatch):
     _, report = rc.algebra_iso_from_twist_iso(c1, c2, iso)
     assert report["multiplicative"]
     assert len(calls) == 2 * len(G.compose) == 2 * 27
+
+
+_KLEIN = gp.group_as_groupoid(gp.direct_product_group(gp.cyclic_group(2),
+                                                      gp.cyclic_group(2)))
+_C2_CUBED = gp.group_as_groupoid(gp.direct_product_group(
+    gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2)),
+    gp.cyclic_group(2)))
+
+
+def _bilinear(R, G, coordinates):
+    """(−1)^(x_i·y_j) for coordinates (i, j) of arrows that are tuples of
+    bits, nested tuples flattened."""
+    def bits(g):
+        return sum((bits(x) for x in g), ()) if isinstance(g, tuple) else (g,)
+    i, j = coordinates
+    return tw.Cocycle(R, G, {(a, b): R.neg(R.one) for a, b in G.compose
+                             if bits(a)[i] * bits(b)[j] == 1})
+
+
+def _counting_adjustments(monkeypatch):
+    solved = []
+    adjustment = rc._TwistWalk.adjustment
+
+    def counted(self, arrow_map):
+        solved.append(arrow_map)
+        return adjustment(self, arrow_map)
+
+    monkeypatch.setattr(rc._TwistWalk, "adjustment", counted)
+    return solved
+
+
+def test_the_commutator_pairing_decides_before_any_map(monkeypatch):
+    R = fr.make_gf(3)
+    c1, c2 = _bilinear(R, _KLEIN, (0, 1)), tw.trivial_cocycle(R, _KLEIN)
+    assert rc.commutator_pairing(c1)[((1, 0), (0, 1))] == R.neg(R.one)
+    assert set(rc.commutator_pairing(c2).values()) == {R.one}
+    assert rc.pairings_differ(rc.commutator_pairing(c1),
+                              rc.commutator_pairing(c2))
+    solved = _counting_adjustments(monkeypatch)
+    assert _check_against_the_definition(c1, c2) is None
+    assert solved == []
+
+
+def test_a_map_that_moves_the_pairing_is_not_solved(monkeypatch):
+    # (−1)^(x₁y₂) and (−1)^(x₁y₃) on C2³ are isomorphic by swapping the
+    # last two coordinates, but not by the identity, which moves ω
+    R = fr.make_gf(3)
+    c1, c2 = _bilinear(R, _C2_CUBED, (0, 1)), _bilinear(R, _C2_CUBED, (0, 2))
+    omega1, omega2 = rc.commutator_pairing(c1), rc.commutator_pairing(c2)
+    assert not rc.pairings_differ(omega1, omega2)
+    solved = _counting_adjustments(monkeypatch)
+    found = rc.compare_twists(c1, c2)
+    assert found is not None and _is_twist_iso(c1, c2, *found[1:])
+    assert solved and all(omega2[(psi[a], psi[b])] == w for psi in solved
+                          for (a, b), w in omega1.items())
+    assert {g: g for g in _C2_CUBED.arrows} not in solved

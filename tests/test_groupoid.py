@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from quasicartan import finring as fr, groupoid as gp, reconstruct as rc, \
     twist as tw
 
-from helpers import FIXTURE_NAMES, klein_z4_pair, make_twist
+from helpers import FIXTURE_NAMES, LOOP_TABLE, klein_z4_pair, make_twist
 
 
 def test_full_relation_basic():
@@ -88,8 +88,14 @@ def test_validate_catches_defects():
 
 # full_relation(3) with the entry for ((1,2),(2,3)) dropped, sent outside
 # the arrows or to an arrow with the wrong ends, or with an entry added
-# for the non-composable pair ((1,2),(1,2))
-COMPOSITION_DEFECTS = ["missing", "not_an_arrow", "wrong_ends", "not_composable"]
+# for the non-composable pair ((1,2),(1,2)); each with make_groupoid's
+# message
+COMPOSITION_DEFECTS = {
+    "missing": "no composite given for ((1, 2),(2, 3))",
+    "not_an_arrow": "composite zzz of ((1, 2),(2, 3)) is not an arrow",
+    "wrong_ends": "composite (1, 1) of ((1, 2),(2, 3)) has the wrong ends",
+    "not_composable": "composite given for a non-composable pair ((1, 2),(1, 2))",
+}
 
 
 def _defective_full_relation(defect):
@@ -117,7 +123,22 @@ def test_validate_reports_composition_defects(defect):
 @pytest.mark.parametrize("defect", COMPOSITION_DEFECTS)
 def test_make_groupoid_rejects_bad_composition(defect):
     G, compose = _defective_full_relation(defect)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
+        gp.make_groupoid("broken", G.objects, G.arrows, G.src, G.rng, compose)
+    assert str(raised.value) == COMPOSITION_DEFECTS[defect]
+
+
+def test_make_groupoid_names_the_first_faulty_entry():
+    # the entries are read in order, each tested for a non-composable
+    # pair, a composite that is not an arrow, then wrong ends; a missing
+    # composite is named only after every entry
+    G = gp.full_relation(2)
+    compose = dict(G.compose)
+    del compose[((1, 1), (1, 2))]
+    compose[((1, 2), (2, 1))] = (2, 2)
+    compose[((2, 1), (1, 2))] = "zzz"
+    with pytest.raises(ValueError, match=r"^composite \(2, 2\) of "
+                                         r"\(\(1, 2\),\(2, 1\)\) has the wrong ends$"):
         gp.make_groupoid("broken", G.objects, G.arrows, G.src, G.rng, compose)
 
 
@@ -315,12 +336,110 @@ def _full6_twist():
     return tw.twist_from_cocycle(tw.trivial_cocycle(R, gp.full_relation(6))).total
 
 
-@pytest.mark.parametrize("build", [
+CONSTRUCTED = [
     *(lambda name=name: make_twist(name).groupoid for name in FIXTURE_NAMES),
-    _rebuilt_klein_z4, _full6_twist],
-    ids=[*FIXTURE_NAMES, "rebuilt_klein_z4", "full6_gf7_total"])
+    _rebuilt_klein_z4, _full6_twist]
+CONSTRUCTED_IDS = [*FIXTURE_NAMES, "rebuilt_klein_z4", "full6_gf7_total"]
+
+
+@pytest.mark.parametrize("build", CONSTRUCTED, ids=CONSTRUCTED_IDS)
 def test_generating_set_reaches_every_arrow(build):
     assert _generating_set_is_sound(build())
+
+
+def _units_and_inverses_by_definition(G):
+    """unit_at and inv by make_groupoid's definition, scanning the arrows
+    in order: the first two-sided identity at each object, then the first
+    two-sided inverse of each arrow."""
+    unit_at = {}
+    for x in G.objects:
+        for u in G.arrows:
+            if G.src[u] == G.rng[u] == x and \
+                    all(G.compose[(u, b)] == b for b in G.arrows
+                        if G.rng[b] == x) and \
+                    all(G.compose[(a, u)] == a for a in G.arrows
+                        if G.src[a] == x):
+                unit_at[x] = u
+                break
+    inv = {}
+    for a in G.arrows:
+        for b in G.arrows:
+            if G.src[b] == G.rng[a] and G.rng[b] == G.src[a] \
+                    and G.compose[(b, a)] == unit_at[G.src[a]] \
+                    and G.compose[(a, b)] == unit_at[G.rng[a]]:
+                inv[a] = b
+                break
+    return unit_at, inv
+
+
+def _relisted(G, reverse):
+    """G rebuilt by make_groupoid, its objects and arrows listed in
+    reverse order when reverse is set."""
+    step = -1 if reverse else 1
+    return gp.make_groupoid(G.name, G.objects[::step], G.arrows[::step],
+                            G.src, G.rng, G.compose)
+
+
+def _loop():
+    arrows = list(range(5))
+    ends = dict.fromkeys(arrows, "*")
+    return gp.make_groupoid("loop", ["*"], arrows, ends, ends,
+                            {(a, b): LOOP_TABLE[a][b]
+                             for a in arrows for b in arrows})
+
+
+def _two_inverses():
+    """A magma with identity e in which a has the two inverses b and c, so
+    the inverse found depends on the arrow order."""
+    table = {"e": "eabc", "a": "aaee", "b": "bebc", "c": "cebc"}
+    arrows = list(table)
+    ends = dict.fromkeys(arrows, "x")
+    return gp.make_groupoid("two_inverses", ["x"], arrows, ends, ends,
+                            {(a, b): table[a][k] for a in arrows
+                             for k, b in enumerate(arrows)})
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
+@pytest.mark.parametrize("build", CONSTRUCTED + [_loop, _two_inverses],
+                         ids=CONSTRUCTED_IDS + ["loop", "two_inverses"])
+def test_units_and_inverses_are_the_first_in_arrow_order(build, reverse):
+    G = _relisted(build(), reverse)
+    assert (G.unit_at, G.inv) == _units_and_inverses_by_definition(G)
+
+
+def test_the_first_inverse_depends_on_the_listing():
+    G = _two_inverses()
+    assert (G.inv["a"], _relisted(G, True).inv["a"]) == ("b", "c")
+
+
+def test_make_groupoid_refuses_an_arrow_outside_the_objects():
+    ends = {"e": "x", "g": "z"}
+    with pytest.raises(ValueError,
+                       match="arrow g has src/rng outside the object set"):
+        gp.make_groupoid("outside", ["x"], ["e", "g"], ends, ends,
+                         {("e", "e"): "e", ("g", "g"): "g"})
+
+
+def test_the_composition_is_indexed_once(monkeypatch):
+    calls = []
+    index = gp.index_composition
+
+    def counted(*args):
+        calls.append(args)
+        return index(*args)
+
+    monkeypatch.setattr(gp, "index_composition", counted)
+    G = gp.full_relation(3)
+    assert gp.validate_groupoid(G) == []
+    assert tw.check_cocycle(tw.trivial_cocycle(fr.make_gf(3), G)) == []
+    gp.generating_set(G)
+    assert len(calls) == 1
+    # built directly, a groupoid is indexed on first use
+    H = gp.FiniteGroupoid("direct", G.objects, G.arrows, G.src, G.rng,
+                          G.compose, G.inv, G.unit_at)
+    assert gp.validate_groupoid(H) == []
+    assert gp.composition_rows(H) == gp.composition_rows(G)
+    assert len(calls) == 2
 
 
 def _twice(objects, arrows):

@@ -23,3 +23,25 @@ def test_module_imports_first_in_a_fresh_interpreter(module):
         [sys.executable, "-c", f"import quasicartan.{module}"],
         env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+_LOADED = "import sys; print(' '.join(sorted({m.split('.')[0] for m in sys.modules})))"
+
+
+def test_the_package_loads_the_standard_library_only():
+    # numpy and others are installed here but are not dependencies; a
+    # bare interpreter's own modules (site hooks, say) are subtracted
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+
+    def loaded(code):
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return set(result.stdout.split())
+
+    imports = "; ".join(f"import quasicartan.{m}" for m in MODULES)
+    outside = loaded(f"{imports}; {_LOADED}") - loaded(_LOADED) \
+        - set(sys.stdlib_module_names) - {"quasicartan"}
+    assert outside == set()

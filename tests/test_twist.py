@@ -17,7 +17,7 @@ def test_fixture_cocycles_are_valid(name):
 def test_twist_from_cocycle_satisfies_axioms(name):
     c = make_twist(name)
     T = tw.twist_from_cocycle(c)
-    assert tw.check_twist_axioms(T) == []
+    assert tw.check_twist_axioms(T) == _twist_axioms_by_definition(T) == []
     units = len(fr.ring_units(c.ring))
     assert len(T.total.arrows) == len(c.groupoid.arrows) * units
 
@@ -175,12 +175,127 @@ def test_fibre_cocycle():
     assert fc2.values[(1, 1)] == R.mul(4, R.mul(2, 2))
 
 
-def test_broken_twist_detected():
-    c = make_twist("z2_gf3")
+def _twist_axioms_by_definition(T):
+    """twist.check_twist_axioms by its definition: each axiom a loop over
+    the arrows, objects and units it quantifies over."""
+    R = T.ring
+    units = T.units_of_ring()
+    total, base = T.total, T.base
+    bad = []
+    bad.extend("total groupoid: " + v for v in gp.validate_groupoid(total))
+    bad.extend("base groupoid: " + v for v in gp.validate_groupoid(base))
+    if bad:
+        return bad
+    image = set()
+    for s in total.arrows:
+        g = T.proj.get(s)
+        if g is None:
+            bad.append(f"proj undefined on {s}")
+            continue
+        image.add(g)
+        if base.src[g] != total.src[s] or base.rng[g] != total.rng[s]:
+            bad.append(f"proj does not respect src/rng at {s}")
+    if image != set(base.arrows):
+        bad.append("proj is not surjective")
+    for (a, b), ab in total.compose.items():
+        pa, pb = T.proj[a], T.proj[b]
+        if base.compose.get((pa, pb)) != T.proj[ab]:
+            bad.append(f"proj not multiplicative at ({a},{b})")
+    seen = {}
+    for (x, t), s in T.inj.items():
+        if s in seen:
+            bad.append(f"inj not injective: {(x, t)} and {seen[s]} collide")
+        seen[s] = (x, t)
+        if total.src[s] != total.rng[s] or T.proj[s] != base.unit_at[x]:
+            bad.append(f"inj({x},{t}) does not sit over the unit at {x}")
+    for x in base.objects:
+        for t in units:
+            for u in units:
+                lhs = total.compose[(T.inj[(x, t)], T.inj[(x, u)])]
+                if lhs != T.inj[(x, R.mul(t, u))]:
+                    bad.append(f"inj not multiplicative at ({x},{t},{u})")
+    for x in base.objects:
+        fibre = {s for s in total.arrows if T.proj[s] == base.unit_at[x]}
+        if fibre != {T.inj[(x, t)] for t in units}:
+            bad.append(f"exactness fails over object {x}")
+    for s in total.arrows:
+        xr = base.rng[T.proj[s]]
+        xs = base.src[T.proj[s]]
+        for t in units:
+            left = total.compose[(T.inj[(xr, t)], s)]
+            right = total.compose[(s, T.inj[(xs, t)])]
+            if left != right:
+                bad.append(f"centrality fails at ({s},{t})")
+    for g in base.arrows:
+        fibre = [s for s in total.arrows if T.proj[s] == g]
+        if len(fibre) != len(units):
+            bad.append(f"fibre over {g} has size {len(fibre)}, expected {len(units)}")
+    tot_units = {total.unit_at[x] for x in total.objects}
+    proj_units = {T.proj[u] for u in tot_units}
+    if proj_units != {base.unit_at[x] for x in base.objects} or \
+            len(proj_units) != len(tot_units):
+        bad.append("unit spaces do not correspond bijectively")
+    for s in total.arrows:
+        for t in units:
+            if t != R.one and T.act(t, s) == s:
+                bad.append(f"action not free: {t}·{s} = {s}")
+    return bad
+
+
+def _broken_proj():
+    T = tw.twist_from_cocycle(make_twist("z2_gf3"))
+    proj = dict(T.proj)
+    proj[next(s for s in T.total.arrows if s[0] == 1)] = 0
+    return tw.ExplicitTwist(T.ring, T.total, T.base, T.inj, proj)
+
+
+def _non_injective_inj():
+    T = tw.twist_from_cocycle(make_twist("pair2_gf3"))
+    inj = dict(T.inj)
+    inj[(1, 2)] = inj[(1, 1)]
+    return tw.ExplicitTwist(T.ring, T.total, T.base, inj, T.proj)
+
+
+def _non_central_inj():
+    # (−1)^(x₁y₂) on C2×C2: ((1, 0), t) and ((0, 1), s) do not commute
+    R = fr.make_gf(3)
+    G = gp.group_as_groupoid(_KLEIN)
+    c = tw.Cocycle(R, G, {(x, y): 2 for x in G.arrows for y in G.arrows
+                          if x[0] and y[1]})
     T = tw.twist_from_cocycle(c)
-    broken_proj = dict(T.proj)
-    some = next(s for s in T.total.arrows if s[0] == 1)
-    broken_proj[some] = 0
-    bad = tw.check_twist_axioms(
-        tw.ExplicitTwist(T.ring, T.total, T.base, T.inj, broken_proj))
-    assert bad != []
+    inj = {(x, t): ((1, 0), t) for x, t in T.inj}
+    return tw.ExplicitTwist(R, T.total, T.base, inj, T.proj)
+
+
+def _trivial_action():
+    # the base as its own extension: every unit acts as the identity
+    G = gp.full_relation(2)
+    return tw.ExplicitTwist(fr.make_gf(3), G, G,
+                            {(x, t): G.unit_at[x] for x in G.objects
+                             for t in (1, 2)},
+                            {g: g for g in G.arrows})
+
+
+def _fibres_too_large():
+    # the twist over GF(5) read with the two units of GF(3)
+    T = tw.twist_from_cocycle(tw.trivial_cocycle(
+        fr.make_gf(5), gp.group_as_groupoid(gp.cyclic_group(2))))
+    inj = {(x, t): T.inj[(x, t)] for x in T.base.objects for t in (1, 2)}
+    return tw.ExplicitTwist(fr.make_gf(3), T.total, T.base, inj, T.proj)
+
+
+BROKEN_TWISTS = {
+    "broken_proj": (_broken_proj, "proj not multiplicative at "),
+    "non_injective_inj": (_non_injective_inj, "inj not injective: "),
+    "non_central_inj": (_non_central_inj, "centrality fails at "),
+    "trivial_action": (_trivial_action, "action not free: "),
+    "fibres_too_large": (_fibres_too_large, "fibre over 0 has size 4, expected 2"),
+}
+
+
+def test_broken_twist_detected():
+    for name, (build, fault) in BROKEN_TWISTS.items():
+        T = build()
+        bad = tw.check_twist_axioms(T)
+        assert bad == _twist_axioms_by_definition(T), name
+        assert any(v.startswith(fault) for v in bad), name

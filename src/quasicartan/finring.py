@@ -322,11 +322,67 @@ def unit_pivot_rank(R, vectors):
     commutative ring is local exactly when it is indecomposable
     (is_indecomposable), being a product of local rings.  Over Z/6 the
     test fails: (2) and (3) span Z/6 with no unit pivot.
+
+    Over any finite commutative ring the span has at least |R|^rank
+    elements: a pivot row is 1 at its column and 0 at every other pivot
+    column, so distinct combinations of the pivot rows differ.
     """
     vectors = {tuple(v) for v in vectors}
     width = len(next(iter(vectors))) if vectors else 0
     pivots, _, _ = _eliminate(R, [list(v) for v in vectors], width)
     return len(pivots)
+
+
+def unit_pivots(R, vectors):
+    """The vectors, walked in order, that raise the unit-pivot rank, and
+    how the reduced pivot rows combine them.
+
+    Each vector is reduced against the pivot rows kept so far and is kept
+    when an entry is left a unit; that entry's column becomes its pivot
+    and is cleared from the other pivot rows, as in _eliminate.  Over a
+    local ring a vector is kept exactly when its image modulo the maximal
+    ideal lies outside the span of the images of those kept before
+    (unit_pivot_rank), whichever unit is chosen as pivot.  Over other
+    rings a vector left without a unit entry is dropped for good, where
+    _eliminate keeps it for a later pivot: over Z/6, (2,3) then (1,1)
+    keeps one vector, and unit_pivot_rank counts two.  So the count there
+    depends on the order and can fall short of unit_pivot_rank, but the
+    kept vectors at a full count are still an invertible matrix.  The walk
+    stops once every column has a pivot.
+
+    Returns (kept, combination): combination[col] lists the coefficients
+    over kept of the pivot row at col.  With a pivot in every column those
+    rows are the standard basis, so combination is the inverse of the
+    matrix whose rows are kept.
+    """
+    add, mul, neg, inverse = R.add_table, R.mul_table, R._neg, R._unit_inverse
+    zero = R.zero
+    kept, pivots, width = [], {}, 0
+    for v in vectors:
+        width = len(v)
+        # the vector, then its combination over kept; the pivot rows are 0
+        # at its own place in that combination, so it is set to 1 once the
+        # vector is kept
+        row = list(v) + [zero] * width
+        for col, p in pivots.items():
+            t = neg[row[col]]
+            if t != zero:
+                row = [add[a][mul[t][b]] for a, b in zip(row, p)]
+        col = next((c for c in range(width) if row[c] in inverse), None)
+        if col is None:
+            continue
+        row[width + len(kept)] = R.one
+        row = [mul[inverse[row[col]]][a] for a in row]
+        for p in pivots.values():
+            t = neg[p[col]]
+            if t != zero:
+                p[:] = [add[a][mul[t][b]] for a, b in zip(p, row)]
+        pivots[col] = row
+        kept.append(tuple(v))
+        if len(pivots) == width:
+            break
+    return kept, {col: row[width:width + len(kept)]
+                  for col, row in pivots.items()}
 
 
 def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP, one=False):

@@ -157,6 +157,12 @@ class Pair:
         self.name = name or algebra.name
         self.cap = cap
         A = algebra
+        # B contains the |R|^r combinations of the r reduced pivot rows of
+        # sub_basis (finring.unit_pivot_rank), so that bound is charged to
+        # the cap before B is listed
+        size = A.ring.size ** finring.unit_pivot_rank(A.ring, self.sub_basis)
+        if size > cap:
+            raise CapExceeded(size, cap)
         self.B = A.span(self.sub_basis)
         # the product is bilinear, so the spanning set decides both
         for b in self.sub_basis:
@@ -170,6 +176,7 @@ class Pair:
         self._local_units = None
         self._membership = None
         self._normalisers = {}  # (mode, oracle) -> sorted list
+        self._unit_classes = None
         self._idempotents = None
         self._atoms = None
         self._expectation = None
@@ -518,30 +525,51 @@ class Pair:
     # -- conditional expectations -------------------------------------
 
     def canonical_expectation(self):
-        """The candidate expectation P(n) = n·e(n) on basis normalisers.
+        """The candidate expectation P(n) = n·e(n), built on normalisers
+        and extended linearly.
 
-        e(n) is the join of the atoms a ≤ n†n with n·a in B.  P is then
-        extended linearly over the basis coordinates.  Returns a report
-        dict; 'map' is None when some basis vector is not a normaliser or
-        the result fails the expectation axioms.
+        e(n) is the join of the atoms a ≤ n†n with n·a in B.  P is defined
+        on T, the first dim A candidates that raise the unit-pivot rank
+        (finring.unit_pivots).  A pivot in every column makes T a basis of
+        A, and the combinations of T that give the standard basis give P
+        on it.  The candidates are the basis vectors that are normalisers,
+        then the _deciding_normalisers in order, listed only when the basis
+        falls short.  On a twist pair T is the arrow basis.  Over a ring
+        that is not local the walk is greedy and can miss a basis that
+        full elimination would find (finring.unit_pivots); P is then None,
+        as it is for any T that fails the axioms.  n·e(n) is the
+        expectation only where P is implemented by idempotents, so on a
+        pair that is not quasi-Cartan the map, and with it faithfulness,
+        can depend on the basis given.
+
+        Returns a report dict; 'map' is None when T falls short of dim A
+        or the result fails the expectation axioms.
         """
         if self._expectation is not None:
             return self._expectation
         A, R = self.algebra, self.algebra.ring
-        idem, atoms = self.idempotents_of_B()
-        images = []
-        for i, n in enumerate(A.basis_vectors):
-            k = self.dagger_of(n)
-            if k is None:
-                self._expectation = {
-                    "map": None, "reason": f"basis vector {i} is not a normaliser"}
-                return self._expectation
-            source = A.mul(k, n)
+        _, atoms = self.idempotents_of_B()
+
+        def candidates():
+            yield from (n for n in A.basis_vectors
+                        if self.dagger_of(n) is not None)
+            yield from self._deciding_normalisers()
+
+        T, combination = finring.unit_pivots(R, candidates())
+        if len(T) < A.dim:
+            self._expectation = {
+                "map": None, "reason": "the candidate normalisers do not span A"}
+            return self._expectation
+        on_T = []
+        for n in T:
+            source = A.mul(self.dagger_of(n), n)
             e = A.zero()
             for a in atoms:
                 if A.mul(a, source) == a and self.in_B(A.mul(n, a)):
                     e = A.add(e, a)
-            images.append(A.mul(n, e))
+            on_T.append(A.mul(n, e))
+        images = [functools.reduce(A.add, map(A.scale, combination[i], on_T))
+                  for i in range(A.dim)]
 
         def P(x):
             out = A.zero()
@@ -557,43 +585,29 @@ class Pair:
 
     def check_expectation(self, P):
         """Evaluate the expectation axioms, faithfulness, and whether P is
-        implemented by idempotents on every normaliser.  The last two are
-        decided on _deciding_normalisers."""
-        A, R = self.algebra, self.algebra.ring
+        implemented by idempotents on every normaliser, for a linear P.
+        P fixes B when it fixes sub_basis, which spans B.  The last two are
+        decided on one normaliser per class of unit_classes."""
+        A = self.algebra
         report = {}
-        ok = True
-        # lands in B, fixes B
-        for b in self.B:
-            if P(b) != b:
-                ok = False
-                break
-        if ok:
-            for a in A.basis_vectors:
-                if not self.in_B(P(a)):
-                    ok = False
-                    break
+        # fixes B, lands in B
+        ok = all(P(b) == b for b in self.sub_basis) and \
+            all(self.in_B(P(a)) for a in A.basis_vectors)
         # bimodularity on spanning sets (enough by linearity)
-        if ok:
-            for b in self.sub_basis:
-                for b2 in self.sub_basis:
-                    for a in A.basis_vectors:
-                        if P(A.mul(A.mul(b, a), b2)) != A.mul(A.mul(b, P(a)), b2):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
+        ok = ok and all(
+            P(A.mul(A.mul(b, a), b2)) == A.mul(A.mul(b, P(a)), b2)
+            for b in self.sub_basis for b2 in self.sub_basis
+            for a in A.basis_vectors)
         report["is_expectation"] = ok
         if not ok:
             report["faithful"] = False
             report["implemented_by_idempotents"] = False
             return report
-        normalisers = self._deciding_normalisers()
         report["faithful"] = self._faithfulness_kernel(P) == [A.zero()]
         idem, _ = self.idempotents_of_B()
+        _, classes = self.unit_classes()
         implemented = True
-        for n in normalisers:
+        for n in classes:
             pn = P(n)
             if not any(A.mul(n, e) == pn and A.mul(e, n) == pn for e in idem):
                 implemented = False
@@ -604,13 +618,10 @@ class Pair:
     def _faithfulness_kernel(self, P):
         """The a with P(n·a) = 0 for every normaliser n, for a linear P.
         P(n·a) is linear in n, so the n of _deciding_normalisers, which
-        span every normaliser, give the same kernel.  One n per R^×-orbit
-        is read: for a unit t, P((t·n)·a) = t·P(n·a), so t·n and n have
-        the same kernel."""
+        span every normaliser, give the same kernel, and so does one n per
+        class of unit_classes."""
         A = self.algebra
-        units = finring.ring_units(A.ring)
-        classes = {min(A.scale(t, n) for t in units)
-                   for n in self._deciding_normalisers()}
+        _, classes = self.unit_classes()
         return self._common_kernel(
             [P(A.mul(n, b)) for b in A.basis_vectors] for n in classes)
 
@@ -671,6 +682,35 @@ class Pair:
             return self.enumerate_normalisers("minimal")
         return self.enumerate_normalisers("full")
 
+    def unit_classes(self):
+        """The R^×-classes of _deciding_normalisers, once per pair, as
+        (coordinates, classes): coordinates[p] = (t, rep) with p = t·rep
+        over the union of the orbits, rep the atom of a unit class and the
+        least member otherwise; classes the sorted reps.  One rep decides
+        each flag of classify for its class, for a unit t and a linear P:
+        - spans: R·(t·n) = R·n;
+        - the faithfulness kernel: P((t·n)·a) = t·P(n·a);
+        - by idempotents: n·e = P(n) = e·n gives (t·n)·e = P(t·n) = e·(t·n);
+        - freeness: (t·n)† = t⁻¹·n†, so the source and range do not
+          change, and t·n lies in B iff n does.
+        """
+        if self._unit_classes is None:
+            A = self.algebra
+            units = sorted(finring.ring_units(A.ring))
+            _, atoms = self.idempotents_of_B()
+            coordinates = {}
+            for n in self._deciding_normalisers():
+                if n in coordinates:
+                    continue
+                orbit = [A.scale(t, n) for t in units]
+                rep = next((e for e in atoms if e in orbit), min(orbit))
+                if rep != n:
+                    orbit = [A.scale(t, rep) for t in units]
+                coordinates.update(zip(orbit, ((t, rep) for t in units)))
+            self._unit_classes = coordinates, sorted(
+                {rep for _, rep in coordinates.values()})
+        return self._unit_classes
+
     def _spans_A(self, vectors):
         """Whether vectors span A as an R-module.  Over a local ring this is
         a rank test (finring.unit_pivot_rank); otherwise the span is built."""
@@ -681,8 +721,8 @@ class Pair:
 
     def classify(self):
         """The full flag report with the implication chain asserted.  The
-        normaliser flags are decided on _deciding_normalisers, and the
-        spanning tests by _spans_A."""
+        normaliser flags are decided on one normaliser per class of
+        unit_classes, and the spanning tests by _spans_A."""
         if self._classification is not None:
             return self._classification
         A = self.algebra
@@ -694,8 +734,8 @@ class Pair:
         report["local_units"] = self.has_local_units()
         idem, _ = self.idempotents_of_B()
         report["B_spanned_by_idempotents"] = A.span(idem) == self.B
-        normalisers = self._deciding_normalisers()
-        report["A_spanned_by_normalisers"] = self._spans_A(normalisers)
+        _, classes = self.unit_classes()
+        report["A_spanned_by_normalisers"] = self._spans_A(classes)
         base = (report["WT"] and report["local_units"] and
                 report["B_spanned_by_idempotents"] and
                 report["A_spanned_by_normalisers"])
@@ -708,7 +748,7 @@ class Pair:
         # Cartan: B is a maximal commutative subalgebra (commutant of B = B)
         report["ACP"] = base and set(self._commutant()) == self.B
         # diagonal: the free normalisers span A
-        free = [n for n in normalisers if self.is_free_normaliser(n)]
+        free = [n for n in classes if self.is_free_normaliser(n)]
         report["ADP"] = base and self._spans_A(free)
         if report["ADP"] and not report["ACP"]:
             raise AssertionError("implication ADP => ACP violated")

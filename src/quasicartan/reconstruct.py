@@ -19,17 +19,25 @@ from .groupoid import make_groupoid, validate_groupoid
 
 
 class UltraGroupoid:
-    """The groupoid of ultrafilter points with its unit-group action."""
+    """The groupoid of ultrafilter points with its unit-group action.
+
+    The classes and coordinates are the pair's (Pair.unit_classes), keyed
+    by the union of the orbits of the points: so the action closes the
+    points iff there are |points| keys, and is free iff |classes|·|R^×|.
+    """
 
     def __init__(self, pair):
         # the algebra, not the pair: the pair caches this groupoid, and a
         # reference back would make every pair a cycle for the collector
         self.algebra = A = pair.algebra
-        R = A.ring
-        self.units = sorted(finring.ring_units(R))
+        self.units = sorted(finring.ring_units(A.ring))
         self.points = list(pair.enumerate_normalisers("minimal"))
         _, self.atoms = pair.idempotents_of_B()
-        point_set = set(self.points)
+        self.coordinates, self.classes = pair.unit_classes()
+        if len(self.coordinates) != len(self.points):
+            raise AssertionError("points not closed under the scalar action")
+        if len(self.coordinates) != len(self.classes) * len(self.units):
+            raise AssertionError("scalar action is not free")
         self.source = {}
         self.range = {}
         self.dagger = {}
@@ -40,38 +48,8 @@ class UltraGroupoid:
             self.range[m] = A.mul(m, k)
             if self.source[m] not in self.atoms or self.range[m] not in self.atoms:
                 raise AssertionError("point with non-atomic source or range")
-            if k not in point_set:
+            if k not in self.coordinates:
                 raise AssertionError("points not closed under dagger")
-        # scalar action and its orbits
-        self.orbit_of = {}
-        for m in self.points:
-            orbit = {A.scale(t, m) for t in self.units}
-            if not orbit <= point_set:
-                raise AssertionError("points not closed under the scalar action")
-            if len(orbit) != len(self.units):
-                raise AssertionError("scalar action is not free")
-            self.orbit_of[m] = orbit
-        # canonical class representatives: the atom itself for unit classes,
-        # the lexicographically least member otherwise; coordinates[p] is
-        # the (t, rep) with p = t·rep
-        self.class_rep = {}
-        self.coordinates = {}
-        for m in self.points:
-            if m in self.class_rep:
-                continue
-            orbit = self.orbit_of[m]
-            rep = None
-            for e in self.atoms:
-                if e in orbit:
-                    rep = e
-                    break
-            if rep is None:
-                rep = min(orbit)
-            for t in self.units:
-                p = A.scale(t, rep)
-                self.class_rep[p] = rep
-                self.coordinates[p] = (t, rep)
-        self.classes = sorted(set(self.class_rep.values()))
         self._twist = None
 
     def compose(self, m, n):
@@ -79,7 +57,7 @@ class UltraGroupoid:
         if self.source[m] != self.range[n]:
             raise ValueError("points not composable")
         out = self.algebra.mul(m, n)
-        if out not in self.orbit_of:
+        if out not in self.coordinates:
             raise AssertionError("composition left the point set")
         return out
 
@@ -89,17 +67,20 @@ class UltraGroupoid:
 
         G′ has the atoms as objects and the class representatives as
         arrows, each unit class represented by its atom.  One product per
-        composable pair of classes (g, h): gh = u·r for a class r gives
-        g∘h = r and c′(g, h) = u.
+        composable pair of classes (g, h), the h read from the classes
+        grouped by range: gh = u·r for a class r gives g∘h = r and
+        c′(g, h) = u.
         """
         if self._twist is not None:
             return self._twist
+        ending = {}
+        for h in self.classes:
+            ending.setdefault(self.range[h], []).append(h)
         compose, values = {}, {}
         for g in self.classes:
-            for h in self.classes:
-                if self.source[g] == self.range[h]:
-                    u, r = self.coordinates[self.compose(g, h)]
-                    values[(g, h)], compose[(g, h)] = u, r
+            for h in ending.get(self.source[g], ()):
+                u, r = self.coordinates[self.compose(g, h)]
+                values[(g, h)], compose[(g, h)] = u, r
         src = {g: self.source[g] for g in self.classes}
         rng = {g: self.range[g] for g in self.classes}
         base = make_groupoid("ultra_base", self.atoms, self.classes,
@@ -142,41 +123,43 @@ def build_ultra_groupoid(pair):
 
 
 def phi_map(pair):
-    """The embedding of the twist points of a pair_from_twist pair into the
-    ultrafilter points.
+    """The embedding φ(γ, t) = t·δ_γ of the twist of a pair_from_twist
+    pair into the ultrafilter points, checked on classes.
 
-    The twist point (γ, t) maps to the minimal normaliser t·δ_γ.  The
-    points of the pair's twist compose as (α, t)(β, s) = (αβ, c(α,β)·ts),
-    and a unit t acts as t·(γ, s) = (γ, ts), c being normalised.  Returns
-    (mapping, ultra, report) with injectivity, equivariance, homomorphism
-    and surjectivity verdicts.
+    With δ_γ = σ(γ)·β(γ) in coordinates, φ(γ, t) = (t·σ(γ), β(γ)): it
+    commutes with the units, is injective iff β is and onto iff β is onto
+    the classes.  The twists compose as (a, t)(b, s) = (ab, c(a,b)·ts), so
+    by bilinearity φ is a homomorphism iff, for each composable (a, b),
+    β(a∘b) = β(a)∘β(b) in G′ and c(a,b)·σ(a∘b) = c′(βa,βb)·σ(a)·σ(b):
+    compare_twists' adjustment equation with ψ = β and u = σ.  Returns
+    (delta, ultra, report), delta[γ] the coordinates of δ_γ or None.
     """
     ug = build_ultra_groupoid(pair)
     A, c = pair.algebra, pair.cocycle
-    G, R = c.groupoid, A.ring
-    mul = R.mul_table
-    mapping = {}
-    for g in G.arrows:
-        for t in ug.units:
-            mapping[(g, t)] = A.scale(t, A.basis_vector(A.index[g]))
-    point_set = set(ug.points)
-    report = {}
-    report["well_defined"] = all(v in point_set for v in mapping.values())
-    report["injective"] = len(set(mapping.values())) == len(mapping)
+    G, mul = c.groupoid, A.ring.mul_table
+    delta = {g: ug.coordinates.get(A.basis_vectors[A.index[g]])
+             for g in G.arrows}
+    report = dict.fromkeys(["well_defined", "injective", "homomorphism",
+                            "unit_bijective", "surjective"], False)
+    if None in delta.values():
+        return delta, ug, report
+    sigma = {g: t for g, (t, _) in delta.items()}
+    beta = {g: r for g, (_, r) in delta.items()}
+    rebuilt = ug.to_twist()
+    report["well_defined"] = True
+    report["injective"] = len(set(beta.values())) == len(beta)
     report["homomorphism"] = all(
-        ug.compose(mapping[(a, t)], mapping[(b, s)]) ==
-        mapping[(ab, mul[mul[c.values[(a, b)]][t]][s])]
-        for (a, b), ab in G.compose.items()
-        for t in ug.units for s in ug.units)
-    report["equivariant"] = all(
-        mapping[(g, mul[t][s])] == A.scale(t, mapping[(g, s)])
-        for g in G.arrows for s in ug.units for t in ug.units)
-    # units of the original twist must land bijectively on unit points,
-    # the atoms
-    image_of_units = {mapping[(G.unit_at[x], R.one)] for x in G.objects}
-    report["unit_bijective"] = image_of_units == set(ug.atoms)
-    report["surjective"] = set(mapping.values()) == point_set
-    return mapping, ug, report
+        rebuilt.groupoid.compose.get((beta[a], beta[b])) == beta[ab] and
+        mul[c.values[(a, b)]][sigma[ab]] ==
+        mul[mul[rebuilt.values[(beta[a], beta[b])]][sigma[a]]][sigma[b]]
+        for (a, b), ab in G.compose.items())
+    # the units of the original twist land bijectively on the unit points,
+    # the atoms, when each δ at a unit is an atom
+    report["unit_bijective"] = \
+        {A.basis_vectors[A.index[G.unit_at[x]]] for x in G.objects} == \
+        set(ug.atoms)
+    report["surjective"] = set(beta.values()) == set(ug.classes)
+    return delta, ug, report
 
 
 def verify_reconstruction_theorem(pair):
@@ -185,13 +168,13 @@ def verify_reconstruction_theorem(pair):
     twist, and surjectivity of the embedding."""
     classification = pair.classify()
     lbh, witness = pairs_mod.check_lbh(pair)
-    mapping, ug, phi_report = phi_map(pair)
+    delta, ug, phi_report = phi_map(pair)
     report = {
         "aqp": classification["AQP"],
         "lbh": lbh,
         "phi_surjective": phi_report["surjective"],
         "phi_injective": phi_report["injective"],
-        "sigma_points": len(mapping),
+        "sigma_points": len(delta) * len(ug.units),
         "sigma_prime_points": len(ug.points),
         "g_prime_arrows": len(ug.classes),
         "classification": classification,
@@ -201,23 +184,8 @@ def verify_reconstruction_theorem(pair):
     flags = {report["aqp"], report["lbh"], report["phi_surjective"]}
     report["consistent"] = len(flags) == 1
     if not (phi_report["injective"] and phi_report["well_defined"]
-            and phi_report["homomorphism"] and phi_report["equivariant"]
-            and phi_report["unit_bijective"]):
+            and phi_report["homomorphism"] and phi_report["unit_bijective"]):
         raise AssertionError("embedding properties failed")
-    if report["phi_surjective"]:
-        # the induced base map must be a bijection making the squares commute
-        base_map = {}
-        for (g, t), m in mapping.items():
-            cls = ug.class_rep[m]
-            if g in base_map and base_map[g] != cls:
-                raise AssertionError("base map not well defined on classes")
-            base_map[g] = cls
-        if len(set(base_map.values())) != len(ug.classes):
-            raise AssertionError("base map is not a bijection")
-        rebuilt = ug.to_twist().groupoid
-        for (a, b), ab in pair.cocycle.groupoid.compose.items():
-            if rebuilt.compose[(base_map[a], base_map[b])] != base_map[ab]:
-                raise AssertionError("base map is not multiplicative")
     return report
 
 

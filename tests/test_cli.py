@@ -383,13 +383,8 @@ def test_check_charges_the_explicit_twist_to_the_cap(options, expected,
         assert cli.parse_summary(captured.out)["twist_ok"] == "true"
 
 
-def test_check_exits_on_the_cap_before_building_a_large_twist(tmp_path):
-    # 1,000 compositions under the default cap, but 10⁷ composites in the
-    # explicit twist over GF(101): refused before any is built, within a
-    # 1.5 GB address space
-    path = tmp_path / "input.txt"
-    path.write_text(FULL4_GF11.replace("gf(11,1)", "gf(101,1)")
-                    .replace("full_relation(4)", "full_relation(10)"))
+def _run_limited(command, path):
+    """The CLI in a child process with a 1.5 GB address space."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -399,12 +394,62 @@ def test_check_exits_on_the_cap_before_building_a_large_twist(tmp_path):
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
 
-    result = subprocess.run(
-        [sys.executable, "-m", "quasicartan.cli", "check", str(path)],
+    return subprocess.run(
+        [sys.executable, "-m", "quasicartan.cli", command, str(path)],
         env=env, preexec_fn=limit_address_space, capture_output=True,
-        text=True, timeout=120)
+        text=True, timeout=60)
+
+
+def test_check_exits_on_the_cap_before_building_a_large_twist(tmp_path):
+    # 1,000 compositions under the default cap, but 10⁷ composites in the
+    # explicit twist over GF(101): refused before any is built, within a
+    # 1.5 GB address space
+    path = tmp_path / "input.txt"
+    path.write_text(FULL4_GF11.replace("gf(11,1)", "gf(101,1)")
+                    .replace("full_relation(4)", "full_relation(10)"))
+    result = _run_limited("check", path)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("cap exceeded:")
+
+
+@pytest.mark.parametrize("ring, n", [("gf(2,1)", 24), ("gf(3,1)", 13)])
+def test_classify_exits_on_the_cap_before_listing_B(ring, n, tmp_path):
+    # |B| = 2^24 and 3^13, past the default cap of 10^6: B is charged to
+    # the cap from the rank of sub_basis before a set of |B| vectors of
+    # length n² is built, so within a 1.5 GB address space the command
+    # exits 2 at once
+    path = tmp_path / "input.txt"
+    path.write_text(FULL4_GF11.replace("gf(11,1)", ring)
+                    .replace("full_relation(4)", f"full_relation({n})"))
+    result = _run_limited("classify", path)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("cap exceeded:")
+
+
+def _conjugated_diagonal(n, p):
+    """M_n(GF(p)) by matrix units with B = g·D·g⁻¹, g = 1 + e12: B is
+    spanned by e11 − e12, e22 + e12 and the other e_ii."""
+    labels = {(i, j): f"e{i}{j}" for i in range(1, n + 1)
+              for j in range(1, n + 1)}
+    rows = [f"{x} * {y} = {labels[(i, l)]}"
+            for (i, j), x in labels.items() for (k, l), y in labels.items()
+            if j == k]
+    sub_basis = [f"e11 + {p - 1}*e12", "e22 + e12"] + \
+        [f"e{i}{i}" for i in range(3, n + 1)]
+    return "\n".join(["[ring]", f"gf({p},1)", "[algebra]",
+                      "basis = " + " ".join(labels.values()), *rows,
+                      "[pair]", "sub_basis = " + ", ".join(sub_basis), ""])
+
+
+@pytest.mark.parametrize("n, p", [(2, 3), (3, 2), (3, 3)])
+def test_classify_a_conjugated_diagonal(n, p, tmp_path, capsys):
+    # the pair is isomorphic to the diagonal pair, though no basis vector
+    # off the diagonal but e12 is a normaliser
+    code, out = _run("classify", _conjugated_diagonal(n, p), tmp_path, capsys)
+    assert code == 0
+    summary = cli.parse_summary(out)
+    for key in ("faithful_ce_exists", "adp", "acp", "aqp"):
+        assert summary[key] == "true", key
 
 
 def test_deterministic_output(tmp_path, capsys):

@@ -109,6 +109,15 @@ def test_solve_linear_matches_direct_enumeration():
     assert sols == direct
 
 
+def test_the_greedy_walk_can_fall_short_of_the_rank_off_a_local_ring():
+    # (2, 3) has no unit entry, so the walk drops it; elimination keeps it
+    # until (1, 1) gives it the unit 1 = 3 - 2 at column 1
+    R = fr.make_zmod(6)
+    assert fr.unit_pivot_rank(R, [(2, 3), (1, 1)]) == 2
+    assert fr.unit_pivots(R, [(2, 3), (1, 1)])[0] == [(1, 1)]
+    assert fr.unit_pivots(R, [(1, 1), (2, 3)])[0] == [(1, 1), (2, 3)]
+
+
 def test_solve_linear_cap():
     R = fr.make_zmod(16)
     with pytest.raises(fr.CapExceeded) as exc:

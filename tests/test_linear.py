@@ -4,6 +4,7 @@ and, over a local ring, the unit-pivot rank against a closure under
 adding scalar multiples of the generators, and the dagger solver against
 its oracle when B is not a coordinate subspace."""
 
+import functools
 import itertools
 
 from hypothesis import given, settings, strategies as st
@@ -98,6 +99,15 @@ def test_span_equals_the_definitional_closure(case):
     if fr.is_indecomposable(R):
         assert (fr.unit_pivot_rank(R, vectors) == dim) == \
             (len(closure) == R.size ** dim)
+    # the kept vectors come in order, and with a pivot in every column
+    # their combinations give the standard basis
+    kept, combination = fr.unit_pivots(R, vectors)
+    walk = iter(vectors)
+    assert all(v in walk for v in kept)
+    if len(kept) == dim:
+        for col, coeffs in combination.items():
+            assert functools.reduce(A.add, map(A.scale, coeffs, kept)) == \
+                A.basis_vector(col)
 
 
 def test_dagger_matches_oracle_off_a_coordinate_subspace():

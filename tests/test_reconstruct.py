@@ -42,8 +42,60 @@ def test_three_way_equivalence(name):
 def test_embedding_properties(name):
     phi = recon(name)["phi"]
     assert phi["well_defined"] and phi["injective"]
-    assert phi["homomorphism"] and phi["equivariant"]
-    assert phi["unit_bijective"]
+    assert phi["homomorphism"] and phi["unit_bijective"]
+
+
+def _phi_by_definition(pair):
+    """phi_map's flags from the point map (γ, t) ↦ t·δ_γ: the homomorphism
+    over every composable pair and every pair of units, equivariance, and,
+    when it is onto, the base map on classes checked bijective and
+    multiplicative."""
+    ug = rc.build_ultra_groupoid(pair)
+    A, c = pair.algebra, pair.cocycle
+    G, R = c.groupoid, A.ring
+    mul = R.mul_table
+    mapping = {(g, t): A.scale(t, A.basis_vector(A.index[g]))
+               for g in G.arrows for t in ug.units}
+    point_set = set(ug.points)
+    orbit = {m: {A.scale(t, m) for t in ug.units} for m in ug.points}
+    report = {
+        "well_defined": all(v in point_set for v in mapping.values()),
+        "injective": len(set(mapping.values())) == len(mapping),
+        "homomorphism": all(
+            ug.compose(mapping[(a, t)], mapping[(b, s)]) ==
+            mapping[(ab, mul[mul[c.values[(a, b)]][t]][s])]
+            for (a, b), ab in G.compose.items()
+            for t in ug.units for s in ug.units),
+        "unit_bijective": {mapping[(G.unit_at[x], R.one)]
+                           for x in G.objects} == set(ug.atoms),
+        "surjective": set(mapping.values()) == point_set,
+    }
+    assert all(mapping[(g, mul[t][s])] == A.scale(t, mapping[(g, s)])
+               for g in G.arrows for s in ug.units for t in ug.units)
+    if report["surjective"]:
+        # the base map γ ↦ the class of δ_γ: a bijection onto the arrows
+        # of G′ that keeps composition
+        arrow_of = {frozenset(orbit[g]): g for g in ug.classes}
+        base_map = {g: arrow_of[frozenset(orbit[mapping[(g, R.one)]])]
+                    for g in G.arrows}
+        assert sorted(base_map.values()) == ug.classes
+        rebuilt = ug.to_twist().groupoid
+        assert all(rebuilt.compose[(base_map[a], base_map[b])] == base_map[ab]
+                   for (a, b), ab in G.compose.items())
+    return report
+
+
+MORE_PAIRS = {"klein_z4": klein_z4_pair, "m2_gf3": lambda: matrix_pair(2, 3),
+              "m3_gf2": lambda: matrix_pair(3, 2),
+              "m2_gf4": lambda: matrix_pair(2, 2, 2)}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(MORE_PAIRS))
+def test_phi_equals_the_point_map(name):
+    pair = MORE_PAIRS[name]() if name in MORE_PAIRS else make_pair(name)
+    delta, _, report = rc.phi_map(pair)
+    assert report == _phi_by_definition(pair)
+    assert len(delta) == len(pair.cocycle.groupoid.arrows)
 
 
 def test_rebuilt_twist_satisfies_axioms():
@@ -110,20 +162,36 @@ def test_build_rejects_degenerate_pairs():
 def test_scalar_action_structure():
     ug = rc.build_ultra_groupoid(make_pair("pair2_gf3"))
     A = ug.algebra
-    # orbits partition the points with size = number of units
-    seen = set()
-    for m in ug.points:
-        orbit = ug.orbit_of[m]
-        assert len(orbit) == len(ug.units)
-        assert seen.isdisjoint(orbit) or orbit <= seen
-        seen |= orbit
-    assert seen == set(ug.points)
+    # the coordinates are a bijection from the points onto units × classes
+    assert set(ug.coordinates) == set(ug.points)
+    assert set(ug.coordinates.values()) == \
+        {(t, g) for t in ug.units for g in ug.classes}
     assert len(ug.classes) * len(ug.units) == len(ug.points)
-    # source and range are constant along orbits
-    for m in ug.points:
-        for p in ug.orbit_of[m]:
-            assert ug.source[p] == ug.source[m]
-            assert ug.range[p] == ug.range[m]
+    for m, (t, g) in ug.coordinates.items():
+        assert A.scale(t, g) == m
+        # source and range are constant along orbits
+        assert ug.source[m] == ug.source[g]
+        assert ug.range[m] == ug.range[g]
+    # unit classes are represented by their atoms
+    assert set(ug.atoms) <= set(ug.classes)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["klein_z4"])
+def test_classes_partition_the_deciding_normalisers(name):
+    # under local units: |R^×| points per class, each class the orbit of
+    # its representative, the representative its atom or its least member
+    pair = klein_z4_pair() if name == "klein_z4" else make_pair(name)
+    assert pair.has_local_units()
+    A = pair.algebra
+    units = sorted(fr.ring_units(A.ring))
+    _, atoms = pair.idempotents_of_B()
+    coordinates, classes = pair.unit_classes()
+    orbits = [{A.scale(t, g) for t in units} for g in classes]
+    assert sum(map(len, orbits)) == len(units) * len(classes)
+    assert set().union(*orbits) == set(pair._deciding_normalisers())
+    for g, orbit in zip(classes, orbits):
+        assert g == next((e for e in atoms if e in orbit), min(orbit))
+        assert all(coordinates[p][1] == g for p in orbit)
 
 
 def test_composition_respects_cocycle():

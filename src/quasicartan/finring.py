@@ -322,15 +322,20 @@ def unit_pivot_rank(R, vectors):
     commutative ring is local exactly when it is indecomposable
     (is_indecomposable), being a product of local rings.  Over Z/6 the
     test fails: (2) and (3) span Z/6 with no unit pivot.
-
-    Over any finite commutative ring the span has at least |R|^rank
-    elements: a pivot row is 1 at its column and 0 at every other pivot
-    column, so distinct combinations of the pivot rows differ.
     """
-    vectors = {tuple(v) for v in vectors}
+    return len(unit_pivot_rows(R, {tuple(v) for v in vectors})[0])
+
+
+def unit_pivot_rows(R, vectors):
+    """(pivots, rest) from unit-pivot elimination on vectors (_eliminate):
+    pivots maps each pivot column to its row, 1 there and 0 at every other
+    pivot column, and rest lists the nonzero rows left, 0 at every pivot
+    column.  Each x of the span is Σ_c x_c·row_c plus an element of
+    span(rest), so the span has |R|^len(pivots)·|span(rest)| elements."""
     width = len(next(iter(vectors))) if vectors else 0
-    pivots, _, _ = _eliminate(R, [list(v) for v in vectors], width)
-    return len(pivots)
+    pivots, rest, _ = _eliminate(R, [list(v) for v in vectors], width)
+    return ({col: tuple(row) for col, row in pivots},
+            [tuple(row) for row in rest if row.count(R.zero) < width])
 
 
 def unit_pivots(R, vectors):

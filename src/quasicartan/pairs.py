@@ -149,33 +149,41 @@ class ConvolutionAlgebra(AbstractAlgebra):
 
 
 class Pair:
-    """An algebra together with a spanning set for its abelian subalgebra."""
+    """An algebra and a spanning set of its abelian subalgebra B, held as the
+    reduced rows of sub_basis (finring.unit_pivot_rows), not as a list; B
+    is free on its pivot rows when the rest spans {0} (over a field, say)."""
 
     def __init__(self, algebra, sub_basis, name=None, cap=DEFAULT_CAP):
         self.algebra = algebra
         self.sub_basis = [tuple(v) for v in sub_basis]
         self.name = name or algebra.name
         self.cap = cap
-        A = algebra
-        # B contains the |R|^r combinations of the r reduced pivot rows of
-        # sub_basis (finring.unit_pivot_rank), so that bound is charged to
-        # the cap before B is listed
-        size = A.ring.size ** finring.unit_pivot_rank(A.ring, self.sub_basis)
-        if size > cap:
-            raise CapExceeded(size, cap)
-        self.B = A.span(self.sub_basis)
+        A, R = algebra, algebra.ring
+        pivots, rest = finring.unit_pivot_rows(R, self.sub_basis)
+        # per column i off the pivots, the (c, −row_c[i]) of the pivot rows
+        # with an entry there; a basis vector row has none
+        self._off_terms = [
+            (i, [(c, R.neg(row[i])) for c, row in pivots.items()
+                 if row[i] != R.zero])
+            for i in range(A.dim) if i not in pivots]
+        off = [i for i, _ in self._off_terms]
+        self._rest = {tuple(s[i] for i in off) for s in A.span(rest)} \
+            if rest else {tuple(R.zero for _ in off)}
+        self._b_size = R.size ** len(pivots) * len(self._rest)  # |B|
+        if self._b_size > cap:
+            raise CapExceeded(self._b_size, cap)
         # the product is bilinear, so the spanning set decides both
         for b in self.sub_basis:
             for b2 in self.sub_basis:
                 product = A.mul(b, b2)
                 if product != A.mul(b2, b):
                     raise ValueError("subalgebra is not commutative")
-                if product not in self.B:
+                if not self.in_B(product):
                     raise ValueError("sub_basis span is not closed under multiplication")
         self._dagger_cache = {}
         self._local_units = None
         self._membership = None
-        self._normalisers = {}  # (mode, oracle) -> sorted list
+        self._normalisers = {}  # mode -> sorted list
         self._unit_classes = None
         self._idempotents = None
         self._atoms = None
@@ -190,20 +198,11 @@ class Pair:
         """I(B) and the atoms (minimal nonzero idempotents)."""
         if self._idempotents is None:
             A = self.algebra
-            idem = sorted(e for e in self.B if A.mul(e, e) == e)
-            atoms = []
-            for e in idem:
-                if e == A.zero():
-                    continue
-                minimal = True
-                for f in idem:
-                    if f == A.zero() or f == e:
-                        continue
-                    if A.mul(e, f) == f:  # f <= e in the idempotent order
-                        minimal = False
-                        break
-                if minimal:
-                    atoms.append(e)
+            idem = sorted(e for e in A.span(self.sub_basis) if A.mul(e, e) == e)
+            nonzero = [e for e in idem if e != A.zero()]
+            # f ≤ e in the idempotent order when e·f = f
+            atoms = [e for e in nonzero
+                     if not any(f != e and A.mul(e, f) == f for f in nonzero)]
             self._idempotents = idem
             self._atoms = atoms
         return self._idempotents, self._atoms
@@ -228,16 +227,29 @@ class Pair:
     # -- normalisers and the dagger -----------------------------------
 
     def in_B(self, x):
-        return tuple(x) in self.B
+        """Whether x − Σ_c x_c·row_c over the pivot rows, 0 at each pivot
+        column, lies in the span of the rest (finring.unit_pivot_rows)."""
+        add, mul = self.algebra.ring.add_table, self.algebra.ring.mul_table
+        remainder = []
+        for i, terms in self._off_terms:
+            value = x[i]
+            for c, t in terms:
+                value = add[value][mul[t][x[c]]]
+            remainder.append(value)
+        return tuple(remainder) in self._rest
 
-    def _b_coordinate_support(self):
-        """If B is a coordinate subspace of the basis, return its support."""
-        support = set()
-        for b in self.sub_basis:
-            support |= {i for i, v in enumerate(b) if v != self.algebra.ring.zero}
-        if len(self.B) == self.algebra.ring.size ** len(support):
-            return support
-        return None
+    def _remainders(self, vectors):
+        """The remainders of in_B of the x in vectors, as one row per column
+        off the pivots; a remainder is linear in x."""
+        add, mul = self.algebra.ring.add_table, self.algebra.ring.mul_table
+        rows = []
+        for i, terms in self._off_terms:
+            row = [x[i] for x in vectors]
+            for c, t in terms:
+                mul_t = mul[t]
+                row = [add[a][mul_t[x[c]]] for a, x in zip(row, vectors)]
+            rows.append(row)
+        return rows
 
     def dagger_of(self, n, oracle=False):
         """The generalized inverse of n, or None when n is not a normaliser.
@@ -247,12 +259,12 @@ class Pair:
         R-linear and B = span(sub_basis) is an R-submodule, so the last
         two conditions hold for all of B exactly when they hold on
         sub_basis.  The fast path solves the linear system n·k·n = n for
-        k (with linear membership rows when B is a coordinate subspace)
+        k (with linear membership rows when B is free on its pivot rows)
         and checks each solution once against the definition over
         sub_basis.  oracle=True instead tests every k of A against the
-        definition over every b of B.
+        definition over every b of B, listed once per call.
 
-        With local units and a coordinate subspace B one solution k0 of
+        With local units and B free on its pivot rows one solution k0 of
         that system is enough: k = k0·n·k0 is the dagger, checked once
         over sub_basis.  Let u be an idempotent of B that is an identity
         of A.  Then n·k·n = n·k0·(n·k0·n) = n·k0·n = n, and
@@ -284,13 +296,14 @@ class Pair:
         if A.size() > self.cap:
             raise CapExceeded(A.size(), self.cap)
         if oracle:
+            B = A.span(self.sub_basis)
             winners = [k for k in A.all_elements(cap=self.cap)
-                       if self._is_dagger(n, k, self.B)]
+                       if self._is_dagger(n, k, B)]
         elif n == A.zero():
             # 0† = 0: k·0·k = k forces k = 0, and the system for n = 0
             # would list all of A
             winners = [n]
-        elif self.has_local_units() and self._membership_factors():
+        elif self.has_local_units() and len(self._rest) == 1:
             winners = [A.mul(A.mul(k0, n), k0)
                        for k0 in self._solve_dagger_system(n, one=True)]
             if winners and not self._is_dagger(n, winners[0], self.sub_basis):
@@ -309,39 +322,32 @@ class Pair:
         return result
 
     def _solve_dagger_system(self, n, one=False):
-        """All k with n·k·n = n, and with (k·b·n)_i = 0 = (n·b·k)_i off B's
-        support when B is a coordinate subspace: one linear system in the
-        coordinates of k, built from the columns n·e_j·n.  one=True asks
-        solve_linear for at most one solution."""
+        """All k with n·k·n = n, and with k·b·n and n·b·k of remainder 0
+        for each spanning b when B is free on its pivot rows: one linear
+        system in the coordinates of k, built from the columns n·e_j·n.
+        one=True asks solve_linear for at most one solution."""
         A = self.algebra
         basis = A.basis_vectors
         columns = [A.mul(A.mul(n, e), n) for e in basis]
         equations = [([col[i] for col in columns], n[i]) for i in range(A.dim)]
-        off, factors = self._membership_factors() or ((), ())
         zero = A.zero()
-        for b, basis_times_b in factors:
+        for b, basis_times_b in self._membership_factors():
             left = [zero if eb == zero else A.mul(eb, n) for eb in basis_times_b]
             nb = A.mul(n, b)
             right = [zero] * A.dim if nb == zero else [A.mul(nb, e) for e in basis]
-            for i in off:
-                equations.append(([v[i] for v in left], A.ring.zero))
-                equations.append(([v[i] for v in right], A.ring.zero))
+            for rows in zip(self._remainders(left), self._remainders(right)):
+                equations += [(row, A.ring.zero) for row in rows]
         return finring.solve_linear(A.ring, equations, A.dim, cap=self.cap,
                                     one=one)
 
     def _membership_factors(self):
-        """(coordinates off B's support, [(b, [e_j·b for each j])] over the
-        spanning b), or False when B is not a coordinate subspace."""
+        """[(b, [e_j·b for each j])] over the spanning b when B is free on
+        its pivot rows (k·b·n ∈ B iff its remainder is 0), else []."""
         if self._membership is None:
             A = self.algebra
-            support = self._b_coordinate_support()
-            if support is None:
-                self._membership = False
-            else:
-                off = [i for i in range(A.dim) if i not in support]
-                self._membership = off, [
-                    (b, [A.mul(e, b) for e in A.basis_vectors])
-                    for b in self.sub_basis]
+            self._membership = [] if len(self._rest) > 1 else [
+                (b, [A.mul(e, b) for e in A.basis_vectors])
+                for b in self.sub_basis]
         return self._membership
 
     def _is_dagger(self, n, k, over):
@@ -352,10 +358,10 @@ class Pair:
         return all(self.in_B(A.mul(A.mul(k, b), n)) and
                    self.in_B(A.mul(A.mul(n, b), k)) for b in over)
 
-    def is_normaliser(self, n, oracle=False):
-        return self.dagger_of(n, oracle=oracle) is not None
+    def is_normaliser(self, n):
+        return self.dagger_of(n) is not None
 
-    def enumerate_normalisers(self, mode="full", oracle=False):
+    def enumerate_normalisers(self, mode="full"):
         """full: every normaliser of B; minimal: the nonzero normalisers n
         whose source idempotent n†n is an atom.  Both sorted.
 
@@ -380,34 +386,29 @@ class Pair:
         normalisers with source e, and full checks these sums with
         is_normaliser.  Without such a u, full scans every element of A.
 
-        oracle=True scans all of A (full) or every f·x·e over all of A
-        (minimal), testing each with the oracle dagger.
-
         classify reads only minimal on pairs with local units (see
         _deciding_normalisers), so full serves check_lbh's cross-check for
         |A| <= 256, reconstruct.ultrafilter_oracle and the tests.
         """
-        key = (mode, oracle)
-        if key not in self._normalisers:
+        if mode not in self._normalisers:
             A = self.algebra
             if A.size() > self.cap:
                 raise CapExceeded(A.size(), self.cap)
             if mode == "full":
-                found = self._full_normalisers(oracle)
+                found = self._full_normalisers()
             elif mode == "minimal":
-                found = self._minimal_normalisers(oracle)
+                found = self._minimal_normalisers()
             else:
                 raise ValueError(f"unknown mode {mode!r}")
-            self._normalisers[key] = found
-        return self._normalisers[key]
+            self._normalisers[mode] = found
+        return self._normalisers[mode]
 
-    def _minimal_normalisers(self, oracle):
+    def _minimal_normalisers(self):
         """The nonzero normalisers of the corners f·A·e with source an atom
-        (enumerate_normalisers).  oracle=True scans every f·x·e over all of
-        A.  Otherwise each corner is walked in sorted order and only the
-        elements not yet decided are solved by dagger_of.  Without local
-        units nothing else is decided, so every nonzero corner element is
-        solved once.
+        (enumerate_normalisers).  Each corner is walked in sorted order and
+        only the elements not yet decided are solved by dagger_of.  Without
+        local units nothing else is decided, so every nonzero corner element
+        is solved once.
 
         With local units (an idempotent u of B that is an identity of A)
         the dagger is unique, and normalisers multiply with
@@ -444,17 +445,6 @@ class Pair:
         """
         A = self.algebra
         _, atoms = self.idempotents_of_B()
-        if oracle:
-            found = set()
-            for e in atoms:
-                for f in atoms:
-                    for n in {A.mul(A.mul(f, x), e)
-                              for x in A.all_elements(cap=self.cap)}:
-                        if n != A.zero() and n not in found:
-                            k = self.dagger_of(n, oracle=True)
-                            if k is not None and A.mul(k, n) in atoms:
-                                found.add(n)
-            return sorted(found)
         local = self.has_local_units()
         zero, found = A.zero(), {}
         for e in atoms:
@@ -485,12 +475,12 @@ class Pair:
         self._dagger_cache.update(((n, False), k) for n, k in found.items())
         return sorted(found)
 
-    def _full_normalisers(self, oracle):
+    def _full_normalisers(self):
         A = self.algebra
         _, atoms = self.idempotents_of_B()
-        if oracle or not self.has_local_units():
+        if not self.has_local_units():
             return [n for n in A.all_elements(cap=self.cap)
-                    if self.is_normaliser(n, oracle=oracle)]
+                    if self.is_normaliser(n)]
         by_source = {e: [A.zero()] for e in atoms}
         for m in self.enumerate_normalisers("minimal"):
             by_source[A.mul(self.dagger_of(m), m)].append(m)
@@ -733,7 +723,8 @@ class Pair:
             report["warnings"] = [warning]
         report["local_units"] = self.has_local_units()
         idem, _ = self.idempotents_of_B()
-        report["B_spanned_by_idempotents"] = A.span(idem) == self.B
+        # span(I(B)) ⊆ B, so equal sizes make them equal
+        report["B_spanned_by_idempotents"] = len(A.span(idem)) == self._b_size
         _, classes = self.unit_classes()
         report["A_spanned_by_normalisers"] = self._spans_A(classes)
         base = (report["WT"] and report["local_units"] and
@@ -745,8 +736,9 @@ class Pair:
         base = base and report["faithful_CE_exists"]
         # quasi-Cartan: the expectation is additionally implemented by idempotents
         report["AQP"] = base and bool(ce.get("implemented_by_idempotents"))
-        # Cartan: B is a maximal commutative subalgebra (commutant of B = B)
-        report["ACP"] = base and set(self._commutant()) == self.B
+        # Cartan: B is a maximal commutative subalgebra (commutant of B = B);
+        # the commutative B lies in its commutant, so the sizes decide
+        report["ACP"] = base and len(self._commutant()) == self._b_size
         # diagonal: the free normalisers span A
         free = [n for n in classes if self.is_free_normaliser(n)]
         report["ADP"] = base and self._spans_A(free)

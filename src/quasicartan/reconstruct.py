@@ -259,10 +259,11 @@ def ahat_iso(pair):
     report["linear"] = lin
     report["multiplicative"] = mult
     diag = steinberg.diagonal(rebuilt)
-    report["diagonal_to_diagonal"] = all(diag.contains(images[b]) for b in pair.B)
-    image_of_B = {images[b] for b in pair.B}
+    B = A.span(pair.sub_basis)
+    report["diagonal_to_diagonal"] = all(diag.contains(images[b]) for b in B)
+    image_of_B = {images[b] for b in B}
     diag_size = R.size ** len(rebuilt.groupoid.objects)
-    report["diagonal_onto"] = len(image_of_B) == len(pair.B) == diag_size
+    report["diagonal_onto"] = len(image_of_B) == len(B) == diag_size
     return ahat, report
 
 

@@ -1,5 +1,6 @@
 """Shared fixture twists and memoized expensive computations for the tests."""
 
+import functools
 import random
 from functools import lru_cache
 
@@ -137,8 +138,14 @@ def left_unit(R):
     return ["e", "x"], {(0, 0): {0: R.one}, (0, 1): {1: R.one}}
 
 
-# id -> (ring, (labels, structure), B's spanning sets as label lists,
-# whether the pair has local units)
+def dual_numbers(R):
+    """R[x]/(x²) on the basis 1, x."""
+    return ["1", "x"], {(0, 0): {0: R.one}, (0, 1): {1: R.one},
+                        (1, 0): {1: R.one}}
+
+
+# id -> (ring, (labels, structure), B's spanning sets as label lists, a
+# label listed k times with coefficient k, whether the pair has local units)
 ABSTRACT_PAIRS = {
     # no idempotent of B is an identity of A: the scan fallback
     "m2_plus_f_gf2": (fr.make_gf(2), matrix_units(fr.make_gf(2), FULL, ["f"]),
@@ -155,6 +162,12 @@ ABSTRACT_PAIRS = {
     # B = {a·1 + b·e12}: not a coordinate subspace, with a nilpotent
     "t2_gf3_unipotent": (fr.make_gf(3), matrix_units(fr.make_gf(3), UPPER),
                          [[(1, 1), (2, 2)], [(1, 2)]], True),
+    # B = g·D·g⁻¹ for g = 1 + e12: e11 + 2·e12 and e22 + e12
+    "m2_gf3_conjugated": (fr.make_gf(3), matrix_units(fr.make_gf(3), FULL),
+                          [[(1, 1), (1, 2), (1, 2)], [(2, 2), (1, 2)]], True),
+    # B = span(1, 2x) has 8 elements: 2x is left without a unit pivot
+    "z4_dual_2x": (fr.make_zmod(4), dual_numbers(fr.make_zmod(4)),
+                   [["1"], ["x", "x"]], True),
 }
 
 
@@ -162,5 +175,6 @@ def abstract_pair(name):
     """A fresh Pair for ABSTRACT_PAIRS[name]."""
     R, (labels, structure), parts, _ = ABSTRACT_PAIRS[name]
     A = pr.AbstractAlgebra(name, R, labels, structure)
-    return pr.Pair(A, [tuple(R.one if label in part else R.zero
-                             for label in labels) for part in parts])
+    return pr.Pair(A, [tuple(functools.reduce(R.add, [R.one] * part.count(label),
+                                              R.zero) for label in labels)
+                       for part in parts])

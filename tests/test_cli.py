@@ -452,6 +452,23 @@ def test_classify_a_conjugated_diagonal(n, p, tmp_path, capsys):
         assert summary[key] == "true", key
 
 
+def test_a_conjugated_diagonal_solves_for_one_dagger(tmp_path, capsys,
+                                                     monkeypatch):
+    # B is free on its pivot rows and the pair has local units, so every
+    # dagger system gets membership rows and one solution
+    asked = []
+    solve = pairs.Pair._solve_dagger_system
+
+    def spy(self, n, one=False):
+        asked.append(one)
+        return solve(self, n, one=one)
+
+    monkeypatch.setattr(pairs.Pair, "_solve_dagger_system", spy)
+    code, _ = _run("classify", _conjugated_diagonal(3, 3), tmp_path, capsys)
+    assert code == 0
+    assert asked and all(asked)
+
+
 def test_deterministic_output(tmp_path, capsys):
     _, out1 = _run("classify", CLASSIFY_PAIR2, tmp_path, capsys)
     _, out2 = _run("classify", CLASSIFY_PAIR2, tmp_path, capsys)

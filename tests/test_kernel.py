@@ -141,9 +141,10 @@ def _dagger_or_error(pair, n, oracle):
 
 @pytest.mark.parametrize("name", list(ABSTRACT_PAIRS))
 def test_dagger_on_sub_basis_equals_the_oracle(name):
-    # in m2_gf3_scalars and t2_gf3_unipotent B is not a coordinate
-    # subspace, so the system has no membership rows and the sub_basis
-    # check is the only condition on B
+    # in z4_dual_2x the rest of sub_basis spans {0, 2x}, so the system has
+    # no membership rows and the sub_basis check is the only condition on
+    # B; m2_gf3_scalars, t2_gf3_unipotent and m2_gf3_conjugated are not
+    # coordinate subspaces but are free on their pivot rows
     pair = abstract_pair(name)
     for n in pair.algebra.all_elements():
         assert _dagger_or_error(pair, n, False) == \

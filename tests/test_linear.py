@@ -1,15 +1,18 @@
 """The exact linear layer against definitional references written here:
 solve_linear (all solutions, or one) against a scan of every vector, span
 and, over a local ring, the unit-pivot rank against a closure under
-adding scalar multiples of the generators, and the dagger solver against
-its oracle when B is not a coordinate subspace."""
+adding scalar multiples of the generators, and the membership test of B
+and the dagger solver against a listed B and the oracle dagger."""
 
 import functools
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasicartan import finring as fr, pairs as pr
+
+from helpers import ABSTRACT_PAIRS, FIXTURE_NAMES, abstract_pair, make_pair
 
 
 def _dual_numbers_gf2():
@@ -112,7 +115,8 @@ def test_span_equals_the_definitional_closure(case):
 
 def test_dagger_matches_oracle_off_a_coordinate_subspace():
     # M_2(GF(3)) with B the scalar matrices: the identity e11 + e22 has two
-    # nonzero coordinates, so no membership rows are added
+    # nonzero coordinates, but B is free on its one pivot row, so the
+    # system gets membership rows
     R = fr.make_gf(3)
     units = [(i, j) for i in range(2) for j in range(2)]
     structure = {(a, b): {units.index((units[a][0], units[b][1])): R.one}
@@ -120,10 +124,24 @@ def test_dagger_matches_oracle_off_a_coordinate_subspace():
                  if units[a][1] == units[b][0]}
     A = pr.AbstractAlgebra("m2", R, units, structure)
     pair = pr.Pair(A, [(R.one, R.zero, R.zero, R.one)])
-    assert pair._b_coordinate_support() is None
+    assert pair._membership_factors()
     found = 0
     for n in A.all_elements():
         dagger = pair.dagger_of(n)
         assert dagger == pair.dagger_of(n, oracle=True)
         found += dagger is not None
     assert 0 < found < A.size()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(ABSTRACT_PAIRS))
+def test_membership_and_dagger_equal_their_definitions(name):
+    # in_B reads B off the reduced pivot rows of sub_basis; z4_dual_2x has
+    # a rest that is not {0}, and its dagger takes the all-solutions path
+    pair = abstract_pair(name) if name in ABSTRACT_PAIRS else make_pair(name)
+    A = pair.algebra
+    B = A.span(pair.sub_basis)
+    assert pair._b_size == len(B)
+    assert (len(pair._rest) > 1) == (name == "z4_dual_2x")
+    for x in A.all_elements():
+        assert pair.in_B(x) == (x in B)
+        assert pair.dagger_of(x) == pair.dagger_of(x, oracle=True)

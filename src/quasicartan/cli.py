@@ -374,6 +374,10 @@ def cmd_reconstruct(doc, cap, oracle):
     R, c, pair = _build_pair(doc, cap)
     if c is None:
         raise InputError("reconstruct needs a groupoid+cocycle input")
+    # the points are rebuilt only under WT; classify reports it as a flag
+    if not pair.satisfies_wt()[0]:
+        raise InputError("reconstruct needs a pair that satisfies WT, "
+                         "the nondegeneracy condition")
     res = reconstruct.verify_reconstruction_theorem(pair)
     report = [
         f"twist over {c.groupoid.name}, coefficients {R.name}",

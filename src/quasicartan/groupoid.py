@@ -132,11 +132,7 @@ def index_composition(arrows, src, rng, compose):
     index = {a: i for i, a in enumerate(arrows)}
     s = [src[a] for a in arrows]
     r = [rng[a] for a in arrows]
-    ending, pos = {}, []
-    for i, x in enumerate(r):
-        into = ending.setdefault(x, [])
-        pos.append(len(into))
-        into.append(i)
+    ending, pos = arrows_by_range(r)
     rows = [[None] * len(ending.get(x, ())) for x in s]
     for (a, b), ab in compose.items():
         i, j, k = index.get(a), index.get(b), index.get(ab)
@@ -155,6 +151,17 @@ def index_composition(arrows, src, rng, compose):
                 if v is None:
                     raise ValueError(f"no composite given for ({a},{arrows[j]})")
     return ending, pos, rows
+
+
+def arrows_by_range(rng):
+    """(ending, pos) for the arrows 0, 1, … with ranges rng, as in
+    index_composition."""
+    ending, pos = {}, []
+    for i, x in enumerate(rng):
+        into = ending.setdefault(x, [])
+        pos.append(len(into))
+        into.append(i)
+    return ending, pos
 
 
 def _units_and_inverses(objects, arrows, src, rng, table):
@@ -221,28 +228,39 @@ def generating_set(G):
     least doubles the subgroup reached, so |S| ≤ 1 + ⌊log₂ n⌋.
     """
     ending, pos, rows = composition_rows(G)
-    src = [G.src[a] for a in G.arrows]
     rng = [G.rng[a] for a in G.arrows]
+    return greedy_generators(
+        [G.src[a] for a in G.arrows], rng,
+        lambda y, g: ending[rng[y]][rows[y][pos[g]]])[0]
+
+
+def greedy_generators(src, rng, compose):
+    """The walk of generating_set on arrows 0, 1, … with the ends src[i]
+    and rng[i], composing through compose(y, g), the index of y∘g, which
+    is called once for each composable pair of an arrow y and a generator
+    g.  Returns (gens, walk): walk lists each arrow once, in the order
+    it is reached, as (y, left, g) with y = left∘g, or (y, None, None)
+    for a generator y.
+    """
     reached = [False] * len(src)
-    reached_from, gens_into, gens = {}, {}, []
+    reached_from, gens_into, gens, walk = {}, {}, [], []
     for s, x in enumerate(rng):
         if reached[s]:
             continue
         gens.append(s)
         gens_into.setdefault(x, []).append(s)
-        k = pos[s]
-        todo = [ending[rng[y]][rows[y][k]] for y in reached_from.get(x, ())]
-        todo.append(s)
+        todo = [(compose(y, s), y, s) for y in reached_from.get(x, ())]
+        todo.append((s, None, None))
         while todo:
-            y = todo.pop()
+            y, left, g = todo.pop()
             if reached[y]:
                 continue
             reached[y] = True
+            walk.append((y, left, g))
             reached_from.setdefault(src[y], []).append(y)
-            row_y, into_y = rows[y], ending[rng[y]]
             for g in gens_into.get(src[y], ()):
-                todo.append(into_y[row_y[pos[g]]])
-    return gens
+                todo.append((compose(y, g), y, g))
+    return gens, walk
 
 
 def generator_pairs(G):

@@ -607,13 +607,20 @@ class Pair:
 
     def _faithfulness_kernel(self, P):
         """The a with P(n·a) = 0 for every normaliser n, for a linear P.
-        P(n·a) is linear in n, so the n of _deciding_normalisers, which
-        span every normaliser, give the same kernel, and so does one n per
-        class of unit_classes."""
+        P(n·a) is linear in n, so any n that span the normalisers give the
+        same kernel, over any commutative ring: the n of
+        _deciding_normalisers span every normaliser, one n per class of
+        unit_classes spans those, and the pivot rows and the rest of
+        unit-pivot elimination on the classes (finring.unit_pivot_rows)
+        span what the classes span, its row operations being invertible.
+        Where the classes span A the pivot rows are the standard basis, so
+        P is evaluated on at most dim² products there."""
         A = self.algebra
         _, classes = self.unit_classes()
+        pivots, rest = finring.unit_pivot_rows(A.ring, classes)
         return self._common_kernel(
-            [P(A.mul(n, b)) for b in A.basis_vectors] for n in classes)
+            [P(A.mul(n, b)) for b in A.basis_vectors]
+            for n in [*pivots.values(), *rest])
 
     def _commutant(self):
         """The a with a·b = b·a for every spanning b of B."""

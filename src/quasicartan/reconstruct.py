@@ -15,7 +15,8 @@ from collections import Counter
 
 from . import finring, steinberg, pairs as pairs_mod, twist as twist_mod
 from .finring import DEFAULT_CAP
-from .groupoid import make_groupoid, validate_groupoid
+from .groupoid import arrows_by_range, greedy_generators, make_groupoid, \
+    validate_groupoid
 
 
 class UltraGroupoid:
@@ -52,40 +53,81 @@ class UltraGroupoid:
                 raise AssertionError("points not closed under dagger")
         self._twist = None
 
-    def compose(self, m, n):
-        """Defined when source(m) = range(n); the algebra product."""
-        if self.source[m] != self.range[n]:
-            raise ValueError("points not composable")
-        out = self.algebra.mul(m, n)
-        if out not in self.coordinates:
-            raise AssertionError("composition left the point set")
-        return out
-
     def to_twist(self):
         """The rebuilt twist as a normalised cocycle c′ on the class
         groupoid G′.
 
         G′ has the atoms as objects and the class representatives as
-        arrows, each unit class represented by its atom.  One product per
-        composable pair of classes (g, h), the h read from the classes
-        grouped by range: gh = u·r for a class r gives g∘h = r and
-        c′(g, h) = u.
+        arrows, each unit class represented by its atom.  For composable
+        classes (g, h), gh = u·r for a class r gives g∘h = r and
+        c′(g, h) = u.  Only the products g·s by the generators s of the
+        greedy walk (groupoid.greedy_generators) are made, one per
+        composable (class, generator) pair, each checked to be a point
+        with the ends of a composite; at an atom s, g·s = g needs none,
+        since g·g†·g = g and s = g†g.
+
+        Every other entry follows by associativity.  The walk reaches each
+        h that is not a generator as the class of h′·s for an h′ reached
+        before it and a generator s, h′·s = w·h.  Take g with source(g) =
+        range(h) = range(h′), and the entries g·h′ = u′·r′ and
+        r′·s = u″·r″, the first filled earlier in the row of g (rows are
+        filled in the order of the walk), the second made.  As A is
+        associative and its product bilinear,
+        g·h = w⁻¹·g·(h′·s) = w⁻¹·(g·h′)·s = w⁻¹u′·(r′·s) = (w⁻¹u′u″)·r″,
+        which is the direct product g·h: its coordinates are unique, the
+        unit action being free.  The entries are held in per-row integer
+        tables at the positions of composition_rows, and inserted into
+        compose and values class by class, each row in class order.
         """
         if self._twist is not None:
             return self._twist
-        ending = {}
-        for h in self.classes:
-            ending.setdefault(self.range[h], []).append(h)
+        A, R = self.algebra, self.algebra.ring
+        mul, one = R.mul_table, R.one
+        classes, coordinates = self.classes, self.coordinates
+        number = {g: i for i, g in enumerate(classes)}
+        src = [self.source[g] for g in classes]
+        rng = [self.range[g] for g in classes]
+        ending, pos = arrows_by_range(rng)
+        # gh = u·r for the classes g, h, r numbered i, j, k: u and k are
+        # unit_rows[i][pos j] and class_rows[i][pos j]
+        unit_rows = [[None] * len(ending.get(x, ())) for x in src]
+        class_rows = [[None] * len(ending.get(x, ())) for x in src]
+
+        def product(y, s):
+            if classes[s] == src[y]:
+                u, r = one, y
+            else:
+                point = A.mul(classes[y], classes[s])
+                if point not in coordinates:
+                    raise AssertionError("composition left the point set")
+                u, rep = coordinates[point]
+                r = number[rep]
+                if src[r] != src[s] or rng[r] != rng[y]:
+                    raise AssertionError("composite with the wrong ends")
+            unit_rows[y][pos[s]], class_rows[y][pos[s]] = u, r
+            return r
+
+        _, walk = greedy_generators(src, rng, product)
+        # (pos h, pos h′, pos s, w⁻¹) per h = w⁻¹·h′·s, by range, in walk order
+        derived = {}
+        for h, left, s in walk:
+            if left is not None:
+                derived.setdefault(rng[h], []).append(
+                    (pos[h], pos[left], pos[s],
+                     R.unit_inverse(unit_rows[left][pos[s]])))
+        for x, units, ends in zip(src, unit_rows, class_rows):
+            for k, k_left, k_s, w_inverse in derived.get(x, ()):
+                r = ends[k_left]
+                units[k] = mul[mul[w_inverse][units[k_left]]][unit_rows[r][k_s]]
+                ends[k] = class_rows[r][k_s]
         compose, values = {}, {}
-        for g in self.classes:
-            for h in ending.get(self.source[g], ()):
-                u, r = self.coordinates[self.compose(g, h)]
-                values[(g, h)], compose[(g, h)] = u, r
-        src = {g: self.source[g] for g in self.classes}
-        rng = {g: self.range[g] for g in self.classes}
-        base = make_groupoid("ultra_base", self.atoms, self.classes,
-                             src, rng, compose)
-        self._twist = twist_mod.Cocycle(self.algebra.ring, base, values)
+        for g, x, units, ends in zip(classes, src, unit_rows, class_rows):
+            for h, u, r in zip(ending.get(x, ()), units, ends):
+                values[(g, classes[h])], compose[(g, classes[h])] = u, classes[r]
+        base = make_groupoid("ultra_base", self.atoms, classes,
+                             dict(zip(classes, src)), dict(zip(classes, rng)),
+                             compose)
+        self._twist = twist_mod.Cocycle(R, base, values)
         return self._twist
 
 

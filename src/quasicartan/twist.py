@@ -217,9 +217,10 @@ def check_twist_axioms(T):
             bad.append(f"proj does not respect src/rng at {s}")
     if fibres.keys() != set(base.arrows):
         bad.append("proj is not surjective")
-    for (a, b), ab in total.compose.items():
-        if base.compose.get((proj[a], proj[b])) != proj[ab]:
-            bad.append(f"proj not multiplicative at ({a},{b})")
+    if bad or not _proj_is_multiplicative(total, base, proj):
+        for (a, b), ab in total.compose.items():
+            if base.compose.get((proj[a], proj[b])) != proj[ab]:
+                bad.append(f"proj not multiplicative at ({a},{b})")
     # inj is an injective homomorphism over the unit space
     seen = {}
     for (x, t), s in inj.items():
@@ -261,6 +262,28 @@ def check_twist_axioms(T):
             len(proj_units) != len(tot_units):
         bad.append("unit spaces do not correspond bijectively")
     return bad + not_free
+
+
+def _proj_is_multiplicative(total, base, proj):
+    """Whether proj(a∘c) = proj(a)∘proj(c) on every composite of total,
+    for a proj onto the base arrows that keeps the ends, read off the
+    composition rows of both groupoids (groupoid.composition_rows).
+
+    Both sides end at rng a, so each is compared as its place among the
+    base arrows that end there: for c in ending[src a] of total, the
+    place of proj(a∘c) against row[proj a][place of proj c] in base.
+    """
+    ending, _, rows = composition_rows(total)
+    _, base_pos, base_rows = composition_rows(base)
+    number = {g: i for i, g in enumerate(base.arrows)}
+    image = [number[proj[s]] for s in total.arrows]
+    place = [base_pos[g] for g in image]
+    for a, row, g in zip(total.arrows, rows, image):
+        into, base_row = ending[total.rng[a]], base_rows[g]
+        if [place[into[k]] for k in row] != \
+                [base_row[place[c]] for c in ending[total.src[a]]]:
+            return False
+    return True
 
 
 FibreCocycle = namedtuple("FibreCocycle", ["group", "values"])

@@ -144,6 +144,12 @@ def dual_numbers(R):
                         (1, 0): {1: R.one}}
 
 
+def group_ring_c2(R):
+    """R[C2] on the basis 1, g."""
+    return ["1", "g"], {(0, 0): {0: R.one}, (0, 1): {1: R.one},
+                        (1, 0): {1: R.one}, (1, 1): {0: R.one}}
+
+
 # id -> (ring, (labels, structure), B's spanning sets as label lists, a
 # label listed k times with coefficient k, whether the pair has local units)
 ABSTRACT_PAIRS = {
@@ -168,6 +174,10 @@ ABSTRACT_PAIRS = {
     # B = span(1, 2x) has 8 elements: 2x is left without a unit pivot
     "z4_dual_2x": (fr.make_zmod(4), dual_numbers(fr.make_zmod(4)),
                    [["1"], ["x", "x"]], True),
+    # over Z/6 the minimal normalisers (3·1, 4·1, 3·g, …) have no unit
+    # entry: elimination on their classes leaves every row in the rest
+    "z6_c2_group_ring": (fr.make_zmod(6), group_ring_c2(fr.make_zmod(6)),
+                         [["1"]], True),
 }
 
 

@@ -589,6 +589,20 @@ def test_overlong_numbers_exit_code(command, text, tmp_path, capsys):
     assert err.startswith("input error:")
 
 
+def test_reconstruct_refuses_a_pair_that_fails_wt(tmp_path, capsys):
+    # over Z/6 the atom 4·δ_e of B has 3·(4·δ_e) = 0; classify reports
+    # wt=false, and reconstruct, which needs WT, exits 3
+    text = "[ring]\nzmod(6)\n[groupoid]\ngroup(cyclic(2))\n[cocycle]\ntrivial\n"
+    code, out = _run("classify", text, tmp_path, capsys)
+    assert code == 0 and cli.parse_summary(out)["wt"] == "false"
+    path = tmp_path / "input.txt"
+    code = cli.main(["reconstruct", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "input error: reconstruct needs a pair that " \
+        "satisfies WT, the nondegeneracy condition\n"
+
+
 def test_dagger_not_unique_without_local_units(tmp_path, capsys):
     # M_2(GF(3)) with B = span(e11): e22 has 9 daggers, and no idempotent
     # of B is an identity of A

@@ -145,6 +145,31 @@ def test_one_atom_group_ring_equals_a_scan_of_A():
     _check_against_scans(pair, _random_images(pair.algebra, 5))
 
 
+def test_faithfulness_kernel_evaluates_P_on_spanning_rows():
+    # Z/4[C2×C2]: the 64 classes span A, so their pivot rows are the
+    # standard basis and P is evaluated on dim² = 16 products, not 64·4
+    pair = klein_z4_pair()
+    A = pair.algebra
+    P = pair.canonical_expectation()["map"]
+    evaluated = []
+
+    def counting_P(x):
+        evaluated.append(x)
+        return P(x)
+
+    assert len(pair.unit_classes()[1]) == 64
+    assert pair._faithfulness_kernel(counting_P) == [A.zero()]
+    assert 0 < len(evaluated) <= A.dim ** 2
+
+
+def test_some_abstract_pair_leaves_a_rest():
+    # so that _check_against_scans covers the kernel over the rest
+    pair = abstract_pair("z6_c2_group_ring")
+    _, classes = pair.unit_classes()
+    pivots, rest = fr.unit_pivot_rows(pair.algebra.ring, classes)
+    assert rest and len(pivots) < pair.algebra.dim
+
+
 def _expectation_by_definition(pair, N, reverse=False):
     """canonical_expectation's P built from the normaliser list N, as a
     table over all of A, or None.

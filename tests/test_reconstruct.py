@@ -45,6 +45,14 @@ def test_embedding_properties(name):
     assert phi["homomorphism"] and phi["unit_bijective"]
 
 
+def _compose(ug, m, n):
+    """The product of two composable points, asserted to be a point."""
+    assert ug.source[m] == ug.range[n]
+    out = ug.algebra.mul(m, n)
+    assert out in ug.coordinates
+    return out
+
+
 def _phi_by_definition(pair):
     """phi_map's flags from the point map (γ, t) ↦ t·δ_γ: the homomorphism
     over every composable pair and every pair of units, equivariance, and,
@@ -62,7 +70,7 @@ def _phi_by_definition(pair):
         "well_defined": all(v in point_set for v in mapping.values()),
         "injective": len(set(mapping.values())) == len(mapping),
         "homomorphism": all(
-            ug.compose(mapping[(a, t)], mapping[(b, s)]) ==
+            _compose(ug, mapping[(a, t)], mapping[(b, s)]) ==
             mapping[(ab, mul[mul[c.values[(a, b)]][t]][s])]
             for (a, b), ab in G.compose.items()
             for t in ug.units for s in ug.units),
@@ -96,6 +104,49 @@ def test_phi_equals_the_point_map(name):
     delta, _, report = rc.phi_map(pair)
     assert report == _phi_by_definition(pair)
     assert len(delta) == len(pair.cocycle.groupoid.arrows)
+
+
+def _twist_by_definition(ug):
+    """(compose, values) of c′ by one product per composable pair of
+    classes (g, h), g in class order and then h: gh = u·r gives g∘h = r
+    and c′(g, h) = u."""
+    compose, values = {}, {}
+    for g in ug.classes:
+        for h in ug.classes:
+            if ug.source[g] == ug.range[h]:
+                u, r = ug.coordinates[_compose(ug, g, h)]
+                compose[(g, h)], values[(g, h)] = r, u
+    return compose, values
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(MORE_PAIRS))
+def test_rebuilt_twist_equals_one_product_per_pair(name):
+    pair = MORE_PAIRS[name]() if name in MORE_PAIRS else make_pair(name)
+    ug = rc.build_ultra_groupoid(pair)
+    c = ug.to_twist()
+    compose, values = _twist_by_definition(ug)
+    assert list(c.groupoid.compose.items()) == list(compose.items())
+    assert list(c.values.items()) == list(values.items())
+
+
+def test_rebuilt_twist_multiplies_by_generators_only(monkeypatch):
+    # Z/4[C2×C2]: 64 classes on one atom and 5 generators, so at most one
+    # product per (class, generator) pair and one more per class, against
+    # 64² = 4,096 for one product per composable pair
+    ug = rc.UltraGroupoid(klein_z4_pair())
+    A = ug.algebra
+    products = []
+    mul = A.mul
+
+    def counting_mul(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(A, "mul", counting_mul)
+    c = ug.to_twist()
+    assert len(ug.classes) == 64
+    assert len(gp.generating_set(c.groupoid)) == 5
+    assert 0 < len(products) <= 64 * (5 + 1)
 
 
 def test_rebuilt_twist_satisfies_axioms():

@@ -249,6 +249,16 @@ def _broken_proj():
     return tw.ExplicitTwist(T.ring, T.total, T.base, T.inj, proj)
 
 
+def _wrong_proj_off_the_units():
+    # one arrow over (1, 1) of C2×C2 projected to (0, 1), which has the same
+    # ends: proj stays onto and keeps the ends, so the rows of the
+    # composites show the fault, and the fibre sizes
+    T = tw.twist_from_cocycle(make_twist("klein_gf3"))
+    proj = dict(T.proj)
+    proj[next(s for s in T.total.arrows if s[0] == (1, 1))] = (0, 1)
+    return tw.ExplicitTwist(T.ring, T.total, T.base, T.inj, proj)
+
+
 def _non_injective_inj():
     T = tw.twist_from_cocycle(make_twist("pair2_gf3"))
     inj = dict(T.inj)
@@ -286,6 +296,8 @@ def _fibres_too_large():
 
 BROKEN_TWISTS = {
     "broken_proj": (_broken_proj, "proj not multiplicative at "),
+    "wrong_proj_off_the_units": (_wrong_proj_off_the_units,
+                                 "proj not multiplicative at "),
     "non_injective_inj": (_non_injective_inj, "inj not injective: "),
     "non_central_inj": (_non_central_inj, "centrality fails at "),
     "trivial_action": (_trivial_action, "action not free: "),

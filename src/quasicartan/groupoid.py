@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from types import MappingProxyType
 
 
 class FiniteGroup:
@@ -61,8 +62,11 @@ class FiniteGroupoid:
 
     compose[(a, b)] is defined exactly when src(a) == rng(b), and the
     composite a∘b runs "b first, then a".  A FiniteGroupoid is not
-    mutated after construction, so the index of its composition
-    (composition_rows) is built once and kept on it.
+    mutated after construction.  Its composition is stored as the rows of
+    its index (composition_rows), built once and kept on it, and so is its
+    generating set (generating_set).  compose is a read-only view: the
+    dict a groupoid is given, which it indexes on first use, or, for one
+    built from rows (groupoid_from_rows), derived from them on first use.
     """
 
     def __init__(self, name, objects, arrows, src, rng, compose, inv, unit_at):
@@ -71,17 +75,19 @@ class FiniteGroupoid:
         self.arrows = list(arrows)
         self.src = dict(src)
         self.rng = dict(rng)
-        self.compose = dict(compose)
+        self._compose = None if compose is None else \
+            MappingProxyType(dict(compose))
         self.inv = dict(inv)
         self.unit_at = dict(unit_at)
         self.units = set(unit_at.values())
         self._composition_index = None
+        self._generators = None
 
-    def composable_pairs(self):
-        for a in self.arrows:
-            for b in self.arrows:
-                if self.src[a] == self.rng[b]:
-                    yield (a, b)
+    @property
+    def compose(self):
+        if self._compose is None:
+            self._compose = MappingProxyType(composition_dict(self))
+        return self._compose
 
     def is_unit(self, a):
         return a in self.units
@@ -92,7 +98,8 @@ class FiniteGroupoid:
 
 def make_groupoid(name, objects, arrows, src, rng, compose):
     """Assemble a groupoid from composition data, deriving units and
-    inverses from the index of its composition, which the groupoid keeps.
+    inverses from the index of its composition, which the groupoid keeps,
+    with compose as its view.
 
     The unit at x is the first arrow in arrow order that is a two-sided
     identity at x, and the inverse of a the first arrow b in arrow order
@@ -103,6 +110,33 @@ def make_groupoid(name, objects, arrows, src, rng, compose):
     if bad:
         raise ValueError(bad[0])
     table = index_composition(arrows, src, rng, compose)
+    return _assemble(name, objects, arrows, src, rng, table, compose)
+
+
+def groupoid_from_rows(name, objects, arrows, src, rng, rows,
+                       generators=None):
+    """make_groupoid for a composition given as the rows of its index
+    (index_composition): rows[i][k] is the place of a∘c in ending[rng a],
+    for a = arrows[i] and c the k-th arrow of ending[src a].  The rows are
+    checked in one pass (_check_rows) and kept; compose is derived from
+    them on first use.
+
+    generators, when given, must be what greedy_generators returns for
+    this composition, the walk composing through these rows; it is kept as
+    generating_set(G), which otherwise walks the rows on first use.
+    """
+    bad = _repeated_labels(objects, arrows)
+    if bad:
+        raise ValueError(bad[0])
+    table = _check_rows(arrows, src, rng, rows)
+    G = _assemble(name, objects, arrows, src, rng, table, None)
+    G._generators = generators
+    return G
+
+
+def _assemble(name, objects, arrows, src, rng, table, compose):
+    """The groupoid with the index table, its units and inverses read off
+    the rows; compose is its view, or None to derive that from table."""
     unit_at, inv = _units_and_inverses(objects, arrows, src, rng, table)
     G = FiniteGroupoid(name, objects, arrows, src, rng, compose, inv, unit_at)
     G._composition_index = table
@@ -164,6 +198,60 @@ def arrows_by_range(rng):
     return ending, pos
 
 
+def _check_rows(arrows, src, rng, rows):
+    """(ending, pos, rows) for rows given directly, in one pass over them.
+    Raises ValueError unless there is one row per arrow with one entry per
+    composable pair, each the place of an arrow with the source of the
+    right factor (its range is right by construction).  A fault that a
+    dict can have gets index_composition's message, an entry v that is not
+    a place that of a composite v that is not an arrow, and a short row,
+    a missing composite, is named only after every entry."""
+    s = [src[a] for a in arrows]
+    r = [rng[a] for a in arrows]
+    ending, pos = arrows_by_range(r)
+    if len(rows) != len(arrows):
+        raise ValueError(f"{len(rows)} rows given for {len(arrows)} arrows")
+    rows = [list(row) for row in rows]
+    short = None
+    for a, x, y, row in zip(arrows, s, r, rows):
+        right, into = ending.get(x, ()), ending[y]
+        if len(row) > len(right):
+            raise ValueError(f"row of {a} has {len(row)} composites for "
+                             f"{len(right)} composable pairs")
+        for j, v in zip(right, row):
+            if not (isinstance(v, int) and 0 <= v < len(into)):
+                raise ValueError(
+                    f"composite {v} of ({a},{arrows[j]}) is not an arrow")
+            if s[into[v]] != s[j]:
+                raise ValueError(f"composite {arrows[into[v]]} of "
+                                 f"({a},{arrows[j]}) has the wrong ends")
+        if short is None and len(row) < len(right):
+            short = f"no composite given for ({a},{arrows[right[len(row)]]})"
+    if short is not None:
+        raise ValueError(short)
+    return ending, pos, rows
+
+
+def composition_dict(G):
+    """{(a, b): a∘b} read off composition_rows(G): by a in arrow order,
+    then b in arrow order."""
+    ending, _, rows = composition_rows(G)
+    arrows, out = G.arrows, {}
+    for a, row in zip(arrows, rows):
+        into = ending[G.rng[a]]
+        for j, k in zip(ending.get(G.src[a], ()), row):
+            out[(a, arrows[j])] = arrows[into[k]]
+    return out
+
+
+def arrow_places(G):
+    """(ending, pos) of composition_rows(G), read off the ranges alone, so
+    also for a groupoid whose composition is not sound."""
+    if G._composition_index is not None:
+        return G._composition_index[:2]
+    return arrows_by_range([G.rng[a] for a in G.arrows])
+
+
 def _units_and_inverses(objects, arrows, src, rng, table):
     """unit_at and inv for make_groupoid, read off the rows of table in
     O(|compose|).
@@ -216,7 +304,8 @@ def composition_rows(G):
 
 def generating_set(G):
     """A greedy generating set S of G: the indices of the arrows, in arrow
-    order, that are not composites of the arrows taken before them.
+    order, that are not composites of the arrows taken before them.  It is
+    built once and kept on G, like the composition index.
 
     The composition must be complete and well-ended, as composition_rows
     checks.  Every arrow lies in the closure of S
@@ -227,11 +316,13 @@ def generating_set(G):
     O(|arrows|·|S|) in all.  In a group of order n each new generator at
     least doubles the subgroup reached, so |S| ≤ 1 + ⌊log₂ n⌋.
     """
-    ending, pos, rows = composition_rows(G)
-    rng = [G.rng[a] for a in G.arrows]
-    return greedy_generators(
-        [G.src[a] for a in G.arrows], rng,
-        lambda y, g: ending[rng[y]][rows[y][pos[g]]])[0]
+    if G._generators is None:
+        ending, pos, rows = composition_rows(G)
+        rng = [G.rng[a] for a in G.arrows]
+        G._generators = greedy_generators(
+            [G.src[a] for a in G.arrows], rng,
+            lambda y, g: ending[rng[y]][rows[y][pos[g]]])[0]
+    return G._generators
 
 
 def greedy_generators(src, rng, compose):
@@ -326,7 +417,10 @@ def validate_groupoid(G):
     decides the identity for every triple, since the middle arrows at
     which it holds are closed under composition (the proof is in
     _associativity_faults).  All composable triples are scanned only
-    when that test fails, to name each fault.
+    when that test fails, to name each fault.  The unit and inverse laws
+    are read off the same rows (_identities_hold), and the pairs of
+    arrows in compose are looped over only to name their faults, or after
+    an earlier fault, which can leave the rows unsound.
     """
     bad = _repeated_labels(G.objects, G.arrows)
     arrow_set = set(G.arrows)
@@ -355,6 +449,30 @@ def validate_groupoid(G):
         bad.append(fault)
     if not bad:
         bad.extend(_associativity_faults(G))
+    if bad or not _identities_hold(G):
+        bad.extend(_identity_faults(G))
+    return bad
+
+
+def _identities_hold(G):
+    """Whether unit_at and inv are the units and inverses that
+    make_groupoid reads off the rows (_units_and_inverses); assumes
+    distinct labels, ends among the objects and a sound, associative
+    index.  Those pass the unit and inverse laws of validate_groupoid,
+    and in an associative composition units and inverses are unique,
+    so the recorded ones pass them exactly when they are those."""
+    try:
+        unit_at, inv = _units_and_inverses(G.objects, G.arrows, G.src,
+                                           G.rng, composition_rows(G))
+    except ValueError:
+        return False
+    return unit_at == G.unit_at and inv == G.inv
+
+
+def _identity_faults(G):
+    """The faults of the unit and inverse laws, for validate_groupoid, by
+    the loop over all pairs of arrows in compose."""
+    bad = []
     for x in G.objects:
         u = G.unit_at.get(x)
         if u is None or G.src[u] != x or G.rng[u] != x:
@@ -391,13 +509,16 @@ def full_relation(n):
 
 
 def group_as_groupoid(H):
-    """A group viewed as a one-object groupoid."""
+    """A group viewed as a one-object groupoid, built from the rows of its
+    table: every arrow ends at the one object, so the place of an arrow is
+    its index."""
     obj = "*"
     arrows = list(H.elements)
-    src = {g: obj for g in arrows}
-    rng = {g: obj for g in arrows}
-    compose = {(g, h): H.mul[(g, h)] for g in arrows for h in arrows}
-    return make_groupoid(f"group({H.name})", [obj], arrows, src, rng, compose)
+    index = {g: i for i, g in enumerate(arrows)}
+    ends = dict.fromkeys(arrows, obj)
+    rows = [[index[H.mul[(g, h)]] for h in arrows] for g in arrows]
+    return groupoid_from_rows(f"group({H.name})", [obj], arrows, ends, ends,
+                              rows)
 
 
 def disjoint_union(G1, G2):

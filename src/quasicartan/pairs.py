@@ -185,6 +185,7 @@ class Pair:
         self._membership = None
         self._normalisers = {}  # mode -> sorted list
         self._unit_classes = None
+        self._class_elimination = None
         self._idempotents = None
         self._atoms = None
         self._expectation = None
@@ -611,13 +612,12 @@ class Pair:
         same kernel, over any commutative ring: the n of
         _deciding_normalisers span every normaliser, one n per class of
         unit_classes spans those, and the pivot rows and the rest of
-        unit-pivot elimination on the classes (finring.unit_pivot_rows)
-        span what the classes span, its row operations being invertible.
+        unit-pivot elimination on the classes (_class_rows) span what the
+        classes span, its row operations being invertible.
         Where the classes span A the pivot rows are the standard basis, so
         P is evaluated on at most dim² products there."""
         A = self.algebra
-        _, classes = self.unit_classes()
-        pivots, rest = finring.unit_pivot_rows(A.ring, classes)
+        pivots, rest = self._class_rows()
         return self._common_kernel(
             [P(A.mul(n, b)) for b in A.basis_vectors]
             for n in [*pivots.values(), *rest])
@@ -708,13 +708,27 @@ class Pair:
                 {rep for _, rep in coordinates.values()})
         return self._unit_classes
 
-    def _spans_A(self, vectors):
+    def _class_rows(self):
+        """finring.unit_pivot_rows of the classes of unit_classes, once
+        per pair: the faithfulness kernel is evaluated on them, and over a
+        local ring they decide whether the classes span A."""
+        if self._class_elimination is None:
+            _, classes = self.unit_classes()
+            self._class_elimination = finring.unit_pivot_rows(
+                self.algebra.ring, classes)
+        return self._class_elimination
+
+    def _spans_A(self, vectors, rows=None):
         """Whether vectors span A as an R-module.  Over a local ring this is
-        a rank test (finring.unit_pivot_rank); otherwise the span is built."""
+        a rank test (finring.unit_pivot_rank), read off the pivots of rows,
+        the unit-pivot rows of vectors when already made; otherwise the
+        span is built."""
         A = self.algebra
-        if finring.is_indecomposable(A.ring):
+        if not finring.is_indecomposable(A.ring):
+            return len(A.span(vectors)) == A.size()
+        if rows is None:
             return finring.unit_pivot_rank(A.ring, vectors) == A.dim
-        return len(A.span(vectors)) == A.size()
+        return len(rows[0]) == A.dim
 
     def classify(self):
         """The full flag report with the implication chain asserted.  The
@@ -733,7 +747,8 @@ class Pair:
         # span(I(B)) ⊆ B, so equal sizes make them equal
         report["B_spanned_by_idempotents"] = len(A.span(idem)) == self._b_size
         _, classes = self.unit_classes()
-        report["A_spanned_by_normalisers"] = self._spans_A(classes)
+        report["A_spanned_by_normalisers"] = self._spans_A(
+            classes, self._class_rows())
         base = (report["WT"] and report["local_units"] and
                 report["B_spanned_by_idempotents"] and
                 report["A_spanned_by_normalisers"])

@@ -15,8 +15,10 @@ from collections import Counter
 
 from . import finring, steinberg, pairs as pairs_mod, twist as twist_mod
 from .finring import DEFAULT_CAP
-from .groupoid import arrows_by_range, greedy_generators, make_groupoid, \
-    validate_groupoid
+from .groupoid import arrows_by_range, composition_rows, greedy_generators, \
+    groupoid_from_rows, validate_groupoid
+# not called here; bench/test_bench.py requires this module to bind it
+from .groupoid import make_groupoid  # noqa: F401
 
 
 class UltraGroupoid:
@@ -76,8 +78,9 @@ class UltraGroupoid:
         g·h = w⁻¹·g·(h′·s) = w⁻¹·(g·h′)·s = w⁻¹u′·(r′·s) = (w⁻¹u′u″)·r″,
         which is the direct product g·h: its coordinates are unique, the
         unit action being free.  The entries are held in per-row integer
-        tables at the positions of composition_rows, and inserted into
-        compose and values class by class, each row in class order.
+        tables at the positions of composition_rows, which are the stored
+        form of G′ and c′ (groupoid_from_rows, twist.cocycle_from_rows);
+        G′ also keeps the generators of the walk as its generating set.
         """
         if self._twist is not None:
             return self._twist
@@ -107,7 +110,7 @@ class UltraGroupoid:
             unit_rows[y][pos[s]], class_rows[y][pos[s]] = u, r
             return r
 
-        _, walk = greedy_generators(src, rng, product)
+        gens, walk = greedy_generators(src, rng, product)
         # (pos h, pos h′, pos s, w⁻¹) per h = w⁻¹·h′·s, by range, in walk order
         derived = {}
         for h, left, s in walk:
@@ -120,14 +123,11 @@ class UltraGroupoid:
                 r = ends[k_left]
                 units[k] = mul[mul[w_inverse][units[k_left]]][unit_rows[r][k_s]]
                 ends[k] = class_rows[r][k_s]
-        compose, values = {}, {}
-        for g, x, units, ends in zip(classes, src, unit_rows, class_rows):
-            for h, u, r in zip(ending.get(x, ()), units, ends):
-                values[(g, classes[h])], compose[(g, classes[h])] = u, classes[r]
-        base = make_groupoid("ultra_base", self.atoms, classes,
-                             dict(zip(classes, src)), dict(zip(classes, rng)),
-                             compose)
-        self._twist = twist_mod.Cocycle(R, base, values)
+        base = groupoid_from_rows(
+            "ultra_base", self.atoms, classes, dict(zip(classes, src)),
+            dict(zip(classes, rng)),
+            [[pos[r] for r in ends] for ends in class_rows], gens)
+        self._twist = twist_mod.cocycle_from_rows(R, base, unit_rows)
         return self._twist
 
 
@@ -178,7 +178,7 @@ def phi_map(pair):
     """
     ug = build_ultra_groupoid(pair)
     A, c = pair.algebra, pair.cocycle
-    G, mul = c.groupoid, A.ring.mul_table
+    G = c.groupoid
     delta = {g: ug.coordinates.get(A.basis_vectors[A.index[g]])
              for g in G.arrows}
     report = dict.fromkeys(["well_defined", "injective", "homomorphism",
@@ -187,14 +187,9 @@ def phi_map(pair):
         return delta, ug, report
     sigma = {g: t for g, (t, _) in delta.items()}
     beta = {g: r for g, (_, r) in delta.items()}
-    rebuilt = ug.to_twist()
     report["well_defined"] = True
     report["injective"] = len(set(beta.values())) == len(beta)
-    report["homomorphism"] = all(
-        rebuilt.groupoid.compose.get((beta[a], beta[b])) == beta[ab] and
-        mul[c.values[(a, b)]][sigma[ab]] ==
-        mul[mul[rebuilt.values[(beta[a], beta[b])]][sigma[a]]][sigma[b]]
-        for (a, b), ab in G.compose.items())
+    report["homomorphism"] = _is_homomorphism(c, ug.to_twist(), sigma, beta)
     # the units of the original twist land bijectively on the unit points,
     # the atoms, when each δ at a unit is an atom
     report["unit_bijective"] = \
@@ -202,6 +197,31 @@ def phi_map(pair):
         set(ug.atoms)
     report["surjective"] = set(beta.values()) == set(ug.classes)
     return delta, ug, report
+
+
+def _is_homomorphism(c, rebuilt, sigma, beta):
+    """Whether β(a∘b) = β(a)∘β(b) in G′ and
+    c(a,b)·σ(a∘b) = c′(βa,βb)·σ(a)·σ(b) for each composable (a, b) of G,
+    read off the rows of both groupoids and cocycles: a∘b is the arrow
+    ending[rng a][row[a][k]] for b the k-th arrow of ending[src a], and
+    c(a, b) sits at the same place of c.rows."""
+    G, H, mul = c.groupoid, rebuilt.groupoid, c.ring.mul_table
+    ending, pos, rows = composition_rows(G)
+    ending2, pos2, rows2 = composition_rows(H)
+    number2 = {g: i for i, g in enumerate(H.arrows)}
+    src2 = [H.src[g] for g in H.arrows]
+    rng2 = [H.rng[g] for g in H.arrows]
+    b = [number2[beta[g]] for g in G.arrows]
+    t = [sigma[g] for g in G.arrows]
+    for i, (a, row, vals) in enumerate(zip(G.arrows, rows, c.rows)):
+        into, bi = ending[G.rng[a]], b[i]
+        into2, row2, vals2 = ending2[rng2[bi]], rows2[bi], rebuilt.rows[bi]
+        for j, k, v in zip(ending.get(G.src[a], ()), row, vals):
+            ab, bj = into[k], b[j]
+            if src2[bi] != rng2[bj] or into2[row2[pos2[bj]]] != b[ab] or \
+                    mul[v][t[ab]] != mul[mul[vals2[pos2[bj]]][t[i]]][t[j]]:
+                return False
+    return True
 
 
 def verify_reconstruction_theorem(pair):

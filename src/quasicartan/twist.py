@@ -12,28 +12,73 @@ extension axioms can be checked directly.
 from __future__ import annotations
 
 from collections import namedtuple
+from types import MappingProxyType
 
 from . import finring
-from .groupoid import composition_rows, generator_pairs, isotropy_fibre_group, \
-    make_groupoid, validate_groupoid
+from .groupoid import arrow_places, composition_rows, generator_pairs, \
+    isotropy_fibre_group, make_groupoid, validate_groupoid
 
 
 class Cocycle:
-    """A normalised unit-valued 2-cocycle on a finite groupoid."""
+    """A normalised unit-valued 2-cocycle on a finite groupoid.
+
+    The values are stored as rows at the places of the groupoid's
+    composition index (groupoid.composition_rows): rows[i][k] is
+    c(a, k-th arrow of ending[src a]) for a = arrows[i].  values,
+    {(a, b): c(a, b)}, is a read-only view derived from them on first use.
+    """
 
     def __init__(self, ring, groupoid, values=None):
+        """values maps composable pairs (a, b) to c(a, b), 1 where absent;
+        it fills the rows in one pass over its entries."""
         self.ring = ring
         self.groupoid = groupoid
-        self.values = {}
-        values = values or {}
-        for pair in groupoid.composable_pairs():
-            self.values[pair] = values.get(pair, ring.one)
-        for pair in values:
-            if pair not in self.values:
-                raise ValueError(f"cocycle value on non-composable pair {pair}")
+        self._values = None
+        G = groupoid
+        ending, pos = arrow_places(G)
+        self.rows = [[ring.one] * len(ending.get(G.src[a], ()))
+                     for a in G.arrows]
+        if not values:
+            return
+        number = {a: i for i, a in enumerate(G.arrows)}
+        for (a, b), v in values.items():
+            i, j = number.get(a), number.get(b)
+            if i is None or j is None or G.src[a] != G.rng[b]:
+                raise ValueError(
+                    f"cocycle value on non-composable pair {(a, b)}")
+            self.rows[i][pos[j]] = v
+
+    @property
+    def values(self):
+        if self._values is None:
+            self._values = MappingProxyType(cocycle_dict(self))
+        return self._values
 
     def value(self, a, b):
         return self.values[(a, b)]
+
+
+def cocycle_from_rows(ring, groupoid, rows):
+    """The Cocycle with these rows, as it stores them; ValueError unless
+    there is one row per arrow with one value per composable pair."""
+    c = Cocycle(ring, groupoid)
+    if len(rows) != len(c.rows) or \
+            any(len(row) != len(ones) for row, ones in zip(rows, c.rows)):
+        raise ValueError("cocycle rows do not have the shape of the composition")
+    c.rows = [list(row) for row in rows]
+    return c
+
+
+def cocycle_dict(c):
+    """{(a, b): c(a, b)} read off the rows of c: by a in arrow order, then
+    b in arrow order."""
+    G = c.groupoid
+    ending, _ = arrow_places(G)
+    arrows, out = G.arrows, {}
+    for a, row in zip(arrows, c.rows):
+        for j, v in zip(ending.get(G.src[a], ()), row):
+            out[(a, arrows[j])] = v
+    return out
 
 
 def trivial_cocycle(ring, groupoid):
@@ -80,26 +125,28 @@ def check_cocycle(c):
     the order of the triple loop.
 
     In row form, over g in ending[src b] (groupoid.composition_rows),
-    vals[a][k] = c(a, k-th arrow of ending[src a]).  As src(ab) = src b,
-    c(ab, g) is vals[ab][k] and c(b, g) is vals[b][k]; as bg ends at
-    src a, c(a, bg) is vals[a][row[b][k]].
+    vals are the rows of c, vals[a][k] = c(a, k-th arrow of
+    ending[src a]).  As src(ab) = src b, c(ab, g) is vals[ab][k] and
+    c(b, g) is vals[b][k]; as bg ends at src a, c(a, bg) is
+    vals[a][row[b][k]].
     """
     R, G = c.ring, c.groupoid
-    bad = []
-    for pair, v in c.values.items():
-        if not R.is_unit(v):
-            bad.append(f"value at {pair} is not a unit")
-    arrows, value = G.arrows, c.values
+    arrows, vals = G.arrows, c.rows
     table = composition_rows(G)
-    ending = table[0]
-    vals = [[value[(a, arrows[j])] for j in ending.get(G.src[a], ())]
-            for a in arrows]
+    ending, pos, _ = table
+    bad = []
+    for a, row in zip(arrows, vals):
+        if not all(map(R.is_unit, row)):
+            bad.extend(f"value at {(a, arrows[j])} is not a unit"
+                       for j, v in zip(ending.get(G.src[a], ()), row)
+                       if not R.is_unit(v))
     if bad or not _passes_light_test(c, table, vals):
         bad.extend(_cocycle_identity_faults(c, table, vals))
-    for g in G.arrows:
-        if c.value(G.unit_at[G.rng[g]], g) != R.one:
+    number = {a: i for i, a in enumerate(arrows)}
+    for i, g in enumerate(arrows):
+        if vals[number[G.unit_at[G.rng[g]]]][pos[i]] != R.one:
             bad.append(f"not normalised on (unit, {g})")
-        if c.value(g, G.unit_at[G.src[g]]) != R.one:
+        if vals[i][pos[number[G.unit_at[G.src[g]]]]] != R.one:
             bad.append(f"not normalised on ({g}, unit)")
     return bad
 

@@ -128,6 +128,68 @@ def test_make_groupoid_rejects_bad_composition(defect):
     assert str(raised.value) == COMPOSITION_DEFECTS[defect]
 
 
+def _defective_rows(defect):
+    """The rows of full_relation(3) with the defect of
+    _defective_full_relation at (1, 2)∘(2, 3), the third entry of the row
+    of (1, 2): a short row misses it, and "zzz", which is not a place, or
+    the place of (1, 1) stands in it."""
+    G = gp.full_relation(3)
+    rows = [list(row) for row in gp.composition_rows(G)[2]]
+    row = rows[G.arrows.index((1, 2))]
+    if defect == "missing":
+        del row[2]
+    else:
+        row[2] = "zzz" if defect == "not_an_arrow" else 0
+    return G, rows
+
+
+@pytest.mark.parametrize("defect", ["missing", "not_an_arrow", "wrong_ends"])
+def test_the_rows_entry_names_each_fault_as_make_groupoid(defect):
+    G, rows = _defective_rows(defect)
+    with pytest.raises(ValueError) as raised:
+        gp.groupoid_from_rows("broken", G.objects, G.arrows, G.src, G.rng,
+                              rows)
+    assert str(raised.value) == COMPOSITION_DEFECTS[defect]
+
+
+@pytest.mark.parametrize("entry", [3, -1, None])
+def test_the_rows_entry_refuses_an_entry_that_is_not_a_place(entry):
+    G, rows = _defective_rows("not_an_arrow")
+    rows[G.arrows.index((1, 2))][2] = entry
+    with pytest.raises(ValueError, match=rf"^composite {entry} of "
+                                         r"\(\(1, 2\),\(2, 3\)\) is not an arrow$"):
+        gp.groupoid_from_rows("broken", G.objects, G.arrows, G.src, G.rng,
+                              rows)
+
+
+def test_the_rows_entry_refuses_rows_of_the_wrong_shape():
+    G = gp.full_relation(2)
+    rows = gp.composition_rows(G)[2]
+    with pytest.raises(ValueError, match="^3 rows given for 4 arrows$"):
+        gp.groupoid_from_rows("short", G.objects, G.arrows, G.src, G.rng,
+                              rows[:3])
+    with pytest.raises(ValueError, match=r"^row of \(1, 1\) has 3 composites "
+                                         "for 2 composable pairs$"):
+        gp.groupoid_from_rows("long", G.objects, G.arrows, G.src, G.rng,
+                              [rows[0] + [0]] + rows[1:])
+
+
+@pytest.mark.parametrize("build", [lambda: gp.full_relation(3),
+                                   lambda: make_twist("mixed_gf3").groupoid])
+def test_the_rows_entry_builds_what_make_groupoid_builds(build):
+    G = build()
+    H = gp.groupoid_from_rows("rows", G.objects, G.arrows, G.src, G.rng,
+                              gp.composition_rows(G)[2])
+    assert (H.unit_at, H.inv) == (G.unit_at, G.inv)
+    assert gp.composition_rows(H) == gp.composition_rows(G)
+    # the view is derived on first use, by a in arrow order and then b
+    assert H._compose is None
+    assert list(H.compose.items()) == list(G.compose.items())
+    assert gp.validate_groupoid(H) == []
+    with pytest.raises(TypeError):
+        H.compose[(G.arrows[0], G.arrows[0])] = G.arrows[0]
+
+
 def test_make_groupoid_names_the_first_faulty_entry():
     # the entries are read in order, each tested for a non-composable
     # pair, a composite that is not an arrow, then wrong ends; a missing
@@ -273,6 +335,22 @@ def domain_faulted_groupoids(draw):
 @given(domain_faulted_groupoids())
 def test_validate_equals_the_all_pairs_definition(G):
     assert gp.validate_groupoid(G) == _validate_by_definition(G)
+
+
+@pytest.mark.parametrize("record", ["unit", "inverse", "missing inverse"])
+def test_validate_names_wrong_units_and_inverses_as_the_definition(record):
+    # a sound composition, so the laws are first tested on its rows
+    G = gp.group_as_groupoid(gp.cyclic_group(4))
+    unit_at, inv = dict(G.unit_at), dict(G.inv)
+    if record == "unit":
+        unit_at["*"] = 2
+    elif record == "inverse":
+        inv[1] = 1
+    else:
+        del inv[3]
+    H = gp.FiniteGroupoid("wrong", G.objects, G.arrows, G.src, G.rng,
+                          G.compose, inv, unit_at)
+    assert gp.validate_groupoid(H) == _validate_by_definition(H) != []
 
 
 @pytest.mark.parametrize("defect", COMPOSITION_DEFECTS)

@@ -149,6 +149,39 @@ def test_rebuilt_twist_multiplies_by_generators_only(monkeypatch):
     assert 0 < len(products) <= 64 * (5 + 1)
 
 
+def test_the_rebuilt_twist_is_built_and_checked_on_rows(monkeypatch):
+    # G′ and c′ are made from the rows to_twist derives: no composition
+    # is indexed from a dict, and neither dict view of them is built
+    pair = klein_z4_pair()
+    indexed, views = [], []
+    index, compose_view = gp.index_composition, gp.composition_dict
+    values_view = tw.cocycle_dict
+
+    def counted_index(*args):
+        indexed.append(args)
+        return index(*args)
+
+    def counted_compose_view(G):
+        views.append(G)
+        return compose_view(G)
+
+    def counted_values_view(c):
+        views.append(c)
+        return values_view(c)
+
+    monkeypatch.setattr(gp, "index_composition", counted_index)
+    monkeypatch.setattr(gp, "composition_dict", counted_compose_view)
+    monkeypatch.setattr(tw, "cocycle_dict", counted_values_view)
+    report = rc.verify_reconstruction_theorem(pair)
+    assert report["consistent"] and report["g_prime_arrows"] == 64
+    c = pair.ultra_groupoid.to_twist()
+    assert indexed == []
+    assert c not in views and c.groupoid not in views
+    # the generating set of the walk is kept on G′
+    assert c.groupoid._generators is not None
+    assert len(gp.generating_set(c.groupoid)) == 5
+
+
 def test_rebuilt_twist_satisfies_axioms():
     # the extension axioms, checked on the explicit twist of the rebuilt
     # cocycle: the oracle for the groupoid and cocycle checks of
@@ -171,8 +204,9 @@ def test_a_wrong_rebuilt_cocycle_is_refused(monkeypatch):
         p = next(p for p in G.compose
                  if not (G.is_unit(p[0]) or G.is_unit(p[1])))
         t = next(t for t in sorted(fr.ring_units(R)) if t != R.one)
-        c.values[p] = R.mul(t, c.values[p])
-        return c
+        values = dict(c.values)
+        values[p] = R.mul(t, values[p])
+        return tw.Cocycle(R, G, values)
 
     monkeypatch.setattr(rc.UltraGroupoid, "to_twist", wrong_at_one_pair)
     with pytest.raises(AssertionError, match="rebuilt twist fails its axioms: "
@@ -193,8 +227,9 @@ def test_a_rebuilt_cocycle_wrong_off_the_generators_is_refused(monkeypatch):
         assert len(gens) == 5
         p = next(p for p in G.compose if not gens & set(p))
         t = next(t for t in sorted(fr.ring_units(R)) if t != R.one)
-        c.values[p] = R.mul(t, c.values[p])
-        return c
+        values = dict(c.values)
+        values[p] = R.mul(t, values[p])
+        return tw.Cocycle(R, G, values)
 
     monkeypatch.setattr(rc.UltraGroupoid, "to_twist", wrong_off_the_generators)
     with pytest.raises(AssertionError, match="rebuilt twist fails its axioms: "

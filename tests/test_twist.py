@@ -27,6 +27,20 @@ def test_cocycle_rejects_noncomposable_key():
         tw.Cocycle(fr.make_gf(3), gp.full_relation(2), {((1, 1), (2, 2)): 1})
 
 
+def test_the_values_are_a_read_only_view_of_the_rows():
+    R = fr.make_gf(5)
+    G = gp.group_as_groupoid(gp.cyclic_group(3))
+    c = tw.Cocycle(R, G, {(1, 2): 4})
+    assert c.rows == [[1, 1, 1], [1, 1, 4], [1, 1, 1]]
+    assert list(c.values.items()) == [((a, b), 4 if (a, b) == (1, 2) else 1)
+                                      for a in range(3) for b in range(3)]
+    with pytest.raises(TypeError):
+        c.values[(1, 2)] = 1
+    assert dict(tw.cocycle_from_rows(R, G, c.rows).values) == dict(c.values)
+    with pytest.raises(ValueError, match="shape of the composition"):
+        tw.cocycle_from_rows(R, G, [row[:2] for row in c.rows])
+
+
 def test_check_cocycle_rejects_nonunit_and_nonnormalised():
     R = fr.make_zmod(4)
     G = gp.group_as_groupoid(gp.cyclic_group(2))
@@ -64,12 +78,12 @@ def perturbed_cocycles(draw):
                          draw(st.lists(COMPONENTS, min_size=1, max_size=3)))
     units = sorted(fr.ring_units(R))
     b = {g: draw(st.sampled_from(units)) for g in G.arrows if not G.is_unit(g)}
-    c = tw.coboundary_cocycle(R, G, b)
-    pairs = sorted(c.values, key=repr)
+    values = dict(tw.coboundary_cocycle(R, G, b).values)
+    pairs = sorted(values, key=repr)
     for _ in range(draw(st.integers(0, 3))):
-        c.values[draw(st.sampled_from(pairs))] = draw(
+        values[draw(st.sampled_from(pairs))] = draw(
             st.sampled_from(R.all_indices()))
-    return c
+    return tw.Cocycle(R, G, values)
 
 
 @settings(max_examples=150)
@@ -84,7 +98,9 @@ def test_a_fault_between_non_generators_is_named_as_the_definition():
     assert gp.generating_set(G) == [0, 1]
     c = tw.coboundary_cocycle(R, G, {g: 1 + g % 4 for g in G.arrows if g})
     assert tw.check_cocycle(c) == []
-    c.values[(3, 4)] = R.mul(2, c.values[(3, 4)])
+    values = dict(c.values)
+    values[(3, 4)] = R.mul(2, values[(3, 4)])
+    c = tw.Cocycle(R, G, values)
     assert tw.check_cocycle(c) == check_cocycle_by_definition(c) != []
 
 

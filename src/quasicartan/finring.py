@@ -56,6 +56,7 @@ class FiniteRing:
                 if self.mul_table[a][b] == one and self.mul_table[b][a] == one:
                     self._unit_inverse[a] = b
                     break
+        self._local_factors = None  # set by local_factors
 
     @property
     def size(self):
@@ -279,16 +280,41 @@ def is_reduced(R):
     return True
 
 
-def _eliminate(R, rows, width):
+def local_factors(R):
+    """[(ε, inverse)] over the primitive idempotents ε of R, inverse the
+    unit inverses of the ring ε·R (x ↦ y with x·y = ε), once per ring.
+    The ε are orthogonal and sum to 1, and R is the product of the rings
+    ε·R, each local as its only idempotents are 0 and ε (Atiyah and
+    Macdonald, Introduction to Commutative Algebra, Thm 8.7; McDonald,
+    Finite Rings with Identity, 1974).  A local R gives the one factor
+    (1, R's unit inverses)."""
+    if R._local_factors is None:
+        mul = R.mul_table
+        nonzero = sorted(ring_idempotents(R) - {R.zero})
+        R._local_factors = []
+        for eps in nonzero:
+            if not any(f != eps and mul[eps][f] == f for f in nonzero):
+                part = {mul[eps][x] for x in R.all_indices()}
+                R._local_factors.append((eps, {
+                    x: y for x in part for y in part if mul[x][y] == eps}))
+    return R._local_factors
+
+
+def _eliminate(R, rows, width, inverse=None):
     """Unit-pivot elimination on rows (lists, reduced in place) over their
     first width columns.  Returns (pivots, rest, free): pivots lists the
-    (column, row) with a 1 at its column and 0 at every other pivot's
-    column, rest the rows left without a pivot, whose entries in the free
-    columns are all non-units.  Scaling a row by a unit and adding
+    (column, row) with the identity at its column and 0 at every other
+    pivot's column, rest the rows left without a pivot, whose entries in
+    the free columns are all non-units.  Scaling a row by a unit and adding
     multiples of rows are invertible over any commutative ring, so the
     rows keep their span; over a field this is full Gaussian elimination.
+
+    The units are the keys of inverse, by default R's; for rows in
+    (ε·R)^n, inverse may be that of the local factor ε·R (local_factors),
+    whose identity ε then stands at each pivot.
     """
-    add, mul, neg, inverse = R.add_table, R.mul_table, R._neg, R._unit_inverse
+    add, mul, neg = R.add_table, R.mul_table, R._neg
+    inverse = R._unit_inverse if inverse is None else inverse
     zero = R.zero
     pivots = []
     free = list(range(width))
@@ -309,23 +335,6 @@ def _eliminate(R, rows, width):
         free.remove(col)
 
 
-def unit_pivot_rank(R, vectors):
-    """The number of unit pivots that elimination finds among vectors.
-
-    Over a local ring R the vectors span R^d exactly when this is d.  If
-    it is d, the reduced pivot rows are the standard basis of R^d, which
-    lies in the span.  Conversely let m be the maximal ideal, which is the
-    set of non-units of a finite local ring.  After elimination the pivot
-    rows are independent modulo m and every other row lies in m^d, so the
-    images of the vectors span (R/m)^d only when there are d pivots; and
-    if the vectors span R^d, their images span (R/m)^d.  A finite
-    commutative ring is local exactly when it is indecomposable
-    (is_indecomposable), being a product of local rings.  Over Z/6 the
-    test fails: (2) and (3) span Z/6 with no unit pivot.
-    """
-    return len(unit_pivot_rows(R, {tuple(v) for v in vectors})[0])
-
-
 def unit_pivot_rows(R, vectors):
     """(pivots, rest) from unit-pivot elimination on vectors (_eliminate):
     pivots maps each pivot column to its row, 1 there and 0 at every other
@@ -338,56 +347,38 @@ def unit_pivot_rows(R, vectors):
             [tuple(row) for row in rest if row.count(R.zero) < width])
 
 
-def unit_pivots(R, vectors):
-    """The vectors, walked in order, that raise the unit-pivot rank, and
-    how the reduced pivot rows combine them.
+def standard_basis_tails(R, rows, width):
+    """For each column c < width, the entries past width of a combination
+    of rows that is the basis vector e_c on the first width columns; None
+    when the rows cut to those columns do not span R^width.
 
-    Each vector is reduced against the pivot rows kept so far and is kept
-    when an entry is left a unit; that entry's column becomes its pivot
-    and is cleared from the other pivot rows, as in _eliminate.  Over a
-    local ring a vector is kept exactly when its image modulo the maximal
-    ideal lies outside the span of the images of those kept before
-    (unit_pivot_rank), whichever unit is chosen as pivot.  Over other
-    rings a vector left without a unit entry is dropped for good, where
-    _eliminate keeps it for a later pivot: over Z/6, (2,3) then (1,1)
-    keeps one vector, and unit_pivot_rank counts two.  So the count there
-    depends on the order and can fall short of unit_pivot_rank, but the
-    kept vectors at a full count are still an invertible matrix.  The walk
-    stops once every column has a pivot.
+    For each local factor ε·R (local_factors) the rows times ε are
+    eliminated on the units of ε·R (_eliminate).  Unless every factor has
+    a pivot in each of the first width columns the result is None; else
+    the tail at c is the sum over the factors of the pivot row at c past
+    width.
 
-    Returns (kept, combination): combination[col] lists the coefficients
-    over kept of the pivot row at col.  With a pivot in every column those
-    rows are the standard basis, so combination is the inverse of the
-    matrix whose rows are kept.
+    Proof.  The rows times ε span ε·S, S the span of the rows, and
+    elimination keeps that span, so the pivot row at c lies in S and is ε
+    at c and 0 at the other columns below width.  The ε sum to 1, so the
+    pivot rows at c sum to e_c followed by the tail.  Conversely, if the
+    cut rows span R^width, their multiples by ε span (ε·R)^width, and
+    their images modulo the maximal ideal m of ε·R, its non-units, span
+    (ε·R/m)^width.  After elimination the pivot rows are independent
+    modulo m and the other rows lie in m^width, so there are width
+    pivots.  A local R has the one factor ε = 1: a rank test.
     """
-    add, mul, neg, inverse = R.add_table, R.mul_table, R._neg, R._unit_inverse
-    zero = R.zero
-    kept, pivots, width = [], {}, 0
-    for v in vectors:
-        width = len(v)
-        # the vector, then its combination over kept; the pivot rows are 0
-        # at its own place in that combination, so it is set to 1 once the
-        # vector is kept
-        row = list(v) + [zero] * width
-        for col, p in pivots.items():
-            t = neg[row[col]]
-            if t != zero:
-                row = [add[a][mul[t][b]] for a, b in zip(row, p)]
-        col = next((c for c in range(width) if row[c] in inverse), None)
-        if col is None:
-            continue
-        row[width + len(kept)] = R.one
-        row = [mul[inverse[row[col]]][a] for a in row]
-        for p in pivots.values():
-            t = neg[p[col]]
-            if t != zero:
-                p[:] = [add[a][mul[t][b]] for a, b in zip(p, row)]
-        pivots[col] = row
-        kept.append(tuple(v))
-        if len(pivots) == width:
-            break
-    return kept, {col: row[width:width + len(kept)]
-                  for col, row in pivots.items()}
+    add, mul = R.add_table, R.mul_table
+    tails = None
+    for eps, inverse in local_factors(R):
+        pivots, _, free = _eliminate(
+            R, [[mul[eps][v] for v in row] for row in rows], width, inverse)
+        if free:
+            return None
+        part = [row[width:] for _, row in sorted(pivots)]
+        tails = part if tails is None else [
+            [add[a][b] for a, b in zip(t, p)] for t, p in zip(tails, part)]
+    return [tuple(tail) for tail in tails]
 
 
 def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP, one=False):

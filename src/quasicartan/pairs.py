@@ -213,6 +213,14 @@ class Pair:
 
         Returns (flag, warning).  With I(B) = {0} the condition is
         vacuously true and flagged with a warning.
+
+        Over a ring R that is not local, WT and local units never hold
+        together, so ADP, ACP and AQP are false.  R then has an idempotent
+        ε ≠ 0, 1 (finring.local_factors).  Let e be a nonzero idempotent of
+        B.  If ε·e = 0, t = ε kills e.  Otherwise ε·e is a nonzero
+        idempotent of the R-module B, and t = 1 − ε kills it.  So WT fails
+        whenever I(B) ≠ {0}.  If I(B) = {0}, no idempotent of B is an
+        identity of A ≠ 0, so local units fail.
         """
         A, R = self.algebra, self.algebra.ring
         idem, _ = self.idempotents_of_B()
@@ -519,48 +527,42 @@ class Pair:
         """The candidate expectation P(n) = n·e(n), built on normalisers
         and extended linearly.
 
-        e(n) is the join of the atoms a ≤ n†n with n·a in B.  P is defined
-        on T, the first dim A candidates that raise the unit-pivot rank
-        (finring.unit_pivots).  A pivot in every column makes T a basis of
-        A, and the combinations of T that give the standard basis give P
-        on it.  The candidates are the basis vectors that are normalisers,
-        then the _deciding_normalisers in order, listed only when the basis
-        falls short.  On a twist pair T is the arrow basis.  Over a ring
-        that is not local the walk is greedy and can miss a basis that
-        full elimination would find (finring.unit_pivots); P is then None,
-        as it is for any T that fails the axioms.  n·e(n) is the
-        expectation only where P is implemented by idempotents, so on a
-        pair that is not quasi-Cartan the map, and with it faithfulness,
-        can depend on the basis given.
+        e(n) is the join of the atoms a ≤ n†n with n·a in B.  The rows
+        n ⧺ n·e(n) of the candidates are eliminated by
+        finring.standard_basis_tails: where the candidates span A, the
+        tail at column i is P(e_i) for the combination of candidates that
+        is the basis vector e_i.  The candidates are the basis vectors
+        that are normalisers, then the _deciding_normalisers in order,
+        listed only when the basis falls short.  On a twist pair the arrow
+        basis decides.  n·e(n) is the expectation only where P is
+        implemented by idempotents, so on a pair that is not quasi-Cartan
+        the map, and with it faithfulness, can depend on the basis given.
 
-        Returns a report dict; 'map' is None when T falls short of dim A
-        or the result fails the expectation axioms.
+        Returns a report dict; 'map' is None when the candidates do not
+        span A or the result fails the expectation axioms.
         """
         if self._expectation is not None:
             return self._expectation
         A, R = self.algebra, self.algebra.ring
         _, atoms = self.idempotents_of_B()
 
-        def candidates():
-            yield from (n for n in A.basis_vectors
-                        if self.dagger_of(n) is not None)
-            yield from self._deciding_normalisers()
+        def row(n):
+            source = A.mul(self.dagger_of(n), n)
+            e = functools.reduce(A.add, [
+                a for a in atoms if A.mul(a, source) == a and
+                self.in_B(A.mul(n, a))], A.zero())
+            return n + A.mul(n, e)
 
-        T, combination = finring.unit_pivots(R, candidates())
-        if len(T) < A.dim:
+        candidates = [row(n) for n in A.basis_vectors
+                      if self.dagger_of(n) is not None]
+        images = finring.standard_basis_tails(R, candidates, A.dim)
+        if images is None:
+            candidates += map(row, self._deciding_normalisers())
+            images = finring.standard_basis_tails(R, candidates, A.dim)
+        if images is None:
             self._expectation = {
                 "map": None, "reason": "the candidate normalisers do not span A"}
             return self._expectation
-        on_T = []
-        for n in T:
-            source = A.mul(self.dagger_of(n), n)
-            e = A.zero()
-            for a in atoms:
-                if A.mul(a, source) == a and self.in_B(A.mul(n, a)):
-                    e = A.add(e, a)
-            on_T.append(A.mul(n, e))
-        images = [functools.reduce(A.add, map(A.scale, combination[i], on_T))
-                  for i in range(A.dim)]
 
         def P(x):
             out = A.zero()
@@ -710,25 +712,19 @@ class Pair:
 
     def _class_rows(self):
         """finring.unit_pivot_rows of the classes of unit_classes, once
-        per pair: the faithfulness kernel is evaluated on them, and over a
-        local ring they decide whether the classes span A."""
+        per pair: the faithfulness kernel is evaluated on them, and they
+        decide whether the classes span A."""
         if self._class_elimination is None:
             _, classes = self.unit_classes()
             self._class_elimination = finring.unit_pivot_rows(
                 self.algebra.ring, classes)
         return self._class_elimination
 
-    def _spans_A(self, vectors, rows=None):
-        """Whether vectors span A as an R-module.  Over a local ring this is
-        a rank test (finring.unit_pivot_rank), read off the pivots of rows,
-        the unit-pivot rows of vectors when already made; otherwise the
-        span is built."""
+    def _spans_A(self, vectors):
+        """Whether vectors span A as an R-module
+        (finring.standard_basis_tails)."""
         A = self.algebra
-        if not finring.is_indecomposable(A.ring):
-            return len(A.span(vectors)) == A.size()
-        if rows is None:
-            return finring.unit_pivot_rank(A.ring, vectors) == A.dim
-        return len(rows[0]) == A.dim
+        return finring.standard_basis_tails(A.ring, vectors, A.dim) is not None
 
     def classify(self):
         """The full flag report with the implication chain asserted.  The
@@ -747,8 +743,9 @@ class Pair:
         # span(I(B)) ⊆ B, so equal sizes make them equal
         report["B_spanned_by_idempotents"] = len(A.span(idem)) == self._b_size
         _, classes = self.unit_classes()
+        pivots, rest = self._class_rows()
         report["A_spanned_by_normalisers"] = self._spans_A(
-            classes, self._class_rows())
+            [*pivots.values(), *rest])
         base = (report["WT"] and report["local_units"] and
                 report["B_spanned_by_idempotents"] and
                 report["A_spanned_by_normalisers"])

@@ -452,6 +452,32 @@ def test_classify_a_conjugated_diagonal(n, p, tmp_path, capsys):
         assert summary[key] == "true", key
 
 
+# Z/6[C2] in the basis u = δ₁ + δ_g, v = δ_g, with B = R·δ₁, δ₁ = u − v
+Z6_C2_SHIFTED = """\
+[ring]
+zmod(6)
+[algebra]
+basis = u v
+u * u = 2*u
+u * v = u
+v * u = u
+v * v = u + 5*v
+[pair]
+sub_basis = u + 5*v
+"""
+
+
+def test_a_group_ring_over_a_ring_that_is_not_local_in_another_basis(
+        tmp_path, capsys):
+    # v is the one basis vector that is a normaliser, and no minimal
+    # normaliser (2, 3 or 4 times δ₁ or δ_g) has a unit entry; eliminated
+    # per factor of Z/6 = Z/2 × Z/3 they span A, so the expectation is
+    # found as in the arrow basis
+    code, out = _run("classify", Z6_C2_SHIFTED, tmp_path, capsys)
+    assert code == 0
+    assert cli.parse_summary(out)["faithful_ce_exists"] == "true"
+
+
 def test_a_conjugated_diagonal_solves_for_one_dagger(tmp_path, capsys,
                                                      monkeypatch):
     # B is free on its pivot rows and the pair has local units, so every

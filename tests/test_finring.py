@@ -109,13 +109,33 @@ def test_solve_linear_matches_direct_enumeration():
     assert sols == direct
 
 
-def test_the_greedy_walk_can_fall_short_of_the_rank_off_a_local_ring():
-    # (2, 3) has no unit entry, so the walk drops it; elimination keeps it
-    # until (1, 1) gives it the unit 1 = 3 - 2 at column 1
+def test_vectors_without_a_unit_entry_span_off_a_local_ring():
+    # over Z/6 = Z/2 × Z/3, (2, 3) has no unit entry; times ε = 3 it is
+    # (0, 3) and times ε = 4 it is (2, 0), each a pivot in its factor.  The
+    # tails of the rows followed by the identity are the inverse matrix
     R = fr.make_zmod(6)
-    assert fr.unit_pivot_rank(R, [(2, 3), (1, 1)]) == 2
-    assert fr.unit_pivots(R, [(2, 3), (1, 1)])[0] == [(1, 1)]
-    assert fr.unit_pivots(R, [(1, 1), (2, 3)])[0] == [(1, 1), (2, 3)]
+    assert fr.standard_basis_tails(R, [(2, 3, 1, 0), (1, 1, 0, 1)], 2) == \
+        [(5, 3), (1, 4)]
+    assert fr.standard_basis_tails(R, [(1, 1, 1, 0), (2, 3, 0, 1)], 2) == \
+        [(3, 5), (4, 1)]
+    assert fr.standard_basis_tails(R, [(2, 3)], 2) is None
+    # 3 spans 3·Z/6 only: the factor 4·Z/6 ≅ Z/3 has no pivot at column 0
+    assert fr.standard_basis_tails(R, [(3, 0), (0, 1)], 2) is None
+
+
+@pytest.mark.parametrize("R, idempotents", [
+    (fr.make_zmod(6), {"3", "4"}), (fr.make_zmod(12), {"4", "9"}),
+    (fr.make_zmod(4), {"1"}), (fr.make_gf(2, 2), {"1"}),
+    (fr.make_zmod(9), {"1"})])
+def test_local_factors(R, idempotents):
+    # labelled by the ring's labels: the one of GF(4) is not index 1
+    factors = fr.local_factors(R)
+    assert {R.label(eps) for eps, _ in factors} == idempotents
+    if len(factors) == 1:
+        assert factors == [(R.one, R._unit_inverse)]
+    for eps, inverse in factors:
+        assert all(R.mul(x, y) == eps for x, y in inverse.items())
+    assert fr.local_factors(R) is factors
 
 
 def test_solve_linear_cap():

@@ -1,6 +1,6 @@
 """The exact linear layer against definitional references written here:
 solve_linear (all solutions, or one) against a scan of every vector, span
-and, over a local ring, the unit-pivot rank against a closure under
+and the spanning test of standard_basis_tails against a closure under
 adding scalar multiples of the generators, and the membership test of B
 and the dagger solver against a listed B and the oracle dagger."""
 
@@ -99,17 +99,16 @@ def test_span_equals_the_definitional_closure(case):
                     closure.add(y)
                     todo.append(y)
     assert A.span(vectors) == closure
-    if fr.is_indecomposable(R):
-        assert (fr.unit_pivot_rank(R, vectors) == dim) == \
-            (len(closure) == R.size ** dim)
-    # the kept vectors come in order, and with a pivot in every column
-    # their combinations give the standard basis
-    kept, combination = fr.unit_pivots(R, vectors)
-    walk = iter(vectors)
-    assert all(v in walk for v in kept)
-    if len(kept) == dim:
-        for col, coeffs in combination.items():
-            assert functools.reduce(A.add, map(A.scale, coeffs, kept)) == \
+    # the vectors followed by the identity: where they span, the tails at
+    # column c combine the vectors into the basis vector e_c
+    k = len(vectors)
+    tails = fr.standard_basis_tails(
+        R, [v + tuple(R.one if j == i else R.zero for j in range(k))
+            for i, v in enumerate(vectors)], dim)
+    assert (tails is not None) == (len(closure) == R.size ** dim)
+    if tails is not None:
+        for col, coeffs in enumerate(tails):
+            assert functools.reduce(A.add, map(A.scale, coeffs, vectors)) == \
                 A.basis_vector(col)
 
 

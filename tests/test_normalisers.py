@@ -440,8 +440,10 @@ def _in_a_random_basis(pair, seed):
     while True:
         g = [tuple(rng.randrange(R.size) for _ in range(A.dim))
              for _ in range(A.dim)]
-        kept, inverse = fr.unit_pivots(R, g)
-        if len(kept) == A.dim:
+        # g ⧺ identity: the tails at column i combine the rows of g into e_i
+        inverse = fr.standard_basis_tails(
+            R, [gi + A.basis_vector(i) for i, gi in enumerate(g)], A.dim)
+        if inverse is not None:
             break
 
     def coordinates(x):
@@ -461,11 +463,17 @@ BASIS_FREE = ["WT", "local_units", "B_spanned_by_idempotents",
               "A_spanned_by_normalisers", "ADP", "ACP", "AQP"]
 
 
-# a twist over a ring that is not local: its minimal normalisers have no
-# unit entry, so in a random basis the walk of canonical_expectation
-# finds no pivot among them
-NOT_LOCAL = {"c2_z6": lambda: pr.pair_from_twist(tw.trivial_cocycle(
-    fr.make_zmod(6), gp.group_as_groupoid(gp.cyclic_group(2))))}
+# twists over rings that are not local: their minimal normalisers have no
+# unit entry, so in a random basis the candidates of canonical_expectation
+# span A only when eliminated per local factor
+NOT_LOCAL = {f"{name}_z{n}": (kind, n) for n in (6, 10, 12)
+             for name, kind in [("c2", "cyclic"), ("full2", "full")]}
+
+
+def _not_local_pair(name):
+    kind, n = NOT_LOCAL[name]
+    return pr.pair_from_twist(tw.trivial_cocycle(fr.make_zmod(n),
+                                                 _component(kind, 2)))
 
 
 @pytest.mark.parametrize(
@@ -477,10 +485,27 @@ def test_classify_does_not_depend_on_the_basis(name, seed):
     # quasi-Cartan (canonical_expectation), so it is compared only where
     # AQP holds
     pair = abstract_pair(name) if name in ABSTRACT_PAIRS else \
-        NOT_LOCAL[name]() if name in NOT_LOCAL else make_pair(name)
-    flags = pair.classify()
-    conjugated = _in_a_random_basis(pair, seed).classify()
-    assert {k: conjugated[k] for k in BASIS_FREE} == \
+        _not_local_pair(name) if name in NOT_LOCAL else make_pair(name)
+    conjugated = _in_a_random_basis(pair, seed)
+    flags, moved = pair.classify(), conjugated.classify()
+    assert {k: moved[k] for k in BASIS_FREE} == \
         {k: flags[k] for k in BASIS_FREE}
     if flags["AQP"]:
-        assert conjugated["faithful_CE_exists"]
+        assert moved["faithful_CE_exists"]
+    # the spanning test and the expectation eliminate alike
+    for p, report in [(pair, flags), (conjugated, moved)]:
+        if report["A_spanned_by_normalisers"]:
+            assert "reason" not in p.canonical_expectation()
+
+
+@pytest.mark.parametrize("name", list(NOT_LOCAL))
+@pytest.mark.parametrize("seed", [None, 0, 1])
+def test_no_pair_over_a_ring_that_is_not_local_meets_the_base_conditions(
+        name, seed):
+    # satisfies_wt: WT fails when I(B) ≠ {0}, and local units fail otherwise
+    pair = _not_local_pair(name)
+    if seed is not None:
+        pair = _in_a_random_basis(pair, seed)
+    flags = pair.classify()
+    assert not (flags["WT"] and flags["local_units"])
+    assert not (flags["ADP"] or flags["ACP"] or flags["AQP"])

@@ -346,7 +346,8 @@ def cmd_check(doc, cap, oracle):
                 # the explicit twist has |G|·|R^×| arrows and
                 # |compose|·|R^×|² composites
                 n = len(finring.ring_units(R))
-                _check_size((len(G.compose) * n + len(G.arrows)) * n, cap)
+                pairs = sum(1 for _ in G.composable_pairs())
+                _check_size((pairs * n + len(G.arrows)) * n, cap)
                 tb = twist_mod.check_twist_axioms(twist_mod.twist_from_cocycle(c))
                 violations += len(tb)
                 report.append(f"twist axioms: {'ok' if not tb else tb[0]}")
@@ -413,7 +414,8 @@ def cmd_units(doc, cap, oracle):
     H = _parse_group(spec, cap)
     values = None
     if "cocycle" in doc.sections:
-        values = _parse_cocycle(doc, R, gpd.group_as_groupoid(H)).values
+        c = _parse_cocycle(doc, R, gpd.group_as_groupoid(H))
+        values = {(a, b): c.value(a, b) for a, b in H.mul}
     try:
         T = grouprings.TwistedGroupRing(R, H, values)
     except pairs_mod.InvalidTwist as exc:

@@ -15,7 +15,14 @@ from types import MappingProxyType
 
 
 class FiniteGroup:
-    """A finite group given by its multiplication table."""
+    """A finite group given by its multiplication table.
+
+    Associativity is decided by Light's test (see _associativity_faults):
+    the middle element ranges over the greedy generating set
+    (greedy_generators), at most 1 + log₂ n elements, so the table is
+    checked in O(n²·log n).  Every triple is scanned only when that test
+    fails, to name the first fault.
+    """
 
     def __init__(self, name, elements, mul_table):
         self.name = name
@@ -30,6 +37,15 @@ class FiniteGroup:
                     break
         if len(self.inverse) != len(self.elements):
             raise ValueError("not every element has an inverse")
+        index = {g: i for i, g in enumerate(self.elements)}
+        table = [[index[self.mul[(g, h)]] for h in self.elements]
+                 for g in self.elements]
+        one_object = [0] * len(table)
+        gens, _ = greedy_generators(one_object, one_object,
+                                    lambda y, s: table[y][s])
+        if all(table[row[b]] == list(map(row.__getitem__, table[b]))
+               for b in gens for row in table):
+            return
         for a, b, c in itertools.product(self.elements, repeat=3):
             if self.mul[(self.mul[(a, b)], c)] != self.mul[(a, self.mul[(b, c)])]:
                 raise ValueError(f"multiplication not associative at ({a},{b},{c})")
@@ -60,13 +76,16 @@ def direct_product_group(H1, H2):
 class FiniteGroupoid:
     """A finite groupoid: objects, arrows, source/range, partial composition.
 
-    compose[(a, b)] is defined exactly when src(a) == rng(b), and the
-    composite a∘b runs "b first, then a".  A FiniteGroupoid is not
-    mutated after construction.  Its composition is stored as the rows of
-    its index (composition_rows), built once and kept on it, and so is its
-    generating set (generating_set).  compose is a read-only view: the
-    dict a groupoid is given, which it indexes on first use, or, for one
-    built from rows (groupoid_from_rows), derived from them on first use.
+    a∘b (composite) is defined exactly when src(a) == rng(b), and runs
+    "b first, then a".  A FiniteGroupoid is not mutated after
+    construction.  Its composition is stored as the rows of its index
+    (composition_rows), built once and kept on it, and so is its
+    generating set (generating_set); number[a] is the place of a in arrows.
+    The package reads the rows through composite and composable_pairs.
+    compose, {(a, b): a∘b}, is a read-only view kept for callers outside
+    the package: the dict a groupoid built directly is given, which it
+    indexes on first use, or else derived from composable_pairs on first
+    use (composition_dict).
     """
 
     def __init__(self, name, objects, arrows, src, rng, compose, inv, unit_at):
@@ -75,6 +94,7 @@ class FiniteGroupoid:
         self.arrows = list(arrows)
         self.src = dict(src)
         self.rng = dict(rng)
+        self.number = {a: i for i, a in enumerate(self.arrows)}
         self._compose = None if compose is None else \
             MappingProxyType(dict(compose))
         self.inv = dict(inv)
@@ -89,6 +109,24 @@ class FiniteGroupoid:
             self._compose = MappingProxyType(composition_dict(self))
         return self._compose
 
+    def composite(self, a, b):
+        """a∘b read off the rows; KeyError unless src(a) == rng(b)."""
+        if self.src[a] != self.rng[b]:
+            raise KeyError((a, b))
+        ending, pos, rows = composition_rows(self)
+        row = rows[self.number[a]]
+        return self.arrows[ending[self.rng[a]][row[pos[self.number[b]]]]]
+
+    def composable_pairs(self):
+        """(a, b, a∘b) for each composable pair, in the order of the rows:
+        by a in arrow order, then b in arrow order."""
+        ending, _, rows = composition_rows(self)
+        arrows = self.arrows
+        for a, row in zip(arrows, rows):
+            into = ending[self.rng[a]]
+            for j, k in zip(ending.get(self.src[a], ()), row):
+                yield a, arrows[j], arrows[into[k]]
+
     def is_unit(self, a):
         return a in self.units
 
@@ -98,8 +136,8 @@ class FiniteGroupoid:
 
 def make_groupoid(name, objects, arrows, src, rng, compose):
     """Assemble a groupoid from composition data, deriving units and
-    inverses from the index of its composition, which the groupoid keeps,
-    with compose as its view.
+    inverses from the index of its composition, which the groupoid keeps
+    in place of compose: the dict is read once and not kept.
 
     The unit at x is the first arrow in arrow order that is a two-sided
     identity at x, and the inverse of a the first arrow b in arrow order
@@ -110,7 +148,7 @@ def make_groupoid(name, objects, arrows, src, rng, compose):
     if bad:
         raise ValueError(bad[0])
     table = index_composition(arrows, src, rng, compose)
-    return _assemble(name, objects, arrows, src, rng, table, compose)
+    return _assemble(name, objects, arrows, src, rng, table)
 
 
 def groupoid_from_rows(name, objects, arrows, src, rng, rows,
@@ -118,8 +156,7 @@ def groupoid_from_rows(name, objects, arrows, src, rng, rows,
     """make_groupoid for a composition given as the rows of its index
     (index_composition): rows[i][k] is the place of a∘c in ending[rng a],
     for a = arrows[i] and c the k-th arrow of ending[src a].  The rows are
-    checked in one pass (_check_rows) and kept; compose is derived from
-    them on first use.
+    checked in one pass (_check_rows) and kept.
 
     generators, when given, must be what greedy_generators returns for
     this composition, the walk composing through these rows; it is kept as
@@ -129,16 +166,16 @@ def groupoid_from_rows(name, objects, arrows, src, rng, rows,
     if bad:
         raise ValueError(bad[0])
     table = _check_rows(arrows, src, rng, rows)
-    G = _assemble(name, objects, arrows, src, rng, table, None)
+    G = _assemble(name, objects, arrows, src, rng, table)
     G._generators = generators
     return G
 
 
-def _assemble(name, objects, arrows, src, rng, table, compose):
+def _assemble(name, objects, arrows, src, rng, table):
     """The groupoid with the index table, its units and inverses read off
-    the rows; compose is its view, or None to derive that from table."""
+    the rows."""
     unit_at, inv = _units_and_inverses(objects, arrows, src, rng, table)
-    G = FiniteGroupoid(name, objects, arrows, src, rng, compose, inv, unit_at)
+    G = FiniteGroupoid(name, objects, arrows, src, rng, None, inv, unit_at)
     G._composition_index = table
     return G
 
@@ -233,15 +270,9 @@ def _check_rows(arrows, src, rng, rows):
 
 
 def composition_dict(G):
-    """{(a, b): a∘b} read off composition_rows(G): by a in arrow order,
-    then b in arrow order."""
-    ending, _, rows = composition_rows(G)
-    arrows, out = G.arrows, {}
-    for a, row in zip(arrows, rows):
-        into = ending[G.rng[a]]
-        for j, k in zip(ending.get(G.src[a], ()), row):
-            out[(a, arrows[j])] = arrows[into[k]]
-    return out
+    """The compose view of G, {(a, b): a∘b} in the order of
+    G.composable_pairs()."""
+    return {(a, b): ab for a, b, ab in G.composable_pairs()}
 
 
 def arrow_places(G):
@@ -294,11 +325,12 @@ def _units_and_inverses(objects, arrows, src, rng, table):
 
 
 def composition_rows(G):
-    """index_composition of G, built once and kept on G: make_groupoid
-    stores it, and a FiniteGroupoid built directly gets it on first use."""
+    """index_composition of G, built once and kept on G: make_groupoid and
+    groupoid_from_rows store it, and a FiniteGroupoid built directly
+    indexes the dict it is given on first use."""
     if G._composition_index is None:
         G._composition_index = index_composition(G.arrows, G.src, G.rng,
-                                                 G.compose)
+                                                 G._compose)
     return G._composition_index
 
 
@@ -496,16 +528,18 @@ def _identity_faults(G):
 
 
 def full_relation(n):
-    """The pair groupoid on n objects: arrows (i,j), (i,j)∘(j,k) = (i,k)."""
+    """The pair groupoid on n objects: arrows (i,j), (i,j)∘(j,k) = (i,k).
+
+    The arrows ending at i are (i,1), …, (i,n), so (i,k) has place k − 1
+    there, and the row of (i,j), over the (j,k), is 0, 1, …, n − 1."""
     if n < 1:
         raise ValueError("need n >= 1")
     objects = list(range(1, n + 1))
     arrows = [(i, j) for i in objects for j in objects]
-    src = {(i, j): j for (i, j) in arrows}
-    rng = {(i, j): i for (i, j) in arrows}
-    compose = {((i, j), (j2, k)): (i, k)
-               for (i, j) in arrows for (j2, k) in arrows if j == j2}
-    return make_groupoid(f"full_relation({n})", objects, arrows, src, rng, compose)
+    return groupoid_from_rows(f"full_relation({n})", objects, arrows,
+                              {a: a[1] for a in arrows},
+                              {a: a[0] for a in arrows},
+                              [range(n)] * len(arrows))
 
 
 def group_as_groupoid(H):
@@ -522,16 +556,19 @@ def group_as_groupoid(H):
 
 
 def disjoint_union(G1, G2):
-    """Tagged disjoint union; no composition across components."""
+    """Tagged disjoint union; no composition across components.
+
+    The arrows ending at a tagged object are those of its part, in the
+    same order, so the rows are the parts' rows side by side."""
     objects = [(0, x) for x in G1.objects] + [(1, x) for x in G2.objects]
     arrows = [(0, a) for a in G1.arrows] + [(1, a) for a in G2.arrows]
     src = {(0, a): (0, G1.src[a]) for a in G1.arrows}
     src.update({(1, a): (1, G2.src[a]) for a in G2.arrows})
     rng = {(0, a): (0, G1.rng[a]) for a in G1.arrows}
     rng.update({(1, a): (1, G2.rng[a]) for a in G2.arrows})
-    compose = {((0, a), (0, b)): (0, c) for (a, b), c in G1.compose.items()}
-    compose.update({((1, a), (1, b)): (1, c) for (a, b), c in G2.compose.items()})
-    return make_groupoid(f"({G1.name})+({G2.name})", objects, arrows, src, rng, compose)
+    return groupoid_from_rows(
+        f"({G1.name})+({G2.name})", objects, arrows, src, rng,
+        composition_rows(G1)[2] + composition_rows(G2)[2])
 
 
 class IsotropySet:
@@ -552,7 +589,7 @@ def isotropy(G):
             if G.inv[a] not in fib:
                 raise ValueError(f"isotropy fibre at {x} not closed under inverse")
             for b in fib:
-                if G.compose[(a, b)] not in fib:
+                if G.composite(a, b) not in fib:
                     raise ValueError(f"isotropy fibre at {x} not closed under composition")
     return IsotropySet(arrows, fibres)
 
@@ -560,7 +597,7 @@ def isotropy(G):
 def isotropy_fibre_group(G, x):
     """The isotropy group at object x as a FiniteGroup on the arrow labels."""
     fib = [a for a in G.arrows if G.src[a] == x and G.rng[a] == x]
-    mul = {(a, b): G.compose[(a, b)] for a in fib for b in fib}
+    mul = {(a, b): G.composite(a, b) for a in fib for b in fib}
     return FiniteGroup(f"iso({G.name},{x})", fib, mul)
 
 

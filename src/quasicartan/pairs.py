@@ -133,16 +133,17 @@ class ConvolutionAlgebra(AbstractAlgebra):
     def __init__(self, cocycle):
         G, R = cocycle.groupoid, cocycle.ring
         self.cocycle = cocycle
-        self.index = index = {g: i for i, g in enumerate(G.arrows)}
+        # the rows are read only once the groupoid is known to be sound
+        bad = validate_groupoid(G)
+        if bad:
+            raise InvalidTwist("groupoid invalid: " + bad[0])
+        self.index = index = G.number
         super().__init__(
             f"conv({G.name};{R.name})", R, G.arrows,
             {(index[a], index[b]): {index[ab]: cocycle.value(a, b)}
-             for (a, b), ab in G.compose.items()})
+             for a, b, ab in G.composable_pairs()})
 
     def _check_associative(self):
-        bad = validate_groupoid(self.cocycle.groupoid)
-        if bad:
-            raise InvalidTwist("groupoid invalid: " + bad[0])
         bad = twist_mod.check_cocycle(self.cocycle)
         if bad:
             raise InvalidTwist("cocycle invalid: " + bad[0])
@@ -729,10 +730,16 @@ class Pair:
     def classify(self):
         """The full flag report with the implication chain asserted.  The
         normaliser flags are decided on one normaliser per class of
-        unit_classes, and the spanning tests by _spans_A."""
+        unit_classes, and the spanning tests by _spans_A.
+
+        Every classify reaches the cap test of enumerate_normalisers; it is
+        made first, so that a large A is refused before satisfies_wt lists
+        B."""
         if self._classification is not None:
             return self._classification
         A = self.algebra
+        if A.size() > self.cap:
+            raise CapExceeded(A.size(), self.cap)
         report = {}
         wt, warning = self.satisfies_wt()
         report["WT"] = wt
@@ -848,7 +855,8 @@ def check_lbh(pair):
     holds, witness = True, None
     for x in G.objects:
         H = isotropy_fibre_group(G, x)
-        ring_T = TwistedGroupRing(R, H, {p: cocycle.values[p] for p in H.mul})
+        ring_T = TwistedGroupRing(R, H, {(a, b): cocycle.value(a, b)
+                                         for a, b in H.mul})
         _, _, nontrivial = enumerate_units(ring_T, cap=pair.cap)
         if nontrivial:
             u = nontrivial[0]

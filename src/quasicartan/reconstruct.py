@@ -15,7 +15,7 @@ from collections import Counter
 
 from . import finring, steinberg, pairs as pairs_mod, twist as twist_mod
 from .finring import DEFAULT_CAP
-from .groupoid import arrows_by_range, composition_rows, greedy_generators, \
+from .groupoid import arrows_by_range, greedy_generators, \
     groupoid_from_rows, validate_groupoid
 # not called here; bench/test_bench.py requires this module to bind it
 from .groupoid import make_groupoid  # noqa: F401
@@ -201,26 +201,14 @@ def phi_map(pair):
 
 def _is_homomorphism(c, rebuilt, sigma, beta):
     """Whether β(a∘b) = β(a)∘β(b) in G′ and
-    c(a,b)·σ(a∘b) = c′(βa,βb)·σ(a)·σ(b) for each composable (a, b) of G,
-    read off the rows of both groupoids and cocycles: a∘b is the arrow
-    ending[rng a][row[a][k]] for b the k-th arrow of ending[src a], and
-    c(a, b) sits at the same place of c.rows."""
-    G, H, mul = c.groupoid, rebuilt.groupoid, c.ring.mul_table
-    ending, pos, rows = composition_rows(G)
-    ending2, pos2, rows2 = composition_rows(H)
-    number2 = {g: i for i, g in enumerate(H.arrows)}
-    src2 = [H.src[g] for g in H.arrows]
-    rng2 = [H.rng[g] for g in H.arrows]
-    b = [number2[beta[g]] for g in G.arrows]
-    t = [sigma[g] for g in G.arrows]
-    for i, (a, row, vals) in enumerate(zip(G.arrows, rows, c.rows)):
-        into, bi = ending[G.rng[a]], b[i]
-        into2, row2, vals2 = ending2[rng2[bi]], rows2[bi], rebuilt.rows[bi]
-        for j, k, v in zip(ending.get(G.src[a], ()), row, vals):
-            ab, bj = into[k], b[j]
-            if src2[bi] != rng2[bj] or into2[row2[pos2[bj]]] != b[ab] or \
-                    mul[v][t[ab]] != mul[mul[vals2[pos2[bj]]][t[i]]][t[j]]:
-                return False
+    c(a,b)·σ(a∘b) = c′(βa,βb)·σ(a)·σ(b) for each composable (a, b) of G."""
+    H, mul = rebuilt.groupoid, c.ring.mul_table
+    for a, b, ab in c.groupoid.composable_pairs():
+        ba, bb = beta[a], beta[b]
+        if H.src[ba] != H.rng[bb] or H.composite(ba, bb) != beta[ab] or \
+                mul[c.value(a, b)][sigma[ab]] != \
+                mul[mul[rebuilt.value(ba, bb)][sigma[a]]][sigma[b]]:
+            return False
     return True
 
 
@@ -347,17 +335,18 @@ class _TwistWalk:
         G1, G2 = c1.groupoid, c2.groupoid
         self.R, self.G1, self.G2, self.c2 = c1.ring, G1, G2, c2
         self.cap, self.count = cap, 0
-        number = {g: i for i, g in enumerate(G1.arrows)}
-        self.pairs = list(G1.compose)
+        number = G1.number
+        self.pairs = list(G1.composable_pairs())
         self.eqs = [(number[a], number[b], number[ab])
-                    for (a, b), ab in G1.compose.items()]
+                    for a, b, ab in self.pairs]
         self.eqs_of = [[] for _ in G1.arrows]
         self.closes = [[] for _ in G1.arrows]
         for k, eq in enumerate(self.eqs):
             for i in set(eq):
                 self.eqs_of[i].append(k)
             self.closes[max(eq)].append(k)
-        self.c1_inverse = [self.R.unit_inverse(c1.values[p]) for p in self.pairs]
+        self.c1_inverse = [self.R.unit_inverse(c1.value(a, b))
+                           for a, b, _ in self.pairs]
         self.unit_numbers = [i for i, g in enumerate(G1.arrows) if g in G1.units]
         self.order = [i for i, g in enumerate(G1.arrows) if g not in G1.units]
         self.units = sorted(finring.ring_units(self.R))
@@ -413,7 +402,7 @@ class _TwistWalk:
                     image.append(cand)
                     # each equation is checked once, when its last arrow is
                     # mapped
-                    if all(G2.compose.get((image[x], image[y])) == image[xy]
+                    if all(G2.composite(image[x], image[y]) == image[xy]
                            for x, y, xy in (self.eqs[k] for k in self.closes[i])):
                         used.add(cand)
                         break
@@ -433,10 +422,9 @@ class _TwistWalk:
         self.order takes each unit of R in sorted order.  Branches are a
         stack, since there can be as many as arrows.
         """
-        mul = self.R.mul_table
-        c2 = self.c2.values
-        ratio = [mul[c2[(arrow_map[a], arrow_map[b])]][inv]
-                 for (a, b), inv in zip(self.pairs, self.c1_inverse)]
+        mul, c2 = self.R.mul_table, self.c2
+        ratio = [mul[c2.value(arrow_map[a], arrow_map[b])][inv]
+                 for (a, b, _), inv in zip(self.pairs, self.c1_inverse)]
         u = [None] * len(self.G1.arrows)
         for i in self.unit_numbers:
             u[i] = self.R.one
@@ -505,9 +493,9 @@ def commutator_pairing(c):
     for g in G.arrows:
         if G.src[g] == G.rng[g]:
             fibres.setdefault(G.src[g], []).append(g)
-    return {(a, b): mul[c.values[(a, b)]][inverse(c.values[(b, a)])]
+    return {(a, b): mul[c.value(a, b)][inverse(c.value(b, a))]
             for fibre in fibres.values() for a in fibre for b in fibre
-            if G.compose[(a, b)] == G.compose[(b, a)]}
+            if G.composite(a, b) == G.composite(b, a)}
 
 
 def pairings_differ(omega1, omega2):
@@ -590,7 +578,7 @@ def algebra_iso_from_twist_iso(c1, c2, iso):
     point = {g: steinberg.point_mass(c1, g) for g in G1.arrows}
     basis = list(point.values())
     if len({arrow_map[g] for g in G1.arrows}) == len(G1.arrows):
-        pairs = [(point[a], point[b]) for a, b in G1.compose]
+        pairs = [(point[a], point[b]) for a, b, _ in G1.composable_pairs()]
     else:
         pairs = [(x, y) for x in basis for y in basis]
     mult = all(psi(steinberg.convolve(x, y)) == steinberg.convolve(psi(x), psi(y))

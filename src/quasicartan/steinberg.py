@@ -97,7 +97,7 @@ def convolve(f, g):
         for b, gb in g.coeffs.items():
             if G.src[a] != G.rng[b]:
                 continue
-            target = G.compose[(a, b)]
+            target = G.composite(a, b)
             term = R.mul(c.value(a, b), R.mul(fa, gb))
             out[target] = R.add(out.get(target, R.zero), term)
     return AlgebraElement(c, out)
@@ -137,7 +137,7 @@ def multiply_bisections(cocycle, X, Y):
         for b, v in Y.items():
             if G.src[a] != G.rng[b]:
                 continue
-            g = G.compose[(a, b)]
+            g = G.composite(a, b)
             if g in out:
                 raise ValueError("product of assignments is not single-valued")
             out[g] = R.mul(cocycle.value(a, b), R.mul(u, v))

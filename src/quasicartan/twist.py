@@ -12,11 +12,14 @@ extension axioms can be checked directly.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain
 from types import MappingProxyType
 
 from . import finring
 from .groupoid import arrow_places, composition_rows, generator_pairs, \
-    isotropy_fibre_group, make_groupoid, validate_groupoid
+    groupoid_from_rows, isotropy_fibre_group, validate_groupoid
+# not called here; bench/test_bench.py requires this module to bind it
+from .groupoid import make_groupoid  # noqa: F401
 
 
 class Cocycle:
@@ -24,8 +27,10 @@ class Cocycle:
 
     The values are stored as rows at the places of the groupoid's
     composition index (groupoid.composition_rows): rows[i][k] is
-    c(a, k-th arrow of ending[src a]) for a = arrows[i].  values,
-    {(a, b): c(a, b)}, is a read-only view derived from them on first use.
+    c(a, k-th arrow of ending[src a]) for a = arrows[i], so the rows read
+    in order follow G.composable_pairs().  The package reads them through
+    value; values, {(a, b): c(a, b)}, is a read-only view kept for callers
+    outside the package, derived from the rows on first use (cocycle_dict).
     """
 
     def __init__(self, ring, groupoid, values=None):
@@ -38,11 +43,8 @@ class Cocycle:
         ending, pos = arrow_places(G)
         self.rows = [[ring.one] * len(ending.get(G.src[a], ()))
                      for a in G.arrows]
-        if not values:
-            return
-        number = {a: i for i, a in enumerate(G.arrows)}
-        for (a, b), v in values.items():
-            i, j = number.get(a), number.get(b)
+        for (a, b), v in (values or {}).items():
+            i, j = G.number.get(a), G.number.get(b)
             if i is None or j is None or G.src[a] != G.rng[b]:
                 raise ValueError(
                     f"cocycle value on non-composable pair {(a, b)}")
@@ -55,7 +57,11 @@ class Cocycle:
         return self._values
 
     def value(self, a, b):
-        return self.values[(a, b)]
+        """c(a, b) read off the rows; KeyError unless src(a) == rng(b)."""
+        G = self.groupoid
+        if G.src[a] != G.rng[b]:
+            raise KeyError((a, b))
+        return self.rows[G.number[a]][arrow_places(G)[1][G.number[b]]]
 
 
 def cocycle_from_rows(ring, groupoid, rows):
@@ -70,15 +76,10 @@ def cocycle_from_rows(ring, groupoid, rows):
 
 
 def cocycle_dict(c):
-    """{(a, b): c(a, b)} read off the rows of c: by a in arrow order, then
-    b in arrow order."""
-    G = c.groupoid
-    ending, _ = arrow_places(G)
-    arrows, out = G.arrows, {}
-    for a, row in zip(arrows, c.rows):
-        for j, v in zip(ending.get(G.src[a], ()), row):
-            out[(a, arrows[j])] = v
-    return out
+    """The values view of c, {(a, b): c(a, b)} in the order of
+    c.groupoid.composable_pairs(), which the rows of c follow."""
+    return {(a, b): v for (a, b, _), v in zip(c.groupoid.composable_pairs(),
+                                              chain.from_iterable(c.rows))}
 
 
 def trivial_cocycle(ring, groupoid):
@@ -86,7 +87,8 @@ def trivial_cocycle(ring, groupoid):
 
 
 def coboundary_cocycle(ring, groupoid, b):
-    """The cocycle c(α,β) = b(α)·b(β)·b(αβ)⁻¹ for b: arrows → units, b(unit)=1."""
+    """The cocycle c(α,β) = b(α)·b(β)·b(αβ)⁻¹ for b: arrows → units,
+    b(unit)=1, its rows in the order of groupoid.composable_pairs()."""
     R = ring
     for u in groupoid.units:
         if b.get(u, R.one) != R.one:
@@ -94,11 +96,13 @@ def coboundary_cocycle(ring, groupoid, b):
     for g in groupoid.arrows:
         if not R.is_unit(b.get(g, R.one)):
             raise ValueError(f"b({g}) is not a unit")
-    values = {}
-    for (al, be), prod in groupoid.compose.items():
-        v = R.mul(b.get(al, R.one), b.get(be, R.one))
-        values[(al, be)] = R.mul(v, R.unit_inverse(b.get(prod, R.one)))
-    return Cocycle(ring, groupoid, values)
+    mul, one = R.mul_table, R.one
+    values = iter([mul[mul[b.get(al, one)][b.get(be, one)]]
+                   [R.unit_inverse(b.get(prod, one))]
+                   for al, be, prod in groupoid.composable_pairs()])
+    # a cocycle's rows have the shape of the composition's
+    return cocycle_from_rows(R, groupoid, [
+        [next(values) for _ in row] for row in composition_rows(groupoid)[2]])
 
 
 def check_cocycle(c):
@@ -142,11 +146,10 @@ def check_cocycle(c):
                        if not R.is_unit(v))
     if bad or not _passes_light_test(c, table, vals):
         bad.extend(_cocycle_identity_faults(c, table, vals))
-    number = {a: i for i, a in enumerate(arrows)}
     for i, g in enumerate(arrows):
-        if vals[number[G.unit_at[G.rng[g]]]][pos[i]] != R.one:
+        if vals[G.number[G.unit_at[G.rng[g]]]][pos[i]] != R.one:
             bad.append(f"not normalised on (unit, {g})")
-        if vals[i][pos[number[G.unit_at[G.src[g]]]]] != R.one:
+        if vals[i][pos[G.number[G.unit_at[G.src[g]]]]] != R.one:
             bad.append(f"not normalised on ({g}, unit)")
     return bad
 
@@ -205,7 +208,7 @@ class ExplicitTwist:
         # inj is keyed by base objects; read the base range through proj so
         # this also works when total and base carry different object labels.
         x = self.base.rng[self.proj[sigma]]
-        return self.total.compose[(self.inj[(x, t)], sigma)]
+        return self.total.composite(self.inj[(x, t)], sigma)
 
     def units_of_ring(self):
         return sorted(finring.ring_units(self.ring))
@@ -213,24 +216,30 @@ class ExplicitTwist:
 
 def twist_from_cocycle(c):
     """Build the product extension with cocycle-corrected multiplication:
-    (a, t)∘(b, u) = (a∘b, c(a,b)·t·u), read off the rows of R.mul_table."""
+    (a, t)∘(b, u) = (a∘b, c(a,b)·t·u), as the rows of the total groupoid.
+
+    Its arrows (g, t) run over the base arrows g and, within each, the
+    units t in sorted order, so the total arrows ending at x are the
+    (b, u) with b ending at x, in that order: (b, u) has the place
+    pos(b)·|R^×| + place(u).  The entry of (a, t) at (b, u) is therefore
+    pos(a∘b)·|R^×| + place(c(a,b)·t·u), read off the base rows, the rows
+    of c and R.mul_table."""
     bad = check_cocycle(c)
     if bad:
         raise ValueError("invalid cocycle: " + bad[0])
     R, G = c.ring, c.groupoid
     mul = R.mul_table
     units = sorted(finring.ring_units(R))
+    place = {t: k for k, t in enumerate(units)}
     arrows = [(g, t) for g in G.arrows for t in units]
     src = {(g, t): G.src[g] for (g, t) in arrows}
     rng = {(g, t): G.rng[g] for (g, t) in arrows}
-    compose = {}
-    for (a, b), ab in G.compose.items():
-        times_c = mul[c.values[(a, b)]]
-        for t in units:
-            times_ct = mul[times_c[t]]
-            for u in units:
-                compose[((a, t), (b, u))] = (ab, times_ct[u])
-    total = make_groupoid(f"twist({G.name})", list(G.objects), arrows, src, rng, compose)
+    rows = [[k * len(units) + place[mul[mul[v][t]][u]]
+             for k, v in zip(row, vals) for u in units]
+            for row, vals in zip(composition_rows(G)[2], c.rows)
+            for t in units]
+    total = groupoid_from_rows(f"twist({G.name})", list(G.objects), arrows,
+                               src, rng, rows)
     inj = {(x, t): (G.unit_at[x], t) for x in G.objects for t in units}
     proj = {(g, t): g for (g, t) in arrows}
     return ExplicitTwist(R, total, base=G, inj=inj, proj=proj)
@@ -279,7 +288,7 @@ def check_twist_axioms(T):
     for x in base.objects:
         for t in units:
             for u in units:
-                lhs = total.compose[(inj[(x, t)], inj[(x, u)])]
+                lhs = total.composite(inj[(x, t)], inj[(x, u)])
                 if lhs != inj[(x, R.mul(t, u))]:
                     bad.append(f"inj not multiplicative at ({x},{t},{u})")
     # exactness: the fibre over each unit of the base is exactly inj({x} x units)
@@ -292,8 +301,8 @@ def check_twist_axioms(T):
         g = proj[s]
         xr, xs = base.rng[g], base.src[g]
         for t in units:
-            left = total.compose[(inj[(xr, t)], s)]  # t·s
-            if left != total.compose[(s, inj[(xs, t)])]:
+            left = total.composite(inj[(xr, t)], s)  # t·s
+            if left != total.composite(s, inj[(xs, t)]):
                 bad.append(f"centrality fails at ({s},{t})")
             if left == s and t != R.one:
                 not_free.append(f"action not free: {t}·{s} = {s}")
@@ -322,8 +331,7 @@ def _proj_is_multiplicative(total, base, proj):
     """
     ending, _, rows = composition_rows(total)
     _, base_pos, base_rows = composition_rows(base)
-    number = {g: i for i, g in enumerate(base.arrows)}
-    image = [number[proj[s]] for s in total.arrows]
+    image = [base.number[proj[s]] for s in total.arrows]
     place = [base_pos[g] for g in image]
     for a, row, g in zip(total.arrows, rows, image):
         into, base_row = ending[total.rng[a]], base_rows[g]
@@ -356,7 +364,7 @@ def fibre_cocycle(T, x, zeta=None):
     values = {}
     for a in fib:
         for b in fib:
-            prod = total.compose[(zeta[a], zeta[b])]
+            prod = total.composite(zeta[a], zeta[b])
             for t in units:
                 if T.act(t, zeta[group.mul[(a, b)]]) == prod:
                     values[(a, b)] = t

@@ -84,6 +84,68 @@ def check_cocycle_by_definition(c):
     return bad
 
 
+# -- the dict constructions that the row constructors replaced, kept as
+# their reference: each writes {(a, b): a∘b} or {(a, b): c(a, b)} and has
+# make_groupoid or Cocycle index it
+
+
+def full_relation_by_dict(n):
+    objects = list(range(1, n + 1))
+    arrows = [(i, j) for i in objects for j in objects]
+    src = {(i, j): j for (i, j) in arrows}
+    rng = {(i, j): i for (i, j) in arrows}
+    compose = {((i, j), (j2, k)): (i, k)
+               for (i, j) in arrows for (j2, k) in arrows if j == j2}
+    return gp.make_groupoid(f"full_relation({n})", objects, arrows, src, rng,
+                            compose)
+
+
+def disjoint_union_by_dict(G1, G2):
+    objects = [(0, x) for x in G1.objects] + [(1, x) for x in G2.objects]
+    arrows = [(0, a) for a in G1.arrows] + [(1, a) for a in G2.arrows]
+    src = {(0, a): (0, G1.src[a]) for a in G1.arrows}
+    src.update({(1, a): (1, G2.src[a]) for a in G2.arrows})
+    rng = {(0, a): (0, G1.rng[a]) for a in G1.arrows}
+    rng.update({(1, a): (1, G2.rng[a]) for a in G2.arrows})
+    compose = {((0, a), (0, b)): (0, c) for (a, b), c in G1.compose.items()}
+    compose.update({((1, a), (1, b)): (1, c)
+                    for (a, b), c in G2.compose.items()})
+    return gp.make_groupoid(f"({G1.name})+({G2.name})", objects, arrows,
+                            src, rng, compose)
+
+
+def twist_from_cocycle_by_dict(c):
+    R, G = c.ring, c.groupoid
+    units = sorted(fr.ring_units(R))
+    arrows = [(g, t) for g in G.arrows for t in units]
+    src = {(g, t): G.src[g] for (g, t) in arrows}
+    rng = {(g, t): G.rng[g] for (g, t) in arrows}
+    compose = {((a, t), (b, u)): (ab, R.mul(R.mul(c.values[(a, b)], t), u))
+               for (a, b), ab in G.compose.items()
+               for t in units for u in units}
+    total = gp.make_groupoid(f"twist({G.name})", list(G.objects), arrows,
+                             src, rng, compose)
+    inj = {(x, t): (G.unit_at[x], t) for x in G.objects for t in units}
+    return tw.ExplicitTwist(R, total, base=G, inj=inj,
+                            proj={(g, t): g for (g, t) in arrows})
+
+
+def coboundary_by_dict(R, G, b):
+    return tw.Cocycle(R, G, {
+        (a, c): R.mul(R.mul(b.get(a, R.one), b.get(c, R.one)),
+                      R.unit_inverse(b.get(ac, R.one)))
+        for (a, c), ac in G.compose.items()})
+
+
+def assert_same_groupoid(G, H):
+    """G and H agree on objects, arrows, ends, units, inverses and the
+    compose view, its entry order included."""
+    assert (G.objects, G.arrows, G.src, G.rng) == \
+        (H.objects, H.arrows, H.src, H.rng)
+    assert (G.unit_at, G.inv) == (H.unit_at, H.inv)
+    assert list(G.compose.items()) == list(H.compose.items())
+
+
 def klein_z4_pair():
     """Z/4[C2×C2] times a coboundary: one atom, 128 ultrafilter points."""
     c = tw.trivial_cocycle(fr.make_zmod(4), gp.group_as_groupoid(_klein()))

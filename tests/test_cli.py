@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from quasicartan import cli, pairs, reconstruct, twist
+from quasicartan import cli, groupoid as gpd, pairs, reconstruct, twist
 
 from helpers import LOOP_TABLE
 
@@ -383,8 +383,9 @@ def test_check_charges_the_explicit_twist_to_the_cap(options, expected,
         assert cli.parse_summary(captured.out)["twist_ok"] == "true"
 
 
-def _run_limited(command, path):
-    """The CLI in a child process with a 1.5 GB address space."""
+def _run_limited(command, path, timeout=60):
+    """The CLI in a child process with a 1.5 GB address space, stopped
+    after timeout seconds."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -397,7 +398,7 @@ def _run_limited(command, path):
     return subprocess.run(
         [sys.executable, "-m", "quasicartan.cli", command, str(path)],
         env=env, preexec_fn=limit_address_space, capture_output=True,
-        text=True, timeout=60)
+        text=True, timeout=timeout)
 
 
 def test_check_exits_on_the_cap_before_building_a_large_twist(tmp_path):
@@ -412,18 +413,35 @@ def test_check_exits_on_the_cap_before_building_a_large_twist(tmp_path):
     assert result.stderr.startswith("cap exceeded:")
 
 
-@pytest.mark.parametrize("ring, n", [("gf(2,1)", 24), ("gf(3,1)", 13)])
+@pytest.mark.parametrize("ring, n", [("gf(2,1)", 24), ("gf(3,1)", 13),
+                                     ("gf(3,1)", 12)])
 def test_classify_exits_on_the_cap_before_listing_B(ring, n, tmp_path):
     # |B| = 2^24 and 3^13, past the default cap of 10^6: B is charged to
     # the cap from the rank of sub_basis before a set of |B| vectors of
     # length n² is built, so within a 1.5 GB address space the command
-    # exits 2 at once
+    # exits 2 at once.  |B| = 3^12 is under the cap, but |A| = 3^144 is
+    # not, and classify tests |A| before satisfies_wt lists B
     path = tmp_path / "input.txt"
     path.write_text(FULL4_GF11.replace("gf(11,1)", ring)
                     .replace("full_relation(4)", f"full_relation({n})"))
-    result = _run_limited("classify", path)
+    result = _run_limited("classify", path, timeout=10)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("cap exceeded:")
+
+
+@pytest.mark.parametrize("command, text, code", [
+    ("classify", "[ring]\ngf(3,1)\n[groupoid]\ngroup(cyclic(300))\n"
+                 "[cocycle]\ntrivial\n", 2),
+    ("upp", "[upp]\ngroup = cyclic(300)\nA = 0 1 5\nB = 0 2\n", 0)],
+    ids=["classify", "upp"])
+def test_a_group_table_is_checked_in_time(command, text, code, tmp_path):
+    # the table of cyclic(300) is charged 300² to the cap; its
+    # associativity is decided on the greedy generators (Light's test),
+    # not on all 300³ triples
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    result = _run_limited(command, path, timeout=5)
+    assert result.returncode == code, result.stderr
 
 
 def _conjugated_diagonal(n, p):
@@ -749,3 +767,61 @@ def test_bad_cocycle_is_refused_by_the_algebra(command, text, tmp_path,
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("input error: cocycle invalid: ")
+
+
+EXPLICIT_C2_GF5 = """\
+[ring]
+gf(5,1)
+[groupoid]
+objects = x
+e: x -> x
+g: x -> x
+e . e = e
+e . g = g
+g . e = g
+g . g = e
+[cocycle]
+c(g, g) = 4
+[cocycle2]
+trivial
+"""
+
+# name -> (input, whether its groupoid is in the explicit form)
+VIEW_INPUTS = {
+    "full_relation": (CLASSIFY_PAIR2 + "[cocycle2]\ntrivial\n", False),
+    "group": (COMPARE_GF5, False),
+    "explicit": (EXPLICIT_C2_GF5, True),
+}
+WITHOUT_VIEWS = [
+    *[pytest.param(command, *VIEW_INPUTS[name], id=f"{command}-{name}")
+      for command in ("check", "classify", "reconstruct", "compare")
+      for name in VIEW_INPUTS],
+    pytest.param("units", UNITS_Z4 + "[cocycle]\nc(1, 1) = 3\n", False,
+                 id="units-group"),
+]
+
+
+@pytest.mark.parametrize("command, text, explicit", WITHOUT_VIEWS)
+def test_the_commands_read_rows_not_the_dict_views(command, text, explicit,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+    # compose and values are views for callers outside the package: with
+    # their builders patched to raise, every command prints what it prints
+    # with them, and only the explicit form indexes a dict
+    expected = _run(command, text, tmp_path, capsys)
+    assert expected[0] == 0
+    indexed = []
+    index = gpd.index_composition
+
+    def counted(arrows, *args):
+        indexed.append(arrows)
+        return index(arrows, *args)
+
+    def refused(_):
+        raise AssertionError("a dict view was built")
+
+    monkeypatch.setattr(gpd, "index_composition", counted)
+    monkeypatch.setattr(gpd, "composition_dict", refused)
+    monkeypatch.setattr(twist, "cocycle_dict", refused)
+    assert _run(command, text, tmp_path, capsys) == expected
+    assert indexed == ([["e", "g"]] if explicit else [])

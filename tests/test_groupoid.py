@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from quasicartan import finring as fr, groupoid as gp, reconstruct as rc, \
     twist as tw
 
-from helpers import FIXTURE_NAMES, LOOP_TABLE, klein_z4_pair, make_twist
+from helpers import FIXTURE_NAMES, LOOP_TABLE, assert_same_groupoid, \
+    disjoint_union_by_dict, full_relation_by_dict, klein_z4_pair, make_twist
 
 
 def test_full_relation_basic():
@@ -507,16 +508,27 @@ def test_the_composition_is_indexed_once(monkeypatch):
         return index(*args)
 
     monkeypatch.setattr(gp, "index_composition", counted)
-    G = gp.full_relation(3)
-    assert gp.validate_groupoid(G) == []
-    assert tw.check_cocycle(tw.trivial_cocycle(fr.make_gf(3), G)) == []
+    # the named constructors write rows and index nothing
+    G = gp.disjoint_union(gp.full_relation(3),
+                          gp.group_as_groupoid(gp.cyclic_group(3)))
+    c = tw.twist_from_cocycle(tw.coboundary_cocycle(
+        fr.make_gf(3), G, {g: 2 for g in G.arrows if not G.is_unit(g)}))
+    assert gp.validate_groupoid(G) == gp.validate_groupoid(c.total) == []
     gp.generating_set(G)
+    assert calls == []
+    # the explicit form indexes its dict once
+    E = gp.make_groupoid("explicit", G.objects, G.arrows, G.src, G.rng,
+                         dict(G.compose))
+    assert gp.validate_groupoid(E) == []
+    assert tw.check_cocycle(tw.trivial_cocycle(fr.make_gf(3), E)) == []
     assert len(calls) == 1
-    # built directly, a groupoid is indexed on first use
+    # built directly, a groupoid is indexed once, on first use
     H = gp.FiniteGroupoid("direct", G.objects, G.arrows, G.src, G.rng,
                           G.compose, G.inv, G.unit_at)
+    assert len(calls) == 1
     assert gp.validate_groupoid(H) == []
     assert gp.composition_rows(H) == gp.composition_rows(G)
+    assert H.composite((0, (1, 2)), (0, (2, 1))) == (0, (1, 1))
     assert len(calls) == 2
 
 
@@ -555,3 +567,42 @@ def test_isotropy_fibre_group():
     G = gp.group_as_groupoid(gp.cyclic_group(3))
     H = gp.isotropy_fibre_group(G, "*")
     assert len(H) == 3 and H.identity == 0
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_full_relation_builds_what_the_dict_construction_builds(n):
+    assert_same_groupoid(gp.full_relation(n), full_relation_by_dict(n))
+
+
+def _group(H):
+    return gp.group_as_groupoid(H)
+
+
+_C2, _C3 = gp.cyclic_group(2), gp.cyclic_group(3)
+UNION_PARTS = {
+    "full2+c2": lambda: [gp.full_relation(2), _group(_C2)],
+    "c3+full3": lambda: [_group(_C3), gp.full_relation(3)],
+    "klein+c2+full1": lambda: [_group(gp.direct_product_group(_C2, _C2)),
+                               _group(_C2), gp.full_relation(1)],
+}
+
+
+@pytest.mark.parametrize("parts", UNION_PARTS)
+def test_disjoint_union_builds_what_the_dict_construction_builds(parts):
+    first, *rest = UNION_PARTS[parts]()
+    G = H = first
+    for part in rest:
+        G, H = gp.disjoint_union(G, part), disjoint_union_by_dict(G, part)
+        assert_same_groupoid(G, H)
+
+
+def test_composite_and_value_refuse_a_pair_that_is_not_composable():
+    G = gp.disjoint_union(gp.full_relation(2), _group(_C2))
+    c = tw.trivial_cocycle(fr.make_gf(3), G)
+    assert G.composite((0, (1, 2)), (0, (2, 1))) == (0, (1, 1))
+    assert c.value((0, (1, 2)), (0, (2, 1))) == c.ring.one
+    for read in (G.composite, c.value):
+        for a, b in [((0, (1, 2)), (0, (1, 2))), ((0, (1, 1)), (1, 0)),
+                     ((1, 1), "not an arrow")]:
+            with pytest.raises(KeyError):
+                read(a, b)

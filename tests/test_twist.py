@@ -1,11 +1,14 @@
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasicartan import finring as fr, groupoid as gp, twist as tw
 
-from helpers import FIXTURE_NAMES, check_cocycle_by_definition, make_twist
+from helpers import FIXTURE_NAMES, assert_same_groupoid, \
+    check_cocycle_by_definition, coboundary_by_dict, make_twist, \
+    twist_from_cocycle_by_dict
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -327,3 +330,37 @@ def test_broken_twist_detected():
         bad = tw.check_twist_axioms(T)
         assert bad == _twist_axioms_by_definition(T), name
         assert any(v.startswith(fault) for v in bad), name
+
+
+ROW_RINGS = {"gf3": lambda: fr.make_gf(3), "z4": lambda: fr.make_zmod(4),
+             "gf4": lambda: fr.make_gf(2, 2)}
+ROW_BASES = {
+    "full3": lambda: gp.full_relation(3),
+    "full2+c2": lambda: gp.disjoint_union(
+        gp.full_relation(2), gp.group_as_groupoid(gp.cyclic_group(2))),
+    "klein": lambda: gp.group_as_groupoid(_KLEIN),
+}
+
+
+@pytest.mark.parametrize("base", ROW_BASES)
+@pytest.mark.parametrize("ring", ROW_RINGS)
+def test_the_row_constructors_of_twists_build_what_the_dicts_build(ring,
+                                                                    base):
+    R, G = ROW_RINGS[ring](), ROW_BASES[base]()
+    units = sorted(fr.ring_units(R))
+    rng = random.Random(f"{ring}/{base}")
+    b = {g: rng.choice(units) for g in G.arrows if not G.is_unit(g)}
+    c = tw.coboundary_cocycle(R, G, b)
+    reference = coboundary_by_dict(R, G, b)
+    assert c.rows == reference.rows
+    assert list(c.values.items()) == list(reference.values.items())
+    # and a cocycle that is not a coboundary where there is one
+    cocycles = [c]
+    if base == "klein" and ring != "gf4":
+        cocycles.append(tw.Cocycle(R, G, {(x, y): R.neg(R.one)
+                                          for x in G.arrows for y in G.arrows
+                                          if x[0] and y[1]}))
+    for d in cocycles:
+        T, T_ref = tw.twist_from_cocycle(d), twist_from_cocycle_by_dict(d)
+        assert_same_groupoid(T.total, T_ref.total)
+        assert (T.inj, T.proj) == (T_ref.inj, T_ref.proj)

@@ -263,6 +263,7 @@ def build_abstract_pair(doc, R, cap):
             product_rows.append((lineno, m.group(1), m.group(2), m.group(3)))
     if labels is None:
         raise InputError("[algebra] needs a basis row")
+    _check_size(R.size ** len(labels), cap)  # |A|, before A is built
     structure = {}
     for lineno, a, b, rhs in product_rows:
         if a not in labels or b not in labels:
@@ -308,13 +309,16 @@ def _flag(v):
 
 
 def _build_pair(doc, cap):
-    """Either a twist pair (groupoid+cocycle) or an abstract one."""
+    """Either a twist pair (groupoid+cocycle) or an abstract one.  |A| is
+    charged to the cap as soon as the arrows or the basis are read, so
+    a pair over the cap is refused before its algebra is built."""
     R = build_ring(doc, cap)
     if "algebra" in doc.sections:
         if "groupoid" in doc.sections or "cocycle" in doc.sections:
             raise InputError("give either groupoid+cocycle or algebra+pair, not both")
         return R, None, build_abstract_pair(doc, R, cap)
     G = build_groupoid(doc, cap=cap)
+    _check_size(R.size ** len(G.arrows), cap)  # |A|, before A is built
     c = _parse_cocycle(doc, R, G)
     try:
         return R, c, pairs_mod.pair_from_twist(c, cap=cap)

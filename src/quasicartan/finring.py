@@ -15,7 +15,11 @@ class CapExceeded(Exception):
     """Raised when an exhaustive search would exceed the configured cap."""
 
     def __init__(self, attempted_size, cap):
-        super().__init__(f"search size {attempted_size} exceeds cap {cap}")
+        try:
+            size = str(attempted_size)
+        except ValueError:  # past Python's limit of 4300 digits
+            size = f"of {attempted_size.bit_length()} bits"
+        super().__init__(f"search size {size} exceeds cap {cap}")
         self.attempted_size = attempted_size
         self.cap = cap
 

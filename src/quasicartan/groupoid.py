@@ -9,7 +9,6 @@ is_principal, so the coincidence is a checked fact, not a shortcut.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from types import MappingProxyType
 
@@ -17,44 +16,32 @@ from types import MappingProxyType
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    Associativity is decided by Light's test (see _associativity_faults):
-    the middle element ranges over the greedy generating set
-    (greedy_generators), at most 1 + log₂ n elements, so the table is
-    checked in O(n²·log n).  Every triple is scanned only when that test
-    fails, to name the first fault.
+    The table is built once into the one-object groupoid of the group
+    (groupoid_from_rows), which is kept as groupoid: its unit is the
+    identity and its inverses are the inverses, so a table without them
+    raises ValueError there.  Associativity is decided by Light's test
+    (_associativity_faults): the middle element ranges over the greedy
+    generating set, at most 1 + log₂ n elements, so the table is checked
+    in O(n²·log n); a fault raises ValueError naming the first one.
     """
 
     def __init__(self, name, elements, mul_table):
         self.name = name
         self.elements = list(elements)
         self.mul = dict(mul_table)  # (g, h) -> gh
-        self.identity = self._find_identity()
-        self.inverse = {}
-        for g in self.elements:
-            for h in self.elements:
-                if self.mul[(g, h)] == self.identity and self.mul[(h, g)] == self.identity:
-                    self.inverse[g] = h
-                    break
-        if len(self.inverse) != len(self.elements):
-            raise ValueError("not every element has an inverse")
+        # every arrow ends at the one object, so the place of an arrow is
+        # its index
         index = {g: i for i, g in enumerate(self.elements)}
-        table = [[index[self.mul[(g, h)]] for h in self.elements]
-                 for g in self.elements]
-        one_object = [0] * len(table)
-        gens, _ = greedy_generators(one_object, one_object,
-                                    lambda y, s: table[y][s])
-        if all(table[row[b]] == list(map(row.__getitem__, table[b]))
-               for b in gens for row in table):
-            return
-        for a, b, c in itertools.product(self.elements, repeat=3):
-            if self.mul[(self.mul[(a, b)], c)] != self.mul[(a, self.mul[(b, c)])]:
-                raise ValueError(f"multiplication not associative at ({a},{b},{c})")
-
-    def _find_identity(self):
-        for e in self.elements:
-            if all(self.mul[(e, g)] == g and self.mul[(g, e)] == g for g in self.elements):
-                return e
-        raise ValueError("group table has no identity")
+        ends = dict.fromkeys(self.elements, "*")
+        self.groupoid = groupoid_from_rows(
+            f"group({name})", ["*"], self.elements, ends, ends,
+            [[index[self.mul[(g, h)]] for h in self.elements]
+             for g in self.elements])
+        bad = _associativity_faults(self.groupoid)
+        if bad:
+            raise ValueError(bad[0])
+        self.identity = self.groupoid.unit_at["*"]
+        self.inverse = self.groupoid.inv
 
     def __len__(self):
         return len(self.elements)
@@ -77,31 +64,45 @@ class FiniteGroupoid:
     """A finite groupoid: objects, arrows, source/range, partial composition.
 
     a∘b (composite) is defined exactly when src(a) == rng(b), and runs
-    "b first, then a".  A FiniteGroupoid is not mutated after
-    construction.  Its composition is stored as the rows of its index
-    (composition_rows), built once and kept on it, and so is its
-    generating set (generating_set); number[a] is the place of a in arrows.
-    The package reads the rows through composite and composable_pairs.
-    compose, {(a, b): a∘b}, is a read-only view kept for callers outside
-    the package: the dict a groupoid built directly is given, which it
-    indexes on first use, or else derived from composable_pairs on first
-    use (composition_dict).
+    "b first, then a".  A groupoid is built only from the rows of its
+    composition index (index_composition): rows[i][k] is the place of a∘c
+    in ending[rng a], for a = arrows[i] and c the k-th arrow of
+    ending[src a].  The constructor refuses a repeated label, checks the
+    rows in one pass (_check_rows) and derives unit_at and inv from them
+    (_units_and_inverses), so every FiniteGroupoid has distinct labels, a
+    complete, well-ended composition, a unit at each object and an
+    inverse of each arrow; only associativity is left to
+    validate_groupoid.  make_groupoid is the entry for a dict of label
+    pairs, and groupoid_from_rows names this constructor beside it.
+
+    A FiniteGroupoid is not mutated after construction, so its index is
+    kept (composition_rows), and so is its generating set
+    (generating_set); generators, when given, must be what
+    greedy_generators returns for this composition, the walk composing
+    through these rows.  number[a] is the place of a in arrows.  The
+    package reads the rows through composite and composable_pairs;
+    compose, {(a, b): a∘b}, is a read-only view derived from
+    composable_pairs on first use (composition_dict), kept for callers
+    outside the package.
     """
 
-    def __init__(self, name, objects, arrows, src, rng, compose, inv, unit_at):
+    def __init__(self, name, objects, arrows, src, rng, rows,
+                 generators=None):
+        _refuse_repeated_labels(objects, arrows)
         self.name = name
         self.objects = list(objects)
         self.arrows = list(arrows)
         self.src = dict(src)
         self.rng = dict(rng)
         self.number = {a: i for i, a in enumerate(self.arrows)}
-        self._compose = None if compose is None else \
-            MappingProxyType(dict(compose))
-        self.inv = dict(inv)
-        self.unit_at = dict(unit_at)
-        self.units = set(unit_at.values())
-        self._composition_index = None
-        self._generators = None
+        self._composition_index = _check_rows(self.arrows, self.src,
+                                              self.rng, rows)
+        self.unit_at, self.inv = _units_and_inverses(
+            self.objects, self.arrows, self.src, self.rng,
+            self._composition_index)
+        self.units = set(self.unit_at.values())
+        self._generators = generators
+        self._compose = None
 
     @property
     def compose(self):
@@ -134,57 +135,32 @@ class FiniteGroupoid:
         return f"FiniteGroupoid({self.name}, {len(self.objects)} objects, {len(self.arrows)} arrows)"
 
 
+# the groupoid with a composition given as the rows of its index
+groupoid_from_rows = FiniteGroupoid
+
+
 def make_groupoid(name, objects, arrows, src, rng, compose):
-    """Assemble a groupoid from composition data, deriving units and
-    inverses from the index of its composition, which the groupoid keeps
-    in place of compose: the dict is read once and not kept.
+    """The groupoid with the composition compose, {(a, b): a∘b}: the dict
+    is indexed once (index_composition), which names its faults, and not
+    kept.
 
     The unit at x is the first arrow in arrow order that is a two-sided
     identity at x, and the inverse of a the first arrow b in arrow order
     with a∘b and b∘a units; an object without a unit, an arrow that ends
     outside the objects or one without an inverse raises ValueError.
     """
-    bad = _repeated_labels(objects, arrows)
-    if bad:
-        raise ValueError(bad[0])
-    table = index_composition(arrows, src, rng, compose)
-    return _assemble(name, objects, arrows, src, rng, table)
+    _refuse_repeated_labels(objects, arrows)
+    return FiniteGroupoid(name, objects, arrows, src, rng,
+                          index_composition(arrows, src, rng, compose)[2])
 
 
-def groupoid_from_rows(name, objects, arrows, src, rng, rows,
-                       generators=None):
-    """make_groupoid for a composition given as the rows of its index
-    (index_composition): rows[i][k] is the place of a∘c in ending[rng a],
-    for a = arrows[i] and c the k-th arrow of ending[src a].  The rows are
-    checked in one pass (_check_rows) and kept.
-
-    generators, when given, must be what greedy_generators returns for
-    this composition, the walk composing through these rows; it is kept as
-    generating_set(G), which otherwise walks the rows on first use.
-    """
-    bad = _repeated_labels(objects, arrows)
-    if bad:
-        raise ValueError(bad[0])
-    table = _check_rows(arrows, src, rng, rows)
-    G = _assemble(name, objects, arrows, src, rng, table)
-    G._generators = generators
-    return G
-
-
-def _assemble(name, objects, arrows, src, rng, table):
-    """The groupoid with the index table, its units and inverses read off
-    the rows."""
-    unit_at, inv = _units_and_inverses(objects, arrows, src, rng, table)
-    G = FiniteGroupoid(name, objects, arrows, src, rng, None, inv, unit_at)
-    G._composition_index = table
-    return G
-
-
-def _repeated_labels(objects, arrows):
-    """A message for each object or arrow label given more than once."""
-    return [f"{kind} label {x!r} is repeated"
-            for kind, labels in (("object", objects), ("arrow", arrows))
-            for x, k in Counter(labels).items() if k > 1]
+def _refuse_repeated_labels(objects, arrows):
+    """ValueError for the first object or arrow label given more than
+    once."""
+    for kind, labels in (("object", objects), ("arrow", arrows)):
+        for x, k in Counter(labels).items():
+            if k > 1:
+                raise ValueError(f"{kind} label {x!r} is repeated")
 
 
 def index_composition(arrows, src, rng, compose):
@@ -275,16 +251,8 @@ def composition_dict(G):
     return {(a, b): ab for a, b, ab in G.composable_pairs()}
 
 
-def arrow_places(G):
-    """(ending, pos) of composition_rows(G), read off the ranges alone, so
-    also for a groupoid whose composition is not sound."""
-    if G._composition_index is not None:
-        return G._composition_index[:2]
-    return arrows_by_range([G.rng[a] for a in G.arrows])
-
-
 def _units_and_inverses(objects, arrows, src, rng, table):
-    """unit_at and inv for make_groupoid, read off the rows of table in
+    """unit_at and inv for FiniteGroupoid, read off the rows of table in
     O(|compose|).
 
     An arrow u from x to x is a left identity when u∘c = c for each c in
@@ -325,12 +293,8 @@ def _units_and_inverses(objects, arrows, src, rng, table):
 
 
 def composition_rows(G):
-    """index_composition of G, built once and kept on G: make_groupoid and
-    groupoid_from_rows store it, and a FiniteGroupoid built directly
-    indexes the dict it is given on first use."""
-    if G._composition_index is None:
-        G._composition_index = index_composition(G.arrows, G.src, G.rng,
-                                                 G._compose)
+    """The index of G's composition, (ending, pos, rows) as in
+    index_composition, checked and kept by the constructor."""
     return G._composition_index
 
 
@@ -339,12 +303,11 @@ def generating_set(G):
     order, that are not composites of the arrows taken before them.  It is
     built once and kept on G, like the composition index.
 
-    The composition must be complete and well-ended, as composition_rows
-    checks.  Every arrow lies in the closure of S
-    under right composition by S, the composites (…(s₁∘s₂)∘…)∘s_k.  The
-    closure is kept as S grows: a new generator s is composed on the right
-    of each arrow already reached, and each newly reached arrow with every
-    generator, so each (arrow, generator) pair is composed once,
+    Every arrow lies in the closure of S under right composition by S,
+    the composites (…(s₁∘s₂)∘…)∘s_k.  The closure is kept as S grows: a
+    new generator s is composed on the right of each arrow already
+    reached, and each newly reached arrow with every generator, so each
+    (arrow, generator) pair is composed once,
     O(|arrows|·|S|) in all.  In a group of order n each new generator at
     least doubles the subgroup reached, so |S| ≤ 1 + ⌊log₂ n⌋.
     """
@@ -399,8 +362,7 @@ def generator_pairs(G):
 
 
 def _associativity_faults(G):
-    """(a∘b)∘c == a∘(b∘c) on every composable triple; assumes a complete,
-    well-ended composition.
+    """(a∘b)∘c == a∘(b∘c) on every composable triple.
 
     Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
     I, 1961, §1.2) decides this with the middle arrow b ranging over
@@ -437,94 +399,15 @@ def _associativity_faults(G):
 
 
 def validate_groupoid(G):
-    """Exhaustively check the groupoid axioms; returns a violation list.
+    """The groupoid axioms that construction leaves open; returns a
+    violation list.
 
-    The composition domain and ends take one pass over compose, the one
-    that indexes it (composition_rows); the loop over all pairs of arrows
-    runs only when that pass finds a fault, to name each one.
-    Associativity is checked only on a complete, well-ended composition
-    with distinct labels, by
-    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
-    I, 1961, §1.2): the middle arrow ranges over generating_set(G), which
-    decides the identity for every triple, since the middle arrows at
-    which it holds are closed under composition (the proof is in
-    _associativity_faults).  All composable triples are scanned only
-    when that test fails, to name each fault.  The unit and inverse laws
-    are read off the same rows (_identities_hold), and the pairs of
-    arrows in compose are looped over only to name their faults, or after
-    an earlier fault, which can leave the rows unsound.
+    A FiniteGroupoid has distinct labels, a complete and well-ended
+    composition, units and inverses by construction, so the one axiom
+    left is associativity, decided by Light's test with every fault
+    named in triple-loop order (_associativity_faults).
     """
-    bad = _repeated_labels(G.objects, G.arrows)
-    arrow_set = set(G.arrows)
-    for a in G.arrows:
-        if G.src[a] not in G.objects or G.rng[a] not in G.objects:
-            bad.append(f"arrow {a} has src/rng outside the object set")
-    try:
-        composition_rows(G)
-        fault = None
-    except ValueError as exc:
-        fault = str(exc)
-    for a in G.arrows if fault else ():
-        for b in G.arrows:
-            defined = (a, b) in G.compose
-            should = G.src[a] == G.rng[b]
-            if defined != should:
-                bad.append(f"compose domain wrong at ({a},{b})")
-            elif defined:
-                c = G.compose[(a, b)]
-                if c not in arrow_set:
-                    bad.append(f"composite at ({a},{b}) is not an arrow")
-                elif G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
-                    bad.append(f"src/rng of composite wrong at ({a},{b})")
-    if fault and not bad:
-        # every pair of arrows is right, so compose has a key outside them
-        bad.append(fault)
-    if not bad:
-        bad.extend(_associativity_faults(G))
-    if bad or not _identities_hold(G):
-        bad.extend(_identity_faults(G))
-    return bad
-
-
-def _identities_hold(G):
-    """Whether unit_at and inv are the units and inverses that
-    make_groupoid reads off the rows (_units_and_inverses); assumes
-    distinct labels, ends among the objects and a sound, associative
-    index.  Those pass the unit and inverse laws of validate_groupoid,
-    and in an associative composition units and inverses are unique,
-    so the recorded ones pass them exactly when they are those."""
-    try:
-        unit_at, inv = _units_and_inverses(G.objects, G.arrows, G.src,
-                                           G.rng, composition_rows(G))
-    except ValueError:
-        return False
-    return unit_at == G.unit_at and inv == G.inv
-
-
-def _identity_faults(G):
-    """The faults of the unit and inverse laws, for validate_groupoid, by
-    the loop over all pairs of arrows in compose."""
-    bad = []
-    for x in G.objects:
-        u = G.unit_at.get(x)
-        if u is None or G.src[u] != x or G.rng[u] != x:
-            bad.append(f"unit at {x} missing or not an endo-arrow")
-            continue
-        for b in G.arrows:
-            if G.rng[b] == x and G.compose.get((u, b)) != b:
-                bad.append(f"unit at {x} not a left identity for {b}")
-            if G.src[b] == x and G.compose.get((b, u)) != b:
-                bad.append(f"unit at {x} not a right identity for {b}")
-    for a in G.arrows:
-        ai = G.inv.get(a)
-        if ai is None:
-            bad.append(f"no inverse recorded for {a}")
-            continue
-        if G.compose.get((ai, a)) != G.unit_at[G.src[a]]:
-            bad.append(f"inv({a})∘{a} is not the unit at src")
-        if G.compose.get((a, ai)) != G.unit_at[G.rng[a]]:
-            bad.append(f"{a}∘inv({a}) is not the unit at rng")
-    return bad
+    return _associativity_faults(G)
 
 
 def full_relation(n):
@@ -543,16 +426,9 @@ def full_relation(n):
 
 
 def group_as_groupoid(H):
-    """A group viewed as a one-object groupoid, built from the rows of its
-    table: every arrow ends at the one object, so the place of an arrow is
-    its index."""
-    obj = "*"
-    arrows = list(H.elements)
-    index = {g: i for i, g in enumerate(arrows)}
-    ends = dict.fromkeys(arrows, obj)
-    rows = [[index[H.mul[(g, h)]] for h in arrows] for g in arrows]
-    return groupoid_from_rows(f"group({H.name})", [obj], arrows, ends, ends,
-                              rows)
+    """A group viewed as a one-object groupoid: the one FiniteGroup builds
+    from its table and keeps."""
+    return H.groupoid
 
 
 def disjoint_union(G1, G2):

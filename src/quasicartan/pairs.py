@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 from . import finring, steinberg, twist as twist_mod
 from .finring import CapExceeded, DEFAULT_CAP, InputError
@@ -133,7 +134,8 @@ class ConvolutionAlgebra(AbstractAlgebra):
     def __init__(self, cocycle):
         G, R = cocycle.groupoid, cocycle.ring
         self.cocycle = cocycle
-        # the rows are read only once the groupoid is known to be sound
+        # a FiniteGroupoid is sound by construction but for
+        # associativity, the one axiom validate_groupoid checks
         bad = validate_groupoid(G)
         if bad:
             raise InvalidTwist("groupoid invalid: " + bad[0])
@@ -197,7 +199,17 @@ class Pair:
     # -- idempotents --------------------------------------------------
 
     def idempotents_of_B(self):
-        """I(B) and the atoms (minimal nonzero idempotents)."""
+        """I(B) and the atoms (minimal nonzero idempotents).
+
+        B is commutative with finitely many idempotents, ordered by f ≤ e
+        when e·f = f, so each nonzero idempotent lies above an atom.  The
+        atoms are orthogonal: for atoms e ≠ e′, e·e′ is an idempotent below
+        e, so 0 or e, and e·e′ = e would put e below the atom e′.  Each
+        idempotent f is the sum s of the atoms below it: f·e is an
+        idempotent below the atom e, so 0 or e, and f·s = s makes r = f − s
+        an idempotent with r·e = 0 for every atom e; an atom e ≤ r would
+        give e = e·r = 0, so r = 0.  satisfies_wt, has_local_units and
+        classify's B_spanned_by_idempotents read the atoms alone."""
         if self._idempotents is None:
             A = self.algebra
             idem = sorted(e for e in A.span(self.sub_basis) if A.mul(e, e) == e)
@@ -222,16 +234,20 @@ class Pair:
         idempotent of the R-module B, and t = 1 − ε kills it.  So WT fails
         whenever I(B) ≠ {0}.  If I(B) = {0}, no idempotent of B is an
         identity of A ≠ 0, so local units fail.
+
+        WT is decided on the atoms.  They are nonzero idempotents, and each
+        nonzero idempotent f lies above an atom e (idempotents_of_B), so
+        t·f = 0 gives t·e = t·f·e = 0.  So WT holds iff t·e = 0 forces
+        t = 0 for every atom e, and I(B) = {0} iff there is no atom.
         """
         A, R = self.algebra, self.algebra.ring
-        idem, _ = self.idempotents_of_B()
-        nonzero = [e for e in idem if e != A.zero()]
-        if not nonzero:
+        _, atoms = self.idempotents_of_B()
+        if not atoms:
             return True, "I(B) = {0}: (WT) holds vacuously"
-        for e in nonzero:
-            for t in R.all_indices():
-                if t != R.zero and A.scale(t, e) == A.zero():
-                    return False, None
+        zero = A.zero()
+        if any(A.scale(t, e) == zero for e in atoms
+               for t in R.all_indices() if t != R.zero):
+            return False, None
         return True, None
 
     # -- normalisers and the dagger -----------------------------------
@@ -647,13 +663,16 @@ class Pair:
 
     def has_local_units(self):
         """Some idempotent of B is a two-sided identity for the whole basis;
-        decided once per pair."""
+        decided once per pair, on the sum u of the atoms alone.  u is an
+        idempotent of B, the atoms being orthogonal (idempotents_of_B), and
+        an idempotent of B that is an identity of A is u (the proof is in
+        enumerate_normalisers)."""
         if self._local_units is None:
             A = self.algebra
-            idem, _ = self.idempotents_of_B()
-            self._local_units = any(
-                all(A.mul(e, b) == b and A.mul(b, e) == b
-                    for b in A.basis_vectors) for e in idem)
+            _, atoms = self.idempotents_of_B()
+            u = functools.reduce(A.add, atoms, A.zero())
+            self._local_units = all(A.mul(u, b) == b and A.mul(b, u) == b
+                                    for b in A.basis_vectors)
         return self._local_units
 
     def _deciding_normalisers(self):
@@ -734,7 +753,11 @@ class Pair:
 
         Every classify reaches the cap test of enumerate_normalisers; it is
         made first, so that a large A is refused before satisfies_wt lists
-        B."""
+        B.  The flags on B read its atoms (idempotents_of_B):
+        span(I(B)) = span(atoms), each idempotent being a sum of atoms, and
+        that span is the direct sum of the R·e, since Σ r_e·e = 0 times an
+        atom e′ gives r_e′·e′ = 0.  It lies in B, so it is B exactly when
+        Π_e |R·e| = |B|, and no span is listed."""
         if self._classification is not None:
             return self._classification
         A = self.algebra
@@ -746,9 +769,10 @@ class Pair:
         if warning:
             report["warnings"] = [warning]
         report["local_units"] = self.has_local_units()
-        idem, _ = self.idempotents_of_B()
-        # span(I(B)) ⊆ B, so equal sizes make them equal
-        report["B_spanned_by_idempotents"] = len(A.span(idem)) == self._b_size
+        _, atoms = self.idempotents_of_B()
+        report["B_spanned_by_idempotents"] = math.prod(
+            len({A.scale(t, e) for t in A.ring.all_indices()})
+            for e in atoms) == self._b_size
         _, classes = self.unit_classes()
         pivots, rest = self._class_rows()
         report["A_spanned_by_normalisers"] = self._spans_A(

@@ -16,7 +16,7 @@ from itertools import chain
 from types import MappingProxyType
 
 from . import finring
-from .groupoid import arrow_places, composition_rows, generator_pairs, \
+from .groupoid import composition_rows, generator_pairs, \
     groupoid_from_rows, isotropy_fibre_group, validate_groupoid
 # not called here; bench/test_bench.py requires this module to bind it
 from .groupoid import make_groupoid  # noqa: F401
@@ -40,7 +40,7 @@ class Cocycle:
         self.groupoid = groupoid
         self._values = None
         G = groupoid
-        ending, pos = arrow_places(G)
+        ending, pos, _ = composition_rows(G)
         self.rows = [[ring.one] * len(ending.get(G.src[a], ()))
                      for a in G.arrows]
         for (a, b), v in (values or {}).items():
@@ -61,7 +61,7 @@ class Cocycle:
         G = self.groupoid
         if G.src[a] != G.rng[b]:
             raise KeyError((a, b))
-        return self.rows[G.number[a]][arrow_places(G)[1][G.number[b]]]
+        return self.rows[G.number[a]][composition_rows(G)[1][G.number[b]]]
 
 
 def cocycle_from_rows(ring, groupoid, rows):
@@ -108,10 +108,11 @@ def coboundary_cocycle(ring, groupoid, b):
 def check_cocycle(c):
     """Unit-valuedness, the 2-cocycle identity, normalisation.  Violation list.
 
-    Assumes a complete, well-ended composition, as make_groupoid ensures,
-    and a commutative coefficient ring (validate_ring); associativity of
-    the groupoid is not assumed.  The values are checked to be units
-    first.  When they are, Light's test decides the identity
+    The composition is complete and well-ended, as every FiniteGroupoid's
+    is by construction, and the coefficient ring is assumed commutative
+    (validate_ring); associativity of the groupoid is not assumed.  The
+    values are checked to be units first.  When they are, Light's test
+    decides the identity
     c(a,b)·c(ab,g) = c(a,bg)·c(b,g) with the middle arrow b ranging over
     groupoid.generating_set only (see groupoid._associativity_faults,
     with the proof for a composition; Clifford and Preston, The Algebraic
@@ -274,8 +275,8 @@ def check_twist_axioms(T):
     if fibres.keys() != set(base.arrows):
         bad.append("proj is not surjective")
     if bad or not _proj_is_multiplicative(total, base, proj):
-        for (a, b), ab in total.compose.items():
-            if base.compose.get((proj[a], proj[b])) != proj[ab]:
+        for a, b, ab in total.composable_pairs():
+            if _composite_or_none(base, proj[a], proj[b]) != proj[ab]:
                 bad.append(f"proj not multiplicative at ({a},{b})")
     # inj is an injective homomorphism over the unit space
     seen = {}
@@ -339,6 +340,14 @@ def _proj_is_multiplicative(total, base, proj):
                 [base_row[place[c]] for c in ending[total.src[a]]]:
             return False
     return True
+
+
+def _composite_or_none(G, a, b):
+    """a∘b in G, or None unless a and b are composable arrows of G."""
+    try:
+        return G.composite(a, b)
+    except KeyError:
+        return None
 
 
 FibreCocycle = namedtuple("FibreCocycle", ["group", "values"])

@@ -383,9 +383,9 @@ def test_check_charges_the_explicit_twist_to_the_cap(options, expected,
         assert cli.parse_summary(captured.out)["twist_ok"] == "true"
 
 
-def _run_limited(command, path, timeout=60):
-    """The CLI in a child process with a 1.5 GB address space, stopped
-    after timeout seconds."""
+def _run_limited(command, path, timeout=60, limit=1_500_000_000):
+    """The CLI in a child process with an address space of limit bytes,
+    stopped after timeout seconds."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -393,7 +393,7 @@ def _run_limited(command, path, timeout=60):
                  else [])))
 
     def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     return subprocess.run(
         [sys.executable, "-m", "quasicartan.cli", command, str(path)],
@@ -427,6 +427,40 @@ def test_classify_exits_on_the_cap_before_listing_B(ring, n, tmp_path):
     result = _run_limited("classify", path, timeout=10)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("cap exceeded:")
+
+
+@pytest.mark.parametrize("groupoid, size", [
+    ("group(cyclic(1000))", str(3 ** 1000)), ("full_relation(96)", "of 14608 bits")],
+    ids=["cyclic1000", "full96"])
+def test_classify_exits_on_the_cap_before_building_A(groupoid, size, tmp_path):
+    # each table is under the default cap, but |A| = 3^1000 and 3^9216 are
+    # not: |A| is charged as soon as the arrows are read, so the algebra's
+    # structure constants are never built and the command exits 2 within a
+    # 400 MB address space.  3^9216 has more than 4300 digits, past what
+    # Python converts to a string, so the message gives its bits
+    path = tmp_path / "input.txt"
+    path.write_text(f"[ring]\ngf(3,1)\n[groupoid]\n{groupoid}\n"
+                    "[cocycle]\ntrivial\n")
+    result = _run_limited("classify", path, timeout=30, limit=400_000_000)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == f"cap exceeded: search size {size} exceeds cap " \
+                            "1000000\n"
+
+
+@pytest.mark.parametrize("text", [
+    # an abstract pair: reconstruct needs a groupoid+cocycle input
+    "[ring]\ngf(2,1)\n[algebra]\nbasis = " + " ".join(f"b{i}" for i in range(20))
+    + "\nb0 * b0 = b0\n[pair]\nsub_basis = b0\n",
+    # a pair that fails WT: over Z/6, 2·(3·δ_0) = 0 with 3·δ_0 idempotent
+    "[ring]\nzmod(6)\n[groupoid]\ngroup(cyclic(8))\n[cocycle]\ntrivial\n"],
+    ids=["abstract", "not_wt"])
+def test_reconstruct_charges_A_before_its_input_errors(text, tmp_path, capsys):
+    # |A| = 2^20 and 6^8 exceed the default cap, which is charged before
+    # reconstruct refuses an abstract pair or a pair that fails WT; under a
+    # cap of 10^7 the input is refused
+    assert _run("reconstruct", text, tmp_path, capsys)[0] == 2
+    text += "[options]\ncap = 10000000\n"
+    assert _run("reconstruct", text, tmp_path, capsys)[0] == 3
 
 
 @pytest.mark.parametrize("command, text, code", [

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasicartan import finring as fr, groupoid as gp, reconstruct as rc, \
-    twist as tw
+from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
+    reconstruct as rc, twist as tw
 
 from helpers import FIXTURE_NAMES, LOOP_TABLE, assert_same_groupoid, \
     disjoint_union_by_dict, full_relation_by_dict, klein_z4_pair, make_twist
@@ -72,19 +74,16 @@ def test_inv_is_involutive_antihomomorphism():
 
 
 def test_validate_catches_defects():
+    # the loop has a unit and inverses, so it is a FiniteGroupoid whose
+    # associativity faults validate_groupoid names; C3 with 1∘2 sent to 1
+    # leaves 1 without an inverse, so make_groupoid refuses it
+    assert gp.validate_groupoid(_loop()) == _associativity_by_definition(
+        _loop()) != []
     G = gp.group_as_groupoid(gp.cyclic_group(3))
     broken = dict(G.compose)
     broken[(1, 2)] = 1  # should be the identity 0
-    bad = gp.validate_groupoid(gp.FiniteGroupoid(
-        "broken", G.objects, G.arrows, G.src, G.rng, broken, G.inv, G.unit_at))
-    assert bad != []
-    H = gp.full_relation(2)
-    broken_inv = dict(H.inv)
-    broken_inv[(1, 2)] = (1, 2)
-    bad2 = gp.validate_groupoid(gp.FiniteGroupoid(
-        "broken2", H.objects, H.arrows, H.src, H.rng, H.compose,
-        broken_inv, H.unit_at))
-    assert any("inv" in v for v in bad2)
+    with pytest.raises(ValueError, match="^arrow 1 has no inverse$"):
+        gp.make_groupoid("broken", G.objects, G.arrows, G.src, G.rng, broken)
 
 
 # full_relation(3) with the entry for ((1,2),(2,3)) dropped, sent outside
@@ -113,12 +112,54 @@ def _defective_full_relation(defect):
     return G, compose
 
 
+def _domain_faults_by_definition(G, compose):
+    """The faults of the domain and ends of compose over every pair of
+    arrows of G, by definition."""
+    bad = []
+    for a in G.arrows:
+        for b in G.arrows:
+            defined = (a, b) in compose
+            if defined != (G.src[a] == G.rng[b]):
+                bad.append(f"compose domain wrong at ({a},{b})")
+            elif defined:
+                c = compose[(a, b)]
+                if c not in G.src:
+                    bad.append(f"composite at ({a},{b}) is not an arrow")
+                elif G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
+                    bad.append(f"src/rng of composite wrong at ({a},{b})")
+    return bad
+
+
+def _first_domain_fault(G, compose):
+    """The fault make_groupoid names first, by definition: each entry in
+    order tested for a non-composable pair, a composite that is not an
+    arrow, then wrong ends; after every entry, the first composable pair
+    without one in arrow order.  None when there is none."""
+    for (a, b), ab in compose.items():
+        if a not in G.src or b not in G.src or G.src[a] != G.rng[b]:
+            return f"composite given for a non-composable pair ({a},{b})"
+        if ab not in G.src:
+            return f"composite {ab} of ({a},{b}) is not an arrow"
+        if (G.src[ab], G.rng[ab]) != (G.src[b], G.rng[a]):
+            return f"composite {ab} of ({a},{b}) has the wrong ends"
+    for a in G.arrows:
+        for b in G.arrows:
+            if G.src[a] == G.rng[b] and (a, b) not in compose:
+                return f"no composite given for ({a},{b})"
+    return None
+
+
 @pytest.mark.parametrize("defect", COMPOSITION_DEFECTS)
 def test_validate_reports_composition_defects(defect):
+    # a defect of the domain or ends is refused before a groupoid exists,
+    # so validate_groupoid never meets one; the refusal names the one pair
+    # that the all-pairs definition faults
     G, compose = _defective_full_relation(defect)
-    bad = gp.validate_groupoid(gp.FiniteGroupoid(
-        "broken", G.objects, G.arrows, G.src, G.rng, compose, G.inv, G.unit_at))
-    assert bad != []
+    pair = f"({(1, 2)},{(1, 2) if defect == 'not_composable' else (2, 3)})"
+    (fault,) = _domain_faults_by_definition(G, compose)
+    with pytest.raises(ValueError) as raised:
+        gp.make_groupoid("broken", G.objects, G.arrows, G.src, G.rng, compose)
+    assert pair in fault and pair in str(raised.value)
 
 
 @pytest.mark.parametrize("defect", COMPOSITION_DEFECTS)
@@ -233,9 +274,9 @@ COMPONENTS = st.one_of(
 
 
 @st.composite
-def perturbed_groupoids(draw):
-    """A disjoint union of small groupoids with 0-3 composition entries
-    sent to other arrows with the same ends."""
+def perturbed_compositions(draw):
+    """A disjoint union G of small groupoids and its composition with 0-3
+    entries sent to other arrows with the same ends."""
     parts = draw(st.lists(COMPONENTS, min_size=1, max_size=3))
     G = parts[0]
     for H in parts[1:]:
@@ -246,42 +287,45 @@ def perturbed_groupoids(draw):
         a, b = draw(st.sampled_from(pairs))
         compose[(a, b)] = draw(st.sampled_from(
             [c for c in G.arrows if G.src[c] == G.src[b] and G.rng[c] == G.rng[a]]))
-    return gp.FiniteGroupoid("perturbed", G.objects, G.arrows, G.src, G.rng,
-                             compose, G.inv, G.unit_at)
+    return G, compose
+
+
+def _built(G, compose):
+    return gp.make_groupoid("perturbed", G.objects, G.arrows, G.src, G.rng,
+                            compose)
+
+
+def _is_built_as_the_definition(G, compose):
+    """make_groupoid on compose, against the definitions: a fault of the
+    domain or ends is refused with the first one's message; otherwise a
+    missing unit or inverse is refused with a unit or inverse message,
+    and a groupoid built has the units and inverses of the definition and
+    exactly the associativity faults of the triple loop."""
+    fault = _first_domain_fault(G, compose)
+    try:
+        H = _built(G, compose)
+    except ValueError as exc:
+        if fault is not None:
+            return str(exc) == fault
+        unit_at, inv = _units_and_inverses_by_definition(G, compose)
+        return bool(re.fullmatch(r"no unit arrow at object .+|"
+                                 r"arrow .+ has no inverse", str(exc))) and \
+            (len(unit_at), len(inv)) != (len(G.objects), len(G.arrows))
+    return fault is None and \
+        (H.unit_at, H.inv) == _units_and_inverses_by_definition(H) and \
+        gp.validate_groupoid(H) == _associativity_by_definition(H)
 
 
 @settings(max_examples=200)
-@given(perturbed_groupoids())
-def test_associativity_equals_the_triple_loop(G):
-    found = gp.validate_groupoid(G)
-    assoc = [v for v in found if v.startswith("associativity")]
-    assert assoc == _associativity_by_definition(G)
-    # the composition stays well-ended, so these faults are listed first
-    assert found[:len(assoc)] == assoc
+@given(perturbed_compositions())
+def test_associativity_equals_the_triple_loop(perturbed):
+    assert _is_built_as_the_definition(*perturbed)
 
 
-def _validate_by_definition(G):
-    """validate_groupoid by its definition: the domain and ends of compose
-    over every pair of arrows, then associativity over every triple."""
+def _identity_laws_by_definition(G):
+    """The unit and inverse laws of G's recorded unit_at and inv, over
+    every pair of arrows, by definition."""
     bad = []
-    arrow_set = set(G.arrows)
-    for a in G.arrows:
-        if G.src[a] not in G.objects or G.rng[a] not in G.objects:
-            bad.append(f"arrow {a} has src/rng outside the object set")
-    for a in G.arrows:
-        for b in G.arrows:
-            defined = (a, b) in G.compose
-            should = G.src[a] == G.rng[b]
-            if defined != should:
-                bad.append(f"compose domain wrong at ({a},{b})")
-            elif defined:
-                c = G.compose[(a, b)]
-                if c not in arrow_set:
-                    bad.append(f"composite at ({a},{b}) is not an arrow")
-                elif G.src[c] != G.src[b] or G.rng[c] != G.rng[a]:
-                    bad.append(f"src/rng of composite wrong at ({a},{b})")
-    if not bad:
-        bad.extend(_associativity_by_definition(G))
     for x in G.objects:
         u = G.unit_at.get(x)
         if u is None or G.src[u] != x or G.rng[u] != x:
@@ -305,12 +349,41 @@ def _validate_by_definition(G):
 
 
 @st.composite
-def domain_faulted_groupoids(draw):
-    """A perturbed groupoid with 0-3 domain faults: an entry for a
+def constructed_groupoids(draw):
+    """A groupoid from each constructor: disjoint unions of full relations
+    and groups, make_groupoid on a perturbed composition it accepts (the
+    union otherwise), the rows entry, the total of a twist over GF(3) and
+    a FiniteGroup's groupoid (an isotropy group)."""
+    G, compose = draw(perturbed_compositions())
+    how = draw(st.sampled_from(["union", "dict", "rows", "twist", "group"]))
+    if how == "dict":
+        try:
+            return _built(G, compose)
+        except ValueError:
+            return G
+    if how == "rows":
+        return gp.groupoid_from_rows("rows", G.objects, G.arrows, G.src,
+                                     G.rng, gp.composition_rows(G)[2])
+    if how == "twist":
+        return tw.twist_from_cocycle(tw.trivial_cocycle(fr.make_gf(3), G)).total
+    if how == "group":
+        return gp.isotropy_fibre_group(G, draw(st.sampled_from(G.objects))).groupoid
+    return G
+
+
+@settings(max_examples=100)
+@given(constructed_groupoids())
+def test_derived_units_and_inverses_pass_the_laws(G):
+    assert _identity_laws_by_definition(G) == []
+
+
+@st.composite
+def domain_faulted_compositions(draw):
+    """A perturbed composition with 0-3 domain faults: an entry for a
     non-composable pair, a dropped entry, or a composite with wrong ends
     or outside the arrows."""
-    G = draw(perturbed_groupoids())
-    compose = dict(G.compose)
+    G, compose = draw(perturbed_compositions())
+    pairs = sorted(compose, key=repr)
     for _ in range(draw(st.integers(0, 3))):
         fault = draw(st.sampled_from(["extra", "dropped", "wrong_ends",
                                       "not_an_arrow"]))
@@ -319,7 +392,7 @@ def domain_faulted_groupoids(draw):
             if G.src[a] != G.rng[b]:
                 compose[(a, b)] = draw(st.sampled_from(G.arrows))
             continue
-        pair = draw(st.sampled_from(sorted(G.compose, key=repr)))
+        pair = draw(st.sampled_from(pairs))
         if fault == "dropped":
             compose.pop(pair, None)
         elif fault == "wrong_ends":
@@ -328,50 +401,33 @@ def domain_faulted_groupoids(draw):
                 compose[pair] = c
         else:
             compose[pair] = "zzz"
-    return gp.FiniteGroupoid("faulted", G.objects, G.arrows, G.src, G.rng,
-                             compose, G.inv, G.unit_at)
+    return G, compose
 
 
 @settings(max_examples=200)
-@given(domain_faulted_groupoids())
-def test_validate_equals_the_all_pairs_definition(G):
-    assert gp.validate_groupoid(G) == _validate_by_definition(G)
-
-
-@pytest.mark.parametrize("record", ["unit", "inverse", "missing inverse"])
-def test_validate_names_wrong_units_and_inverses_as_the_definition(record):
-    # a sound composition, so the laws are first tested on its rows
-    G = gp.group_as_groupoid(gp.cyclic_group(4))
-    unit_at, inv = dict(G.unit_at), dict(G.inv)
-    if record == "unit":
-        unit_at["*"] = 2
-    elif record == "inverse":
-        inv[1] = 1
-    else:
-        del inv[3]
-    H = gp.FiniteGroupoid("wrong", G.objects, G.arrows, G.src, G.rng,
-                          G.compose, inv, unit_at)
-    assert gp.validate_groupoid(H) == _validate_by_definition(H) != []
+@given(domain_faulted_compositions())
+def test_validate_equals_the_all_pairs_definition(faulted):
+    assert _is_built_as_the_definition(*faulted)
 
 
 @pytest.mark.parametrize("defect", COMPOSITION_DEFECTS)
 def test_validate_names_composition_defects_as_the_definition(defect):
     G, compose = _defective_full_relation(defect)
-    broken = gp.FiniteGroupoid("broken", G.objects, G.arrows, G.src, G.rng,
-                               compose, G.inv, G.unit_at)
-    assert gp.validate_groupoid(broken) == _validate_by_definition(broken)
+    with pytest.raises(ValueError) as raised:
+        gp.make_groupoid("broken", G.objects, G.arrows, G.src, G.rng, compose)
+    assert str(raised.value) == _first_domain_fault(G, compose)
 
 
 def test_a_fault_between_non_generators_is_named_as_the_definition():
     # C8 with 3∘4 sent to 6: neither factor is a generator, and the first
     # fault of the triple loop, (1, 2, 4), has a non-generator middle
-    assert gp.generating_set(C8) == [0, 1]
     compose = dict(C8.compose)
     compose[(3, 4)] = 6
-    broken = gp.FiniteGroupoid("broken", C8.objects, C8.arrows, C8.src,
-                               C8.rng, compose, C8.inv, C8.unit_at)
+    broken = gp.make_groupoid("broken", C8.objects, C8.arrows, C8.src,
+                              C8.rng, compose)
+    assert gp.generating_set(broken) == [0, 1]
     found = gp.validate_groupoid(broken)
-    assert found == _validate_by_definition(broken) != []
+    assert found == _associativity_by_definition(broken) != []
     assert found[0] == "associativity fails at (1,2,4)"
 
 
@@ -426,26 +482,31 @@ def test_generating_set_reaches_every_arrow(build):
     assert _generating_set_is_sound(build())
 
 
-def _units_and_inverses_by_definition(G):
-    """unit_at and inv by make_groupoid's definition, scanning the arrows
-    in order: the first two-sided identity at each object, then the first
-    two-sided inverse of each arrow."""
+def _units_and_inverses_by_definition(G, compose=None):
+    """unit_at and inv by make_groupoid's definition, over compose (G's
+    own by default), scanning the arrows in order: the first two-sided
+    identity at each object, then the first two-sided inverse of each
+    arrow whose ends have units; an object or arrow without one is left
+    out."""
+    compose = G.compose if compose is None else compose
     unit_at = {}
     for x in G.objects:
         for u in G.arrows:
             if G.src[u] == G.rng[u] == x and \
-                    all(G.compose[(u, b)] == b for b in G.arrows
+                    all(compose[(u, b)] == b for b in G.arrows
                         if G.rng[b] == x) and \
-                    all(G.compose[(a, u)] == a for a in G.arrows
+                    all(compose[(a, u)] == a for a in G.arrows
                         if G.src[a] == x):
                 unit_at[x] = u
                 break
     inv = {}
     for a in G.arrows:
+        if G.src[a] not in unit_at or G.rng[a] not in unit_at:
+            continue
         for b in G.arrows:
             if G.src[b] == G.rng[a] and G.rng[b] == G.src[a] \
-                    and G.compose[(b, a)] == unit_at[G.src[a]] \
-                    and G.compose[(a, b)] == unit_at[G.rng[a]]:
+                    and compose[(b, a)] == unit_at[G.src[a]] \
+                    and compose[(a, b)] == unit_at[G.rng[a]]:
                 inv[a] = b
                 break
     return unit_at, inv
@@ -522,21 +583,9 @@ def test_the_composition_is_indexed_once(monkeypatch):
     assert gp.validate_groupoid(E) == []
     assert tw.check_cocycle(tw.trivial_cocycle(fr.make_gf(3), E)) == []
     assert len(calls) == 1
-    # built directly, a groupoid is indexed once, on first use
-    H = gp.FiniteGroupoid("direct", G.objects, G.arrows, G.src, G.rng,
-                          G.compose, G.inv, G.unit_at)
+    assert gp.composition_rows(E) == gp.composition_rows(G)
+    assert E.composite((0, (1, 2)), (0, (2, 1))) == (0, (1, 1))
     assert len(calls) == 1
-    assert gp.validate_groupoid(H) == []
-    assert gp.composition_rows(H) == gp.composition_rows(G)
-    assert H.composite((0, (1, 2)), (0, (2, 1))) == (0, (1, 1))
-    assert len(calls) == 2
-
-
-def _twice(objects, arrows):
-    """One object x and one arrow e, with one of the two labels listed twice."""
-    ends = {"e": "x"}
-    return gp.FiniteGroupoid("twice", objects, arrows, ends, ends,
-                             {("e", "e"): "e"}, {"e": "e"}, {"x": "e"})
 
 
 REPEATED_LABELS = {"object": (["x", "x"], ["e"]), "arrow": (["x"], ["e", "e"])}
@@ -544,12 +593,12 @@ REPEATED_LABELS = {"object": (["x", "x"], ["e"]), "arrow": (["x"], ["e", "e"])}
 
 @pytest.mark.parametrize("kind", REPEATED_LABELS)
 def test_repeated_labels_are_refused(kind):
-    G = _twice(*REPEATED_LABELS[kind])
+    objects, arrows = REPEATED_LABELS[kind]
     label = "x" if kind == "object" else "e"
-    message = f"{kind} label {label!r} is repeated"
-    assert gp.validate_groupoid(G) == [message]
-    with pytest.raises(ValueError, match=message):
-        gp.make_groupoid("twice", G.objects, G.arrows, G.src, G.rng, G.compose)
+    ends = {"e": "x"}
+    with pytest.raises(ValueError, match=f"^{kind} label {label!r} is repeated$"):
+        gp.make_groupoid("twice", objects, arrows, ends, ends,
+                         {("e", "e"): "e"})
 
 
 def test_make_groupoid_rejects_missing_units():
@@ -561,6 +610,25 @@ def test_bad_group_table():
     with pytest.raises(ValueError):
         gp.FiniteGroup("bad", [0, 1],
                        {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+
+
+def test_a_group_table_that_is_not_associative_is_refused():
+    # the loop has an identity and inverses; its first fault is named
+    table = {(a, b): LOOP_TABLE[a][b] for a in range(5) for b in range(5)}
+    with pytest.raises(ValueError) as raised:
+        gp.FiniteGroup("loop", range(5), table)
+    assert str(raised.value) == _associativity_by_definition(_loop())[0]
+
+
+def test_a_group_keeps_its_groupoid():
+    # built once from the table; its unit and inverses are the group's,
+    # and a twisted group ring reads the same groupoid
+    H = gp.cyclic_group(4)
+    G = gp.group_as_groupoid(H)
+    assert G is gp.group_as_groupoid(H) is H.groupoid
+    assert (H.identity, H.inverse) == (G.unit_at["*"], G.inv) == \
+        (0, {0: 0, 1: 3, 2: 2, 3: 1})
+    assert gr.TwistedGroupRing(fr.make_gf(3), H).cocycle.groupoid is G
 
 
 def test_isotropy_fibre_group():

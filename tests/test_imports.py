@@ -2,6 +2,7 @@
 (grouprings and pairs import each other: grouprings at module level,
 pairs inside check_lbh)."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -45,3 +46,22 @@ def test_the_package_loads_the_standard_library_only():
     outside = loaded(f"{imports}; {_LOADED}") - loaded(_LOADED) \
         - set(sys.stdlib_module_names) - {"quasicartan"}
     assert outside == set()
+
+
+def test_the_package_reads_no_compose_or_values_view():
+    # the package reads a composition through G.composite and
+    # G.composable_pairs and a cocycle through c.value; the views
+    # G.compose and c.values are defined for callers outside it.  A call
+    # such as dict.values() is not a read of the view
+    reads = []
+    for module in MODULES:
+        path = os.path.join(SRC, "quasicartan", f"{module}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        called = {id(node.func) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)}
+        reads.extend(f"{module}.py:{node.lineno}" for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr in ("compose", "values")
+                     and id(node) not in called)
+    assert reads == []

@@ -114,8 +114,7 @@ def test_the_generator_test_also_compares_the_composition():
     G = gp.group_as_groupoid(gp.cyclic_group(8))
     compose = dict(G.compose)
     compose[(3, 4)] = 6
-    G = gp.FiniteGroupoid("broken", G.objects, G.arrows, G.src, G.rng,
-                          compose, G.inv, G.unit_at)
+    G = gp.make_groupoid("broken", G.objects, G.arrows, G.src, G.rng, compose)
     c = tw.coboundary_cocycle(fr.make_gf(5), G, {6: 2, 7: 2})
     bad = tw.check_cocycle(c)
     assert bad == check_cocycle_by_definition(c)

@@ -424,16 +424,15 @@ def cmd_units(doc, cap, oracle):
         T = grouprings.TwistedGroupRing(R, H, values)
     except pairs_mod.InvalidTwist as exc:
         raise InputError(str(exc))
-    units, trivial, nontrivial = grouprings.enumerate_units(T, cap=cap, oracle=oracle)
+    units, trivial, witness = grouprings.unit_census(T, cap=cap, oracle=oracle)
     report = [f"group ring of {H.name} over {R.name}: "
-              f"{len(units)} units, {len(nontrivial)} nontrivial"]
-    if nontrivial:
-        w = nontrivial[0]
-        pretty = " + ".join(f"{R.label(v)}·δ[{g}]"
-                            for g, v in zip(H.elements, w) if v != R.zero)
+              f"{units} units, {units - trivial} nontrivial"]
+    if witness is not None:
+        pretty = " + ".join(f"{R.label(v)}·δ[{g}]" for g, v in
+                            zip(H.elements, witness) if v != R.zero)
         report.append(f"nontrivial witness: {pretty}")
-    summary = {"units": str(len(units)), "trivial_units": str(len(trivial)),
-               "nontrivial_units": str(len(nontrivial))}
+    summary = {"units": str(units), "trivial_units": str(trivial),
+               "nontrivial_units": str(units - trivial)}
     return report, summary, 0
 
 

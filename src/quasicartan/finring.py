@@ -266,11 +266,6 @@ def ring_idempotents(R):
     return {e for e in R.all_indices() if R.mul(e, e) == e}
 
 
-def is_indecomposable(R):
-    """True when the only idempotents are 0 and 1."""
-    return ring_idempotents(R) == {R.zero, R.one}
-
-
 def is_reduced(R):
     """True when the ring has no nonzero nilpotents."""
     for x in R.all_indices():
@@ -394,8 +389,8 @@ def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP, one=False):
     without a pivot are then enumerated against the remaining rows, whose
     coefficients are all non-units; that search space |R|^free must stay
     below cap, unless a remaining row has a unit right-hand side over a
-    local ring (is_indecomposable): its non-units form the maximal ideal,
-    so there is no solution.
+    local ring (one local factor, local_factors): its non-units form the
+    maximal ideal, so there is no solution.
 
     one=True asks for at most one solution, the first one found.  When
     elimination leaves no row to satisfy (always over a field), any values
@@ -424,7 +419,7 @@ def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP, one=False):
         elif row[-1] != zero:
             return []
     if any(rhs in R._unit_inverse for _, rhs in residual) and \
-            is_indecomposable(R):
+            len(local_factors(R)) == 1:
         return []
     size = R.size ** len(free)
     if size > cap and (residual or not one):

@@ -863,16 +863,18 @@ def check_lbh(pair):
 
     Primary path: for each object x, the twisted group ring R(H, c|) of
     the isotropy group H at x, with c| the pair's cocycle restricted to H,
-    must have trivial units only.  That ring is the corner δ_x·A·δ_x in
-    the same coordinates, so a nontrivial unit u is a normaliser of the
-    pair (its dagger is its inverse in the corner, and δ_x·b·δ_x = b(x)·δ_x
-    for b in B) whose base support is not a bisection: the witness.  When
+    must have trivial units only (grouprings.unit_census, which counts
+    them when the ring is commutative).  That ring is the corner
+    δ_x·A·δ_x in the same coordinates, so a nontrivial unit u is a
+    normaliser of the pair (its dagger is its inverse in the corner, and
+    δ_x·b·δ_x = b(x)·δ_x for b in B) whose base support is not a
+    bisection: the witness.  When
     |A| <= 256 the result is checked against the definition over the
     pair's full normaliser enumeration.
     """
     # grouprings subclasses ConvolutionAlgebra, so it is imported here,
     # not at the top of this module
-    from .grouprings import TwistedGroupRing, enumerate_units
+    from .grouprings import TwistedGroupRing, unit_census
 
     cocycle, A = pair.cocycle, pair.algebra
     R, G = A.ring, cocycle.groupoid
@@ -881,9 +883,8 @@ def check_lbh(pair):
         H = isotropy_fibre_group(G, x)
         ring_T = TwistedGroupRing(R, H, {(a, b): cocycle.value(a, b)
                                          for a, b in H.mul})
-        _, _, nontrivial = enumerate_units(ring_T, cap=pair.cap)
-        if nontrivial:
-            u = nontrivial[0]
+        u = unit_census(ring_T, cap=pair.cap)[2]
+        if u is not None:
             coeffs = {g: u[i] for i, g in enumerate(H.elements)
                       if u[i] != R.zero}
             witness = steinberg.AlgebraElement(cocycle, coeffs)

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from quasicartan import cli, groupoid as gpd, pairs, reconstruct, twist
+from quasicartan import cli, groupoid as gpd, grouprings, pairs, \
+    reconstruct, twist
 
 from helpers import LOOP_TABLE
 
@@ -174,6 +175,81 @@ def test_units_oracle_caps_its_pairwise_products(tmp_path, capsys):
            "oracle = on\ncap = 1000\n"
     code, _ = _run("units", text, tmp_path, capsys)
     assert code == 2
+
+
+# the four group rings of the benchmark's units jobs, by name
+BENCH_UNITS = {"gf3_c6": ("gf(3,1)", 6), "gf5_c4": ("gf(5,1)", 4),
+               "z9_c3": ("zmod(9)", 3), "gf2_c8": ("gf(2,1)", 8)}
+
+
+def _units_text(ring, n):
+    return f"[ring]\n{ring}\n[group]\ncyclic({n})\n"
+
+
+@pytest.mark.parametrize("name", list(BENCH_UNITS))
+def test_units_of_a_commutative_ring_are_not_listed(name, tmp_path, capsys,
+                                                    monkeypatch):
+    # the census counts a commutative R[H] and walks it only up to its
+    # first nontrivial unit, so nothing lists the ring
+    text = _units_text(*BENCH_UNITS[name])
+    expected = _run("units", text, tmp_path, capsys)
+    assert expected[0] == 0
+
+    def refused(*_, **__):
+        raise AssertionError("the ring was listed")
+
+    monkeypatch.setattr(pairs.AbstractAlgebra, "all_elements", refused)
+    assert _run("units", text, tmp_path, capsys) == expected
+
+
+@pytest.mark.parametrize("ring, n, witness", [
+    ("gf(3,1)", 6, "1·δ[3] + 1·δ[5]"), ("zmod(9)", 6, "1·δ[4] + 3·δ[5]")])
+def test_units_name_the_first_nontrivial_unit(ring, n, witness, tmp_path,
+                                              capsys):
+    code, out = _run("units", _units_text(ring, n), tmp_path, capsys)
+    assert code == 0
+    assert f"nontrivial witness: {witness}\n" in out
+
+
+Z2_GF5_TWISTED = COMPARE_GF5.replace("[cocycle2]\ntrivial\n", "")
+
+# full_relation(2) ⊔ C2 over GF(3) in the explicit form
+MIXED_GF3 = """\
+[ring]
+gf(3,1)
+[groupoid]
+objects = 1 2 z
+a11: 1 -> 1
+a12: 2 -> 1
+a21: 1 -> 2
+a22: 2 -> 2
+e: z -> z
+g: z -> z
+""" + "".join(f"a{i}{j} . a{j}{k} = a{i}{k}\n"
+              for i in "12" for j in "12" for k in "12") + """\
+e . e = e
+e . g = g
+g . e = g
+g . g = e
+[cocycle]
+trivial
+"""
+
+
+@pytest.mark.parametrize("text", [Z2_GF5_TWISTED, MIXED_GF3],
+                         ids=["z2_gf5_twisted", "mixed_gf3"])
+def test_reconstruct_counts_the_fibre_units(text, tmp_path, capsys,
+                                            monkeypatch):
+    # every isotropy fibre ring here is commutative, so check_lbh counts
+    # its units and lists none
+    expected = _run("reconstruct", text, tmp_path, capsys)
+    assert expected[0] == 0
+
+    def refused(*_, **__):
+        raise AssertionError("a fibre ring was listed")
+
+    monkeypatch.setattr(grouprings, "enumerate_units", refused)
+    assert _run("reconstruct", text, tmp_path, capsys) == expected
 
 
 def test_upp_witness(tmp_path, capsys):
@@ -476,6 +552,60 @@ def test_a_group_table_is_checked_in_time(command, text, code, tmp_path):
     path.write_text(text)
     result = _run_limited(command, path, timeout=5)
     assert result.returncode == code, result.stderr
+
+
+@pytest.mark.parametrize("ring, n, units", [
+    ("gf(5,1)", 12, "84934656"), ("gf(2,1)", 30, "331776000"),
+    ("zmod(9)", 6, "236196")], ids=["gf5_c12", "gf2_c30", "z9_c6"])
+def test_units_are_counted_at_the_default_cap(ring, n, units, tmp_path):
+    # 5^12 and 2^30 elements are past the default cap, and each ring is
+    # counted, not listed.  GF(5)[C12] ≅ GF(5)⁴ × GF(25)⁴ has 4⁴·24⁴
+    # units; GF(2)[C30] = GF(2)[C15][y]/(y − 1)², with GF(2)[C15] ≅
+    # GF(2) × GF(4) × GF(16)³, has 2^15·1·3·15³; Z/9[C6] has 3^6 times
+    # the 324 units of GF(3)[C6]
+    path = tmp_path / "input.txt"
+    path.write_text(_units_text(ring, n))
+    result = _run_limited("units", path, timeout=10)
+    assert result.returncode == 0, result.stderr
+    assert cli.parse_summary(result.stdout)["units"] == units
+
+
+def test_units_of_a_large_group_ring_exit_on_the_cap(tmp_path):
+    # the count of GF(2)[C100] is charged 100⁴ ring operations before
+    # its first product
+    path = tmp_path / "input.txt"
+    path.write_text(_units_text("gf(2,1)", 100))
+    result = _run_limited("units", path, timeout=5)
+    assert result.returncode == 2
+    assert result.stderr == "cap exceeded: search size 100000000 exceeds " \
+                            "cap 1000000\n"
+
+
+def _zmod_tables(n):
+    """Z/n as a [ring.tables] section, which charges no table to the cap."""
+    rows = [f"{op}: {a} {b} = {f(a, b) % n}" for op, f in
+            (("add", int.__add__), ("mul", int.__mul__))
+            for a in range(n) for b in range(n)]
+    return "\n".join(["[ring.tables]", "elements = " +
+                      " ".join(map(str, range(n))), "zero = 0", "one = 1",
+                      *rows, ""])
+
+
+@pytest.mark.parametrize("cap, code", [(18, 2), (19, 0)])
+def test_the_witness_walk_is_charged_to_the_cap(cap, code, tmp_path):
+    # Z/16[C2]: a + b·δ_1 is a unit iff a + b is odd, so the witness
+    # 1·δ_0 + 2·δ_1 is the 19th element in order; the count charges only
+    # 2⁴, so the walk to the witness is what the cap of 18 stops
+    path = tmp_path / "input.txt"
+    path.write_text(_zmod_tables(16) + f"[group]\ncyclic(2)\n"
+                    f"[options]\ncap = {cap}\n")
+    result = _run_limited("units", path, timeout=10)
+    assert result.returncode == code, result.stderr
+    if code:
+        assert result.stderr == "cap exceeded: search size 19 exceeds " \
+                                "cap 18\n"
+    else:
+        assert "nontrivial witness: 1·δ[0] + 2·δ[1]\n" in result.stdout
 
 
 def _conjugated_diagonal(n, p):

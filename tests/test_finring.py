@@ -61,14 +61,16 @@ def test_idempotents():
 
 
 def test_indecomposable_and_reduced():
-    assert not fr.is_indecomposable(fr.make_zmod(6))
-    assert fr.is_indecomposable(fr.make_zmod(4))
-    assert fr.is_indecomposable(fr.make_gf(2))
+    # a ring is indecomposable (its only idempotents are 0 and 1) exactly
+    # when it has one primitive idempotent, one local factor
+    assert len(fr.local_factors(fr.make_zmod(6))) != 1
+    assert len(fr.local_factors(fr.make_zmod(4))) == 1
+    assert len(fr.local_factors(fr.make_gf(2))) == 1
     assert not fr.is_reduced(fr.make_zmod(4))
     assert fr.is_reduced(fr.make_zmod(6))
     assert fr.is_reduced(fr.make_gf(2, 2))
     F5 = fr.make_gf(5)
-    assert fr.is_reduced(F5) and fr.is_indecomposable(F5)
+    assert fr.is_reduced(F5) and len(fr.local_factors(F5)) == 1
 
 
 def test_gf_constructions():

@@ -93,30 +93,94 @@ _GROUPS = [(gp.cyclic_group(n), lambda g: g, n) for n in range(2, 7)] + \
     [(_KLEIN, lambda g: g[0], 2)]
 _RINGS = [fr.make_gf(2), fr.make_gf(3), fr.make_zmod(4), fr.make_zmod(6),
           fr.make_zmod(8), fr.make_zmod(9), fr.make_gf(2, 2), fr.make_gf(5),
-          fr.make_gf(7)]
+          fr.make_gf(7), fr.make_zmod(10), fr.make_zmod(12), fr.make_gf(2, 3),
+          fr.make_gf(3, 2)]
 _SMALL_GROUP_RINGS = [(H, coordinate, n, R) for H, coordinate, n in _GROUPS
                       for R in _RINGS if R.size ** len(H) <= 729]
 
 
-@st.composite
-def twisted_group_rings(draw):
-    """R(H, c) with c a carry cocycle times a random coboundary."""
-    H, coordinate, n, R = draw(st.sampled_from(_SMALL_GROUP_RINGS))
+def _carry_twist(H, coordinate, n, R, choose):
+    """R(H, c) with c a carry cocycle times a coboundary, each unit drawn
+    by choose(units)."""
     G = gp.group_as_groupoid(H)
     units = sorted(fr.ring_units(R))
-    t = draw(st.sampled_from(units))
-    b = {g: draw(st.sampled_from(units)) for g in H.elements
-         if g != H.identity}
+    t = choose(units)
+    b = {g: choose(units) for g in H.elements if g != H.identity}
     d = tw.coboundary_cocycle(R, G, b)
     c = {(x, y): R.mul(t, v) if coordinate(x) + coordinate(y) >= n else v
          for (x, y), v in d.values.items()}
     return gr.TwistedGroupRing(R, H, c)
 
 
+@st.composite
+def twisted_group_rings(draw):
+    """R(H, c) with c a carry cocycle times a random coboundary."""
+    return _carry_twist(*draw(st.sampled_from(_SMALL_GROUP_RINGS)),
+                        lambda units: draw(st.sampled_from(units)))
+
+
+def _census_of_lists(lists):
+    units, trivial, nontrivial = lists
+    return len(units), len(trivial), next(iter(nontrivial), None)
+
+
 @settings(max_examples=60)
 @given(twisted_group_rings())
 def test_units_by_orbits_equal_the_definition(T):
-    assert gr.enumerate_units(T) == _units_by_definition(T)
+    walk = gr.enumerate_units(T)
+    assert walk == _units_by_definition(T)
+    assert gr.unit_census(T) == _census_of_lists(walk)
+
+
+@pytest.mark.parametrize("H,coordinate,n,R", _SMALL_GROUP_RINGS,
+                         ids=[f"{R.name}[{H.name}]"
+                              for H, _, _, R in _SMALL_GROUP_RINGS])
+def test_the_count_agrees_with_the_walk_and_the_oracle(H, coordinate, n, R):
+    # every carry twist here is commutative, so the census counts; the
+    # witness is the walk's first nontrivial unit
+    rng = random.Random(f"{R.name}[{H.name}]")
+    T = _carry_twist(H, coordinate, n, R, rng.choice)
+    assert T.is_commutative()
+    walk = gr.enumerate_units(T)
+    assert walk == gr.enumerate_units(T, oracle=True)
+    assert gr.unit_census(T) == _census_of_lists(walk)
+
+
+@pytest.mark.parametrize("R,expected", [(fr.make_gf(3), 48),
+                                        (fr.make_gf(5), 480)],
+                         ids=["gf3", "gf5"])
+def test_a_noncommutative_twist_is_listed(R, expected, monkeypatch):
+    # c(x, y) = (−1)^(x₀·y₁) on the Klein group makes R(H, c) the matrix
+    # ring M_2(R), whose units are GL_2: (q² − 1)(q² − q)
+    minus_one = R.neg(R.one)
+    T = gr.TwistedGroupRing(R, _KLEIN, {(x, y): minus_one
+                                        for x in _KLEIN.elements
+                                        for y in _KLEIN.elements
+                                        if x[0] and y[1]})
+    assert not T.is_commutative()
+    walk = gr.enumerate_units(T)
+
+    def refused(*_, **__):
+        raise AssertionError("a noncommutative ring was counted")
+
+    monkeypatch.setattr(gr, "count_units", refused)
+    assert gr.unit_census(T) == _census_of_lists(walk)
+    trivial = len(_KLEIN) * len(fr.ring_units(R))
+    assert (len(walk[0]), len(walk[1])) == (expected, trivial)
+    assert walk == gr.enumerate_units(T, oracle=True)
+
+
+def test_the_count_charges_the_cap_before_its_first_product(monkeypatch):
+    # GF(2)[C100]: 100⁴ ring operations are refused before any product
+    T = gr.TwistedGroupRing(fr.make_gf(2), gp.cyclic_group(100))
+
+    def refused(*_):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(T, "mul", refused)
+    with pytest.raises(gr.CapExceeded) as info:
+        gr.count_units(T)
+    assert info.value.attempted_size == 100 ** 4
 
 
 def _orbit_count(T):

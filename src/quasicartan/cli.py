@@ -50,6 +50,15 @@ def _section_value(doc, name):
     return rows[0][1]
 
 
+def _once(seen, key, lineno, line):
+    """Record the key of a row in seen; a key given twice in one section
+    is malformed, as the later row would replace the earlier one."""
+    if key in seen:
+        raise InputError(f"line {lineno}: {line.split('=', 1)[0].strip()} "
+                         f"is given twice, first on line {seen[key]}")
+    seen[key] = lineno
+
+
 def _int(digits):
     """int() of a matched digit string; past Python's conversion limit
     (4300 digits) the input is malformed."""
@@ -95,18 +104,22 @@ def build_ring(doc, cap=DEFAULT_CAP):
 
 def _ring_from_tables(rows):
     elements, zero, one = None, None, None
-    add_rows, mul_rows = {}, {}
+    add_rows, mul_rows, seen = {}, {}, {}
     for lineno, line in rows:
         if line.startswith("elements"):
+            _once(seen, "elements", lineno, line)
             elements = line.split("=", 1)[1].split()
         elif line.startswith("zero"):
+            _once(seen, "zero", lineno, line)
             zero = line.split("=", 1)[1].strip()
         elif line.startswith("one"):
+            _once(seen, "one", lineno, line)
             one = line.split("=", 1)[1].strip()
         else:
             m = re.fullmatch(r"(add|mul):\s*(\S+)\s+(\S+)\s*=\s*(\S+)", line)
             if not m:
                 raise InputError(f"line {lineno}: bad table row {line!r}")
+            _once(seen, m.group(1, 2, 3), lineno, line)
             table = add_rows if m.group(1) == "add" else mul_rows
             table[(m.group(2), m.group(3))] = m.group(4)
     if elements is None or zero is None or one is None:
@@ -166,9 +179,10 @@ def build_groupoid(doc, section="groupoid", cap=DEFAULT_CAP):
     if m:
         return gpd.group_as_groupoid(_parse_group(m.group(1), cap))
     # explicit form
-    objects, arrows, src, rng, compose = None, [], {}, {}, {}
+    objects, arrows, src, rng, compose, seen = None, [], {}, {}, {}, {}
     for lineno, line in rows:
         if line.startswith("objects"):
+            _once(seen, "objects", lineno, line)
             objects = line.split("=", 1)[1].split()
             continue
         m = re.fullmatch(r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)", line)
@@ -179,7 +193,8 @@ def build_groupoid(doc, section="groupoid", cap=DEFAULT_CAP):
             continue
         m = re.fullmatch(r"(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)", line)
         if m:
-            compose[(m.group(1), m.group(2))] = m.group(3)
+            _once(seen, m.group(1, 2), lineno, line)
+            compose[m.group(1, 2)] = m.group(3)
             continue
         raise InputError(f"line {lineno}: bad groupoid row {line!r}")
     if objects is None:
@@ -204,7 +219,7 @@ def _parse_cocycle(doc, R, G, section="cocycle"):
     rows = doc.sections.get(section)
     if rows is None:
         raise InputError(f"missing [{section}] section")
-    values = {}
+    values, seen = {}, {}
     for lineno, line in rows:
         if line == "trivial":
             continue
@@ -216,6 +231,7 @@ def _parse_cocycle(doc, R, G, section="cocycle"):
         if G.src[a] != G.rng[b]:
             raise InputError(f"line {lineno}: pair ({m.group(1)},{m.group(2)}) "
                              "is not composable")
+        _once(seen, (a, b), lineno, line)
         values[(a, b)] = _ring_element(R, m.group(3), lineno)
     return twist_mod.Cocycle(R, G, values)
 
@@ -249,10 +265,10 @@ def build_abstract_pair(doc, R, cap):
     rows = doc.sections.get("algebra")
     if not rows:
         raise InputError("missing [algebra] section")
-    labels = None
-    product_rows = []
+    labels, product_rows, seen = None, [], {}
     for lineno, line in rows:
         if line.startswith("basis"):
+            _once(seen, "basis", lineno, line)
             labels = line.split("=", 1)[1].split()
             if len(set(labels)) < len(labels):
                 raise InputError(f"line {lineno}: a basis label is repeated")
@@ -260,6 +276,7 @@ def build_abstract_pair(doc, R, cap):
             m = re.fullmatch(r"(\S+)\s*\*\s*(\S+)\s*=\s*(.+)", line)
             if not m:
                 raise InputError(f"line {lineno}: bad algebra row {line!r}")
+            _once(seen, m.group(1, 2), lineno, line)
             product_rows.append((lineno, m.group(1), m.group(2), m.group(3)))
     if labels is None:
         raise InputError("[algebra] needs a basis row")
@@ -274,9 +291,10 @@ def build_abstract_pair(doc, R, cap):
         A = pairs_mod.AbstractAlgebra("custom", R, labels, structure)
     except ValueError as exc:
         raise InputError(str(exc))
-    sub_basis = []
+    sub_basis, seen = [], {}
     for lineno, line in doc.sections.get("pair", []):
         if line.startswith("sub_basis"):
+            _once(seen, "sub_basis", lineno, line)
             sub_basis = [_parse_combination(e, labels, R, lineno)
                          for e in line.split("=", 1)[1].split(",")]
     if not sub_basis:
@@ -290,17 +308,16 @@ def build_abstract_pair(doc, R, cap):
 
 
 def get_options(doc):
-    cap, oracle = DEFAULT_CAP, False
+    cap, oracle, seen = DEFAULT_CAP, False, {}
     for lineno, line in doc.sections.get("options", []):
-        m = re.fullmatch(r"cap\s*=\s*(\d+)", line)
-        if m:
-            cap = _int(m.group(1))
-            continue
-        m = re.fullmatch(r"oracle\s*=\s*(on|off)", line)
-        if m:
-            oracle = m.group(1) == "on"
-            continue
-        raise InputError(f"line {lineno}: bad options row {line!r}")
+        m = re.fullmatch(r"(cap)\s*=\s*(\d+)|(oracle)\s*=\s*(on|off)", line)
+        if not m:
+            raise InputError(f"line {lineno}: bad options row {line!r}")
+        _once(seen, m.group(1) or m.group(3), lineno, line)
+        if m.group(1):
+            cap = _int(m.group(2))
+        else:
+            oracle = m.group(4) == "on"
     return cap, oracle
 
 
@@ -456,8 +473,10 @@ def cmd_upp(doc, cap, oracle):
     rows = doc.sections.get("upp")
     if not rows:
         raise InputError("missing [upp] section")
-    group_spec, a_line, b_line = "z", None, None
+    group_spec, a_line, b_line, seen = "z", None, None, {}
     for lineno, line in rows:
+        if line.startswith(("group", "A", "B")):
+            _once(seen, line[0], lineno, line)
         if line.startswith("group"):
             group_spec = line.split("=", 1)[1].strip()
         elif line.startswith("A"):

@@ -191,22 +191,9 @@ def _poly_is_irreducible(modulus, p):
     deg = len(modulus) - 1
     if deg < 1 or modulus[-1] % p != 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for coeffs in itertools.product(range(p), repeat=d):
-            divisor = list(coeffs) + [1]
-            # long-divide modulus by divisor and check the remainder
-            rem = [c % p for c in modulus]
-            inv_lead = 1  # divisor is monic
-            while len(rem) - 1 >= d and any(rem):
-                lead = rem[-1]
-                if lead:
-                    shift = len(rem) - 1 - d
-                    for i, c in enumerate(divisor):
-                        rem[shift + i] = (rem[shift + i] - lead * c * inv_lead) % p
-                rem.pop()
-            if not any(rem):
-                return False
-    return True
+    return all(any(_poly_mod(modulus, list(coeffs) + [1], p))
+               for d in range(1, deg // 2 + 1)
+               for coeffs in itertools.product(range(p), repeat=d))
 
 
 def _find_irreducible(p, k):
@@ -366,6 +353,18 @@ def standard_basis_tails(R, rows, width):
     (ε·R/m)^width.  After elimination the pivot rows are independent
     modulo m and the other rows lie in m^width, so there are width
     pivots.  A local R has the one factor ε = 1: a rank test.
+
+    Kernels.  So the homogeneous system Σ_(j<width) row_j·x_j = 0 over
+    the rows has only the zero solution iff the result is not None.  If
+    the cut rows span R^width, each e_c is a combination of them, and
+    x_c = 0.  If not, some factor ε·R leaves a column c free.  Its maximal
+    ideal m is nilpotent, so ε·R has an s ≠ 0 with m·s = 0: ε when m = 0,
+    else a nonzero element of the last nonzero power of m.  Put x_c = s,
+    x_p = −row_p[c]·s at each pivot column p, with row_p its pivot row,
+    and 0 elsewhere.  Then row_p gives ε·x_p + row_p[c]·s = 0, and each
+    row left without a pivot is 0 at the pivot columns and in m at c, so
+    it gives 0.  These rows span ε times the span of the rows, and
+    x = ε·x, so x is a nonzero solution.
     """
     add, mul = R.add_table, R.mul_table
     tails = None
@@ -388,9 +387,10 @@ def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP, one=False):
     pivots on unit coefficients only (_eliminate).  The unknowns left
     without a pivot are then enumerated against the remaining rows, whose
     coefficients are all non-units; that search space |R|^free must stay
-    below cap, unless a remaining row has a unit right-hand side over a
-    local ring (one local factor, local_factors): its non-units form the
-    maximal ideal, so there is no solution.
+    below cap, unless a remaining row times some ε of local_factors has
+    non-units of the local ring ε·R for coefficients and a unit of it on
+    the right: the non-units form its maximal ideal, so ε times the
+    equation, and with it the system, has no solution.
 
     one=True asks for at most one solution, the first one found.  When
     elimination leaves no row to satisfy (always over a field), any values
@@ -418,8 +418,9 @@ def solve_linear(R, equations, num_unknowns, cap=DEFAULT_CAP, one=False):
             residual.append((terms, row[-1]))
         elif row[-1] != zero:
             return []
-    if any(rhs in R._unit_inverse for _, rhs in residual) and \
-            len(local_factors(R)) == 1:
+    if any(mul[eps][rhs] in inverse and
+           not any(mul[eps][c] in inverse for _, c in terms)
+           for terms, rhs in residual for eps, inverse in local_factors(R)):
         return []
     size = R.size ** len(free)
     if size > cap and (residual or not one):

@@ -215,10 +215,15 @@ def _unit_walk(T, cap=DEFAULT_CAP):
     of its orbit is.  Left multiplication by t·δ_g permutes coordinates
     with scaling, (t·δ_g·f)(gh) = t·c(g,h)·f(h), so an orbit is listed
     without products.  Walking the elements in order, the first one not
-    yet seen represents its orbit: it is tested by solving f*x = δ_e and
-    checking x*f = δ_e, and the verdict holds for the whole orbit.
+    yet seen represents its orbit, and its verdict holds for the whole
+    orbit.
+
+    f is a unit iff the columns f·b_j span R^d
+    (finring.standard_basis_tails), d = |H|.  They span the image of
+    x ↦ f·x, which holds δ_e iff f has a right inverse x.  Then y ↦ x·y
+    is injective, as x·y = 0 gives y = f·x·y = 0, so it is onto the
+    finite T, and x·z = δ_e gives f = f·x·z = z: x is the inverse.
     """
-    one = T.one()
     shifts = _trivial_unit_shifts(T)
     seen, found = set(), set()
     elements = itertools.product(T.ring.all_indices(), repeat=T.dim)
@@ -228,8 +233,9 @@ def _unit_walk(T, cap=DEFAULT_CAP):
         if f not in seen:
             orbit = {tuple(row[f[i]] for i, row in shift) for shift in shifts}
             seen |= orbit
-            inv = _solve_right_inverse(T, f, cap=cap)
-            if inv is not None and T.mul(inv, f) == one:
+            columns = [T.mul(f, b) for b in T.basis_vectors]
+            tails = finring.standard_basis_tails(T.ring, columns, T.dim)
+            if tails is not None:
                 found |= orbit
         yield f, f in found
 
@@ -247,18 +253,6 @@ def _trivial_unit_shifts(T):
                 shift[k] = (j, mul[mul[t][s]])
             shifts.append(shift)
     return shifts
-
-
-def _solve_right_inverse(T, f, cap=DEFAULT_CAP):
-    """Solve f*x = δ_e via the ring's linear solver; None when unsolvable.
-    The columns of the system are the products f·b_j.  One solution is
-    enough: a right inverse in a finite ring is the inverse."""
-    columns = [T.mul(f, e) for e in T.basis_vectors]
-    one = T.one()
-    equations = [([col[k] for col in columns], one[k]) for k in range(T.dim)]
-    solutions = finring.solve_linear(T.ring, equations, T.dim, cap=cap,
-                                     one=True)
-    return solutions[0] if solutions else None
 
 
 def decomposable_unit(T, f_idem, g):

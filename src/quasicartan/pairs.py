@@ -613,7 +613,7 @@ class Pair:
             report["faithful"] = False
             report["implemented_by_idempotents"] = False
             return report
-        report["faithful"] = self._faithfulness_kernel(P) == [A.zero()]
+        report["faithful"] = self._is_faithful(P)
         idem, _ = self.idempotents_of_B()
         _, classes = self.unit_classes()
         implemented = True
@@ -625,11 +625,11 @@ class Pair:
         report["implemented_by_idempotents"] = implemented
         return report
 
-    def _faithfulness_kernel(self, P):
-        """The a with P(n·a) = 0 for every normaliser n, for a linear P.
-        P(n·a) is linear in n, so any n that span the normalisers give the
-        same kernel, over any commutative ring: the n of
-        _deciding_normalisers span every normaliser, one n per class of
+    def _is_faithful(self, P):
+        """Whether P(n·a) = 0 for every normaliser n forces a = 0, for a
+        linear P.  P(n·a) is linear in n, so any n that span the
+        normalisers give the same kernel, over any commutative ring: the n
+        of _deciding_normalisers span every normaliser, one n per class of
         unit_classes spans those, and the pivot rows and the rest of
         unit-pivot elimination on the classes (_class_rows) span what the
         classes span, its row operations being invertible.
@@ -637,27 +637,53 @@ class Pair:
         P is evaluated on at most dim² products there."""
         A = self.algebra
         pivots, rest = self._class_rows()
-        return self._common_kernel(
-            [P(A.mul(n, b)) for b in A.basis_vectors]
-            for n in [*pivots.values(), *rest])
+        return self._kernel_is_zero(
+            ([P(A.mul(n, b)) for b in A.basis_vectors]
+             for n in [*pivots.values(), *rest]), A.dim)
 
-    def _commutant(self):
-        """The a with a·b = b·a for every spanning b of B."""
+    def _is_own_commutant(self):
+        """Whether B is its commutant C, the a with a·b = b·a for every
+        spanning b, where B is free on its pivot rows.
+
+        Let S be the pivot columns.  B is then the span of the pivot rows,
+        and Σ_c x_c·row_c is x_c at each c in S, so only 0 in B vanishes
+        on S.  C contains the commutative B, and for a in C,
+        b = Σ_c a_c·row_c lies in B and a − b in C vanishes on S.  So
+        C = B ⊕ (C ∩ R^(off S)), and C = B iff the commutation system in
+        the unknowns off S has only the zero solution.
+
+        classify asks this only under its base conditions, and they make B
+        free on its pivot rows.  R is local (satisfies_wt), with maximal
+        ideal m and an s ≠ 0 with m·s = 0 (finring.standard_basis_tails).
+        B is spanned by its idempotents, so it is the direct sum of the
+        R·e over its k atoms e (classify), and WT makes t ↦ t·e
+        injective, so |B| = |R|^k.  A combination y = Σ t_e·e with some
+        t_e a unit lies outside m^dim, else s·y = 0 gives s·t_e·e = 0 and,
+        by WT, s·t_e = 0.  So the images of the atoms modulo m are
+        independent, and B's image has dimension k.  The images of the
+        pivot rows span it, as the rows left without a pivot lie in
+        m^dim, and are independent, so there are k pivot rows.  Their
+        span has |R|^k = |B| elements, so it is B, and the rest, in B and
+        0 on S, spans {0}.
+        """
+        if len(self._rest) > 1:
+            raise AssertionError("B is not free on its pivot rows")
         A = self.algebra
-        return self._common_kernel(
-            [A.sub(A.mul(x, b), A.mul(b, x)) for x in A.basis_vectors]
-            for b in self.sub_basis)
+        off_basis = [A.basis_vectors[i] for i, _ in self._off_terms]
+        return self._kernel_is_zero(
+            ([A.sub(A.mul(x, b), A.mul(b, x)) for x in off_basis]
+             for b in self.sub_basis), len(off_basis))
 
-    def _common_kernel(self, maps):
-        """The common kernel of linear maps on A, each given by its images
-        of the basis vectors: one homogeneous system in the coordinates,
-        solved with solve_linear."""
+    def _kernel_is_zero(self, maps, width):
+        """Whether linear maps from R^width to A, each given by its images
+        of the standard basis, have only 0 in their common kernel: one
+        homogeneous system in the coordinates, decided by whether its rows
+        span R^width (finring.standard_basis_tails, Kernels).  No kernel
+        is listed."""
         A = self.algebra
         rows = {tuple(image[i] for image in images)
                 for images in maps for i in range(A.dim)}
-        return finring.solve_linear(
-            A.ring, [(row, A.ring.zero) for row in sorted(rows)], A.dim,
-            cap=self.cap)
+        return finring.standard_basis_tails(A.ring, rows, width) is not None
 
     # -- classification -----------------------------------------------
 
@@ -786,9 +812,8 @@ class Pair:
         base = base and report["faithful_CE_exists"]
         # quasi-Cartan: the expectation is additionally implemented by idempotents
         report["AQP"] = base and bool(ce.get("implemented_by_idempotents"))
-        # Cartan: B is a maximal commutative subalgebra (commutant of B = B);
-        # the commutative B lies in its commutant, so the sizes decide
-        report["ACP"] = base and len(self._commutant()) == self._b_size
+        # Cartan: B is a maximal commutative subalgebra (commutant of B = B)
+        report["ACP"] = base and self._is_own_commutant()
         # diagonal: the free normalisers span A
         free = [n for n in classes if self.is_free_normaliser(n)]
         report["ADP"] = base and self._spans_A(free)

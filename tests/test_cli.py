@@ -688,8 +688,7 @@ def test_summary_round_trip():
     assert cli.parse_summary(text) == {"a": "1", "b": "true"}
 
 
-def test_ring_tables_input(tmp_path, capsys):
-    text = """\
+RING_TABLES_GF2 = """\
 [ring.tables]
 elements = 0 1
 zero = 0
@@ -707,7 +706,9 @@ full_relation(2)
 [cocycle]
 trivial
 """
-    code, out = _run("classify", text, tmp_path, capsys)
+
+def test_ring_tables_input(tmp_path, capsys):
+    code, out = _run("classify", RING_TABLES_GF2, tmp_path, capsys)
     assert code == 0
     assert cli.parse_summary(out)["aqp"] == "true"
 
@@ -989,3 +990,37 @@ def test_the_commands_read_rows_not_the_dict_views(command, text, explicit,
     monkeypatch.setattr(twist, "cocycle_dict", refused)
     assert _run(command, text, tmp_path, capsys) == expected
     assert indexed == ([["e", "g"]] if explicit else [])
+
+
+# name -> (command, input, its row, the second row for the same key)
+REPEATED_ROWS = {
+    "cocycle": ("classify", COMPARE_GF5.replace("c(1, 1) = 4", "c(1,1) = 2"),
+                "c(1,1) = 2", "c(1, 1) = 1"),
+    "objects": ("classify", EXPLICIT_C2_GF5, "objects = x", "objects = x y"),
+    "compose": ("check", EXPLICIT_C2_GF5, "g . g = e", "g . g = g"),
+    "add_table": ("classify", RING_TABLES_GF2, "add: 1 1 = 0", "add: 1 1 = 1"),
+    "zero": ("classify", RING_TABLES_GF2, "zero = 0", "zero = 1"),
+    "product": ("classify", ABSTRACT_PAIR, "n * n = 0", "n * n = n"),
+    "basis": ("classify", ABSTRACT_PAIR, "basis = e n", "basis = n e"),
+    "sub_basis": ("classify", ABSTRACT_PAIR, "sub_basis = e", "sub_basis = n"),
+    "upp": ("upp", UPP_Z, "A = 0 1 5", "A = 0"),
+    "cap": ("classify", CLASSIFY_PAIR2 + "[options]\ncap = 10\n", "cap = 10",
+            "cap = 1000"),
+}
+
+
+@pytest.mark.parametrize("command, text, row, again",
+                         list(REPEATED_ROWS.values()), ids=list(REPEATED_ROWS))
+def test_a_key_given_twice_in_a_section_is_refused(command, text, row, again,
+                                                   tmp_path, capsys):
+    # the later row would silently replace the earlier one
+    lines = text.splitlines()
+    first = lines.index(row) + 1
+    lines.insert(first, again)
+    path = tmp_path / "input.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code = cli.main([command, str(path)])
+    key = again.split("=", 1)[0].strip()
+    assert (code, capsys.readouterr().err) == (
+        3, f"input error: line {first + 1}: {key} is given twice, "
+           f"first on line {first}\n")

@@ -140,6 +140,36 @@ def test_local_factors(R, idempotents):
     assert fr.local_factors(R) is factors
 
 
+def test_solve_linear_refuses_a_unit_right_hand_side_per_local_factor():
+    # 2·(x_1 + … + x_8) = 1 over Z/6: times ε = 3 the row is 0 = 3, a unit
+    # of 3·Z/6 ≅ Z/2, so there is no solution and no search over 6^8
+    R = fr.make_zmod(6)
+    assert fr.solve_linear(R, [([2] * 8, 1)], 8, cap=1) == []
+
+
+def _mobius(n):
+    sign, d = 1, 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            sign = -sign
+        d += 1
+    return sign
+
+
+@pytest.mark.parametrize("p, counts", [(2, [2, 1, 2, 3, 6, 9]),
+                                       (3, [3, 3, 8, 18]), (5, [5, 10, 40])])
+def test_monic_irreducibles_by_gauss_formula(p, counts):
+    # (1/k)·Σ_(d|k) μ(d)·p^(k/d) monic irreducibles of degree k over GF(p)
+    for k, expected in enumerate(counts, 1):
+        assert sum(_mobius(d) * p ** (k // d)
+                   for d in range(1, k + 1) if k % d == 0) == k * expected
+        assert sum(fr._poly_is_irreducible(list(c) + [1], p)
+                   for c in itertools.product(range(p), repeat=k)) == expected
+
+
 def test_solve_linear_cap():
     R = fr.make_zmod(16)
     with pytest.raises(fr.CapExceeded) as exc:

@@ -73,13 +73,18 @@ def test_units_of_twisted_ring_against_oracle():
 
 
 def _units_by_definition(T):
-    """One right-inverse solve and a two-sided check per element of R[H]."""
+    """One right-inverse solve of f·x = δ_e and a two-sided check per
+    element of R[H], with the linear solver rather than the walk's
+    spanning test."""
     one = T.one()
     everything = T.all_elements()
     found = set()
     for f in everything:
-        inv = gr._solve_right_inverse(T, f)
-        if inv is not None and T.mul(inv, f) == one:
+        columns = [T.mul(f, b) for b in T.basis_vectors]
+        inverse = fr.solve_linear(
+            T.ring, [([col[k] for col in columns], one[k])
+                     for k in range(T.dim)], T.dim, one=True)
+        if inverse and T.mul(inverse[0], f) == one:
             found.add(f)
     units = [f for f in everything if f in found]
     return (units, [f for f in units if T.is_trivial_unit(f)],
@@ -198,17 +203,18 @@ def _orbit_count(T):
     (fr.make_gf(3), gp.cyclic_group(3), {}),
 ], ids=["gf5_c2_twisted", "z4_klein_twisted", "gf3_c3"])
 def test_units_take_one_solve_per_orbit(R, H, values, monkeypatch):
+    # one spanning test of the columns f·b_j per orbit
     T = gr.TwistedGroupRing(R, H, values)
-    solves = []
-    solve = gr._solve_right_inverse
+    tests = []
+    span = fr.standard_basis_tails
 
-    def counted(T, f, cap=fr.DEFAULT_CAP):
-        solves.append(f)
-        return solve(T, f, cap=cap)
+    def counted(R, rows, width):
+        tests.append(rows)
+        return span(R, rows, width)
 
-    monkeypatch.setattr(gr, "_solve_right_inverse", counted)
+    monkeypatch.setattr(fr, "standard_basis_tails", counted)
     gr.enumerate_units(T)
-    assert len(solves) == _orbit_count(T)
+    assert len(tests) == _orbit_count(T)
 
 
 def test_units_of_the_field_of_25_elements():
@@ -335,12 +341,18 @@ def test_subgroup_certifies_no_unique_product():
     assert gr.unique_product_search(H, sub, sub) is None
 
 
-def test_right_inverse_of_a_non_unit_is_refused_before_the_cap():
-    # 3·δ_e in Z/9[C6]: the row 3·x_e = 1 has non-unit coefficients and a
-    # unit right-hand side over the local ring Z/9, so elimination decides
-    # it before a search over the 9^6 > 729 values of the free unknowns
-    T = gr.TwistedGroupRing(fr.make_zmod(9), gp.cyclic_group(6))
-    assert gr._solve_right_inverse(T, T.delta(0, 3), cap=729) is None
+def test_right_inverse_of_a_non_unit_is_refused_before_the_cap(monkeypatch):
+    # 3·δ_e in Z/9[C3]: its columns 3·b_j lie in 3·(Z/9)³, so they do not
+    # span and the walk calls it a non-unit by elimination alone, with no
+    # solve and no search over values of free unknowns
+    def refused(*_, **__):
+        raise AssertionError("solved a linear system")
+
+    monkeypatch.setattr(fr, "solve_linear", refused)
+    T = gr.TwistedGroupRing(fr.make_zmod(9), gp.cyclic_group(3))
+    walk = dict(gr._unit_walk(T, cap=729))
+    assert walk[T.delta(0, 3)] is False
+    assert sum(walk.values()) == 486
 
 
 def test_elements_cap():

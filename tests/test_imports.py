@@ -65,3 +65,27 @@ def test_the_package_reads_no_compose_or_values_view():
                      and node.attr in ("compose", "values")
                      and id(node) not in called)
     assert reads == []
+
+
+def test_the_package_solves_a_linear_system_for_the_dagger_only():
+    # the kernel and invertibility questions are spanning tests
+    # (finring.standard_basis_tails); solve_linear finds daggers alone
+    callers = []
+    for module in MODULES:
+        path = os.path.join(SRC, "quasicartan", f"{module}.py")
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+
+        def walk(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                    walk(child, scope + [child.name])
+                    continue
+                if isinstance(child, ast.Call) and "solve_linear" in (
+                        getattr(child.func, "attr", None),
+                        getattr(child.func, "id", None)):
+                    callers.append(".".join([module] + scope))
+                walk(child, scope)
+
+        walk(tree, [])
+    assert callers == ["pairs.Pair._solve_dagger_system"]

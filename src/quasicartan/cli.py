@@ -12,51 +12,101 @@ import re
 import sys
 
 from . import finring, groupoid as gpd, grouprings, pairs as pairs_mod, \
-    reconstruct, steinberg, twist as twist_mod
+    reconstruct, twist as twist_mod
 from .finring import CapExceeded, DEFAULT_CAP, InputError
+
+
+def _forms(**patterns):
+    return {form: re.compile(pattern) for form, pattern in patterns.items()}
+
+
+_GROUPS = {"cyclic": r"cyclic\(([1-9]\d*)\)", "klein": r"klein"}
+_GROUPOID = _forms(
+    full_relation=r"full_relation\(([1-9]\d*)\)",
+    **{form: rf"group\({pattern}\)" for form, pattern in _GROUPS.items()},
+    objects=r"objects\s*=\s*(.+)", arrow=r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)",
+    compose=r"(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)")
+_COCYCLE = _forms(trivial=r"trivial",
+                  c=r"c\((.+?)\s*,\s*(.+?)\)\s*=\s*(\S+)")
+_TABLE = r":\s*(\S+)\s+(\S+)\s*=\s*(\S+)"
+
+# The row grammar: section -> {form: pattern}.  A row is the first form of
+# its section whose pattern matches it in full, read as (form, groups).
+# Its key is the form and every group but the last, the value; a section
+# gives each key once.
+SECTIONS = {
+    "ring": _forms(zmod=r"(?:ring\s*=\s*)?zmod\((\d+)\)",
+                   gf=r"(?:ring\s*=\s*)?gf\((\d+)\s*,\s*(\d+)\)"),
+    "ring.tables": _forms(elements=r"elements\s*=\s*(.+)",
+                          zero=r"zero\s*=\s*(\S+)", one=r"one\s*=\s*(\S+)",
+                          add="add" + _TABLE, mul="mul" + _TABLE),
+    "groupoid": _GROUPOID, "groupoid2": _GROUPOID,
+    "cocycle": _COCYCLE, "cocycle2": _COCYCLE,
+    "group": _forms(**_GROUPS),
+    "algebra": _forms(basis=r"basis\s*=\s*(.+)",
+                      product=r"(\S+)\s*\*\s*(\S+)\s*=\s*(.+)"),
+    "pair": _forms(sub_basis=r"sub_basis\s*=\s*(.+)"),
+    "options": _forms(cap=r"cap\s*=\s*(\d+)", oracle=r"oracle\s*=\s*(on|off)"),
+    "upp": _forms(group=r"group\s*=\s*(\S+)", A=r"A\s*=\s*(.+)",
+                  B=r"B\s*=\s*(.+)"),
+}
+_HEADER = re.compile(r"\[([a-zA-Z0-9_.]+)\]")
 
 
 class InputDocument:
     def __init__(self):
-        self.sections = {}   # name -> list of (lineno, text)
+        # name -> list of (lineno, text, form, groups)
+        self.sections = {}
+
+
+def _read(section, text):
+    """The (form, groups) of text in a section, or None."""
+    for form, pattern in SECTIONS[section].items():
+        m = pattern.fullmatch(text)
+        if m:
+            return form, m.groups()
+    return None
+
+
+def _twice(lineno, text, first):
+    """A key given twice in one section is malformed, as the later row
+    would replace the earlier one."""
+    return InputError(f"line {lineno}: {text.split('=', 1)[0].strip()} "
+                      f"is given twice, first on line {first}")
 
 
 def parse_input(text):
+    """Every row read once through SECTIONS; rows before the first header
+    are [ring] rows.  An unknown section, a row that matches no form of
+    its section and a key given twice are refused."""
     doc = InputDocument()
-    current = None
+    current, first = "ring", {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = re.fullmatch(r"\[([a-zA-Z0-9_.]+)\]", line)
+        m = _HEADER.fullmatch(line)
         if m:
             current = m.group(1)
+            if current not in SECTIONS:
+                raise InputError(f"line {lineno}: unknown section [{current}]")
             doc.sections.setdefault(current, [])
             continue
-        if current is None:
-            # allow a bare top-level `ring = ...` row
-            if line.startswith("ring"):
-                doc.sections.setdefault("ring", []).append((lineno, line))
-                continue
-            raise InputError(f"line {lineno}: content before any [section]")
-        doc.sections[current].append((lineno, line))
+        read = _read(current, line)
+        if read is None:
+            raise InputError(f"line {lineno}: bad {current} row {line!r}")
+        key = (current, read[0], *read[1][:-1])
+        if key in first:
+            raise _twice(lineno, line, first[key])
+        first[key] = lineno
+        doc.sections.setdefault(current, []).append((lineno, line, *read))
     return doc
 
 
-def _section_value(doc, name):
-    rows = doc.sections.get(name, [])
-    if len(rows) != 1:
-        return None
-    return rows[0][1]
-
-
-def _once(seen, key, lineno, line):
-    """Record the key of a row in seen; a key given twice in one section
-    is malformed, as the later row would replace the earlier one."""
-    if key in seen:
-        raise InputError(f"line {lineno}: {line.split('=', 1)[0].strip()} "
-                         f"is given twice, first on line {seen[key]}")
-    seen[key] = lineno
+def _values(rows):
+    """{form: value} of a section's rows: the value of its one row for a
+    form keyed by its name alone."""
+    return {form: groups[-1] for _, _, form, groups in rows}
 
 
 def _int(digits):
@@ -75,60 +125,44 @@ def _check_size(size, cap):
 
 
 def build_ring(doc, cap=DEFAULT_CAP):
-    rows = doc.sections.get("ring")
     tables = doc.sections.get("ring.tables")
     if tables is not None:
         return _ring_from_tables(tables)
+    rows = doc.sections.get("ring")
     if not rows:
         raise InputError("missing [ring] section")
     if len(rows) != 1:
         raise InputError(f"line {rows[1][0]}: [ring] takes a single row")
-    lineno, line = rows[0]
+    lineno, _, form, groups = rows[0]
     try:
         # the add and mul tables have |R|² entries each
-        m = re.fullmatch(r"(?:ring\s*=\s*)?zmod\((\d+)\)", line)
-        if m:
-            n = int(m.group(1))
+        if form == "zmod":
+            n = int(groups[0])
             _check_size(n * n, cap)
             return finring.make_zmod(n)
-        m = re.fullmatch(r"(?:ring\s*=\s*)?gf\((\d+)\s*,\s*(\d+)\)", line)
-        if m:
-            p, k = int(m.group(1)), int(m.group(2))
-            # past cap.bit_length() the power already exceeds the cap
-            _check_size(p ** (2 * min(k, cap.bit_length())), cap)
-            return finring.make_gf(p, k)
+        p, k = int(groups[0]), int(groups[1])
+        # past cap.bit_length() the power already exceeds the cap
+        _check_size(p ** (2 * min(k, cap.bit_length())), cap)
+        return finring.make_gf(p, k)
     except ValueError as exc:
         raise InputError(f"line {lineno}: {exc}")
-    raise InputError(f"line {lineno}: cannot parse ring spec {line!r}")
 
 
 def _ring_from_tables(rows):
-    elements, zero, one = None, None, None
-    add_rows, mul_rows, seen = {}, {}, {}
-    for lineno, line in rows:
-        if line.startswith("elements"):
-            _once(seen, "elements", lineno, line)
-            elements = line.split("=", 1)[1].split()
-        elif line.startswith("zero"):
-            _once(seen, "zero", lineno, line)
-            zero = line.split("=", 1)[1].strip()
-        elif line.startswith("one"):
-            _once(seen, "one", lineno, line)
-            one = line.split("=", 1)[1].strip()
-        else:
-            m = re.fullmatch(r"(add|mul):\s*(\S+)\s+(\S+)\s*=\s*(\S+)", line)
-            if not m:
-                raise InputError(f"line {lineno}: bad table row {line!r}")
-            _once(seen, m.group(1, 2, 3), lineno, line)
-            table = add_rows if m.group(1) == "add" else mul_rows
-            table[(m.group(2), m.group(3))] = m.group(4)
-    if elements is None or zero is None or one is None:
+    values = _values(rows)
+    if not {"elements", "zero", "one"} <= values.keys():
         raise InputError("[ring.tables] needs elements, zero and one")
+    tables = {"add": {}, "mul": {}}
+    for _, _, form, groups in rows:
+        if form in tables:
+            tables[form][groups[:2]] = groups[2]
+    elements = values["elements"].split()
     index = {e: i for i, e in enumerate(elements)}
     try:
-        add = [[index[add_rows[(a, b)]] for b in elements] for a in elements]
-        mul = [[index[mul_rows[(a, b)]] for b in elements] for a in elements]
-        R = finring.FiniteRing("custom", elements, add, mul, index[zero], index[one])
+        add, mul = ([[index[table[(a, b)]] for b in elements] for a in elements]
+                    for table in tables.values())
+        R = finring.FiniteRing("custom", elements, add, mul,
+                               index[values["zero"]], index[values["one"]])
     except KeyError as missing:
         raise InputError(f"[ring.tables] missing entry for {missing}")
     except ValueError as exc:
@@ -139,15 +173,20 @@ def _ring_from_tables(rows):
     return R
 
 
-def _parse_group(spec, cap=DEFAULT_CAP):
-    m = re.fullmatch(r"cyclic\(([1-9]\d*)\)", spec)
-    if m:
-        n = _int(m.group(1))
-        _check_size(n * n, cap)  # the product table
-        return gpd.cyclic_group(n)
-    if spec == "klein":
+def _group(form, groups, cap=DEFAULT_CAP):
+    """The group of a [group] row."""
+    if form == "klein":
         return gpd.direct_product_group(gpd.cyclic_group(2), gpd.cyclic_group(2))
-    raise InputError(f"cannot parse group spec {spec!r}")
+    n = _int(groups[0])
+    _check_size(n * n, cap)  # the product table
+    return gpd.cyclic_group(n)
+
+
+def _parse_group(spec, cap=DEFAULT_CAP):
+    read = _read("group", spec)
+    if read is None:
+        raise InputError(f"cannot parse group spec {spec!r}")
+    return _group(*read, cap)
 
 
 def _arrow_token(token, G):
@@ -169,34 +208,26 @@ def build_groupoid(doc, section="groupoid", cap=DEFAULT_CAP):
     rows = doc.sections.get(section)
     if not rows:
         raise InputError(f"missing [{section}] section")
-    first = rows[0][1]
-    m = re.fullmatch(r"full_relation\(([1-9]\d*)\)", first)
-    if m:
-        n = _int(m.group(1))
+    _, _, form, groups = rows[0]
+    if len(rows) == 1 and form == "full_relation":
+        n = _int(groups[0])
         _check_size(n ** 3, cap)  # the composition table
         return gpd.full_relation(n)
-    m = re.fullmatch(r"group\((.+)\)", first)
-    if m:
-        return gpd.group_as_groupoid(_parse_group(m.group(1), cap))
-    # explicit form
-    objects, arrows, src, rng, compose, seen = None, [], {}, {}, {}, {}
-    for lineno, line in rows:
-        if line.startswith("objects"):
-            _once(seen, "objects", lineno, line)
-            objects = line.split("=", 1)[1].split()
-            continue
-        m = re.fullmatch(r"(\S+)\s*:\s*(\S+)\s*->\s*(\S+)", line)
-        if m:
-            arrows.append(m.group(1))
-            src[m.group(1)] = m.group(2)
-            rng[m.group(1)] = m.group(3)
-            continue
-        m = re.fullmatch(r"(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)", line)
-        if m:
-            _once(seen, m.group(1, 2), lineno, line)
-            compose[m.group(1, 2)] = m.group(3)
-            continue
-        raise InputError(f"line {lineno}: bad groupoid row {line!r}")
+    if len(rows) == 1 and form in _GROUPS:
+        return gpd.group_as_groupoid(_group(form, groups, cap))
+    objects, arrows, src, rng, compose = None, [], {}, {}, {}
+    for lineno, line, form, groups in rows:
+        if form == "objects":
+            objects = groups[0].split()
+        elif form == "arrow":
+            a = groups[0]
+            arrows.append(a)
+            src[a], rng[a] = groups[1:]
+        elif form == "compose":
+            compose[groups[:2]] = groups[2]
+        else:
+            raise InputError(f"line {lineno}: {line} must be the only row "
+                             f"of [{section}]")
     if objects is None:
         raise InputError(f"[{section}] needs an objects row")
     try:
@@ -215,24 +246,23 @@ def build_cocycle(doc, R, G, section="cocycle"):
 
 
 def _parse_cocycle(doc, R, G, section="cocycle"):
-    """The cocycle of a section as written; ConvolutionAlgebra checks it."""
+    """The cocycle of a section as written; ConvolutionAlgebra checks it.
+    A pair is keyed by the arrows its tokens name."""
     rows = doc.sections.get(section)
     if rows is None:
         raise InputError(f"missing [{section}] section")
-    values, seen = {}, {}
-    for lineno, line in rows:
-        if line == "trivial":
+    values, first = {}, {}
+    for lineno, line, form, groups in rows:
+        if form == "trivial":
             continue
-        m = re.fullmatch(r"c\((.+?)\s*,\s*(.+?)\)\s*=\s*(\S+)", line)
-        if not m:
-            raise InputError(f"line {lineno}: bad cocycle row {line!r}")
-        a = _arrow_token(m.group(1), G)
-        b = _arrow_token(m.group(2), G)
+        a, b = _arrow_token(groups[0], G), _arrow_token(groups[1], G)
         if G.src[a] != G.rng[b]:
-            raise InputError(f"line {lineno}: pair ({m.group(1)},{m.group(2)}) "
+            raise InputError(f"line {lineno}: pair ({groups[0]},{groups[1]}) "
                              "is not composable")
-        _once(seen, (a, b), lineno, line)
-        values[(a, b)] = _ring_element(R, m.group(3), lineno)
+        if (a, b) in first:
+            raise _twice(lineno, line, first[(a, b)])
+        first[(a, b)] = lineno
+        values[(a, b)] = _ring_element(R, groups[2], lineno)
     return twist_mod.Cocycle(R, G, values)
 
 
@@ -265,40 +295,32 @@ def build_abstract_pair(doc, R, cap):
     rows = doc.sections.get("algebra")
     if not rows:
         raise InputError("missing [algebra] section")
-    labels, product_rows, seen = None, [], {}
-    for lineno, line in rows:
-        if line.startswith("basis"):
-            _once(seen, "basis", lineno, line)
-            labels = line.split("=", 1)[1].split()
-            if len(set(labels)) < len(labels):
-                raise InputError(f"line {lineno}: a basis label is repeated")
-        else:
-            m = re.fullmatch(r"(\S+)\s*\*\s*(\S+)\s*=\s*(.+)", line)
-            if not m:
-                raise InputError(f"line {lineno}: bad algebra row {line!r}")
-            _once(seen, m.group(1, 2), lineno, line)
-            product_rows.append((lineno, m.group(1), m.group(2), m.group(3)))
-    if labels is None:
+    basis = [row for row in rows if row[2] == "basis"]
+    if not basis:
         raise InputError("[algebra] needs a basis row")
+    lineno, _, _, (spec,) = basis[0]
+    labels = spec.split()
+    if len(set(labels)) < len(labels):
+        raise InputError(f"line {lineno}: a basis label is repeated")
     _check_size(R.size ** len(labels), cap)  # |A|, before A is built
     structure = {}
-    for lineno, a, b, rhs in product_rows:
-        if a not in labels or b not in labels:
-            raise InputError(f"line {lineno}: unknown basis label")
-        structure[(labels.index(a), labels.index(b))] = \
-            _parse_combination(rhs, labels, R, lineno)
+    for lineno, _, form, groups in rows:
+        if form == "product":
+            a, b, rhs = groups
+            if a not in labels or b not in labels:
+                raise InputError(f"line {lineno}: unknown basis label")
+            structure[(labels.index(a), labels.index(b))] = \
+                _parse_combination(rhs, labels, R, lineno)
     try:
         A = pairs_mod.AbstractAlgebra("custom", R, labels, structure)
     except ValueError as exc:
         raise InputError(str(exc))
-    sub_basis, seen = [], {}
-    for lineno, line in doc.sections.get("pair", []):
-        if line.startswith("sub_basis"):
-            _once(seen, "sub_basis", lineno, line)
-            sub_basis = [_parse_combination(e, labels, R, lineno)
-                         for e in line.split("=", 1)[1].split(",")]
-    if not sub_basis:
+    rows = doc.sections.get("pair")
+    if not rows:
         raise InputError("[pair] needs a sub_basis row")
+    lineno, _, _, (spec,) = rows[0]
+    sub_basis = [_parse_combination(e, labels, R, lineno)
+                 for e in spec.split(",")]
     try:
         return pairs_mod.Pair(
             A, [[v.get(i, R.zero) for i in range(A.dim)] for v in sub_basis],
@@ -308,17 +330,9 @@ def build_abstract_pair(doc, R, cap):
 
 
 def get_options(doc):
-    cap, oracle, seen = DEFAULT_CAP, False, {}
-    for lineno, line in doc.sections.get("options", []):
-        m = re.fullmatch(r"(cap)\s*=\s*(\d+)|(oracle)\s*=\s*(on|off)", line)
-        if not m:
-            raise InputError(f"line {lineno}: bad options row {line!r}")
-        _once(seen, m.group(1) or m.group(3), lineno, line)
-        if m.group(1):
-            cap = _int(m.group(2))
-        else:
-            oracle = m.group(4) == "on"
-    return cap, oracle
+    options = _values(doc.sections.get("options", []))
+    cap = _int(options["cap"]) if "cap" in options else DEFAULT_CAP
+    return cap, options.get("oracle") == "on"
 
 
 def _flag(v):
@@ -414,25 +428,20 @@ def cmd_reconstruct(doc, cap, oracle):
     if not res["phi_surjective"]:
         report.append("embedding misses some rebuilt points; "
                       "pair is not quasi-Cartan")
-    summary = {
-        "aqp": _flag(res["aqp"]),
-        "lbh": _flag(res["lbh"]),
-        "phi_injective": _flag(res["phi_injective"]),
-        "phi_surjective": _flag(res["phi_surjective"]),
-        "sigma_points": str(res["sigma_points"]),
-        "sigma_prime_points": str(res["sigma_prime_points"]),
-        "g_prime_arrows": str(res["g_prime_arrows"]),
-        "consistent": _flag(res["consistent"]),
-    }
+    summary = {key: _flag(res[key]) for key in
+               ("aqp", "lbh", "phi_injective", "phi_surjective")}
+    summary.update((key, str(res[key])) for key in
+                   ("sigma_points", "sigma_prime_points", "g_prime_arrows"))
+    summary["consistent"] = _flag(res["consistent"])
     return report, summary, 0 if res["consistent"] else 1
 
 
 def cmd_units(doc, cap, oracle):
     R = build_ring(doc, cap)
-    spec = _section_value(doc, "group")
-    if spec is None:
+    rows = doc.sections.get("group", [])
+    if len(rows) != 1:
         raise InputError("units needs a [group] section with one row")
-    H = _parse_group(spec, cap)
+    H = _group(*rows[0][2:], cap)
     values = None
     if "cocycle" in doc.sections:
         c = _parse_cocycle(doc, R, gpd.group_as_groupoid(H))
@@ -453,10 +462,10 @@ def cmd_units(doc, cap, oracle):
     return report, summary, 0
 
 
-def _parse_subset(line, rank):
-    """The elements of an [upp] A or B row as integer tuples of length rank."""
+def _parse_subset(value, rank):
+    """The elements of an [upp] A or B value as integer tuples of length rank."""
     out = []
-    for token in line.split("=", 1)[1].split():
+    for token in value.split():
         parts = token.strip("()").split(",")
         if len(parts) != rank:
             raise InputError(f"subset element {token!r} has wrong rank")
@@ -470,23 +479,10 @@ def _parse_subset(line, rank):
 
 
 def cmd_upp(doc, cap, oracle):
-    rows = doc.sections.get("upp")
-    if not rows:
-        raise InputError("missing [upp] section")
-    group_spec, a_line, b_line, seen = "z", None, None, {}
-    for lineno, line in rows:
-        if line.startswith(("group", "A", "B")):
-            _once(seen, line[0], lineno, line)
-        if line.startswith("group"):
-            group_spec = line.split("=", 1)[1].strip()
-        elif line.startswith("A"):
-            a_line = line
-        elif line.startswith("B"):
-            b_line = line
-        else:
-            raise InputError(f"line {lineno}: bad upp row {line!r}")
-    if a_line is None or b_line is None:
+    values = _values(doc.sections.get("upp", []))
+    if "A" not in values or "B" not in values:
         raise InputError("[upp] needs A and B rows")
+    group_spec = values.get("group", "z")
     if group_spec in ("z", "z1"):
         H, rank = "free_abelian", 1
     elif group_spec == "z2":
@@ -495,8 +491,8 @@ def cmd_upp(doc, cap, oracle):
         H = _parse_group(group_spec, cap)
         e = H.identity
         rank = len(e) if isinstance(e, tuple) else 1
-    A = _parse_subset(a_line, rank)
-    B = _parse_subset(b_line, rank)
+    A = _parse_subset(values["A"], rank)
+    B = _parse_subset(values["B"], rank)
     if H != "free_abelian":
         if rank == 1:  # cyclic group elements are plain integers
             A, B = [a for (a,) in A], [b for (b,) in B]
@@ -593,15 +589,17 @@ def main(argv=None):
                     "classification and twist reconstruction")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("input", help="path to a sectioned input file")
-    args = parser.parse_args(argv)
+
+    def refuse(message):  # a bad command line is malformed input
+        raise InputError(message)
+
+    parser.error = refuse
     try:
+        args = parser.parse_args(argv)
         with open(args.input, encoding="utf-8") as fh:
             doc = parse_input(fh.read())
         report_text, summary, code = run_command(doc, args.command)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     except CapExceeded as exc:

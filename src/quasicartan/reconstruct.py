@@ -156,6 +156,12 @@ def build_ultra_groupoid(pair):
     if not pair.has_local_units():
         raise ValueError("pair lacks local units")
     ug = UltraGroupoid(pair)
+    # to_twist fills one entry per composable pair (g, h) of G′, the
+    # classes h ending at src g: charged before a row is allocated
+    ending = Counter(ug.range[h] for h in ug.classes)
+    composable = sum(ending[ug.source[g]] for g in ug.classes)
+    if composable > pair.cap:
+        raise finring.CapExceeded(composable, pair.cap)
     c = ug.to_twist()
     bad = validate_groupoid(c.groupoid) or twist_mod.check_cocycle(c)
     if bad:

@@ -1,10 +1,12 @@
 import collections
 import os
+import re
 import resource
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasicartan import cli, groupoid as gpd, grouprings, pairs, \
     reconstruct, twist
@@ -360,6 +362,21 @@ def test_missing_file_exit_code(capsys):
     assert cli.main(["classify", "/nonexistent/input.txt"]) == 3
 
 
+@pytest.mark.parametrize("content", [None, b"[ring]\ngf(3,1)\n\xff\n"],
+                         ids=["directory", "not_utf8"])
+def test_an_unreadable_input_exit_code(content, tmp_path, capsys):
+    # an input that cannot be read as UTF-8 text is malformed, not a
+    # theorem failure
+    path = tmp_path / "input.txt"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert cli.main(["classify", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_bad_cocycle_exit_code(tmp_path, capsys):
     bad = CLASSIFY_PAIR2.replace("trivial", "c(1-2, 2-1) = 0")
     code, _ = _run("classify", bad, tmp_path, capsys)
@@ -487,6 +504,19 @@ def test_check_exits_on_the_cap_before_building_a_large_twist(tmp_path):
     result = _run_limited("check", path)
     assert result.returncode == 2, result.stderr
     assert result.stderr.startswith("cap exceeded:")
+
+
+def test_reconstruct_charges_the_rebuilt_class_table(tmp_path):
+    # GF(3)[C9] fails LBH, so G′ has 6,561 classes on one object and
+    # 6,561² composable pairs, past the default cap: they are charged
+    # before to_twist allocates a row, within 5 s and a 1 GB address space
+    path = tmp_path / "input.txt"
+    path.write_text("[ring]\ngf(3,1)\n[groupoid]\ngroup(cyclic(9))\n"
+                    "[cocycle]\ntrivial\n")
+    result = _run_limited("reconstruct", path, timeout=5, limit=1_000_000_000)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == "cap exceeded: search size 43046721 exceeds " \
+                            "cap 1000000\n"
 
 
 @pytest.mark.parametrize("ring, n", [("gf(2,1)", 24), ("gf(3,1)", 13),
@@ -735,9 +765,12 @@ trivial
     assert summary["acp"] == "false"  # the base has isotropy
 
 
-def test_unknown_command_rejected(tmp_path):
-    with pytest.raises(SystemExit):
-        cli.main(["frobnicate", "x.txt"])
+def test_unknown_command_rejected(tmp_path, capsys):
+    # a bad command line is malformed input: exit 3, not argparse's 2,
+    # which is the cap's code
+    assert cli.main(["frobnicate", "x.txt"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "input error: argument command: invalid choice: 'frobnicate'")
 
 
 def _explicit_full_relation_3(replace=None):
@@ -1024,3 +1057,120 @@ def test_a_key_given_twice_in_a_section_is_refused(command, text, row, again,
     assert (code, capsys.readouterr().err) == (
         3, f"input error: line {first + 1}: {key} is given twice, "
            f"first on line {first}\n")
+
+
+# name -> (command, input, the line refused): rows that the row grammar
+# does not accept, each of which a reader that matched keys by prefix or
+# skipped unknown rows and sections read as some other input
+UNREAD = {
+    "pair_row": ("classify", ABSTRACT_PAIR + "this row is ignored\n", 11),
+    "after_full_relation": ("classify", CLASSIFY_PAIR2.replace(
+        "full_relation(2)\n", "full_relation(2)\nthis is not a row\n"), 5),
+    "objects_after_full_relation": ("classify", CLASSIFY_PAIR2.replace(
+        "full_relation(2)\n", "full_relation(2)\nobjects = x\n"), 4),
+    "basis_prefix": ("classify", ABSTRACT_PAIR.replace(
+        "basis = e n", "basis_of_mine = e n"), 4),
+    "sub_basis_prefix": ("classify", ABSTRACT_PAIR.replace(
+        "sub_basis = e", "sub_basisx = e"), 10),
+    "objects_prefix": ("classify", EXPLICIT_C2_GF5.replace(
+        "objects = x", "objectsX = x"), 4),
+    "elements_prefix": ("classify", RING_TABLES_GF2.replace(
+        "elements = 0 1", "elements_x = 0 1"), 2),
+    "one_prefix": ("classify", RING_TABLES_GF2.replace("one = 1", "oneish = 1"),
+                   4),
+    "upp_prefix": ("upp", UPP_Z.replace("A = 0 1 5", "Alpha = (0) (1)"), 3),
+    "unknown_section": ("classify", CLASSIFY_PAIR2 + "[optoins]\ncap = 10\n", 7),
+}
+
+
+@pytest.mark.parametrize("command, text, line", list(UNREAD.values()),
+                         ids=list(UNREAD))
+def test_a_row_outside_the_grammar_is_refused(command, text, line, tmp_path,
+                                              capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 3
+    assert capsys.readouterr().err.startswith(f"input error: line {line}: ")
+
+
+GRAMMAR_CAP = 1000
+# section -> a row of one of its forms, drawn from the form's pattern in
+# printable ASCII without the comment sign, so that it stays one row
+GRAMMAR_ROWS = {
+    name: st.one_of([st.from_regex(pattern, fullmatch=True, alphabet=st.characters(
+        min_codepoint=32, max_codepoint=126, exclude_characters="#"))
+        for pattern in forms.values()])
+    for name, forms in cli.SECTIONS.items()}
+GRAMMAR_BASES = [CLASSIFY_PAIR2, ABSTRACT_PAIR, EXPLICIT_C2_GF5, RING_TABLES_GF2,
+                 UNITS_Z4 + "[cocycle]\nc(1, 1) = 3\n", UPP_Z, COMPARE_GF5]
+
+
+@st.composite
+def _grammar_documents(draw):
+    """An input of the suite with up to three rows of the grammar inserted,
+    each drawn for the section it lands in, a line dropped or a line of
+    any text inserted."""
+    lines = draw(st.sampled_from(GRAMMAR_BASES)).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        headers = [line[1:-1] for line in lines[:at] if line.startswith("[")]
+        lines.insert(at, draw(GRAMMAR_ROWS[headers[-1] if headers else "ring"]))
+    if draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=20)))
+    return "\n".join(lines) + "\n"
+
+
+def _built(build, *args):
+    """build(*args), or None where it refuses the input or meets the cap."""
+    try:
+        return build(*args)
+    except (cli.InputError, cli.CapExceeded):
+        return None
+
+
+@settings(max_examples=120)
+@given(_grammar_documents())
+def test_a_document_of_the_grammar_is_built_or_refused(text):
+    # the fuzz seed of the input format: whatever rows the table accepts,
+    # parsing and every builder end in a value, InputError or CapExceeded
+    doc = _built(cli.parse_input, text)
+    if doc is None:
+        return
+    _built(cli.get_options, doc)
+    for command in ("units", "upp"):
+        _built(cli.COMMANDS[command], doc, GRAMMAR_CAP, False)
+    R = _built(cli.build_ring, doc, GRAMMAR_CAP)
+    if R is None:
+        return
+    _built(cli.build_abstract_pair, doc, R, GRAMMAR_CAP)
+    for groupoid, cocycle in (("groupoid", "cocycle"), ("groupoid2", "cocycle2")):
+        G = _built(cli.build_groupoid, doc, groupoid, GRAMMAR_CAP)
+        if G is not None:
+            _built(cli.build_cocycle, doc, R, G, cocycle)
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def _readme_examples():
+    """(command, input) of each block under README's "Example inputs": the
+    command is the first one the text before the block names."""
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("### Example inputs\n", 1)[1]
+    parts = re.split(r"\n#+ ", section, maxsplit=1)[0].split("```")
+    names = re.compile(r"\b(" + "|".join(cli.COMMANDS) + r")\b", re.IGNORECASE)
+    return [(names.search(prose).group(1).lower(), block.lstrip("\n"))
+            for prose, block in zip(parts[0::2], parts[1::2])]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize("command, text", README_EXAMPLES, ids=[
+    f"{i}-{command}" for i, (command, _) in enumerate(README_EXAMPLES)])
+def test_the_readme_examples_run(command, text, tmp_path, capsys):
+    code, _ = _run(command, text, tmp_path, capsys)
+    assert code == 0

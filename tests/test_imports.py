@@ -89,3 +89,12 @@ def test_the_package_solves_a_linear_system_for_the_dagger_only():
 
         walk(tree, [])
     assert callers == ["pairs.Pair._solve_dagger_system"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_parses_as_python_3_10(module):
+    # pyproject promises requires-python >= 3.10; the grammar of that
+    # version is checked here whatever the interpreter's own version
+    path = os.path.join(SRC, "quasicartan", f"{module}.py")
+    with open(path, encoding="utf-8") as fh:
+        ast.parse(fh.read(), filename=path, feature_version=(3, 10))

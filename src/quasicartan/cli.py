@@ -125,10 +125,11 @@ def _check_size(size, cap):
 
 
 def build_ring(doc, cap=DEFAULT_CAP):
-    tables = doc.sections.get("ring.tables")
+    tables, rows = doc.sections.get("ring.tables"), doc.sections.get("ring")
     if tables is not None:
+        if rows is not None:
+            raise InputError("give either [ring] or [ring.tables], not both")
         return _ring_from_tables(tables)
-    rows = doc.sections.get("ring")
     if not rows:
         raise InputError("missing [ring] section")
     if len(rows) != 1:
@@ -247,12 +248,16 @@ def build_cocycle(doc, R, G, section="cocycle"):
 
 def _parse_cocycle(doc, R, G, section="cocycle"):
     """The cocycle of a section as written; ConvolutionAlgebra checks it.
-    A pair is keyed by the arrows its tokens name."""
+    A pair is keyed by the arrows its tokens name, and a trivial row is
+    refused beside c(a, b) rows, which it would contradict."""
     rows = doc.sections.get(section)
     if rows is None:
         raise InputError(f"missing [{section}] section")
     values, first = {}, {}
     for lineno, line, form, groups in rows:
+        if form != rows[0][2]:
+            raise InputError(f"line {lineno}: [{section}] gives both trivial "
+                             "and c(a, b) rows")
         if form == "trivial":
             continue
         a, b = _arrow_token(groups[0], G), _arrow_token(groups[1], G)

@@ -409,8 +409,9 @@ class Pair:
         an idempotent orthogonal to every atom, and if r were nonzero some
         atom e ≤ r would give e = e·r = 0.  Every n†n = n†un lies in B, and n = n·u = Σ_e n·e.
         So every normaliser lies in Σ_e ({0} ∪ S_e), S_e the minimal
-        normalisers with source e, and full checks these sums with
-        is_normaliser.  Without such a u, full scans every element of A.
+        normalisers with source e, and full builds the sums that are
+        normalisers (_full_normalisers).  Without such a u, full scans
+        every element of A.
 
         classify reads only minimal on pairs with local units (see
         _deciding_normalisers), so full serves check_lbh's cross-check for
@@ -431,10 +432,9 @@ class Pair:
 
     def _minimal_normalisers(self):
         """The nonzero normalisers of the corners f·A·e with source an atom
-        (enumerate_normalisers).  Each corner is walked in sorted order and
-        only the elements not yet decided are solved by dagger_of.  Without
-        local units nothing else is decided, so every nonzero corner element
-        is solved once.
+        (enumerate_normalisers), their daggers put in the dagger cache.
+        Without local units nothing else is known of them, so every nonzero
+        corner element is solved by dagger_of.
 
         With local units (an idempotent u of B that is an identity of A)
         the dagger is unique, and normalisers multiply with
@@ -444,75 +444,168 @@ class Pair:
         n†m†·mn·n†m† = n†m†, while n†m†·b·mn = n†(m†bm)n and
         mn·b·n†m† = m(nbn†)m† lie in B.
 
-        Let N_e be the nonzero normalisers of e·A·e, e an atom.  Each has
-        source e, and its range nn† = e·nn† is an atom ≤ e, so it is e.
-        Hence N_e is a group with identity e = e† and inverse n ↦ n†: the
-        source of mn is n†(m†m)n = n†n = e, so mn is not 0.  Three facts
-        then decide most of a corner without a solve.
-        - Orbits: if x in f·A·e is not a normaliser, neither is any x·g
-          with g in N_e, else x = x·e = (x·g)·g† would be one.  So one
-          solve decides the orbit of x under the group found so far,
-          walked over its generators.
-        - Group growth: a solved normaliser g of e·A·e joins N_e as a
-          generator, and the dagger of each new product is the product of
-          the daggers in reverse order.  The closure is Dimino's algorithm
-          (G. Butler, Fundamental Algorithms for Permutation Groups, LNCS
-          559, 1991): for H closed under the generators, the union U of H
-          and right cosets H·r with r·s in U for every coset
-          representative r and generator s is closed under right products
-          by the generators, as h·r·s lies in the coset of r·s.  So U is
-          the group ⟨H, g⟩, and each new coset costs |H| products.
-        - Cosets: if n₀ and n are minimal normalisers in f·A·e, then n₀†n
-          lies in N_e (n₀·n₀†n = f·n = n, so it is not 0) and
-          n = n₀·(n₀†n); conversely n₀·g is a normaliser and not 0, as
-          n₀·g·g† = n₀.  So the minimal normalisers of f·A·e are n₀·N_e
-          or none, and the walk of f·A·e stops at its first normaliser.
-        The daggers found this way go into the dagger cache.
+        Let N_e be the nonzero normalisers of e·A·e, e an atom.  Each n has
+        source e, and its range nn† = e·nn† is an atom ≤ e, so it is e;
+        n† = n†·n·n† lies in e·A·e too.  So N_e is a group of units of the
+        monoid e·A·e, with identity e = e† and n⁻¹ = n†: the source of mn
+        is n†(m†m)n = n†n = e, so mn is not 0.  A unit n of e·A·e lies in
+        N_e iff n⁻¹ is a dagger of n: then n is a normaliser and not 0,
+        and conversely n† = n⁻¹.  _corner_group finds N_e without a solve,
+        and _first_normaliser one minimal normaliser n₀ of each f·A·e,
+        f ≠ e.  Those of f·A·e are then n₀·N_e.  If n is another, n₀†n
+        lies in N_e (n₀·n₀†n = f·n = n, so it is not 0) and
+        n = n₀·(n₀†n); conversely n₀·g is a normaliser with dagger g⁻¹·n₀†,
+        and not 0, as n₀·g·g⁻¹ = n₀.
         """
         A = self.algebra
         _, atoms = self.idempotents_of_B()
-        local = self.has_local_units()
         zero, found = A.zero(), {}
-        for e in atoms:
-            # the minimal normalisers of e·A·e with their daggers: the
-            # group N_e under local units, seeded with e = e† unsolved
-            group, gens = ({e: e} if local else {}), []
-            for f in [e] + [a for a in atoms if a != e]:
-                members = group if f == e else {}
-                decided = {zero}
-                corner = A.span([A.mul(A.mul(f, b), e) for b in A.basis_vectors])
-                for n in sorted(corner):
-                    if n in decided or n in members:
-                        continue
+        # the nonzero f·b·e over the basis, which span f·A·e, with e·A·e
+        # first among the corners from e; f is applied to each b·e ≠ 0 only
+        right = {e: [A.mul(b, e) for b in A.basis_vectors] for e in atoms}
+        spanning = {(f, e): {A.mul(f, be) for be in right[e] if be != zero}
+                    - {zero} for e in atoms
+                    for f in [e] + [a for a in atoms if a != e]}
+        if not self.has_local_units():
+            for vectors in spanning.values():
+                for n in sorted(A.span(vectors) - {zero}):
                     k = self.dagger_of(n)
-                    if k is None:
-                        decided |= _orbit(A, n, gens)
-                    elif A.mul(k, n) not in atoms:
-                        continue
-                    elif not local:
-                        members[n] = k
-                    elif f == e:
-                        _adjoin(A, group, gens, n, k)
-                    else:
-                        members = {A.mul(n, g): A.mul(gd, k)
-                                   for g, gd in group.items()}
-                        break
-                found.update(members)
+                    if k is not None and A.mul(k, n) in atoms:
+                        found[n] = k
+        else:
+            groups = {e: self._corner_group(e, A.span(spanning[e, e]))
+                      for e in atoms}
+            for (f, e), xs in spanning.items():
+                if f == e:
+                    found.update(groups[e])
+                    continue
+                n0, k0 = self._first_normaliser(xs, spanning[e, f], groups[e])
+                if n0 is not None:
+                    found.update((A.mul(n0, g), A.mul(gd, k0))
+                                 for g, gd in groups[e].items())
         self._dagger_cache.update(((n, False), k) for n, k in found.items())
         return sorted(found)
 
-    def _full_normalisers(self):
+    def _corner_group(self, e, corner):
+        """N_e as {n: n⁻¹} (_minimal_normalisers): the units of the corner
+        e·A·e, a monoid with identity e, found by their powers, less those
+        whose inverse is not a dagger.
+
+        Powers.  In a finite monoid with identity e, x is a unit iff
+        x^m = e for some m ≥ 1: then x^(m−1) is its inverse (x⁰ = e), and
+        the powers of a unit x repeat, x^i = x^j with i < j, so
+        x^(j−i) = e.  A power x^j of a non-unit x is a non-unit, else
+        x·x^(j−1)·(x^j)⁻¹ = e would make x a unit: a right inverse in a
+        finite monoid is two-sided, since y ↦ x·y is then onto, so one to
+        one.  Each x of the corner not yet decided is walked through
+        x, x², … until the walk reaches
+        - a known unit p = x^(L+1): every power is a unit, with
+          (x^j)⁻¹ = x^(L+1−j)·p⁻¹, as p⁻¹ commutes with x;
+        - a known non-unit: x is one, so every power is one;
+        - a repeat x^j = x^i, i < j: were x a unit, x^(j−i) = e, known
+          from the start, would have stopped the walk before x^j, so
+          every power is a non-unit.
+        The walk decides every power it passes, so the corner costs about
+        one product per element and one per unit.
+
+        Membership.  Where B·e = R·e, the inverse k of every unit n is its
+        dagger, so no test is made: for b in B, e·b·e = b·e = λ·e for some
+        λ in R, so k·b·n = k·(e·b·e)·n = λ·e and n·b·k = λ·e lie in B, and
+        n·k·n = n, k·n·k = k.  B·e is spanned by the b·e over sub_basis,
+        so it is R·e iff each of these is a multiple of e: |sub_basis|
+        products, once per atom.  Elsewhere each unit is tested by
+        _is_dagger over sub_basis.
+        """
         A = self.algebra
-        _, atoms = self.idempotents_of_B()
+        inverse = {e: e, A.zero(): None}  # None for a non-unit
+        for x in sorted(corner):
+            walk, p = {}, x  # the powers x, x², … as an ordered set
+            while p not in inverse and p not in walk:
+                walk[p] = None
+                p = A.mul(p, x)
+            powers, p_inverse = list(walk), inverse.get(p)
+            inverse.update((xj, None if p_inverse is None else
+                            A.mul(powers[-j], p_inverse))
+                           for j, xj in enumerate(powers, 1))
+        multiples = {A.scale(t, e) for t in A.ring.all_indices()}
+        scalar = all(A.mul(b, e) in multiples for b in self.sub_basis)
+        return {n: k for n, k in inverse.items() if k is not None and
+                (scalar or self._is_dagger(n, k, self.sub_basis))}
+
+    def _first_normaliser(self, xs, ys, group):
+        """One minimal normaliser n₀ of f·A·e, f ≠ e, with its dagger, or
+        (None, None) when there is none, for xs and ys the nonzero f·b·e
+        and e·b·f over the basis and group N_e (_minimal_normalisers).
+
+        Pairing.  Let x in xs and y in ys have u = y·x in N_e, and set
+        k = u⁻¹·y.  Then k·x = e, so x·k·x = x and k·x·k = k; x is a
+        minimal normaliser with dagger k when k·b·x and x·b·k lie in B for
+        b in sub_basis (_is_dagger).  On a twist's arrow basis the one
+        arrow a from e to f gives x = δ_a and y = δ_a⁻¹.
+
+        Where no pair gives a dagger, the corner is walked in sorted order
+        by dagger_of.  A non-normaliser x decides x·N_e: if x·g were a
+        normaliser, so would x = x·e = (x·g)·g⁻¹ be.  The first nonzero
+        normaliser is n₀, its source being the atom e
+        (enumerate_normalisers).
+        """
+        A = self.algebra
+        for x, y in itertools.product(xs, ys):
+            u = A.mul(y, x)
+            if u in group:
+                k = A.mul(group[u], y)
+                if self._is_dagger(x, k, self.sub_basis):
+                    return x, k
+        decided = set()
+        for n in sorted(A.span(xs) - {A.zero()}):
+            if n not in decided:
+                k = self.dagger_of(n)
+                if k is not None:
+                    return n, k
+                decided.update(A.mul(n, g) for g in group)
+        return None, None
+
+    def _full_normalisers(self):
+        """Every normaliser.  Without local units A is scanned.  With them
+        the normalisers are the sums n = Σ_e m_e over the atoms e, with m_e
+        in {0} ∪ S_e, S_e the minimal normalisers with source e, and the
+        ranges of the nonzero m_e pairwise distinct; Σ_e m_e† is the
+        dagger of n, so no sum is solved.
+
+        Such a sum is a normaliser.  Let f_e be the range of m_e, so
+        m_e = f_e·m_e·e and m_e† = e·m_e†·f_e, and let k = Σ_e m_e†.  For
+        e ≠ e′, m_e·m_e′† = m_e·e·e′·m_e′† = 0, and
+        m_e†·m_e′ = m_e†·f_e·f_e′·m_e′ = 0 as f_e ≠ f_e′, the atoms being
+        orthogonal.  So n·k = Σ f_e and k·n = Σ e over the nonzero m_e,
+        n·k·n = Σ f_e·m_e = n and k·n·k = Σ e·m_e† = k.  For b in B,
+        f_e·b·f_e′ = b·f_e·f_e′, so k·b·n = Σ_e m_e†·b·m_e and
+        n·b·k = Σ_e m_e·b·m_e† lie in B.
+
+        Every normaliser n is such a sum: n = Σ_e n·e with n·e in
+        {0} ∪ S_e (enumerate_normalisers).  If n·e and n·e′ are not 0 and
+        have one range f = n·e·n†, then n†·f·n = e·n†n, the source of n·e,
+        which is e; likewise it is e′, so e = e′.
+        """
+        A = self.algebra
         if not self.has_local_units():
             return [n for n in A.all_elements(cap=self.cap)
                     if self.is_normaliser(n)]
-        by_source = {e: [A.zero()] for e in atoms}
+        _, atoms = self.idempotents_of_B()
+        zero = A.zero()
+        # (m, m†, range) by source, the range of 0 being None
+        by_source = {e: [(zero, zero, None)] for e in atoms}
         for m in self.enumerate_normalisers("minimal"):
-            by_source[A.mul(self.dagger_of(m), m)].append(m)
-        sums = {functools.reduce(A.add, parts, A.zero())
-                for parts in itertools.product(*by_source.values())}
-        return [n for n in sorted(sums) if self.is_normaliser(n)]
+            k = self.dagger_of(m)
+            by_source[A.mul(k, m)].append((m, k, A.mul(m, k)))
+        found = {}
+        for parts in itertools.product(*by_source.values()):
+            ranges = [f for _, _, f in parts if f is not None]
+            if len(set(ranges)) == len(ranges):
+                ms, ks, _ = zip(*parts)
+                found[functools.reduce(A.add, ms, zero)] = \
+                    functools.reduce(A.add, ks, zero)
+        self._dagger_cache.update(((n, False), k) for n, k in found.items())
+        return sorted(found)
 
     # -- order and free normalisers -----------------------------------
 
@@ -823,39 +916,6 @@ class Pair:
             raise AssertionError("implication ACP => AQP violated")
         self._classification = report
         return report
-
-
-def _orbit(A, x, gens):
-    """x·H for the group H generated by gens ((element, dagger) pairs),
-    walked over the generators: H is finite, so the right products by
-    gens reach all of it from x = x·e."""
-    orbit, frontier = {x}, [x]
-    while frontier:
-        y = frontier.pop()
-        for g, _ in gens:
-            z = A.mul(y, g)
-            if z not in orbit:
-                orbit.add(z)
-                frontier.append(z)
-    return orbit
-
-
-def _adjoin(A, group, gens, g, gd):
-    """Close group ({element: dagger}, closed under gens) under the new
-    generator g with dagger gd, in place, by Dimino's algorithm (see
-    Pair._minimal_normalisers): one right coset H·r of the old group H per
-    new representative r, the daggers by (h·r)† = r†·h†."""
-    old = list(group.items())
-    gens.append((g, gd))
-    group.update((A.mul(h, g), A.mul(gd, hd)) for h, hd in old)
-    reps = [(g, gd)]
-    for r, rd in reps:  # reps grows while it is walked
-        for s, sd in gens:
-            y = A.mul(r, s)
-            if y not in group:
-                yd = A.mul(sd, rd)
-                group.update((A.mul(h, y), A.mul(yd, hd)) for h, hd in old)
-                reps.append((y, yd))
 
 
 def pair_from_twist(cocycle, cap=DEFAULT_CAP):

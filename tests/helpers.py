@@ -182,6 +182,7 @@ def matrix_pair(n, p, k=1):
 
 FULL = [(1, 1), (1, 2), (2, 1), (2, 2)]
 UPPER = [(1, 1), (1, 2), (2, 2)]
+SQUARED = FULL + [(i + 2, j + 2) for i, j in FULL]
 
 
 def matrix_units(R, units, extra=()):
@@ -233,6 +234,11 @@ ABSTRACT_PAIRS = {
     # B = g·D·g⁻¹ for g = 1 + e12: e11 + 2·e12 and e22 + e12
     "m2_gf3_conjugated": (fr.make_gf(3), matrix_units(fr.make_gf(3), FULL),
                           [[(1, 1), (1, 2), (1, 2)], [(2, 2), (1, 2)]], True),
+    # B = span(e11 + e33, e22 + e44) in M_2 ⊕ M_2: e21 + e43 is a minimal
+    # normaliser, but no product e12·e21, e34·e43 of spanning vectors of
+    # the corners is a unit of span(e11, e33)
+    "m2_squared_gf2": (fr.make_gf(2), matrix_units(fr.make_gf(2), SQUARED),
+                       [[(1, 1), (3, 3)], [(2, 2), (4, 4)]], True),
     # B = span(1, 2x) has 8 elements: 2x is left without a unit pivot
     "z4_dual_2x": (fr.make_zmod(4), dual_numbers(fr.make_zmod(4)),
                    [["1"], ["x", "x"]], True),

@@ -743,6 +743,33 @@ def test_ring_tables_input(tmp_path, capsys):
     assert cli.parse_summary(out)["aqp"] == "true"
 
 
+@pytest.mark.parametrize("command", ["classify", "units"])
+def test_ring_and_ring_tables_together_are_refused(tmp_path, capsys,
+                                                   command):
+    # the tables would be read and the [ring] row dropped unseen
+    text = "[ring]\ngf(3,1)\n" + RING_TABLES_GF2
+    if command == "units":
+        text = text.split("[groupoid]")[0] + "[group]\ncyclic(2)\n"
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 3
+    assert capsys.readouterr() == (
+        "", "input error: give either [ring] or [ring.tables], not both\n")
+
+
+@pytest.mark.parametrize("rows", [["trivial", "c(1, 1) = 4"],
+                                  ["c(1, 1) = 4", "trivial"]])
+def test_a_trivial_cocycle_with_values_is_refused(tmp_path, capsys, rows):
+    # the second of the two rows, on line 7, contradicts the first
+    text = "\n".join(["[ring]", "gf(5,1)", "[groupoid]", "group(cyclic(2))",
+                      "[cocycle]", *rows]) + "\n"
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert cli.main(["classify", str(path)]) == 3
+    assert capsys.readouterr() == ("", "input error: line 7: [cocycle] gives "
+                                   "both trivial and c(a, b) rows\n")
+
+
 def test_explicit_groupoid_input(tmp_path, capsys):
     text = """\
 [ring]

@@ -370,23 +370,28 @@ def _group_twist(R, n, values=None):
     return tw.Cocycle(R, gp.group_as_groupoid(gp.cyclic_group(n)), values or {})
 
 
-@pytest.mark.parametrize("name, build, points, solves", [
-    # one atom: one solve per orbit of a non-normaliser under the group of
-    # minimal normalisers found so far, and one per new generator
-    ("z4_klein", klein_z4_pair, 128, 32),
-    ("gf3_c6", lambda: pr.pair_from_twist(_group_twist(fr.make_gf(3), 6)),
-     324, 22),
-    # M_3(GF(3)): the atom e_ii is no solve, 2·e_ii is, and the group
-    # {e_ii, 2·e_ii} then decides each corner after its first normaliser
-    ("m3_gf3", lambda: pr.pair_from_twist(
-        tw.trivial_cocycle(fr.make_gf(3), gp.full_relation(3))), 18, 9),
-])
-def test_minimal_normalisers_solve_once_per_orbit(monkeypatch, name, build,
-                                                  points, solves):
+def _m3_gf3():
+    return pr.pair_from_twist(
+        tw.trivial_cocycle(fr.make_gf(3), gp.full_relation(3)))
+
+
+@pytest.mark.parametrize("build, mode, count", [
+    # one atom: the units of the corner A by their powers
+    (klein_z4_pair, "minimal", 128),
+    (lambda: pr.pair_from_twist(_group_twist(fr.make_gf(3), 6)), "minimal",
+     324),
+    # each off-diagonal corner of M_3(GF(3)) from one arrow and its inverse
+    (_m3_gf3, "minimal", 18),
+    # M_2(Z/4): 1 + 4 + 4 + 8 sums of at most one minimal normaliser per
+    # source, with distinct ranges, each with its dagger
+    (lambda: pr.pair_from_twist(
+        tw.trivial_cocycle(fr.make_zmod(4), gp.full_relation(2))), "full", 17),
+], ids=["z4_klein", "gf3_c6", "m3_gf3", "m2_z4_full"])
+def test_twist_normalisers_take_no_solve(monkeypatch, build, mode, count):
     pair = build()
     calls = _count_solves(monkeypatch)
-    assert len(pair.enumerate_normalisers("minimal")) == points
-    assert len(calls) == solves
+    assert len(pair.enumerate_normalisers(mode)) == count
+    assert calls == []
 
 
 @pytest.mark.parametrize("name, solves", [
@@ -428,17 +433,14 @@ def test_one_object_minimal_normalisers_are_the_group_ring_units(
         assert A.mul(m, k) == one == A.mul(k, m)
 
 
-def test_adjoin_closes_a_nonabelian_group():
-    # GL_2(GF(3)) in M_2(GF(3)), basis e11, e12, e21, e22: the two
-    # transvections generate SL_2, which does not commute, and diag(2, 1)
-    # adds the determinant 2
+def test_corner_group_by_powers_finds_a_nonabelian_group():
+    # GL_2(GF(3)) in M_2(GF(3)), basis e11, e12, e21, e22, with B the
+    # scalars: the identity is the one atom and its corner is all of A
     pair = abstract_pair("m2_gf3_scalars")
     A, R = pair.algebra, pair.algebra.ring
-    o, i, two = R.zero, R.one, R.add(R.one, R.one)
+    o, i = R.zero, R.one
     unit = (i, o, o, i)
-    group, gens = {unit: unit}, []
-    for g in [(i, i, o, i), (i, o, i, i), (two, o, o, i)]:
-        pr._adjoin(A, group, gens, g, pair.dagger_of(g))
+    group = pair._corner_group(unit, A.all_elements())
     assert set(group) == {(a, b, c, d) for a, b, c, d in A.all_elements()
                           if R.sub(R.mul(a, d), R.mul(b, c)) != o}
     assert len(group) == 48
@@ -471,6 +473,62 @@ def _in_a_random_basis(pair, seed):
     conjugated = pr.AbstractAlgebra(f"{A.name}^g", R, list(range(A.dim)),
                                     structure)
     return pr.Pair(conjugated, [coordinates(b) for b in pair.sub_basis])
+
+
+@pytest.mark.parametrize("name", ["z4_klein", "pair2_gf3", "m2_squared_gf2"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_normalisers_in_a_random_basis_equal_the_oracle_scans(name, seed):
+    # the spanning vectors f·b·e of a corner are random combinations here
+    pair = klein_z4_pair() if name == "z4_klein" else \
+        abstract_pair(name) if name in ABSTRACT_PAIRS else make_pair(name)
+    pair = _in_a_random_basis(pair, seed)
+    full, minimal = _scan(pair, oracle=True)
+    assert pair.enumerate_normalisers("minimal") == minimal
+    assert pair.enumerate_normalisers("full") == full
+
+
+@pytest.mark.parametrize("name, walked", [
+    # no pair of spanning vectors gives a dagger: each off-diagonal corner
+    # is walked through e43 or e34, e21 or e12, then their sum
+    ("m2_squared_gf2", 6),
+    # e11 to e22: e22·A·e11 = 0 leaves no pair, and e12 is no normaliser
+    ("t2_gf3_diagonal", 1),
+])
+def test_corners_without_a_dagger_pair_are_walked(monkeypatch, name, walked):
+    pair = abstract_pair(name)
+    calls = _count_solves(monkeypatch)
+    minimal = pair.enumerate_normalisers("minimal")
+    assert len(calls) == walked
+    monkeypatch.undo()
+    assert (pair.enumerate_normalisers("full"), minimal) == \
+        _scan(pair, oracle=True)
+
+
+@pytest.mark.parametrize("name, tested", [
+    # B·e ≠ R·e for the one atom e = 1: every unit of A is tested
+    ("t2_gf3_unipotent", 12), ("z4_dual_2x", 8),
+    # B·e = R·e: no unit is tested
+    ("m2_gf3_scalars", 0), ("t2_gf3_diagonal", 0)])
+def test_the_dagger_filter_runs_where_B_e_is_not_R_e(monkeypatch, name,
+                                                      tested):
+    pair = abstract_pair(name)
+    calls = []
+    is_dagger = pr.Pair._is_dagger
+
+    def spy(self, n, k, over):
+        calls.append(n)
+        return is_dagger(self, n, k, over)
+
+    monkeypatch.setattr(pr.Pair, "_is_dagger", spy)
+    A = pair.algebra
+    _, atoms = pair.idempotents_of_B()
+    for e in atoms:
+        pair._corner_group(e, A.span([A.mul(A.mul(e, b), e)
+                                      for b in A.basis_vectors]))
+    assert len(calls) == tested
+    monkeypatch.undo()
+    assert (pair.enumerate_normalisers("full"),
+            pair.enumerate_normalisers("minimal")) == _scan(pair, oracle=True)
 
 
 BASIS_FREE = ["WT", "local_units", "B_spanned_by_idempotents",

@@ -51,6 +51,7 @@ SECTIONS = {
                   B=r"B\s*=\s*(.+)"),
 }
 _HEADER = re.compile(r"\[([a-zA-Z0-9_.]+)\]")
+_PAIR_TOKEN = re.compile(r"(\d+)-(\d+)")
 
 
 class InputDocument:
@@ -78,28 +79,37 @@ def _twice(lineno, text, first):
 def parse_input(text):
     """Every row read once through SECTIONS; rows before the first header
     are [ring] rows.  An unknown section, a row that matches no form of
-    its section and a key given twice are refused."""
+    its section and a key given twice are refused.  A header is tried
+    only on a line that starts with [; such a line that is not a header
+    is read as a row of the current section."""
     doc = InputDocument()
     current, first = "ring", {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    forms = SECTIONS[current].items()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = (line.split("#", 1)[0] if "#" in line else line).strip()
         if not line:
             continue
-        m = _HEADER.fullmatch(line)
+        m = line[0] == "[" and _HEADER.fullmatch(line)
         if m:
             current = m.group(1)
             if current not in SECTIONS:
                 raise InputError(f"line {lineno}: unknown section [{current}]")
+            forms = SECTIONS[current].items()
             doc.sections.setdefault(current, [])
             continue
-        read = _read(current, line)
-        if read is None:
+        for form, pattern in forms:
+            m = pattern.fullmatch(line)
+            if m:
+                break
+        else:
             raise InputError(f"line {lineno}: bad {current} row {line!r}")
-        key = (current, read[0], *read[1][:-1])
+        groups = m.groups()
+        key = (current, form, *groups[:-1])
         if key in first:
             raise _twice(lineno, line, first[key])
         first[key] = lineno
-        doc.sections.setdefault(current, []).append((lineno, line, *read))
+        doc.sections.setdefault(current, []).append(
+            (lineno, line, form, groups))
     return doc
 
 
@@ -192,7 +202,7 @@ def _parse_group(spec, cap=DEFAULT_CAP):
 
 def _arrow_token(token, G):
     token = token.strip()
-    m = re.fullmatch(r"(\d+)-(\d+)", token)
+    m = _PAIR_TOKEN.fullmatch(token)
     if m:
         arrow = (_int(m.group(1)), _int(m.group(2)))
     else:
@@ -249,25 +259,32 @@ def build_cocycle(doc, R, G, section="cocycle"):
 def _parse_cocycle(doc, R, G, section="cocycle"):
     """The cocycle of a section as written; ConvolutionAlgebra checks it.
     A pair is keyed by the arrows its tokens name, and a trivial row is
-    refused beside c(a, b) rows, which it would contradict."""
+    refused beside c(a, b) rows, which it would contradict.  Each token
+    and ring label is resolved once per section."""
     rows = doc.sections.get(section)
     if rows is None:
         raise InputError(f"missing [{section}] section")
-    values, first = {}, {}
+    values, first, arrows, elements = {}, {}, {}, {}
     for lineno, line, form, groups in rows:
         if form != rows[0][2]:
             raise InputError(f"line {lineno}: [{section}] gives both trivial "
                              "and c(a, b) rows")
         if form == "trivial":
             continue
-        a, b = _arrow_token(groups[0], G), _arrow_token(groups[1], G)
+        x, y, label = groups
+        for token in (x, y):
+            if token not in arrows:
+                arrows[token] = _arrow_token(token, G)
+        a, b = arrows[x], arrows[y]
         if G.src[a] != G.rng[b]:
-            raise InputError(f"line {lineno}: pair ({groups[0]},{groups[1]}) "
+            raise InputError(f"line {lineno}: pair ({x},{y}) "
                              "is not composable")
         if (a, b) in first:
             raise _twice(lineno, line, first[(a, b)])
         first[(a, b)] = lineno
-        values[(a, b)] = _ring_element(R, groups[2], lineno)
+        if label not in elements:
+            elements[label] = _ring_element(R, label, lineno)
+        values[(a, b)] = elements[label]
     return twist_mod.Cocycle(R, G, values)
 
 
@@ -587,20 +604,22 @@ def parse_summary(text):
     return out
 
 
+def _refuse(message):  # a bad command line is malformed input
+    raise InputError(message)
+
+
+_PARSER = argparse.ArgumentParser(
+    prog="quasicartan",
+    description="finite twisted convolution algebras: checking, "
+                "classification and twist reconstruction")
+_PARSER.add_argument("command", choices=sorted(COMMANDS))
+_PARSER.add_argument("input", help="path to a sectioned input file")
+_PARSER.error = _refuse
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
-        prog="quasicartan",
-        description="finite twisted convolution algebras: checking, "
-                    "classification and twist reconstruction")
-    parser.add_argument("command", choices=sorted(COMMANDS))
-    parser.add_argument("input", help="path to a sectioned input file")
-
-    def refuse(message):  # a bad command line is malformed input
-        raise InputError(message)
-
-    parser.error = refuse
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         with open(args.input, encoding="utf-8") as fh:
             doc = parse_input(fh.read())
         report_text, summary, code = run_command(doc, args.command)

@@ -76,33 +76,40 @@ class FiniteGroupoid:
     pairs, and groupoid_from_rows names this constructor beside it.
 
     A FiniteGroupoid is not mutated after construction, so its index is
-    kept (composition_rows), and so is its generating set
-    (generating_set); generators, when given, must be what
-    greedy_generators returns for this composition, the walk composing
-    through these rows.  number[a] is the place of a in arrows.  The
-    package reads the rows through composite and composable_pairs;
-    compose, {(a, b): a∘b}, is a read-only view derived from
-    composable_pairs on first use (composition_dict), kept for callers
-    outside the package.
+    kept (composition_rows), and so are its generating set
+    (generating_set) and, once Light's test has passed on it, that it is
+    associative (_associativity_faults); generators, when given, must be
+    what greedy_generators returns for this composition, the walk
+    composing through these rows.  number[a] is the place of a in
+    arrows.  The package reads the rows through composite and
+    composable_pairs; compose, {(a, b): a∘b}, is a read-only view derived
+    from composable_pairs on first use (composition_dict), kept for
+    callers outside the package.
     """
 
     def __init__(self, name, objects, arrows, src, rng, rows,
                  generators=None):
         _refuse_repeated_labels(objects, arrows)
+        self._set_index(name, objects, arrows, src, rng,
+                        _check_rows(arrows, src, rng, rows), generators)
+
+    def _set_index(self, name, objects, arrows, src, rng, index,
+                   generators):
+        """The groupoid of a checked composition index (ending, pos, rows),
+        as _check_rows and index_composition return it."""
         self.name = name
         self.objects = list(objects)
         self.arrows = list(arrows)
         self.src = dict(src)
         self.rng = dict(rng)
         self.number = {a: i for i, a in enumerate(self.arrows)}
-        self._composition_index = _check_rows(self.arrows, self.src,
-                                              self.rng, rows)
+        self._composition_index = index
         self.unit_at, self.inv = _units_and_inverses(
-            self.objects, self.arrows, self.src, self.rng,
-            self._composition_index)
+            self.objects, self.arrows, self.src, self.rng, index)
         self.units = set(self.unit_at.values())
         self._generators = generators
         self._compose = None
+        self._associative = False
 
     @property
     def compose(self):
@@ -150,8 +157,11 @@ def make_groupoid(name, objects, arrows, src, rng, compose):
     outside the objects or one without an inverse raises ValueError.
     """
     _refuse_repeated_labels(objects, arrows)
-    return FiniteGroupoid(name, objects, arrows, src, rng,
-                          index_composition(arrows, src, rng, compose)[2])
+    # index_composition checks every entry that _check_rows would
+    G = FiniteGroupoid.__new__(FiniteGroupoid)
+    G._set_index(name, objects, arrows, src, rng,
+                 index_composition(arrows, src, rng, compose), None)
+    return G
 
 
 def _refuse_repeated_labels(objects, arrows):
@@ -218,15 +228,28 @@ def _check_rows(arrows, src, rng, rows):
     right factor (its range is right by construction).  A fault that a
     dict can have gets index_composition's message, an entry v that is not
     a place that of a composite v that is not an arrow, and a short row,
-    a missing composite, is named only after every entry."""
+    a missing composite, is named only after every entry.
+
+    Each row is compared whole: the sources of the arrows at its places
+    against the sources of the right factors, sources[x] for the arrows
+    ending at x.  A row that differs, or has an entry that is not an
+    index of sources[y], is walked entry by entry to name its fault."""
     s = [src[a] for a in arrows]
     r = [rng[a] for a in arrows]
     ending, pos = arrows_by_range(r)
     if len(rows) != len(arrows):
         raise ValueError(f"{len(rows)} rows given for {len(arrows)} arrows")
     rows = [list(row) for row in rows]
+    sources = {x: [s[j] for j in into] for x, into in ending.items()}
     short = None
     for a, x, y, row in zip(arrows, s, r, rows):
+        into_src = sources[y]
+        try:
+            if (not row or min(row) >= 0) and \
+                    [into_src[v] for v in row] == sources.get(x, []):
+                continue
+        except (IndexError, TypeError):
+            pass
         right, into = ending.get(x, ()), ending[y]
         if len(row) > len(right):
             raise ValueError(f"row of {a} has {len(row)} composites for "
@@ -259,7 +282,8 @@ def _units_and_inverses(objects, arrows, src, rng, table):
     ending[x], that is, when its row is 0, 1, 2, …, and a right identity
     when a∘u = a, row[a][pos u] == pos a, for each a starting at x.  b is
     an inverse of a when a∘b is the unit at rng a, found in the row of a
-    over the candidates b in ending[src a], and b∘a the unit at src a.
+    over the candidates b in ending[src a], and b∘a the unit at src a;
+    the scan starts at the first candidate, found by row.index.
     """
     ending, pos, rows = table
     s = [src[a] for a in arrows]
@@ -283,7 +307,9 @@ def _units_and_inverses(objects, arrows, src, rng, table):
         if s[i] not in unit_at or r[i] not in unit_at:
             raise ValueError(f"arrow {a} has src/rng outside the object set")
         at_rng, at_src = pos[unit_at[r[i]]], pos[unit_at[s[i]]]
-        for b, ab in zip(ending[s[i]], rows[i]):
+        row = rows[i]
+        k = row.index(at_rng) if at_rng in row else len(row)
+        for b, ab in zip(ending[s[i]][k:], row[k:]):
             if ab == at_rng and rows[b][pos[i]] == at_src:
                 inv[a] = arrows[b]
                 break
@@ -374,15 +400,17 @@ def _associativity_faults(G):
     every arrow.  The argument needs only a complete, well-ended
     composition, not units, inverses or associativity elsewhere.  Only
     when that test fails are the faults named, by one row comparison per
-    composable pair (a, b), in the order of the triple loop.
+    composable pair (a, b), in the order of the triple loop.  A pass is
+    kept on G, so a groupoid is tested once however often it is validated.
 
     With the rows of composition_rows, for c in ending[src b] both
     (a∘b)∘c and a∘(b∘c) end at rng a, so they are equal exactly when
     row[a∘b][k] == row[a][row[b][k]].
     """
     ending, pos, rows = composition_rows(G)
-    if all(rows[ab] == list(map(rows[a].__getitem__, rows[b]))
-           for a, b, ab in generator_pairs(G)):
+    if G._associative or all(rows[ab] == [rows[a][k] for k in rows[b]]
+                             for a, b, ab in generator_pairs(G)):
+        G._associative = True
         return []
     arrows = G.arrows
     bad = []
@@ -390,7 +418,7 @@ def _associativity_faults(G):
         into_a = ending[G.rng[a]]
         for j in ending.get(G.src[a], ()):
             ab_row = rows[into_a[row_a[pos[j]]]]
-            a_bc = list(map(row_a.__getitem__, rows[j]))
+            a_bc = [row_a[k] for k in rows[j]]
             if ab_row != a_bc:
                 b, cs = arrows[j], ending[G.src[arrows[j]]]
                 bad.extend(f"associativity fails at ({a},{b},{arrows[k]})"

@@ -139,9 +139,10 @@ def check_cocycle(c):
     arrows, vals = G.arrows, c.rows
     table = composition_rows(G)
     ending, pos, _ = table
+    units = finring.ring_units(R)
     bad = []
     for a, row in zip(arrows, vals):
-        if not all(map(R.is_unit, row)):
+        if not units.issuperset(row):
             bad.extend(f"value at {(a, arrows[j])} is not a unit"
                        for j, v in zip(ending.get(G.src[a], ()), row)
                        if not R.is_unit(v))
@@ -157,15 +158,20 @@ def check_cocycle(c):
 
 def _passes_light_test(c, table, vals):
     """Whether the composition rows of G and the 2-cocycle identity hold
-    with the middle arrow in groupoid.generating_set; see check_cocycle."""
-    mul = c.ring.mul_table
+    with the middle arrow in groupoid.generating_set; see check_cocycle.
+    The rows of a G that has passed its own Light's test are not compared
+    again (groupoid._associativity_faults)."""
+    mul, G = c.ring.mul_table, c.groupoid
     _, pos, rows = table
-    for a, b, ab in generator_pairs(c.groupoid):
-        row_a, vals_a, row_b = rows[a], vals[a], rows[b]
-        left = mul[vals_a[pos[b]]]
-        if rows[ab] != list(map(row_a.__getitem__, row_b)) or \
-                list(map(left.__getitem__, vals[ab])) != \
-                [mul[vals_a[k]][v] for k, v in zip(row_b, vals[b])]:
+    # the rows of R.mul_table at the values of each left factor
+    muls = [[mul[v] for v in row] for row in vals]
+    for a, b, ab in generator_pairs(G):
+        row_a, muls_a, row_b = rows[a], muls[a], rows[b]
+        if not G._associative and rows[ab] != [row_a[k] for k in row_b]:
+            return False
+        left = muls_a[pos[b]]
+        if [left[v] for v in vals[ab]] != \
+                [muls_a[k][v] for k, v in zip(row_b, vals[b])]:
             return False
     return True
 
@@ -180,7 +186,7 @@ def _cocycle_identity_faults(c, table, vals):
         into_a = ending[G.rng[a]]
         for j, ab_k, v_ab in zip(ending.get(G.src[a], ()), row_a, vals_a):
             left = mul[v_ab]
-            lhs = list(map(left.__getitem__, vals[into_a[ab_k]]))
+            lhs = [left[v] for v in vals[into_a[ab_k]]]
             rhs = [mul[vals_a[k]][v] for k, v in zip(rows[j], vals[j])]
             if lhs != rhs:
                 b, gs = arrows[j], ending[G.src[arrows[j]]]
@@ -224,7 +230,10 @@ def twist_from_cocycle(c):
     (b, u) with b ending at x, in that order: (b, u) has the place
     pos(b)·|R^×| + place(u).  The entry of (a, t) at (b, u) is therefore
     pos(a∘b)·|R^×| + place(c(a,b)·t·u), read off the base rows, the rows
-    of c and R.mul_table."""
+    of c and R.mul_table.  For w = c(a,b)·t these |R^×| entries are the
+    block k·|R^×| + place(w·u) over u, which depends only on k = pos(a∘b)
+    and w, so each block is built once and the rows are joined from
+    them."""
     bad = check_cocycle(c)
     if bad:
         raise ValueError("invalid cocycle: " + bad[0])
@@ -235,10 +244,11 @@ def twist_from_cocycle(c):
     arrows = [(g, t) for g in G.arrows for t in units]
     src = {(g, t): G.src[g] for (g, t) in arrows}
     rng = {(g, t): G.rng[g] for (g, t) in arrows}
-    rows = [[k * len(units) + place[mul[mul[v][t]][u]]
-             for k, v in zip(row, vals) for u in units]
-            for row, vals in zip(composition_rows(G)[2], c.rows)
-            for t in units]
+    ending, _, base_rows = composition_rows(G)
+    blocks = [{w: [k * len(units) + place[mul[w][u]] for u in units]
+               for w in units} for k in range(max(map(len, ending.values())))]
+    rows = [[e for k, v in zip(row, vals) for e in blocks[k][mul[v][t]]]
+            for row, vals in zip(base_rows, c.rows) for t in units]
     total = groupoid_from_rows(f"twist({G.name})", list(G.objects), arrows,
                                src, rng, rows)
     inj = {(x, t): (G.unit_at[x], t) for x in G.objects for t in units}
@@ -251,8 +261,14 @@ def check_twist_axioms(T):
 
     Each axiom takes one pass: the arrows of total are grouped by proj
     once, for surjectivity, exactness and the fibre sizes, and the action
-    t·σ = inj(rng σ, t)∘σ is composed once per (σ, t), for centrality and
-    freeness.  The violations are listed axiom by axiom.
+    t·σ = inj(rng σ, t)∘σ and σ·t = σ∘inj(src σ, t) are read off the
+    composition rows of inj(rng σ, t) and of σ (groupoid.composition_rows),
+    for centrality and freeness.  The violations are listed axiom by
+    axiom.  A proj that is not defined on every arrow, or does not keep
+    the ends, ends the check after its own faults, as every later axiom
+    reads it; an inj(x, t) that is not an arrow from x to x skips the
+    axioms that compose with it, multiplicativity of inj, centrality and
+    freeness.
     """
     R = T.ring
     units = T.units_of_ring()
@@ -272,21 +288,26 @@ def check_twist_axioms(T):
         fibres.setdefault(g, []).append(s)
         if base.src[g] != total.src[s] or base.rng[g] != total.rng[s]:
             bad.append(f"proj does not respect src/rng at {s}")
+    proj_is_a_map = not bad
     if fibres.keys() != set(base.arrows):
         bad.append("proj is not surjective")
+    if not proj_is_a_map:
+        return bad
     if bad or not _proj_is_multiplicative(total, base, proj):
         for a, b, ab in total.composable_pairs():
             if _composite_or_none(base, proj[a], proj[b]) != proj[ab]:
                 bad.append(f"proj not multiplicative at ({a},{b})")
     # inj is an injective homomorphism over the unit space
     seen = {}
+    inj_at_objects = True
     for (x, t), s in inj.items():
         if s in seen:
             bad.append(f"inj not injective: {(x, t)} and {seen[s]} collide")
         seen[s] = (x, t)
         if total.src[s] != total.rng[s] or proj[s] != base.unit_at[x]:
             bad.append(f"inj({x},{t}) does not sit over the unit at {x}")
-    for x in base.objects:
+        inj_at_objects &= total.src[s] == x == total.rng[s]
+    for x in base.objects if inj_at_objects else ():
         for t in units:
             for u in units:
                 lhs = total.composite(inj[(x, t)], inj[(x, u)])
@@ -296,16 +317,25 @@ def check_twist_axioms(T):
     for x in base.objects:
         if set(fibres.get(base.unit_at[x], ())) != {inj[(x, t)] for t in units}:
             bad.append(f"exactness fails over object {x}")
-    # centrality, and the action is free
+    # centrality, and the action is free.  Each inj(x, t) is an arrow from
+    # x to x and proj keeps the ends, so t·σ is the entry of the row of
+    # inj(rng σ, t) at the place of σ, and σ·t the entry of the row of σ at
+    # the place of inj(src σ, t); both end at rng σ, so they are compared
+    # as places in ending[rng σ], and t·σ = σ when that place is σ's own
     not_free = []
-    for s in total.arrows:
-        g = proj[s]
-        xr, xs = base.rng[g], base.src[g]
-        for t in units:
-            left = total.composite(inj[(xr, t)], s)  # t·s
-            if left != total.composite(s, inj[(xs, t)]):
+    _, pos, rows = composition_rows(total)
+    one = units.index(R.one)
+    at = {x: [total.number[inj[(x, t)]] for t in units] for x in base.objects}
+    for s, row in zip(total.arrows, rows) if inj_at_objects else ():
+        g, here = proj[s], pos[total.number[s]]
+        left = [rows[i][here] for i in at[base.rng[g]]]  # t·s
+        right = [row[pos[i]] for i in at[base.src[g]]]  # s·t
+        if left == right and left.count(here) == (left[one] == here):
+            continue
+        for k, (t, ts, st) in enumerate(zip(units, left, right)):
+            if ts != st:
                 bad.append(f"centrality fails at ({s},{t})")
-            if left == s and t != R.one:
+            if ts == here and k != one:
                 not_free.append(f"action not free: {t}·{s} = {s}")
     # fibre sizes (local triviality in the finite discrete setting)
     for g in base.arrows:
@@ -328,18 +358,19 @@ def _proj_is_multiplicative(total, base, proj):
 
     Both sides end at rng a, so each is compared as its place among the
     base arrows that end there: for c in ending[src a] of total, the
-    place of proj(a∘c) against row[proj a][place of proj c] in base.
+    place of proj(a∘c) against row[proj a][place of proj c] in base,
+    which depends only on proj a and src a, so it is built once for each.
     """
     ending, _, rows = composition_rows(total)
     _, base_pos, base_rows = composition_rows(base)
     image = [base.number[proj[s]] for s in total.arrows]
     place = [base_pos[g] for g in image]
-    for a, row, g in zip(total.arrows, rows, image):
-        into, base_row = ending[total.rng[a]], base_rows[g]
-        if [place[into[k]] for k in row] != \
-                [base_row[place[c]] for c in ending[total.src[a]]]:
-            return False
-    return True
+    sources = [total.src[a] for a in total.arrows]
+    base_side = {(g, x): [base_rows[g][place[c]] for c in ending[x]]
+                 for g, x in set(zip(image, sources))}
+    return all([place[into[k]] for k in row] == base_side[(g, x)]
+               for row, g, x, into in zip(rows, image, sources, (
+                   ending[total.rng[a]] for a in total.arrows)))
 
 
 def _composite_or_none(G, a, b):

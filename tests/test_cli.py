@@ -1066,6 +1066,11 @@ REPEATED_ROWS = {
     "upp": ("upp", UPP_Z, "A = 0 1 5", "A = 0"),
     "cap": ("classify", CLASSIFY_PAIR2 + "[options]\ncap = 10\n", "cap = 10",
             "cap = 1000"),
+    # one pair of arrows written two ways: pairs are keyed by the arrows
+    "cocycle_pair_spelling": (
+        "classify", CLASSIFY_PAIR2.replace("(2)", "(3)").replace(
+            "trivial", "c(01-2, 2-3) = 1"),
+        "c(01-2, 2-3) = 1", "c(1-2, 2-3) = 1"),
 }
 
 
@@ -1107,6 +1112,7 @@ UNREAD = {
                    4),
     "upp_prefix": ("upp", UPP_Z.replace("A = 0 1 5", "Alpha = (0) (1)"), 3),
     "unknown_section": ("classify", CLASSIFY_PAIR2 + "[optoins]\ncap = 10\n", 7),
+    "bracket_row": ("classify", CLASSIFY_PAIR2 + "[options] cap = 10\n", 7),
 }
 
 
@@ -1118,6 +1124,13 @@ def test_a_row_outside_the_grammar_is_refused(command, text, line, tmp_path,
     path.write_text(text)
     assert cli.main([command, str(path)]) == 3
     assert capsys.readouterr().err.startswith(f"input error: line {line}: ")
+
+
+def test_a_trailing_comment_is_not_read(tmp_path, capsys):
+    commented = CLASSIFY_PAIR2.replace("full_relation(2)",
+                                       "full_relation(2)  # two objects")
+    assert _run("classify", commented, tmp_path, capsys) == \
+        _run("classify", CLASSIFY_PAIR2, tmp_path, capsys)
 
 
 GRAMMAR_CAP = 1000

@@ -95,6 +95,26 @@ def test_both_checks_refuse_the_loop():
         generic(c)
 
 
+def test_the_cocycle_check_alone_passes_the_loop():
+    # the identity holds for the trivial cocycle on any composition, so a
+    # twist needs the groupoid's own check beside check_cocycle
+    G = loop_groupoid()
+    assert tw.check_cocycle(tw.trivial_cocycle(fr.make_gf(3), G)) == []
+    assert gp.validate_groupoid(G) != []
+
+
+def test_a_groupoid_passes_light_test_once(monkeypatch):
+    # the algebra validates G, then check_cocycle reads the pass off G
+    walked = []
+    generator_pairs = gp.generator_pairs
+    monkeypatch.setattr(gp, "generator_pairs",
+                        lambda G: walked.append(G) or generator_pairs(G))
+    G = gp.full_relation(3)
+    pr.ConvolutionAlgebra(tw.trivial_cocycle(fr.make_gf(3), G))
+    assert gp.validate_groupoid(G) == []
+    assert walked == [G]
+
+
 def test_the_row_check_needs_no_associativity():
     # on the loop, ∂b fails the identity wherever (ab)g ≠ a(bg) and b
     # tells the two apart

@@ -194,7 +194,7 @@ def test_the_rows_entry_names_each_fault_as_make_groupoid(defect):
     assert str(raised.value) == COMPOSITION_DEFECTS[defect]
 
 
-@pytest.mark.parametrize("entry", [3, -1, None])
+@pytest.mark.parametrize("entry", [3, -1, None, 1.0])
 def test_the_rows_entry_refuses_an_entry_that_is_not_a_place(entry):
     G, rows = _defective_rows("not_an_arrow")
     rows[G.arrows.index((1, 2))][2] = entry

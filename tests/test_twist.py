@@ -213,8 +213,12 @@ def _twist_axioms_by_definition(T):
         image.add(g)
         if base.src[g] != total.src[s] or base.rng[g] != total.rng[s]:
             bad.append(f"proj does not respect src/rng at {s}")
+    proj_is_a_map = not bad
     if image != set(base.arrows):
         bad.append("proj is not surjective")
+    # every later axiom reads proj as a map that keeps the ends
+    if not proj_is_a_map:
+        return bad
     for (a, b), ab in total.compose.items():
         pa, pb = T.proj[a], T.proj[b]
         if base.compose.get((pa, pb)) != T.proj[ab]:
@@ -226,7 +230,10 @@ def _twist_axioms_by_definition(T):
         seen[s] = (x, t)
         if total.src[s] != total.rng[s] or T.proj[s] != base.unit_at[x]:
             bad.append(f"inj({x},{t}) does not sit over the unit at {x}")
-    for x in base.objects:
+    # the axioms that compose with inj need each inj(x, t) at x
+    composable = all(total.src[s] == x == total.rng[s]
+                     for (x, _), s in T.inj.items())
+    for x in base.objects if composable else ():
         for t in units:
             for u in units:
                 lhs = total.compose[(T.inj[(x, t)], T.inj[(x, u)])]
@@ -236,7 +243,7 @@ def _twist_axioms_by_definition(T):
         fibre = {s for s in total.arrows if T.proj[s] == base.unit_at[x]}
         if fibre != {T.inj[(x, t)] for t in units}:
             bad.append(f"exactness fails over object {x}")
-    for s in total.arrows:
+    for s in total.arrows if composable else ():
         xr = base.rng[T.proj[s]]
         xs = base.src[T.proj[s]]
         for t in units:
@@ -253,7 +260,7 @@ def _twist_axioms_by_definition(T):
     if proj_units != {base.unit_at[x] for x in base.objects} or \
             len(proj_units) != len(tot_units):
         bad.append("unit spaces do not correspond bijectively")
-    for s in total.arrows:
+    for s in total.arrows if composable else ():
         for t in units:
             if t != R.one and T.act(t, s) == s:
                 bad.append(f"action not free: {t}·{s} = {s}")
@@ -312,6 +319,34 @@ def _fibres_too_large():
     return tw.ExplicitTwist(fr.make_gf(3), T.total, T.base, inj, T.proj)
 
 
+def _trivial_twist_of_full2():
+    return tw.twist_from_cocycle(tw.trivial_cocycle(fr.make_gf(3),
+                                                    gp.full_relation(2)))
+
+
+def _proj_undefined():
+    T = _trivial_twist_of_full2()
+    proj = dict(T.proj)
+    del proj[((1, 2), 1)]
+    return tw.ExplicitTwist(T.ring, T.total, T.base, T.inj, proj)
+
+
+def _inj_off_its_object():
+    # inj(1, 2) sent to ((2, 1), 2), an arrow from 1 to 2
+    T = _trivial_twist_of_full2()
+    inj = dict(T.inj)
+    inj[(1, 2)] = ((2, 1), 2)
+    return tw.ExplicitTwist(T.ring, T.total, T.base, inj, T.proj)
+
+
+def _proj_off_the_ends():
+    # the arrows over (1, 2) and (2, 1) at the unit 1 swap their images
+    T = _trivial_twist_of_full2()
+    proj = dict(T.proj)
+    proj[((1, 2), 1)], proj[((2, 1), 1)] = (2, 1), (1, 2)
+    return tw.ExplicitTwist(T.ring, T.total, T.base, T.inj, proj)
+
+
 BROKEN_TWISTS = {
     "broken_proj": (_broken_proj, "proj not multiplicative at "),
     "wrong_proj_off_the_units": (_wrong_proj_off_the_units,
@@ -320,6 +355,11 @@ BROKEN_TWISTS = {
     "non_central_inj": (_non_central_inj, "centrality fails at "),
     "trivial_action": (_trivial_action, "action not free: "),
     "fibres_too_large": (_fibres_too_large, "fibre over 0 has size 4, expected 2"),
+    "proj_undefined": (_proj_undefined, "proj undefined on ((1, 2), 1)"),
+    "inj_off_its_object": (_inj_off_its_object,
+                           "inj(1,2) does not sit over the unit at 1"),
+    "proj_off_the_ends": (_proj_off_the_ends,
+                          "proj does not respect src/rng at ((1, 2), 1)"),
 }
 
 

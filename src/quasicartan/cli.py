@@ -398,7 +398,8 @@ def cmd_check(doc, cap, oracle):
             violations += len(cb)
             report.append(f"cocycle: {'ok' if not cb else cb[0]}")
             summary["cocycle_ok"] = _flag(not cb)
-            # twist_from_cocycle refuses an invalid cocycle
+            # twist_from_cocycle refuses an invalid cocycle, and reads this
+            # pass off c rather than checking it again
             if not cb:
                 # the explicit twist has |G|·|R^×| arrows and
                 # |compose|·|R^×|² composites

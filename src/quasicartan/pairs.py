@@ -163,6 +163,7 @@ class Pair:
         self.cap = cap
         A, R = algebra, algebra.ring
         pivots, rest = finring.unit_pivot_rows(R, self.sub_basis)
+        self._pivot_rows = sorted(pivots.values())
         # per column i off the pivots, the (c, −row_c[i]) of the pivot rows
         # with an entry there; a basis vector row has none
         self._off_terms = [
@@ -184,6 +185,7 @@ class Pair:
                 if not self.in_B(product):
                     raise ValueError("sub_basis span is not closed under multiplication")
         self._dagger_cache = {}
+        self._end_cache = {}
         self._local_units = None
         self._membership = None
         self._normalisers = {}  # mode -> sorted list
@@ -209,15 +211,32 @@ class Pair:
         idempotent below the atom e, so 0 or e, and f·s = s makes r = f − s
         an idempotent with r·e = 0 for every atom e; an atom e ≤ r would
         give e = e·r = 0, so r = 0.  satisfies_wt, has_local_units and
-        classify's B_spanned_by_idempotents read the atoms alone."""
+        classify's B_spanned_by_idempotents read the atoms alone.
+
+        B is not listed when it is free on its pivot rows e_i, R is local
+        and e_i·e_j = δ_ij·e_i: the atoms are then the e_i and the
+        idempotents their 2^k subset sums.  Each b in B is Σ t_i·e_i with
+        unique t_i, so b² = Σ t_i²·e_i, and b² = b iff each t_i² = t_i,
+        that is t_i in {0, 1}, the only idempotents of a local ring (Lam,
+        A First Course in Noncommutative Rings, GTM 131, §21).  A subset
+        sum f has e_i ≤ f for each of its e_i, and e_i·f is e_i or 0, so
+        the idempotents below e_i are 0 and e_i.  This holds for every
+        twist pair on the arrow basis; any other B is listed."""
         if self._idempotents is None:
             A = self.algebra
-            idem = sorted(e for e in A.span(self.sub_basis) if A.mul(e, e) == e)
-            nonzero = [e for e in idem if e != A.zero()]
-            # f ≤ e in the idempotent order when e·f = f
-            atoms = [e for e in nonzero
-                     if not any(f != e and A.mul(e, f) == f for f in nonzero)]
-            self._idempotents = idem
+            atoms, zero = self._pivot_rows, A.zero()
+            if len(self._rest) == 1 and len(finring.local_factors(A.ring)) == 1 \
+                    and all(A.mul(e, f) == (e if e == f else zero)
+                            for e in atoms for f in atoms):
+                idem = [zero]
+                for e in atoms:
+                    idem += [A.add(f, e) for f in idem]
+            else:
+                idem = [e for e in A.span(self.sub_basis) if A.mul(e, e) == e]
+                # f ≤ e in the idempotent order when e·f = f
+                atoms = sorted(e for e in idem if e != zero and not any(
+                    f not in (e, zero) and A.mul(e, f) == f for f in idem))
+            self._idempotents = sorted(idem)
             self._atoms = atoms
         return self._idempotents, self._atoms
 
@@ -387,6 +406,14 @@ class Pair:
     def is_normaliser(self, n):
         return self.dagger_of(n) is not None
 
+    def ends(self, n):
+        """(n†·n, n·n†), the source and range of a normaliser n, made once
+        per n; a dagger already found is read off the cache."""
+        if n not in self._end_cache:
+            k = self._dagger_cache.get((n, False)) or self.dagger_of(n)
+            self._end_cache[n] = self.algebra.mul(k, n), self.algebra.mul(n, k)
+        return self._end_cache[n]
+
     def enumerate_normalisers(self, mode="full"):
         """full: every normaliser of B; minimal: the nonzero normalisers n
         whose source idempotent n†n is an atom.  Both sorted.
@@ -500,7 +527,8 @@ class Pair:
         one.  Each x of the corner not yet decided is walked through
         x, x², … until the walk reaches
         - a known unit p = x^(L+1): every power is a unit, with
-          (x^j)⁻¹ = x^(L+1−j)·p⁻¹, as p⁻¹ commutes with x;
+          (x^j)⁻¹ = x^(L+1−j)·p⁻¹, as p⁻¹ commutes with x, and
+          (x^j)⁻¹ = x^(L+1−j) when p = e;
         - a known non-unit: x is one, so every power is one;
         - a repeat x^j = x^i, i < j: were x a unit, x^(j−i) = e, known
           from the start, would have stopped the walk before x^j, so
@@ -525,6 +553,7 @@ class Pair:
                 p = A.mul(p, x)
             powers, p_inverse = list(walk), inverse.get(p)
             inverse.update((xj, None if p_inverse is None else
+                            powers[-j] if p == e else
                             A.mul(powers[-j], p_inverse))
                            for j, xj in enumerate(powers, 1))
         multiples = {A.scale(t, e) for t in A.ring.all_indices()}
@@ -595,8 +624,8 @@ class Pair:
         # (m, m†, range) by source, the range of 0 being None
         by_source = {e: [(zero, zero, None)] for e in atoms}
         for m in self.enumerate_normalisers("minimal"):
-            k = self.dagger_of(m)
-            by_source[A.mul(k, m)].append((m, k, A.mul(m, k)))
+            source, rng = self.ends(m)
+            by_source[source].append((m, self.dagger_of(m), rng))
         found = {}
         for parts in itertools.product(*by_source.values()):
             ranges = [f for _, _, f in parts if f is not None]
@@ -620,12 +649,11 @@ class Pair:
     def is_free_normaliser(self, n):
         """n lies in B, or its two range/source idempotents are orthogonal."""
         A = self.algebra
-        k = self.dagger_of(n)
-        if k is None:
+        if self.dagger_of(n) is None:
             raise ValueError("not a normaliser")
         if self.in_B(n):
             return True
-        orthogonal = A.mul(A.mul(k, n), A.mul(n, k)) == A.zero()
+        orthogonal = A.mul(*self.ends(n)) == A.zero()
         squared_zero = A.mul(n, n) == A.zero()
         if orthogonal != squared_zero:
             raise AssertionError("orthogonality and n² = 0 disagree")
@@ -657,7 +685,7 @@ class Pair:
         _, atoms = self.idempotents_of_B()
 
         def row(n):
-            source = A.mul(self.dagger_of(n), n)
+            source, _ = self.ends(n)
             e = functools.reduce(A.add, [
                 a for a in atoms if A.mul(a, source) == a and
                 self.in_B(A.mul(n, a))], A.zero())
@@ -690,31 +718,54 @@ class Pair:
         """Evaluate the expectation axioms, faithfulness, and whether P is
         implemented by idempotents on every normaliser, for a linear P.
         P fixes B when it fixes sub_basis, which spans B.  The last two are
-        decided on one normaliser per class of unit_classes."""
+        decided on one normaliser per class of unit_classes.
+
+        Bimodularity, P(b·a·b′) = b·P(a)·b′ for spanning b, b′ and basis
+        vectors a, makes each P(a), b·a, b·P(a) and product by b′ once; a
+        factor 0 gives 0 with no product, as P(0) = 0.
+
+        With local units the classes are minimal normalisers n in f·A·e,
+        f and e atoms (enumerate_normalisers), and P is implemented by
+        idempotents on n iff P(n) is 0 or n.  Each idempotent E of B is a
+        sum of atoms, so E·f, an idempotent below the atom f, is 0 or f,
+        and E·n = E·f·n is 0 or n; likewise n·E = n·e·E.  So P(n) = n·E
+        forces P(n) in {0, n}.  Conversely E = 0 gives P(n) = 0, and E = u,
+        the sum of the atoms, an identity of A, gives P(n) = n.  Without
+        local units every idempotent of B is tried."""
         A = self.algebra
+        zero = A.zero()
         report = {}
+        images = [P(a) for a in A.basis_vectors]
         # fixes B, lands in B
         ok = all(P(b) == b for b in self.sub_basis) and \
-            all(self.in_B(P(a)) for a in A.basis_vectors)
+            all(map(self.in_B, images))
+
+        def bimodular(b):
+            for a, pa in zip(A.basis_vectors, images):
+                ba, bpa = A.mul(b, a), zero if pa == zero else A.mul(b, pa)
+                for b2 in self.sub_basis:
+                    left = zero if ba == zero else A.mul(ba, b2)
+                    if (zero if left == zero else P(left)) != \
+                            (zero if bpa == zero else A.mul(bpa, b2)):
+                        return False
+            return True
+
         # bimodularity on spanning sets (enough by linearity)
-        ok = ok and all(
-            P(A.mul(A.mul(b, a), b2)) == A.mul(A.mul(b, P(a)), b2)
-            for b in self.sub_basis for b2 in self.sub_basis
-            for a in A.basis_vectors)
+        ok = ok and all(map(bimodular, self.sub_basis))
         report["is_expectation"] = ok
         if not ok:
             report["faithful"] = False
             report["implemented_by_idempotents"] = False
             return report
         report["faithful"] = self._is_faithful(P)
-        idem, _ = self.idempotents_of_B()
         _, classes = self.unit_classes()
-        implemented = True
-        for n in classes:
-            pn = P(n)
-            if not any(A.mul(n, e) == pn and A.mul(e, n) == pn for e in idem):
-                implemented = False
-                break
+        if self.has_local_units():
+            implemented = all(P(n) in (zero, n) for n in classes)
+        else:
+            idem, _ = self.idempotents_of_B()
+            implemented = all(
+                any(A.mul(n, e) == pn and A.mul(e, n) == pn for e in idem)
+                for n, pn in zip(classes, map(P, classes)))
         report["implemented_by_idempotents"] = implemented
         return report
 
@@ -729,9 +780,11 @@ class Pair:
         Where the classes span A the pivot rows are the standard basis, so
         P is evaluated on at most dim² products there."""
         A = self.algebra
+        zero = A.zero()
         pivots, rest = self._class_rows()
         return self._kernel_is_zero(
-            ([P(A.mul(n, b)) for b in A.basis_vectors]
+            ([zero if nb == zero else P(nb)
+              for nb in (A.mul(n, b) for b in A.basis_vectors)]
              for n in [*pivots.values(), *rest]), A.dim)
 
     def _is_own_commutant(self):
@@ -773,10 +826,9 @@ class Pair:
         homogeneous system in the coordinates, decided by whether its rows
         span R^width (finring.standard_basis_tails, Kernels).  No kernel
         is listed."""
-        A = self.algebra
-        rows = {tuple(image[i] for image in images)
-                for images in maps for i in range(A.dim)}
-        return finring.standard_basis_tails(A.ring, rows, width) is not None
+        rows = {row for images in maps for row in zip(*images)}
+        return finring.standard_basis_tails(
+            self.algebra.ring, rows, width) is not None
 
     # -- classification -----------------------------------------------
 

@@ -45,10 +45,8 @@ class UltraGroupoid:
         self.range = {}
         self.dagger = {}
         for m in self.points:
-            k = pair.dagger_of(m)
-            self.dagger[m] = k
-            self.source[m] = A.mul(k, m)
-            self.range[m] = A.mul(m, k)
+            k = self.dagger[m] = pair.dagger_of(m)
+            self.source[m], self.range[m] = pair.ends(m)
             if self.source[m] not in self.atoms or self.range[m] not in self.atoms:
                 raise AssertionError("point with non-atomic source or range")
             if k not in self.coordinates:

@@ -39,6 +39,7 @@ class Cocycle:
         self.ring = ring
         self.groupoid = groupoid
         self._values = None
+        self._passed = False  # set by check_cocycle on a pass
         G = groupoid
         ending, pos, _ = composition_rows(G)
         self.rows = [[ring.one] * len(ending.get(G.src[a], ()))
@@ -127,7 +128,8 @@ def check_cocycle(c):
     are every arrow.  The test therefore also compares the composition
     rows of G.  Only when it fails, or a value is not a unit, are the
     faults named, by one row comparison per composable pair (a, b), in
-    the order of the triple loop.
+    the order of the triple loop.  A pass is kept on c, so that
+    twist_from_cocycle does not check c again.
 
     In row form, over g in ending[src b] (groupoid.composition_rows),
     vals are the rows of c, vals[a][k] = c(a, k-th arrow of
@@ -153,6 +155,7 @@ def check_cocycle(c):
             bad.append(f"not normalised on (unit, {g})")
         if vals[i][pos[G.number[G.unit_at[G.src[g]]]]] != R.one:
             bad.append(f"not normalised on ({g}, unit)")
+    c._passed = not bad
     return bad
 
 
@@ -233,8 +236,8 @@ def twist_from_cocycle(c):
     of c and R.mul_table.  For w = c(a,b)·t these |R^×| entries are the
     block k·|R^×| + place(w·u) over u, which depends only on k = pos(a∘b)
     and w, so each block is built once and the rows are joined from
-    them."""
-    bad = check_cocycle(c)
+    them.  A cocycle that has not passed check_cocycle is checked first."""
+    bad = [] if c._passed else check_cocycle(c)
     if bad:
         raise ValueError("invalid cocycle: " + bad[0])
     R, G = c.ring, c.groupoid

@@ -476,6 +476,20 @@ def test_check_charges_the_explicit_twist_to_the_cap(options, expected,
         assert cli.parse_summary(captured.out)["twist_ok"] == "true"
 
 
+def test_check_checks_the_cocycle_once(tmp_path, capsys, monkeypatch):
+    # twist_from_cocycle reads the pass of check_cocycle off the cocycle;
+    # check still builds the explicit twist through it
+    calls = collections.Counter()
+    for name in ("check_cocycle", "twist_from_cocycle"):
+        def counted(c, fn=getattr(twist, name), name=name):
+            calls[name] += 1
+            return fn(c)
+        monkeypatch.setattr(twist, name, counted)
+    code, out = _run("check", FULL4_GF11, tmp_path, capsys)
+    assert code == 0 and cli.parse_summary(out)["twist_ok"] == "true"
+    assert calls == {"check_cocycle": 1, "twist_from_cocycle": 1}
+
+
 def _run_limited(command, path, timeout=60, limit=1_500_000_000):
     """The CLI in a child process with an address space of limit bytes,
     stopped after timeout seconds."""
@@ -551,6 +565,19 @@ def test_classify_exits_on_the_cap_before_building_A(groupoid, size, tmp_path):
     assert result.returncode == 2, result.stderr
     assert result.stderr == f"cap exceeded: search size {size} exceeds cap " \
                             "1000000\n"
+
+
+def test_classify_on_m11_gf3_does_not_list_B(tmp_path):
+    # |B| = 3^11: B's atoms are its pivot rows, so B is not listed and the
+    # command runs within a 200 MB address space, with the cap lifted past
+    # |A| = 3^121
+    path = tmp_path / "input.txt"
+    path.write_text("[ring]\ngf(3,1)\n[groupoid]\nfull_relation(11)\n"
+                    f"[cocycle]\ntrivial\n[options]\ncap = {3 ** 121}\n")
+    result = _run_limited("classify", path, timeout=30, limit=200_000_000)
+    assert result.returncode == 0, result.stderr
+    summary = cli.parse_summary(result.stdout)
+    assert len(summary) == 8 and set(summary.values()) == {"true"}
 
 
 @pytest.mark.parametrize("text", [

@@ -1,6 +1,8 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasicartan import finring as fr
 
@@ -184,3 +186,61 @@ def test_validate_catches_broken_table():
     bad = fr.validate_ring(
         fr.FiniteRing("broken", R.elements, R.add_table, broken_mul, 0, 1))
     assert bad != []
+
+
+def _validate_by_definition(R):
+    """validate_ring for |R| <= 16 by its definition: every pair, then
+    every triple, stopping after the triple that passes 20 faults."""
+    idx = range(R.size)
+    bad = []
+    for a in idx:
+        for b in idx:
+            if R.add(a, b) != R.add(b, a):
+                bad.append(f"addition not commutative at ({a},{b})")
+            if R.mul(a, b) != R.mul(b, a):
+                bad.append(f"multiplication not commutative at ({a},{b})")
+        if R.add(a, R.zero) != a:
+            bad.append(f"zero not additive identity at {a}")
+        if R.mul(a, R.one) != a:
+            bad.append(f"one not multiplicative identity at {a}")
+    for a, b, c in itertools.product(idx, repeat=3):
+        if R.add(R.add(a, b), c) != R.add(a, R.add(b, c)):
+            bad.append(f"addition not associative at ({a},{b},{c})")
+        if R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c)):
+            bad.append(f"multiplication not associative at ({a},{b},{c})")
+        if R.mul(a, R.add(b, c)) != R.add(R.mul(a, b), R.mul(a, c)):
+            bad.append(f"distributivity fails at ({a},{b},{c})")
+        if len(bad) > 20:
+            break
+    return bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(R=st.sampled_from([fr.make_zmod(n) for n in (2, 4, 6, 9, 16)] +
+                         [fr.make_gf(2, 2), fr.make_gf(7)]),
+       changes=st.integers(0, 6), seed=st.integers(0, 2 ** 16))
+def test_validate_ring_names_the_faults_of_its_definition(R, changes, seed):
+    # a table compared a row at a time names the same faults, in the same
+    # order and with the same stop, as the walk over every triple
+    rng = random.Random(seed)
+    tables = [[list(row) for row in R.add_table],
+              [list(row) for row in R.mul_table]]
+    for _ in range(changes):
+        row = rng.choice(tables)[rng.randrange(R.size)]
+        row[rng.randrange(R.size)] = rng.randrange(R.size)
+    try:
+        broken = fr.FiniteRing("broken", R.elements, *tables, R.zero, R.one)
+    except ValueError:  # an element left without a negative
+        return
+    assert fr.validate_ring(broken) == _validate_by_definition(broken)
+
+
+def test_validate_ring_stops_after_one_triple_past_20_pair_faults():
+    # x·y = x on Z/6: 30 commutativity faults, so the triple loop stops
+    # after (0, 0, 0), which passes, although x(y + z) ≠ xy + xz for x ≠ 0
+    R = fr.make_zmod(6)
+    left = [[a] * 6 for a in range(6)]
+    broken = fr.FiniteRing("left", R.elements, R.add_table, left, 0, 1)
+    bad = fr.validate_ring(broken)
+    assert bad == _validate_by_definition(broken)
+    assert len(bad) == 30 and "distributivity" not in " ".join(bad)

@@ -14,7 +14,7 @@ from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
     pairs as pr, reconstruct as rc, twist as tw
 
 from helpers import ABSTRACT_PAIRS, FIXTURE_NAMES, abstract_pair, \
-    klein_z4_pair, make_pair, times_coboundary
+    klein_z4_pair, make_pair, make_twist, times_coboundary
 
 PROPERTY = settings(max_examples=60)
 
@@ -581,3 +581,101 @@ def test_no_pair_over_a_ring_that_is_not_local_meets_the_base_conditions(
     flags = pair.classify()
     assert not (flags["WT"] and flags["local_units"])
     assert not (flags["ADP"] or flags["ACP"] or flags["AQP"])
+
+
+# -- the atoms of B read off its pivot rows ------------------------------
+
+def _idempotents_by_listing(pair):
+    """I(B) and the atoms by their definitions over a listing of B."""
+    A, zero = pair.algebra, pair.algebra.zero()
+    idem = sorted(e for e in A.span(pair.sub_basis) if A.mul(e, e) == e)
+    return idem, [e for e in idem if e != zero and not any(
+        f not in (e, zero) and A.mul(e, f) == f for f in idem)]
+
+
+def _spy_on_B(monkeypatch, pair):
+    """A list that grows by one per AbstractAlgebra.span of sub_basis."""
+    listed = []
+    span = pr.AbstractAlgebra.span
+
+    def spy(self, vectors):
+        vectors = list(vectors)
+        if vectors == pair.sub_basis:
+            listed.append(vectors)
+        return span(self, vectors)
+
+    monkeypatch.setattr(pr.AbstractAlgebra, "span", spy)
+    return listed
+
+
+# the rings and groupoids of the benchmark's classify and reconstruct
+# pairs, by name; the benchmark multiplies each cocycle by a coboundary,
+# which leaves B and its pivot rows as they are
+BENCH_PAIRS = {
+    "m2_gf4": lambda: tw.trivial_cocycle(fr.make_gf(2, 2), gp.full_relation(2)),
+    "m2_z4": lambda: tw.trivial_cocycle(fr.make_zmod(4), gp.full_relation(2)),
+    "z4_klein": lambda: klein_z4_pair().cocycle,
+    "m3_gf2": lambda: tw.trivial_cocycle(fr.make_gf(2), gp.full_relation(3)),
+    "m2_gf5": lambda: tw.trivial_cocycle(fr.make_gf(5), gp.full_relation(2)),
+    "mixed_gf3": lambda: make_twist("mixed_gf3"),
+    "z2_gf5_twisted": lambda: make_twist("z2_gf5_twisted"),
+    "klein_gf3": lambda: make_twist("klein_gf3"),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_PAIRS))
+def test_classify_and_reconstruct_do_not_list_B(monkeypatch, name):
+    pair = pr.pair_from_twist(BENCH_PAIRS[name]())
+    listed = _spy_on_B(monkeypatch, pair)
+    pair.classify()
+    rc.verify_reconstruction_theorem(pair)
+    assert listed == []
+
+
+def test_classify_does_not_list_B_on_m9_gf3(monkeypatch):
+    # |B| = 3^9 under a cap past |A| = 3^81
+    pair = pr.pair_from_twist(
+        tw.trivial_cocycle(fr.make_gf(3), gp.full_relation(9)), cap=3 ** 81)
+    listed = _spy_on_B(monkeypatch, pair)
+    flags = pair.classify()
+    assert listed == []
+    assert all(flags[key] for key in ("ADP", "ACP", "AQP"))
+    assert len(pair.idempotents_of_B()[0]) == 2 ** 9
+
+
+# twist pairs over the local rings Z/4, GF(4), GF(9) and Z/9
+LOCAL_TWISTS = {f"{kind}_{ring.name}": (ring, kind)
+                for kind in ("full", "cyclic")
+                for ring in (fr.make_zmod(4), fr.make_gf(2, 2),
+                             fr.make_gf(3, 2), fr.make_zmod(9))}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(LOCAL_TWISTS))
+def test_pivot_row_atoms_equal_the_listing(monkeypatch, name):
+    pair = pr.pair_from_twist(make_twist(name) if name in FIXTURE_NAMES else
+                              tw.trivial_cocycle(
+                                  LOCAL_TWISTS[name][0],
+                                  _component(LOCAL_TWISTS[name][1], 2)))
+    expected = _idempotents_by_listing(pair)
+    listed = _spy_on_B(monkeypatch, pair)
+    assert pair.idempotents_of_B() == expected
+    assert listed == []
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + list(ABSTRACT_PAIRS))
+@pytest.mark.parametrize("seed", range(9))
+def test_atoms_in_a_random_basis_equal_the_listing(name, seed):
+    pair = abstract_pair(name) if name in ABSTRACT_PAIRS else make_pair(name)
+    conjugated = _in_a_random_basis(pair, seed)
+    assert conjugated.idempotents_of_B() == \
+        _idempotents_by_listing(conjugated)
+
+
+@pytest.mark.parametrize("kind", ["full", "cyclic"])
+def test_over_a_ring_that_is_not_local_B_is_listed(monkeypatch, kind):
+    pair = pr.pair_from_twist(
+        tw.trivial_cocycle(fr.make_zmod(6), _component(kind, 2)))
+    expected = _idempotents_by_listing(pair)
+    listed = _spy_on_B(monkeypatch, pair)
+    assert pair.idempotents_of_B() == expected
+    assert len(listed) == 1

@@ -53,6 +53,15 @@ def test_check_cocycle_rejects_nonunit_and_nonnormalised():
     assert any("normalised" in v for v in tw.check_cocycle(unnorm))
 
 
+def test_twist_from_cocycle_refuses_a_cocycle_that_failed_its_check():
+    # a failed check_cocycle is not kept as a pass on the cocycle
+    bad = tw.Cocycle(fr.make_zmod(4), gp.group_as_groupoid(gp.cyclic_group(2)),
+                     {(1, 1): 2})
+    assert tw.check_cocycle(bad) != []
+    with pytest.raises(ValueError, match="invalid cocycle"):
+        tw.twist_from_cocycle(bad)
+
+
 def test_cocycle_identity_violation_detected():
     # hand-build values that break the 2-cocycle identity over Klein four
     R = fr.make_gf(3)

@@ -382,7 +382,8 @@ def _build_pair(doc, cap):
 def cmd_check(doc, cap, oracle):
     report, summary = [], {}
     R = build_ring(doc, cap)
-    bad = finring.validate_ring(R)
+    # build_ring has refused [ring.tables] that fail validate_ring
+    bad = [] if "ring.tables" in doc.sections else finring.validate_ring(R)
     report.append(f"ring {R.name}: {'ok' if not bad else bad[0]}")
     summary["ring_ok"] = _flag(not bad)
     violations = len(bad)

@@ -270,19 +270,6 @@ def ring_idempotents(R):
     return {e for e in R.all_indices() if R.mul(e, e) == e}
 
 
-def is_reduced(R):
-    """True when the ring has no nonzero nilpotents."""
-    for x in R.all_indices():
-        if x == R.zero:
-            continue
-        power = x
-        for _ in range(R.size):
-            power = R.mul(power, x)
-            if power == R.zero:
-                return False
-    return True
-
-
 def local_factors(R):
     """[(ε, inverse)] over the primitive idempotents ε of R, inverse the
     unit inverses of the ring ε·R (x ↦ y with x·y = ε), once per ring.

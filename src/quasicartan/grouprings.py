@@ -1,6 +1,5 @@
-"""Twisted group rings of finite groups: units, the explicit nontrivial-unit
-constructions for decomposable or non-reduced coefficient rings, and
-unique-product searches on subsets of abelian groups.
+"""Twisted group rings of finite groups: their units, and unique-product
+searches on subsets of abelian groups.
 """
 
 from __future__ import annotations
@@ -253,59 +252,6 @@ def _trivial_unit_shifts(T):
                 shift[k] = (j, mul[mul[t][s]])
             shifts.append(shift)
     return shifts
-
-
-def decomposable_unit(T, f_idem, g):
-    """A nontrivial unit built from a nontrivial ring idempotent f:
-    a = f·δ_e + (1−f)·δ_g, with verified inverse f·δ_e + (1−f)·c(g,g⁻¹)⁻¹·δ_{g⁻¹}.
-    """
-    R, H = T.ring, T.group
-    if R.mul(f_idem, f_idem) != f_idem or f_idem in (R.zero, R.one):
-        raise ValueError("need a nontrivial idempotent of the ring")
-    if g == H.identity:
-        raise ValueError("need a non-identity group element")
-    comp = R.sub(R.one, f_idem)
-    a = T.add(T.delta(H.identity, f_idem), T.delta(g, comp))
-    cg = T.cocycle.value(g, H.inverse[g])
-    b = T.add(T.delta(H.identity, f_idem),
-              T.delta(H.inverse[g], R.mul(comp, R.unit_inverse(cg))))
-    if T.mul(a, b) != T.one() or T.mul(b, a) != T.one():
-        raise AssertionError("constructed inverse failed verification")
-    if T.is_trivial_unit(a):
-        raise AssertionError("constructed unit is unexpectedly trivial")
-    return a, b
-
-
-def nonreduced_unit(T, n, g):
-    """A nontrivial unit built from a nonzero ring nilpotent n:
-    δ_e − n·δ_g, inverted by the geometric series δ_e + n·δ_g + (n·δ_g)² + ...
-    (for n² = 0 the series stops at the first-order term).
-    """
-    R, H = T.ring, T.group
-    if n == R.zero:
-        raise ValueError("need a nonzero nilpotent")
-    power, nilpotent = n, False
-    for _ in range(R.size):
-        power = R.mul(power, n)
-        if power == R.zero:
-            nilpotent = True
-            break
-    if not nilpotent:
-        raise ValueError(f"{R.label(n)} is not nilpotent")
-    if g == H.identity:
-        raise ValueError("need a non-identity group element")
-    x = T.delta(g, n)
-    a = T.sub(T.one(), x)
-    inv = T.one()
-    term = x
-    while term != T.zero():
-        inv = T.add(inv, term)
-        term = T.mul(term, x)
-    if T.mul(a, inv) != T.one() or T.mul(inv, a) != T.one():
-        raise AssertionError("geometric-series inverse failed verification")
-    if T.is_trivial_unit(a):
-        raise AssertionError("constructed unit is unexpectedly trivial")
-    return a, inv
 
 
 def _pairwise_products(H, A, B):

@@ -15,7 +15,8 @@ import math
 
 from . import finring, steinberg, twist as twist_mod
 from .finring import CapExceeded, DEFAULT_CAP, InputError
-from .groupoid import isotropy_fibre_group, validate_groupoid
+from .groupoid import is_effective, is_principal, isotropy_fibre_group, \
+    validate_groupoid
 
 
 class AbstractAlgebra:
@@ -63,8 +64,8 @@ class AbstractAlgebra:
         return tuple([add[a][b] for a, b in zip(x, y)])
 
     def sub(self, x, y):
-        R = self.ring
-        return tuple(R.sub(a, b) for a, b in zip(x, y))
+        add, neg = self.ring.add_table, self.ring._neg
+        return tuple([add[a][neg[b]] for a, b in zip(x, y)])
 
     def scale(self, t, x):
         mul_t = self.ring.mul_table[t]
@@ -161,6 +162,7 @@ class Pair:
         self.sub_basis = [tuple(v) for v in sub_basis]
         self.name = name or algebra.name
         self.cap = cap
+        self.cocycle = None  # the twist, set by pair_from_twist
         A, R = algebra, algebra.ring
         pivots, rest = finring.unit_pivot_rows(R, self.sub_basis)
         self._pivot_rows = sorted(pivots.values())
@@ -200,8 +202,9 @@ class Pair:
 
     # -- idempotents --------------------------------------------------
 
-    def idempotents_of_B(self):
-        """I(B) and the atoms (minimal nonzero idempotents).
+    def atoms_of_B(self):
+        """The atoms of B, its minimal nonzero idempotents, sorted; the
+        idempotents themselves are built only by idempotents_of_B.
 
         B is commutative with finitely many idempotents, ordered by f ≤ e
         when e·f = f, so each nonzero idempotent lies above an atom.  The
@@ -210,35 +213,47 @@ class Pair:
         idempotent f is the sum s of the atoms below it: f·e is an
         idempotent below the atom e, so 0 or e, and f·s = s makes r = f − s
         an idempotent with r·e = 0 for every atom e; an atom e ≤ r would
-        give e = e·r = 0, so r = 0.  satisfies_wt, has_local_units and
-        classify's B_spanned_by_idempotents read the atoms alone.
+        give e = e·r = 0, so r = 0.
 
         B is not listed when it is free on its pivot rows e_i, R is local
-        and e_i·e_j = δ_ij·e_i: the atoms are then the e_i and the
-        idempotents their 2^k subset sums.  Each b in B is Σ t_i·e_i with
-        unique t_i, so b² = Σ t_i²·e_i, and b² = b iff each t_i² = t_i,
-        that is t_i in {0, 1}, the only idempotents of a local ring (Lam,
-        A First Course in Noncommutative Rings, GTM 131, §21).  A subset
-        sum f has e_i ≤ f for each of its e_i, and e_i·f is e_i or 0, so
-        the idempotents below e_i are 0 and e_i.  This holds for every
-        twist pair on the arrow basis; any other B is listed."""
-        if self._idempotents is None:
+        and e_i·e_j = δ_ij·e_i: the atoms are then the e_i.  Each b in B is
+        Σ t_i·e_i with unique t_i, so b² = Σ t_i²·e_i, and b² = b iff each
+        t_i² = t_i, that is t_i in {0, 1}, the only idempotents of a local
+        ring (Lam, A First Course in Noncommutative Rings, GTM 131, §21).
+        So the idempotents are the subset sums of the e_i, and e_i·f is e_i
+        or 0 for each of them, so the idempotents below e_i are 0 and e_i.
+        This holds for every twist pair on the arrow basis; any other B is
+        listed."""
+        if self._atoms is None:
             A = self.algebra
             atoms, zero = self._pivot_rows, A.zero()
-            if len(self._rest) == 1 and len(finring.local_factors(A.ring)) == 1 \
-                    and all(A.mul(e, f) == (e if e == f else zero)
-                            for e in atoms for f in atoms):
-                idem = [zero]
-                for e in atoms:
-                    idem += [A.add(f, e) for f in idem]
-            else:
+            if not (len(self._rest) == 1 and
+                    len(finring.local_factors(A.ring)) == 1 and
+                    all(A.mul(e, f) == (e if e == f else zero)
+                        for e in atoms for f in atoms)):
                 idem = [e for e in A.span(self.sub_basis) if A.mul(e, e) == e]
                 # f ≤ e in the idempotent order when e·f = f
                 atoms = sorted(e for e in idem if e != zero and not any(
                     f not in (e, zero) and A.mul(e, f) == f for f in idem))
-            self._idempotents = sorted(idem)
             self._atoms = atoms
-        return self._idempotents, self._atoms
+        return self._atoms
+
+    def idempotents_of_B(self):
+        """I(B) and the atoms (atoms_of_B).  I(B) is built on the first
+        call, as the 2^k subset sums of the k atoms, since only
+        check_expectation without local units and the oracles read it.
+        Each idempotent is the sum of the atoms below it (atoms_of_B), a
+        sum of orthogonal idempotents is one, and two subsets give distinct
+        sums, as an atom e in only one of them gives e times one sum and 0
+        times the other."""
+        atoms = self.atoms_of_B()
+        if self._idempotents is None:
+            A = self.algebra
+            idem = [A.zero()]
+            for e in atoms:
+                idem += [A.add(f, e) for f in idem]
+            self._idempotents = sorted(idem)
+        return self._idempotents, atoms
 
     def satisfies_wt(self):
         """(WT): te = 0 with e a nonzero idempotent of B forces t = 0.
@@ -255,12 +270,12 @@ class Pair:
         identity of A ≠ 0, so local units fail.
 
         WT is decided on the atoms.  They are nonzero idempotents, and each
-        nonzero idempotent f lies above an atom e (idempotents_of_B), so
+        nonzero idempotent f lies above an atom e (atoms_of_B), so
         t·f = 0 gives t·e = t·f·e = 0.  So WT holds iff t·e = 0 forces
         t = 0 for every atom e, and I(B) = {0} iff there is no atom.
         """
         A, R = self.algebra, self.algebra.ring
-        _, atoms = self.idempotents_of_B()
+        atoms = self.atoms_of_B()
         if not atoms:
             return True, "I(B) = {0}: (WT) holds vacuously"
         zero = A.zero()
@@ -485,7 +500,7 @@ class Pair:
         and not 0, as n₀·g·g⁻¹ = n₀.
         """
         A = self.algebra
-        _, atoms = self.idempotents_of_B()
+        atoms = self.atoms_of_B()
         zero, found = A.zero(), {}
         # the nonzero f·b·e over the basis, which span f·A·e, with e·A·e
         # first among the corners from e; f is applied to each b·e ≠ 0 only
@@ -619,7 +634,7 @@ class Pair:
         if not self.has_local_units():
             return [n for n in A.all_elements(cap=self.cap)
                     if self.is_normaliser(n)]
-        _, atoms = self.idempotents_of_B()
+        atoms = self.atoms_of_B()
         zero = A.zero()
         # (m, m†, range) by source, the range of 0 being None
         by_source = {e: [(zero, zero, None)] for e in atoms}
@@ -682,7 +697,7 @@ class Pair:
         if self._expectation is not None:
             return self._expectation
         A, R = self.algebra, self.algebra.ring
-        _, atoms = self.idempotents_of_B()
+        atoms = self.atoms_of_B()
 
         def row(n):
             source, _ = self.ends(n)
@@ -835,12 +850,12 @@ class Pair:
     def has_local_units(self):
         """Some idempotent of B is a two-sided identity for the whole basis;
         decided once per pair, on the sum u of the atoms alone.  u is an
-        idempotent of B, the atoms being orthogonal (idempotents_of_B), and
+        idempotent of B, the atoms being orthogonal (atoms_of_B), and
         an idempotent of B that is an identity of A is u (the proof is in
         enumerate_normalisers)."""
         if self._local_units is None:
             A = self.algebra
-            _, atoms = self.idempotents_of_B()
+            atoms = self.atoms_of_B()
             u = functools.reduce(A.add, atoms, A.zero())
             self._local_units = all(A.mul(u, b) == b and A.mul(b, u) == b
                                     for b in A.basis_vectors)
@@ -887,7 +902,7 @@ class Pair:
         if self._unit_classes is None:
             A = self.algebra
             units = sorted(finring.ring_units(A.ring))
-            _, atoms = self.idempotents_of_B()
+            atoms = self.atoms_of_B()
             coordinates = {}
             for n in self._deciding_normalisers():
                 if n in coordinates:
@@ -924,11 +939,15 @@ class Pair:
 
         Every classify reaches the cap test of enumerate_normalisers; it is
         made first, so that a large A is refused before satisfies_wt lists
-        B.  The flags on B read its atoms (idempotents_of_B):
+        B.  The flags on B read its atoms (atoms_of_B):
         span(I(B)) = span(atoms), each idempotent being a sum of atoms, and
         that span is the direct sum of the R·e, since Σ r_e·e = 0 times an
         atom e′ gives r_e′·e′ = 0.  It lies in B, so it is B exactly when
-        Π_e |R·e| = |B|, and no span is listed."""
+        Π_e |R·e| = |B|, and no span is listed.
+
+        On a twist pair (pair_from_twist) where AQP holds, the geometry
+        claims are asserted beside the implication chain: ADP iff the base
+        groupoid is principal, and ACP iff it is effective."""
         if self._classification is not None:
             return self._classification
         A = self.algebra
@@ -940,7 +959,7 @@ class Pair:
         if warning:
             report["warnings"] = [warning]
         report["local_units"] = self.has_local_units()
-        _, atoms = self.idempotents_of_B()
+        atoms = self.atoms_of_B()
         report["B_spanned_by_idempotents"] = math.prod(
             len({A.scale(t, e) for t in A.ring.all_indices()})
             for e in atoms) == self._b_size
@@ -966,6 +985,12 @@ class Pair:
             raise AssertionError("implication ADP => ACP violated")
         if report["ACP"] and not report["AQP"]:
             raise AssertionError("implication ACP => AQP violated")
+        if report["AQP"] and self.cocycle is not None:
+            G = self.cocycle.groupoid
+            if report["ADP"] != is_principal(G):
+                raise AssertionError("ADP <=> principal base violated")
+            if report["ACP"] != is_effective(G):
+                raise AssertionError("ACP <=> effective base violated")
         self._classification = report
         return report
 
@@ -988,11 +1013,6 @@ def element_to_vector(pair, f):
     for g, v in f.coeffs.items():
         vec[A.index[g]] = v
     return tuple(vec)
-
-
-def vector_to_element(pair, vec):
-    return steinberg.AlgebraElement(
-        pair.cocycle, {g: vec[i] for g, i in pair.algebra.index.items()})
 
 
 def check_lbh(pair):

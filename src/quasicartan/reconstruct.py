@@ -35,7 +35,7 @@ class UltraGroupoid:
         self.algebra = A = pair.algebra
         self.units = sorted(finring.ring_units(A.ring))
         self.points = list(pair.enumerate_normalisers("minimal"))
-        _, self.atoms = pair.idempotents_of_B()
+        self.atoms = pair.atoms_of_B()
         self.coordinates, self.classes = pair.unit_classes()
         if len(self.coordinates) != len(self.points):
             raise AssertionError("points not closed under the scalar action")

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasicartan import cli, groupoid as gpd, grouprings, pairs, \
+from quasicartan import cli, finring, groupoid as gpd, grouprings, pairs, \
     reconstruct, twist
 
 from helpers import LOOP_TABLE
@@ -580,6 +580,84 @@ def test_classify_on_m11_gf3_does_not_list_B(tmp_path):
     assert len(summary) == 8 and set(summary.values()) == {"true"}
 
 
+def test_classify_on_m16_gf3_keeps_to_100_mb(tmp_path):
+    # B has 2^16 idempotents, but classify reads its 16 atoms alone, so
+    # with the cap lifted past |A| = 3^256 the command runs within a 100 MB
+    # address space
+    path = tmp_path / "input.txt"
+    path.write_text("[ring]\ngf(3,1)\n[groupoid]\nfull_relation(16)\n"
+                    f"[cocycle]\ntrivial\n[options]\ncap = {3 ** 256}\n")
+    result = _run_limited("classify", path, timeout=60, limit=100_000_000)
+    assert result.returncode == 0, result.stderr
+    summary = cli.parse_summary(result.stdout)
+    assert len(summary) == 8 and set(summary.values()) == {"true"}
+
+
+def _union(parts):
+    """The disjoint union of the full_relation(n) and group(cyclic(m)) of
+    parts, given as ("X", n) and ("C", m)."""
+    build = {"X": gpd.full_relation,
+             "C": lambda m: gpd.group_as_groupoid(gpd.cyclic_group(m))}
+    G = build[parts[0][0]](parts[0][1])
+    for kind, n in parts[1:]:
+        G = gpd.disjoint_union(G, build[kind](n))
+    return G
+
+
+def _union_text(ring, G):
+    """classify's input for G in the explicit form, with the trivial
+    cocycle."""
+    obj = {x: f"x{i}" for i, x in enumerate(G.objects)}
+    arrow = {a: f"a{i}" for i, a in enumerate(G.arrows)}
+    return "\n".join(
+        ["[ring]", ring, "[groupoid]", "objects = " + " ".join(obj.values())]
+        + [f"{arrow[a]} : {obj[G.src[a]]} -> {obj[G.rng[a]]}" for a in G.arrows]
+        + [f"{arrow[a]} . {arrow[b]} = {arrow[ab]}"
+           for a, b, ab in G.composable_pairs()]
+        + ["[cocycle]", "trivial", ""])
+
+
+_PARTS = [("X", 1), ("X", 2), ("X", 3), ("C", 2), ("C", 3), ("C", 4)]
+_UNIONS = [[p] for p in _PARTS] + [
+    [p, q] for i, p in enumerate(_PARTS) for q in _PARTS[i:]]
+
+
+@pytest.mark.parametrize("ring, size, principal", [
+    ("gf(2,1)", 2, {True, False}), ("gf(3,1)", 3, {True, False}),
+    # 1 + 2·δ_g is a nontrivial unit of Z/4[C_m], so over Z/4 only the
+    # principal bases are AQP
+    ("zmod(4)", 4, {True})])
+def test_classify_checks_the_geometry_of_generated_bases(
+        ring, size, principal, tmp_path, capsys):
+    # classify asserts ADP iff the base is principal and ACP iff it is
+    # effective wherever AQP holds, so each union under the default cap on
+    # |A| exits 0; seen collects, over the AQP unions, whether ADP and ACP
+    # hold, and principal and other bases both occur where the ring allows
+    seen = set()
+    for G in map(_union, _UNIONS):
+        if size ** len(G.arrows) > 10 ** 6:
+            continue
+        code, out = _run("classify", _union_text(ring, G), tmp_path, capsys)
+        assert code == 0, G.name
+        flags = cli.parse_summary(out)
+        if flags["aqp"] == "true":
+            seen.add(flags["adp"] == flags["acp"] == "true")
+    assert seen == principal
+
+
+@pytest.mark.parametrize("name", ["is_principal", "is_effective"])
+def test_a_wrong_geometry_is_a_theorem_failure(name, tmp_path, capsys,
+                                               monkeypatch):
+    # full_relation(2) over GF(3) is AQP on a principal base: a predicate
+    # that reads the other way makes classify exit 1
+    monkeypatch.setattr(pairs, name,
+                        lambda G, fn=getattr(gpd, name): not fn(G))
+    path = tmp_path / "input.txt"
+    path.write_text(CLASSIFY_PAIR2)
+    assert cli.main(["classify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("theorem verification failure:")
+
+
 @pytest.mark.parametrize("text", [
     # an abstract pair: reconstruct needs a groupoid+cocycle input
     "[ring]\ngf(2,1)\n[algebra]\nbasis = " + " ".join(f"b{i}" for i in range(20))
@@ -768,6 +846,21 @@ def test_ring_tables_input(tmp_path, capsys):
     code, out = _run("classify", RING_TABLES_GF2, tmp_path, capsys)
     assert code == 0
     assert cli.parse_summary(out)["aqp"] == "true"
+
+
+def test_check_validates_ring_tables_once(tmp_path, capsys, monkeypatch):
+    # build_ring refuses tables that fail validate_ring, so check reports
+    # that verdict instead of validating the tables again
+    calls = []
+
+    def counted(R, fn=finring.validate_ring):
+        calls.append(R)
+        return fn(R)
+
+    monkeypatch.setattr(finring, "validate_ring", counted)
+    code, out = _run("check", RING_TABLES_GF2, tmp_path, capsys)
+    assert code == 0 and cli.parse_summary(out)["ring_ok"] == "true"
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["classify", "units"])

@@ -5,6 +5,7 @@ import pytest
 from quasicartan import finring as fr, groupoid as gp, pairs as pr, \
     steinberg as sb, twist as tw
 
+import definitions as df
 from helpers import FIXTURE_NAMES, SMALL_FIXTURES, make_pair, make_twist, \
     classification, matrix_pair
 
@@ -134,11 +135,11 @@ def test_canonical_expectation_is_restriction_on_twist_pairs():
         report = pair.canonical_expectation()
         assert report["is_expectation"]
         P = report["map"]
-        Q = sb.restriction_expectation(pair.cocycle)
+        Q = df.restriction_expectation(pair.cocycle)
         for i in range(pair.algebra.dim):
             n = pair.algebra.basis_vector(i)
             expected = pr.element_to_vector(
-                pair, Q(pr.vector_to_element(pair, n)))
+                pair, Q(df.vector_to_element(pair, n)))
             assert P(n) == expected
 
 
@@ -297,7 +298,7 @@ def test_element_vector_roundtrip():
     pair = make_pair("mixed_gf3")
     for i in range(pair.algebra.dim):
         n = pair.algebra.basis_vector(i, 2)
-        assert pr.element_to_vector(pair, pr.vector_to_element(pair, n)) == n
+        assert pr.element_to_vector(pair, df.vector_to_element(pair, n)) == n
 
 
 def test_cap_enforced():

@@ -1,7 +1,7 @@
-"""Print the line counts of the package source: the total, and the code
-lines, which are the lines that are not blank, not only a comment, and not
-part of a docstring (a string that is the first statement of a module,
-class or function).
+"""Print the line counts of the package source, one line per module and
+then the total: all lines, and the code lines, which are the lines that are
+not blank, not only a comment, and not part of a docstring (a string that
+is the first statement of a module, class or function).
 
     python tools/code_lines.py [directory]
 
@@ -42,8 +42,10 @@ def main(argv):
     for path in sorted(root.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         n = len(source.splitlines())
+        m = n - len(not_code(source))
+        print(f"{path.name}: {n} lines, {m} code lines")
         total += n
-        code += n - len(not_code(source))
+        code += m
     print(f"{root.name}: {total} lines, {code} code lines")
 
 

@@ -184,12 +184,21 @@ def _ring_from_tables(rows):
     return R
 
 
+def _group_order(form, groups, cap=DEFAULT_CAP):
+    """The order of the group of a [group] row, its product table charged
+    to the cap."""
+    if form == "klein":
+        return 4
+    n = _int(groups[0])
+    _check_size(n * n, cap)
+    return n
+
+
 def _group(form, groups, cap=DEFAULT_CAP):
     """The group of a [group] row."""
+    n = _group_order(form, groups, cap)
     if form == "klein":
         return gpd.direct_product_group(gpd.cyclic_group(2), gpd.cyclic_group(2))
-    n = _int(groups[0])
-    _check_size(n * n, cap)  # the product table
     return gpd.cyclic_group(n)
 
 
@@ -465,6 +474,12 @@ def cmd_units(doc, cap, oracle):
     rows = doc.sections.get("group", [])
     if len(rows) != 1:
         raise InputError("units needs a [group] section with one row")
+    # the census is charged before H and T are built, at no more than the
+    # first charge of the path unit_census takes: count_units' when T is
+    # commutative, enumerate_units' when it is not or with the oracle
+    n = _group_order(*rows[0][2:], cap)
+    _check_size(R.size ** (2 * n) if oracle else
+                min(len(finring.local_factors(R)) * n ** 4, R.size ** n), cap)
     H = _group(*rows[0][2:], cap)
     values = None
     if "cocycle" in doc.sections:
@@ -497,8 +512,7 @@ def _parse_subset(value, rank):
             out.append(tuple(int(p) for p in parts))
         except ValueError:
             raise InputError(f"subset element {token!r} is not an integer")
-    if not out:
-        raise InputError("empty subset")
+    # never empty: the row grammar gives a value with a non-blank token
     return out
 
 
@@ -579,9 +593,9 @@ COMMANDS = {
 
 
 def run_command(doc, command):
-    """Dispatch; returns (report text, summary dict, exit code)."""
-    if command not in COMMANDS:
-        raise InputError(f"unknown command {command!r}")
+    """Dispatch; returns (report text, summary dict, exit code).  The
+    command is one of COMMANDS, which the argument parser's choices
+    enforce."""
     cap, oracle = get_options(doc)
     report, summary, code = COMMANDS[command](doc, cap, oracle)
     return "\n".join(report), summary, code

@@ -1,15 +1,18 @@
-"""Shared fixture twists and memoized expensive computations for the tests."""
+"""Shared fixture twists, the one generator of twists for the property
+tests, and memoized expensive computations for the tests."""
 
 import functools
+import math
 import random
 from functools import lru_cache
 
-from quasicartan import finring as fr, groupoid as gp, twist as tw, \
-    pairs as pr, reconstruct as rc
+from hypothesis import strategies as st
 
+from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
+    twist as tw, pairs as pr, reconstruct as rc
 
-def _klein():
-    return gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
+KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
+C2_CUBED = gp.direct_product_group(KLEIN, gp.cyclic_group(2))
 
 
 # name -> builder; spans principal and non-principal bases, trivial and
@@ -29,7 +32,7 @@ FIXTURE_BUILDERS = {
         gp.disjoint_union(gp.full_relation(2),
                           gp.group_as_groupoid(gp.cyclic_group(2)))),
     "klein_gf3": lambda: tw.trivial_cocycle(
-        fr.make_gf(3), gp.group_as_groupoid(_klein())),
+        fr.make_gf(3), gp.group_as_groupoid(KLEIN)),
     "z3_gf2": lambda: tw.trivial_cocycle(
         fr.make_gf(2), gp.group_as_groupoid(gp.cyclic_group(3))),
     "pair2_gf3_coboundary": lambda: tw.coboundary_cocycle(
@@ -51,14 +54,16 @@ LOOP_TABLE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
               [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
 
-def times_coboundary(c, rng):
-    """c·∂b for a random b: arrows → units with b = 1 on unit arrows."""
+def times_coboundary(c, choose):
+    """c·∂b for b: arrows → units with b = 1 on unit arrows and each other
+    value choose(units), in arrow order."""
     R, G = c.ring, c.groupoid
     units = sorted(fr.ring_units(R))
-    b = {g: rng.choice(units) for g in G.arrows if not G.is_unit(g)}
-    d = tw.coboundary_cocycle(R, G, b)
-    return tw.Cocycle(R, G, {p: R.mul(v, d.values[p])
-                             for p, v in c.values.items()})
+    d = tw.coboundary_cocycle(R, G, {g: choose(units) for g in G.arrows
+                                     if not G.is_unit(g)})
+    mul = R.mul_table
+    return tw.cocycle_from_rows(R, G, [[mul[x][y] for x, y in zip(*rows)]
+                                       for rows in zip(c.rows, d.rows)])
 
 
 def check_cocycle_by_definition(c):
@@ -82,6 +87,96 @@ def check_cocycle_by_definition(c):
         if c.value(g, G.unit_at[G.src[g]]) != R.one:
             bad.append(f"not normalised on ({g}, unit)")
     return bad
+
+
+# -- generated twists: the one strategy of the property tests ---------
+
+# (group, the coordinate of an element and its order that the carry
+# cocycle t^[x+y ≥ n] reads); C8's generating set is {0, 1}, so most of
+# its arrows are not generators
+GROUPS = [(gp.cyclic_group(n), lambda g: g, n) for n in range(1, 9)] + \
+    [(KLEIN, lambda g: g[0], 2)]
+# (groupoid, carry): the full relations, whose twists are all trivial, and
+# the groups with their carry coordinate and order
+COMPONENTS = [(gp.full_relation(n), None) for n in (1, 2, 3)] + \
+    [(H.groupoid, (coordinate, n)) for H, coordinate, n in GROUPS]
+
+
+def carry_cocycle(R, G, carry, t):
+    """t^[x+y ≥ n] for carry = (coordinate, n), x and y the coordinates
+    of the composed arrows."""
+    coordinate, n = carry
+    return tw.Cocycle(R, G, {(a, b): t for a, b, _ in G.composable_pairs()
+                             if coordinate(a) + coordinate(b) >= n})
+
+
+def bilinear_cocycle(R, G, coordinates):
+    """(−1)^(x_i·y_j) for coordinates (i, j) of arrows that are tuples of
+    bits, nested tuples flattened."""
+    def bits(g):
+        return sum((bits(x) for x in g), ()) if isinstance(g, tuple) else (g,)
+    i, j = coordinates
+    return tw.Cocycle(R, G, {(a, b): R.neg(R.one)
+                             for a, b, _ in G.composable_pairs()
+                             if bits(a)[i] * bits(b)[j] == 1})
+
+
+def _union(c1, c2):
+    # the rows of a disjoint union are its parts' rows, one after the other
+    return tw.cocycle_from_rows(c1.ring, gp.disjoint_union(c1.groupoid,
+                                                           c2.groupoid),
+                                c1.rows + c2.rows)
+
+
+@st.composite
+def bases(draw, rings, budget=None, one_object=False):
+    """A ring R of rings and a list of COMPONENTS, drawn while a coin says
+    so and |R|^arrows stays within budget: one group when one_object, at
+    most three components when there is no budget."""
+    R = draw(st.sampled_from(rings))
+    choices = [part for part in COMPONENTS if part[1] or not one_object]
+    limit = 1 if one_object else 3 if budget is None else math.inf
+    parts, arrows = [], 0
+    while len(parts) < limit and (not parts or draw(st.booleans())):
+        fits = [part for part in choices if budget is None or
+                R.size ** (arrows + len(part[0].arrows)) <= budget]
+        if not fits:
+            break
+        parts.append(draw(st.sampled_from(fits)))
+        arrows += len(parts[-1][0].arrows)
+    return R, parts
+
+
+@st.composite
+def twists_on(draw, R, parts):
+    """A class representative on the disjoint union of parts times a random
+    coboundary ∂b.  The representative is trivial on a full relation, a
+    carry cocycle on a group (t = 1 gives the trivial one) and, on C2×C2,
+    the carry or the bilinear (−1)^(x₁y₂)."""
+    units = sorted(fr.ring_units(R))
+
+    def representative(G, carry):
+        if carry is None:
+            return tw.trivial_cocycle(R, G)
+        if G is KLEIN.groupoid and draw(st.booleans()):
+            return bilinear_cocycle(R, G, (0, 1))
+        return carry_cocycle(R, G, carry, draw(st.sampled_from(units)))
+
+    c = functools.reduce(_union, [representative(*part) for part in parts])
+    return times_coboundary(
+        c, random.Random(draw(st.integers(0, 2 ** 16))).choice)
+
+
+def twists(rings, budget=None, one_object=False):
+    """Generated twists: a base of bases, then a cocycle of twists_on."""
+    return bases(rings, budget, one_object).flatmap(
+        lambda base: twists_on(*base))
+
+
+def group_ring(c):
+    """R(H, c) for a twist c on the groupoid of a group H of GROUPS."""
+    H = next(H for H, _, _ in GROUPS if H.groupoid is c.groupoid)
+    return gr.TwistedGroupRing(c.ring, H, c.values)
 
 
 # -- the dict constructions that the row constructors replaced, kept as
@@ -148,8 +243,8 @@ def assert_same_groupoid(G, H):
 
 def klein_z4_pair():
     """Z/4[C2×C2] times a coboundary: one atom, 128 ultrafilter points."""
-    c = tw.trivial_cocycle(fr.make_zmod(4), gp.group_as_groupoid(_klein()))
-    return pr.pair_from_twist(times_coboundary(c, random.Random(3)))
+    c = tw.trivial_cocycle(fr.make_zmod(4), gp.group_as_groupoid(KLEIN))
+    return pr.pair_from_twist(times_coboundary(c, random.Random(3).choice))
 
 
 @lru_cache(maxsize=None)

@@ -716,6 +716,17 @@ def test_units_of_a_large_group_ring_exit_on_the_cap(tmp_path):
                             "cap 1000000\n"
 
 
+def test_the_census_is_charged_before_the_group_ring_is_built(tmp_path):
+    # GF(2)[C1000]: the product table fits the default cap, but the count
+    # is charged 1000⁴ before H's table and T's 10⁶ structure constants
+    path = tmp_path / "input.txt"
+    path.write_text(_units_text("gf(2,1)", 1000))
+    result = _run_limited("units", path, timeout=10, limit=200_000_000)
+    assert result.returncode == 2
+    assert result.stderr == "cap exceeded: search size 1000000000000 " \
+                            "exceeds cap 1000000\n"
+
+
 def _zmod_tables(n):
     """Z/n as a [ring.tables] section, which charges no table to the cap."""
     rows = [f"{op}: {a} {b} = {f(a, b) % n}" for op, f in
@@ -1170,6 +1181,98 @@ def test_the_commands_read_rows_not_the_dict_views(command, text, explicit,
     monkeypatch.setattr(twist, "cocycle_dict", refused)
     assert _run(command, text, tmp_path, capsys) == expected
     assert indexed == ([["e", "g"]] if explicit else [])
+
+
+# name -> (command, input, the one line of its input error): a section or
+# row missing, a label that names nothing, or tables and cocycles that are
+# not what they claim
+REFUSED = {
+    "tables_without_one": ("check", RING_TABLES_GF2.replace("one = 1\n", ""),
+                           "[ring.tables] needs elements, zero and one"),
+    "tables_entry_missing": ("check", RING_TABLES_GF2.replace(
+        "mul: 1 1 = 1\n", ""), "[ring.tables] missing entry for ('1', '1')"),
+    "tables_zero_is_one": ("check", RING_TABLES_GF2.replace("one = 1", "one = 0"),
+                           "[ring.tables]: ring must be nontrivial (zero != one)"),
+    "tables_not_a_ring": ("check", RING_TABLES_GF2.replace(
+        "mul: 1 1 = 1", "mul: 1 1 = 0"), "ring tables violate the ring "
+        "axioms: one not multiplicative identity at 1"),
+    "upp_group": ("upp", UPP_SUBGROUP.replace("cyclic(4)", "dihedral(4)"),
+                  "cannot parse group spec 'dihedral(4)'"),
+    "no_objects_row": ("check", EXPLICIT_C2_GF5.replace("objects = x\n", ""),
+                       "[groupoid] needs an objects row"),
+    "compare_non_unit": ("compare", COMPARE_GF5.replace("c(1, 1) = 4",
+                                                        "c(1, 1) = 0"),
+                         "cocycle invalid: value at (1, 1) is not a unit"),
+    "no_cocycle": ("classify", CLASSIFY_PAIR2.replace("[cocycle]\ntrivial\n",
+                                                      ""),
+                   "missing [cocycle] section"),
+    "not_composable": ("classify", CLASSIFY_PAIR2.replace(
+        "trivial", "c(1-2, 1-2) = 1"), "line 6: pair (1-2,1-2) is not composable"),
+    "product_label": ("classify", ABSTRACT_PAIR.replace("n * n = 0", "n * n = m"),
+                      "line 8: unknown basis label 'm'"),
+    "no_basis_row": ("classify", ABSTRACT_PAIR.replace("basis = e n\n", ""),
+                     "[algebra] needs a basis row"),
+    "factor_label": ("classify", ABSTRACT_PAIR.replace("n * n = 0", "m * n = 0"),
+                     "line 8: unknown basis label"),
+    "not_associative": ("classify", ABSTRACT_PAIR.replace(
+        "e * e = e", "e * e = n"), "structure constants not associative "
+        "at (0,0,1)"),
+    "no_pair": ("classify", ABSTRACT_PAIR.split("[pair]")[0],
+                "[pair] needs a sub_basis row"),
+    "sub_basis_not_closed": ("classify", ABSTRACT_PAIR.replace(
+        "sub_basis = e", "sub_basis = e + n"),
+        "sub_basis span is not closed under multiplication"),
+    "twist_and_algebra": ("classify", ABSTRACT_PAIR + "[groupoid]\n"
+                          "full_relation(1)\n",
+                          "give either groupoid+cocycle or algebra+pair, not both"),
+    "upp_rank": ("upp", UPP_SUBGROUP.replace("group = cyclic(4)",
+                                             "group = klein"),
+                 "subset element '0' has wrong rank"),
+    "upp_outside": ("upp", UPP_SUBGROUP.replace("A = 0 2", "A = 0 5"),
+                    "subset element outside cyclic(4)"),
+}
+
+
+@pytest.mark.parametrize("command, text, message", list(REFUSED.values()),
+                         ids=list(REFUSED))
+def test_each_refusal_is_one_input_error_line(command, text, message,
+                                              tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 3
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+
+GF3_SQUARED = """\
+[ring]
+gf(3,1)
+[algebra]
+basis = e f
+e * e = e
+f * f = f
+e * f = 0
+f * e = 0
+[pair]
+sub_basis = e
+"""
+
+
+def test_an_idempotent_that_is_no_identity_is_classified(tmp_path, capsys):
+    # B = span(e) in GF(3)²: the identity e + f of A is not in B, so the
+    # pair lacks local units and its expectation is tested on I(B)
+    code, out = _run("classify", GF3_SQUARED, tmp_path, capsys)
+    summary = cli.parse_summary(out)
+    assert code == 0
+    assert (summary["local_units"], summary["a_spanned_by_normalisers"],
+            summary["faithful_ce_exists"]) == ("false", "true", "false")
+
+
+def test_a_nilpotent_sub_basis_warns_that_wt_is_vacuous(tmp_path, capsys):
+    code, out = _run("classify", ABSTRACT_PAIR.replace("sub_basis = e",
+                                                       "sub_basis = n"),
+                     tmp_path, capsys)
+    assert code == 0
+    assert "  warning: I(B) = {0}: (WT) holds vacuously\n" in out
 
 
 # name -> (command, input, its row, the second row for the same key)

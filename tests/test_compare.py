@@ -3,7 +3,6 @@ composition-preserving arrow bijection ψ and every u: arrows → R^× with
 u = 1 on units and u(αβ)·c1(α,β) = c2(ψα,ψβ)·u(α)·u(β)."""
 
 import itertools
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,32 +10,20 @@ from hypothesis import given, settings, strategies as st
 from quasicartan import finring as fr, groupoid as gp, reconstruct as rc, \
     steinberg as sb, twist as tw
 
+from helpers import C2_CUBED, KLEIN, bases, bilinear_cocycle, twists_on
+
 PROPERTY = settings(max_examples=150)
 
 # Z/8 has the non-cyclic unit group C2×C2
 RINGS = [fr.make_gf(3), fr.make_gf(5), fr.make_zmod(4), fr.make_zmod(8),
          fr.make_zmod(9)]
+# |A| ≤ 5^6: full_relation(2) + C2 over GF(5); the definition below walks
+# every arrow bijection, so the bases stay near six arrows
+SIZE = 9 ** 4
 
 
 def _cyclic(n):
     return gp.group_as_groupoid(gp.cyclic_group(n))
-
-
-# (groupoid, the cyclic coordinate of an arrow and its order, which the
-# carry cocycle t^[x+y ≥ n] reads, or None for no carry; the pairs at
-# which the bilinear cocycle (−1)^(x₁y₂) is −1, or None where there is none)
-SHAPES = [
-    (gp.full_relation(2), None, None),
-    (_cyclic(2), (lambda g: g, 2), None),
-    (_cyclic(3), (lambda g: g, 3), None),
-    (_cyclic(4), (lambda g: g, 4), None),
-    # (−1)^(x₁y₂) is not symmetric, so its commutator pairing is not 1
-    (gp.group_as_groupoid(gp.direct_product_group(gp.cyclic_group(2),
-                                                  gp.cyclic_group(2))),
-     (lambda g: g[0], 2), lambda a, b: a[0] * b[1] == 1),
-    (gp.disjoint_union(gp.full_relation(2), _cyclic(2)),
-     (lambda g: g[1] if g[0] == 1 else 0, 2), None),
-]
 
 
 def _reversed(G):
@@ -47,33 +34,12 @@ def _reversed(G):
 
 @st.composite
 def cocycle_pairs(draw):
-    """Two cocycles on one shape, each a carry cocycle (or trivial) or a
-    bilinear one times a random coboundary, each on the shape or on its
-    reversed listing."""
-    G, carry, bilinear = draw(st.sampled_from(SHAPES))
-    R = draw(st.sampled_from(RINGS))
-    units = sorted(fr.ring_units(R))
-    rng = random.Random(draw(st.integers(0, 2 ** 16)))
-
-    def cocycle(G):
-        values = {}
-        if bilinear is not None and draw(st.booleans()):
-            values = {(a, b): R.neg(R.one) for a, b in G.compose
-                      if bilinear(a, b)}
-        elif carry is not None:
-            coordinate, n = carry
-            t = draw(st.sampled_from(units))
-            values = {(a, b): t for a, b in G.compose
-                      if coordinate(a) + coordinate(b) >= n}
-        b = {g: rng.choice(units) for g in G.arrows if not G.is_unit(g)}
-        d = tw.coboundary_cocycle(R, G, b)
-        c = tw.Cocycle(R, G, {p: R.mul(values.get(p, R.one), v)
-                              for p, v in d.values.items()})
-        assert tw.check_cocycle(c) == []
-        return c
-
-    return tuple(cocycle(_reversed(G) if draw(st.booleans()) else G)
-                 for _ in range(2))
+    """Two generated twists on one base, each on it or on its reversed
+    listing."""
+    base = draw(bases(RINGS, SIZE))
+    cocycles = [draw(twists_on(*base)) for _ in range(2)]
+    return tuple(tw.Cocycle(c.ring, _reversed(c.groupoid), c.values)
+                 if draw(st.booleans()) else c for c in cocycles)
 
 
 def _isomorphisms(G1, G2):
@@ -257,23 +223,6 @@ def test_induced_algebra_map_convolves_only_composable_pairs(monkeypatch):
     assert len(calls) == 2 * len(G.compose) == 2 * 27
 
 
-_KLEIN = gp.group_as_groupoid(gp.direct_product_group(gp.cyclic_group(2),
-                                                      gp.cyclic_group(2)))
-_C2_CUBED = gp.group_as_groupoid(gp.direct_product_group(
-    gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2)),
-    gp.cyclic_group(2)))
-
-
-def _bilinear(R, G, coordinates):
-    """(−1)^(x_i·y_j) for coordinates (i, j) of arrows that are tuples of
-    bits, nested tuples flattened."""
-    def bits(g):
-        return sum((bits(x) for x in g), ()) if isinstance(g, tuple) else (g,)
-    i, j = coordinates
-    return tw.Cocycle(R, G, {(a, b): R.neg(R.one) for a, b in G.compose
-                             if bits(a)[i] * bits(b)[j] == 1})
-
-
 def _counting_adjustments(monkeypatch):
     solved = []
     adjustment = rc._TwistWalk.adjustment
@@ -288,7 +237,8 @@ def _counting_adjustments(monkeypatch):
 
 def test_the_commutator_pairing_decides_before_any_map(monkeypatch):
     R = fr.make_gf(3)
-    c1, c2 = _bilinear(R, _KLEIN, (0, 1)), tw.trivial_cocycle(R, _KLEIN)
+    G = KLEIN.groupoid
+    c1, c2 = bilinear_cocycle(R, G, (0, 1)), tw.trivial_cocycle(R, G)
     assert rc.commutator_pairing(c1)[((1, 0), (0, 1))] == R.neg(R.one)
     assert set(rc.commutator_pairing(c2).values()) == {R.one}
     assert rc.pairings_differ(rc.commutator_pairing(c1),
@@ -302,7 +252,8 @@ def test_a_map_that_moves_the_pairing_is_not_solved(monkeypatch):
     # (−1)^(x₁y₂) and (−1)^(x₁y₃) on C2³ are isomorphic by swapping the
     # last two coordinates, but not by the identity, which moves ω
     R = fr.make_gf(3)
-    c1, c2 = _bilinear(R, _C2_CUBED, (0, 1)), _bilinear(R, _C2_CUBED, (0, 2))
+    G = C2_CUBED.groupoid
+    c1, c2 = bilinear_cocycle(R, G, (0, 1)), bilinear_cocycle(R, G, (0, 2))
     omega1, omega2 = rc.commutator_pairing(c1), rc.commutator_pairing(c2)
     assert not rc.pairings_differ(omega1, omega2)
     solved = _counting_adjustments(monkeypatch)
@@ -310,4 +261,4 @@ def test_a_map_that_moves_the_pairing_is_not_solved(monkeypatch):
     assert found is not None and _is_twist_iso(c1, c2, *found[1:])
     assert solved and all(omega2[(psi[a], psi[b])] == w for psi in solved
                           for (a, b), w in omega1.items())
-    assert {g: g for g in _C2_CUBED.arrows} not in solved
+    assert {g: g for g in G.arrows} not in solved

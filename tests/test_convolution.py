@@ -12,15 +12,12 @@ from quasicartan import finring as fr, groupoid as gp, pairs as pr, \
     twist as tw
 
 from helpers import FIXTURE_NAMES, LOOP_TABLE, check_cocycle_by_definition, \
-    make_pair
+    make_pair, twists
 
-_KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
-GROUPOIDS = [gp.full_relation(n) for n in (1, 2, 3)] + \
-    [gp.group_as_groupoid(gp.cyclic_group(n)) for n in (1, 2, 3, 4)] + \
-    [gp.group_as_groupoid(_KLEIN),
-     gp.disjoint_union(gp.full_relation(2),
-                       gp.group_as_groupoid(gp.cyclic_group(2)))]
 RINGS = [fr.make_zmod(4), fr.make_gf(3), fr.make_gf(2, 2)]
+# |A| ≤ 4^9: full_relation(3) over Z/4; the generic check multiplies out
+# every basis triple
+SIZE = 4 ** 9
 
 
 def loop_groupoid():
@@ -51,17 +48,14 @@ def _raises(build, c):
 
 @st.composite
 def normalised_tables(draw):
-    """A coboundary, which is a cocycle, with up to two of its values off
-    the units redrawn: unit-valued and normalised, but not always a
-    cocycle."""
-    G = draw(st.sampled_from(GROUPOIDS))
-    R = draw(st.sampled_from(RINGS))
-    units = sorted(fr.ring_units(R))
-    b = {g: draw(st.sampled_from(units)) for g in G.arrows if not G.is_unit(g)}
-    values = dict(tw.coboundary_cocycle(R, G, b).values)
+    """A generated twist with up to two of its values off the units
+    redrawn: unit-valued and normalised, but not always a cocycle."""
+    c = draw(twists(RINGS, SIZE))
+    R, G, values = c.ring, c.groupoid, dict(c.values)
     inner = sorted((p for p in values
                     if not (G.is_unit(p[0]) or G.is_unit(p[1]))), key=repr)
     if inner:
+        units = sorted(fr.ring_units(R))
         for _ in range(draw(st.integers(0, 2))):
             values[draw(st.sampled_from(inner))] = draw(st.sampled_from(units))
     return tw.Cocycle(R, G, values)

@@ -191,8 +191,8 @@ def test_validate_catches_broken_table():
 
 
 def _validate_by_definition(R):
-    """validate_ring for |R| <= 16 by its definition: every pair, then
-    every triple, stopping after the triple that passes 20 faults."""
+    """validate_ring by its definition: every pair, then every triple,
+    stopping after the triple that passes 20 faults."""
     idx = range(R.size)
     bad = []
     for a in idx:
@@ -217,13 +217,9 @@ def _validate_by_definition(R):
     return bad
 
 
-@settings(max_examples=200, deadline=None)
-@given(R=st.sampled_from([fr.make_zmod(n) for n in (2, 4, 6, 9, 16)] +
-                         [fr.make_gf(2, 2), fr.make_gf(7)]),
-       changes=st.integers(0, 6), seed=st.integers(0, 2 ** 16))
-def test_validate_ring_names_the_faults_of_its_definition(R, changes, seed):
-    # a table compared a row at a time names the same faults, in the same
-    # order and with the same stop, as the walk over every triple
+def _broken(R, changes, seed):
+    """R with changes random table entries redrawn; None when an element
+    is left without a negative."""
     rng = random.Random(seed)
     tables = [[list(row) for row in R.add_table],
               [list(row) for row in R.mul_table]]
@@ -231,10 +227,74 @@ def test_validate_ring_names_the_faults_of_its_definition(R, changes, seed):
         row = rng.choice(tables)[rng.randrange(R.size)]
         row[rng.randrange(R.size)] = rng.randrange(R.size)
     try:
-        broken = fr.FiniteRing("broken", R.elements, *tables, R.zero, R.one)
-    except ValueError:  # an element left without a negative
-        return
-    assert fr.validate_ring(broken) == _validate_by_definition(broken)
+        return fr.FiniteRing("broken", R.elements, *tables, R.zero, R.one)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(R=st.sampled_from([fr.make_zmod(n) for n in (2, 4, 6, 9, 16)] +
+                         [fr.make_gf(2, 2), fr.make_gf(7)]),
+       changes=st.integers(0, 6), seed=st.integers(0, 2 ** 16))
+def test_validate_ring_names_the_faults_of_its_definition(R, changes, seed):
+    # a table compared a row at a time names the same faults, in the same
+    # order and with the same stop, as the walk over every triple
+    broken = _broken(R, changes, seed)
+    if broken is not None:
+        assert fr.validate_ring(broken) == _validate_by_definition(broken)
+
+
+@settings(max_examples=40, deadline=None)
+@given(R=st.sampled_from([fr.make_zmod(n) for n in (17, 20, 24, 25)] +
+                         [fr.make_gf(5, 2)]),
+       changes=st.integers(0, 2), seed=st.integers(0, 2 ** 16))
+def test_validate_ring_decides_larger_tables_by_its_definition(R, changes,
+                                                               seed):
+    # above 16 elements too the verdict and the faults are the definition's
+    broken = _broken(R, changes, seed)
+    if broken is not None:
+        assert fr.validate_ring(broken) == _validate_by_definition(broken)
+
+
+def test_validate_ring_finds_a_bilinear_product_that_is_not_associative():
+    # GF(2)³ on 1, x, y with x² = y, y² = x and xy = 0: commutative, unital
+    # and biadditive, but (x·x)·y = x while x·(x·y) = 0, so only the
+    # associativity test on the generators can refuse it
+    vectors = list(itertools.product((0, 1), repeat=3))
+    basis = {((0, 1, 0), (0, 1, 0)): (0, 0, 1), ((0, 0, 1), (0, 0, 1)): (0, 1, 0)}
+
+    def product(u, v):
+        out = [u[0] * v[i] ^ v[0] * u[i] for i in range(3)]
+        out[0] = u[0] * v[0]
+        for (a, b), c in basis.items():
+            if u[a.index(1)] and v[b.index(1)]:
+                out = [o ^ ci for o, ci in zip(out, c)]
+        return tuple(out)
+
+    index = {v: i for i, v in enumerate(vectors)}
+    add = [[index[tuple(x ^ y for x, y in zip(u, v))] for v in vectors]
+           for u in vectors]
+    mul = [[index[product(u, v)] for v in vectors] for u in vectors]
+    R = fr.FiniteRing("bilinear", vectors, add, mul, 0, index[(1, 0, 0)])
+    bad = fr.validate_ring(R)
+    assert bad == _validate_by_definition(R)
+    assert bad and all("multiplication not associative" in v for v in bad)
+
+
+# the seeds, of 0-199, at which one symmetric product entry of Z/100
+# redrawn stays unseen by 2,000 random triples
+UNSAMPLED_FAULTS = [13, 21, 74, 86, 97, 124, 126, 128, 146, 149, 150, 162,
+                    163, 173, 177, 178, 182, 184, 190, 193]
+
+
+@pytest.mark.parametrize("seed", UNSAMPLED_FAULTS)
+def test_validate_ring_refuses_every_single_fault_of_z100(seed):
+    R, rng = fr.make_zmod(100), random.Random(seed)
+    mul = [list(row) for row in R.mul_table]
+    a, b = rng.randrange(100), rng.randrange(100)
+    mul[a][b] = mul[b][a] = (a * b + rng.randrange(1, 100)) % 100
+    broken = fr.FiniteRing("broken", R.elements, R.add_table, mul, 0, 1)
+    assert fr.validate_ring(broken) != []
 
 
 def test_validate_ring_stops_after_one_triple_past_20_pair_faults():

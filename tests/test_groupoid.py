@@ -1,3 +1,4 @@
+import functools
 import re
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
     reconstruct as rc, twist as tw
 
-from helpers import FIXTURE_NAMES, LOOP_TABLE, assert_same_groupoid, \
-    disjoint_union_by_dict, full_relation_by_dict, klein_z4_pair, make_twist
+from helpers import C2_CUBED, FIXTURE_NAMES, KLEIN, LOOP_TABLE, \
+    assert_same_groupoid, bases, disjoint_union_by_dict, \
+    full_relation_by_dict, klein_z4_pair, make_twist
 
 
 def test_full_relation_basic():
@@ -27,8 +29,7 @@ def test_group_as_groupoid():
     assert len(G.objects) == 1 and len(G.arrows) == 2
     assert gp.validate_groupoid(G) == []
     assert gp.isotropy(G).arrows == set(G.arrows)
-    K = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
-    GK = gp.group_as_groupoid(K)
+    GK = gp.group_as_groupoid(KLEIN)
     assert len(GK.arrows) == 4 and len(GK.objects) == 1
     trivial = gp.group_as_groupoid(gp.cyclic_group(1))
     assert len(trivial.arrows) == len(gp.full_relation(1).arrows) == 1
@@ -261,26 +262,12 @@ def _associativity_by_definition(G):
     return bad
 
 
-_KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
-# C8's generating set is {0, 1}: most arrows are not generators, so a
-# perturbation there is found by the generator test and named by the
-# fallback scan
-C8 = gp.group_as_groupoid(gp.cyclic_group(8))
-COMPONENTS = st.one_of(
-    st.integers(1, 3).map(gp.full_relation),
-    st.integers(1, 5).map(lambda n: gp.group_as_groupoid(gp.cyclic_group(n))),
-    st.just(gp.group_as_groupoid(_KLEIN)),
-    st.just(C8))
-
-
 @st.composite
 def perturbed_compositions(draw):
-    """A disjoint union G of small groupoids and its composition with 0-3
-    entries sent to other arrows with the same ends."""
-    parts = draw(st.lists(COMPONENTS, min_size=1, max_size=3))
-    G = parts[0]
-    for H in parts[1:]:
-        G = gp.disjoint_union(G, H)
+    """A generated base G, drawn as for a twist, and its composition with
+    0-3 entries sent to other arrows with the same ends."""
+    _, parts = draw(bases([fr.make_gf(2)]))
+    G = functools.reduce(gp.disjoint_union, [H for H, _ in parts])
     compose = dict(G.compose)
     pairs = sorted(compose, key=repr)
     for _ in range(draw(st.integers(0, 3))):
@@ -421,6 +408,7 @@ def test_validate_names_composition_defects_as_the_definition(defect):
 def test_a_fault_between_non_generators_is_named_as_the_definition():
     # C8 with 3∘4 sent to 6: neither factor is a generator, and the first
     # fault of the triple loop, (1, 2, 4), has a non-generator middle
+    C8 = gp.group_as_groupoid(gp.cyclic_group(8))
     compose = dict(C8.compose)
     compose[(3, 4)] = 6
     broken = gp.make_groupoid("broken", C8.objects, C8.arrows, C8.src,
@@ -451,11 +439,10 @@ def _generating_set_is_sound(G):
     return _closure(G, gens) == set(G.arrows)
 
 
-C2_CUBED = gp.direct_product_group(_KLEIN, gp.cyclic_group(2))
 
 
 @pytest.mark.parametrize("H", [gp.cyclic_group(n) for n in range(1, 17)]
-                         + [_KLEIN, C2_CUBED], ids=lambda H: H.name)
+                         + [KLEIN, C2_CUBED], ids=lambda H: H.name)
 def test_generating_set_of_a_group_is_logarithmic(H):
     G = gp.group_as_groupoid(H)
     assert _generating_set_is_sound(G)
@@ -650,8 +637,8 @@ _C2, _C3 = gp.cyclic_group(2), gp.cyclic_group(3)
 UNION_PARTS = {
     "full2+c2": lambda: [gp.full_relation(2), _group(_C2)],
     "c3+full3": lambda: [_group(_C3), gp.full_relation(3)],
-    "klein+c2+full1": lambda: [_group(gp.direct_product_group(_C2, _C2)),
-                               _group(_C2), gp.full_relation(1)],
+    "klein+c2+full1": lambda: [_group(KLEIN), _group(_C2),
+                               gp.full_relation(1)],
 }
 
 

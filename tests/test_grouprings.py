@@ -1,13 +1,13 @@
-import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
-    twist as tw
+from quasicartan import finring as fr, groupoid as gp, grouprings as gr
 
 import definitions as df
+from helpers import GROUPS, KLEIN, bilinear_cocycle, carry_cocycle, \
+    group_ring, times_coboundary, twists
 
 
 def _ring(name):
@@ -93,37 +93,18 @@ def _units_by_definition(T):
             [f for f in units if not T.is_trivial_unit(f)])
 
 
-_KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
-# (group, the cyclic coordinate of an element and its order, which the
-# carry cocycle t^[x+y ≥ n] reads)
-_GROUPS = [(gp.cyclic_group(n), lambda g: g, n) for n in range(2, 7)] + \
-    [(_KLEIN, lambda g: g[0], 2)]
 _RINGS = [fr.make_gf(2), fr.make_gf(3), fr.make_zmod(4), fr.make_zmod(6),
           fr.make_zmod(8), fr.make_zmod(9), fr.make_gf(2, 2), fr.make_gf(5),
           fr.make_gf(7), fr.make_zmod(10), fr.make_zmod(12), fr.make_gf(2, 3),
           fr.make_gf(3, 2)]
-_SMALL_GROUP_RINGS = [(H, coordinate, n, R) for H, coordinate, n in _GROUPS
-                      for R in _RINGS if R.size ** len(H) <= 729]
+# the definition solves f·x = δ_e for every f, so keep |A| ≤ 729
+SIZE = 729
+_SMALL_GROUP_RINGS = [(H, coordinate, n, R) for H, coordinate, n in GROUPS
+                      for R in _RINGS if R.size ** len(H) <= SIZE]
 
 
-def _carry_twist(H, coordinate, n, R, choose):
-    """R(H, c) with c a carry cocycle times a coboundary, each unit drawn
-    by choose(units)."""
-    G = gp.group_as_groupoid(H)
-    units = sorted(fr.ring_units(R))
-    t = choose(units)
-    b = {g: choose(units) for g in H.elements if g != H.identity}
-    d = tw.coboundary_cocycle(R, G, b)
-    c = {(x, y): R.mul(t, v) if coordinate(x) + coordinate(y) >= n else v
-         for (x, y), v in d.values.items()}
-    return gr.TwistedGroupRing(R, H, c)
-
-
-@st.composite
-def twisted_group_rings(draw):
-    """R(H, c) with c a carry cocycle times a random coboundary."""
-    return _carry_twist(*draw(st.sampled_from(_SMALL_GROUP_RINGS)),
-                        lambda units: draw(st.sampled_from(units)))
+def twisted_group_rings():
+    return twists(_RINGS, SIZE, one_object=True).map(group_ring)
 
 
 def _census_of_lists(lists):
@@ -146,7 +127,9 @@ def test_the_count_agrees_with_the_walk_and_the_oracle(H, coordinate, n, R):
     # every carry twist here is commutative, so the census counts; the
     # witness is the walk's first nontrivial unit
     rng = random.Random(f"{R.name}[{H.name}]")
-    T = _carry_twist(H, coordinate, n, R, rng.choice)
+    t = rng.choice(sorted(fr.ring_units(R)))
+    T = group_ring(times_coboundary(
+        carry_cocycle(R, H.groupoid, (coordinate, n), t), rng.choice))
     assert T.is_commutative()
     walk = gr.enumerate_units(T)
     assert walk == gr.enumerate_units(T, oracle=True)
@@ -159,11 +142,7 @@ def test_the_count_agrees_with_the_walk_and_the_oracle(H, coordinate, n, R):
 def test_a_noncommutative_twist_is_listed(R, expected, monkeypatch):
     # c(x, y) = (−1)^(x₀·y₁) on the Klein group makes R(H, c) the matrix
     # ring M_2(R), whose units are GL_2: (q² − 1)(q² − q)
-    minus_one = R.neg(R.one)
-    T = gr.TwistedGroupRing(R, _KLEIN, {(x, y): minus_one
-                                        for x in _KLEIN.elements
-                                        for y in _KLEIN.elements
-                                        if x[0] and y[1]})
+    T = group_ring(bilinear_cocycle(R, KLEIN.groupoid, (0, 1)))
     assert not T.is_commutative()
     walk = gr.enumerate_units(T)
 
@@ -172,7 +151,7 @@ def test_a_noncommutative_twist_is_listed(R, expected, monkeypatch):
 
     monkeypatch.setattr(gr, "count_units", refused)
     assert gr.unit_census(T) == _census_of_lists(walk)
-    trivial = len(_KLEIN) * len(fr.ring_units(R))
+    trivial = len(KLEIN) * len(fr.ring_units(R))
     assert (len(walk[0]), len(walk[1])) == (expected, trivial)
     assert walk == gr.enumerate_units(T, oracle=True)
 
@@ -200,8 +179,8 @@ def _orbit_count(T):
 
 @pytest.mark.parametrize("R,H,values", [
     (fr.make_gf(5), gp.cyclic_group(2), {(1, 1): 2}),
-    (fr.make_zmod(4), _KLEIN, {(x, y): 3 for x in _KLEIN.elements
-                               for y in _KLEIN.elements if x[0] + y[0] == 2}),
+    (fr.make_zmod(4), KLEIN, {(x, y): 3 for x in KLEIN.elements
+                              for y in KLEIN.elements if x[0] + y[0] == 2}),
     (fr.make_gf(3), gp.cyclic_group(3), {}),
 ], ids=["gf5_c2_twisted", "z4_klein_twisted", "gf3_c3"])
 def test_units_take_one_solve_per_orbit(R, H, values, monkeypatch):

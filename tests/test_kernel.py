@@ -8,12 +8,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
-    pairs as pr, reconstruct as rc, steinberg as sb, twist as tw
+from quasicartan import finring as fr, pairs as pr, reconstruct as rc, \
+    steinberg as sb
 
 import definitions as df
 from helpers import ABSTRACT_PAIRS, FIXTURE_NAMES, abstract_pair, \
-    klein_z4_pair, make_pair, make_twist, times_coboundary
+    group_ring, klein_z4_pair, make_pair, make_twist, times_coboundary, \
+    twists
 
 PROPERTY = settings(max_examples=150)
 
@@ -29,7 +30,8 @@ def twist_element_pairs(draw):
     twist times a random coboundary or not."""
     c = make_twist(draw(st.sampled_from(FIXTURE_NAMES)))
     if draw(st.booleans()):
-        c = times_coboundary(c, random.Random(draw(st.integers(0, 2 ** 16))))
+        c = times_coboundary(
+            c, random.Random(draw(st.integers(0, 2 ** 16))).choice)
     pair = pr.pair_from_twist(c)
     return pair, draw(_vectors(pair)), draw(_vectors(pair))
 
@@ -43,30 +45,18 @@ def test_mul_equals_convolution(args):
         pr.element_to_vector(pair, sb.convolve(f, g))
 
 
-_KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
-# (group, the cyclic coordinate of an element and its order, which the
-# carry cocycle t^[x+y ≥ n] reads)
-_GROUPS = [(gp.cyclic_group(n), lambda g: g, n) for n in range(2, 7)] + \
-    [(_KLEIN, lambda g: g[0], 2)]
 _RINGS = [fr.make_gf(3), fr.make_gf(2, 2), fr.make_zmod(4), fr.make_zmod(9),
           fr.make_gf(3, 2)]
 
 
 @st.composite
 def group_ring_element_pairs(draw):
-    """R(H, c) with c a carry cocycle times a random coboundary, the same
-    cocycle on group_as_groupoid(H), and two elements."""
-    H, coordinate, n = draw(st.sampled_from(_GROUPS))
-    R = draw(st.sampled_from(_RINGS))
-    G = gp.group_as_groupoid(H)
-    units = sorted(fr.ring_units(R))
-    t = draw(st.sampled_from(units))
-    d = tw.coboundary_cocycle(R, G, {g: draw(st.sampled_from(units))
-                                     for g in H.elements if g != H.identity})
-    c = tw.Cocycle(R, G, {(x, y): R.mul(t, v) if coordinate(x) + coordinate(y) >= n
-                          else v for (x, y), v in d.values.items()})
-    element = st.tuples(*[st.integers(0, R.size - 1)] * len(H))
-    return gr.TwistedGroupRing(R, H, c.values), c, draw(element), draw(element)
+    """R(H, c) for a generated twist c on one group, c itself and two
+    elements."""
+    c = draw(twists(_RINGS, one_object=True))
+    element = st.tuples(*[st.integers(0, c.ring.size - 1)] *
+                        len(c.groupoid.arrows))
+    return group_ring(c), c, draw(element), draw(element)
 
 
 @settings(max_examples=100)

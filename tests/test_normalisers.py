@@ -4,7 +4,6 @@ normalisers, against scans of the whole algebra."""
 
 import functools
 import itertools
-import math
 import random
 
 import pytest
@@ -14,7 +13,7 @@ from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
     pairs as pr, reconstruct as rc, twist as tw
 
 from helpers import ABSTRACT_PAIRS, FIXTURE_NAMES, abstract_pair, \
-    klein_z4_pair, make_pair, make_twist, times_coboundary
+    klein_z4_pair, make_pair, make_twist, twists
 
 PROPERTY = settings(max_examples=60)
 
@@ -31,33 +30,9 @@ def _component(kind, n):
     return gp.group_as_groupoid(gp.cyclic_group(n))
 
 
-@st.composite
-def twist_pairs(draw):
-    """Disjoint unions of full_relation(n ≤ 3) and cyclic groups, with the
-    cyclic carry cocycle u^[x+y ≥ n] on one group, times a coboundary."""
-    R = draw(st.sampled_from(RINGS))
-    budget = int(math.log(ORACLE_SIZE + 0.5, R.size))
-    parts = []
-    while budget and (not parts or draw(st.booleans())):
-        kind = draw(st.sampled_from(["full", "cyclic"] if budget > 1
-                                    else ["full"]))
-        if kind == "full":
-            n = draw(st.integers(1, min(3, math.isqrt(budget))))
-            budget -= n * n
-        else:
-            n = draw(st.integers(2, min(3, budget)))
-            budget -= n
-        parts.append((kind, n))
-    G = functools.reduce(gp.disjoint_union,
-                         [_component(kind, n) for kind, n in parts])
-    values = {}
-    if parts[0][0] == "cyclic" and len(parts) == 1:
-        n, u = parts[0][1], draw(st.sampled_from(sorted(fr.ring_units(R))))
-        values = {(x, y): u for x in G.arrows for y in G.arrows if x + y >= n}
-    c = tw.Cocycle(R, G, values)
-    assert tw.check_cocycle(c) == []
-    rng = random.Random(draw(st.integers(0, 2 ** 16)))
-    return pr.pair_from_twist(times_coboundary(c, rng))
+def twist_pairs():
+    """The pairs of generated twists with |A| ≤ ORACLE_SIZE."""
+    return twists(RINGS, ORACLE_SIZE).map(pr.pair_from_twist)
 
 
 def _scan(pair, oracle=False):

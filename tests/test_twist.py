@@ -1,4 +1,3 @@
-import functools
 import random
 
 import pytest
@@ -6,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from quasicartan import finring as fr, groupoid as gp, twist as tw
 
-from helpers import FIXTURE_NAMES, assert_same_groupoid, \
-    check_cocycle_by_definition, coboundary_by_dict, make_twist, \
-    twist_from_cocycle_by_dict
+from helpers import FIXTURE_NAMES, KLEIN, assert_same_groupoid, \
+    bilinear_cocycle, check_cocycle_by_definition, coboundary_by_dict, \
+    make_twist, twist_from_cocycle_by_dict, twists
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -65,37 +64,23 @@ def test_twist_from_cocycle_refuses_a_cocycle_that_failed_its_check():
 def test_cocycle_identity_violation_detected():
     # hand-build values that break the 2-cocycle identity over Klein four
     R = fr.make_gf(3)
-    K = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
-    G = gp.group_as_groupoid(K)
+    G = gp.group_as_groupoid(KLEIN)
     a, b = (1, 0), (0, 1)
     bad = tw.Cocycle(R, G, {(a, b): 2})
     assert any("identity" in v for v in tw.check_cocycle(bad))
 
 
-_KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
-COMPONENTS = st.one_of(
-    st.integers(1, 3).map(gp.full_relation),
-    st.integers(1, 4).map(lambda n: gp.group_as_groupoid(gp.cyclic_group(n))),
-    st.just(gp.group_as_groupoid(_KLEIN)),
-    # generating set {0, 1}: a replaced value mostly sits off the generators
-    st.just(gp.group_as_groupoid(gp.cyclic_group(8))))
-
-
 @st.composite
 def perturbed_cocycles(draw):
-    """A coboundary on a disjoint union of small groupoids with 0-3 values
-    replaced by arbitrary ring elements."""
-    R = draw(st.sampled_from([fr.make_gf(3), fr.make_zmod(4), fr.make_gf(5)]))
-    G = functools.reduce(gp.disjoint_union,
-                         draw(st.lists(COMPONENTS, min_size=1, max_size=3)))
-    units = sorted(fr.ring_units(R))
-    b = {g: draw(st.sampled_from(units)) for g in G.arrows if not G.is_unit(g)}
-    values = dict(tw.coboundary_cocycle(R, G, b).values)
+    """A generated twist with 0-3 values replaced by arbitrary ring
+    elements."""
+    c = draw(twists([fr.make_gf(3), fr.make_zmod(4), fr.make_gf(5)]))
+    R, values = c.ring, dict(c.values)
     pairs = sorted(values, key=repr)
     for _ in range(draw(st.integers(0, 3))):
         values[draw(st.sampled_from(pairs))] = draw(
             st.sampled_from(R.all_indices()))
-    return tw.Cocycle(R, G, values)
+    return tw.Cocycle(R, c.groupoid, values)
 
 
 @settings(max_examples=150)
@@ -303,7 +288,7 @@ def _non_injective_inj():
 def _non_central_inj():
     # (−1)^(x₁y₂) on C2×C2: ((1, 0), t) and ((0, 1), s) do not commute
     R = fr.make_gf(3)
-    G = gp.group_as_groupoid(_KLEIN)
+    G = KLEIN.groupoid
     c = tw.Cocycle(R, G, {(x, y): 2 for x in G.arrows for y in G.arrows
                           if x[0] and y[1]})
     T = tw.twist_from_cocycle(c)
@@ -386,7 +371,7 @@ ROW_BASES = {
     "full3": lambda: gp.full_relation(3),
     "full2+c2": lambda: gp.disjoint_union(
         gp.full_relation(2), gp.group_as_groupoid(gp.cyclic_group(2))),
-    "klein": lambda: gp.group_as_groupoid(_KLEIN),
+    "klein": lambda: KLEIN.groupoid,
 }
 
 
@@ -405,9 +390,7 @@ def test_the_row_constructors_of_twists_build_what_the_dicts_build(ring,
     # and a cocycle that is not a coboundary where there is one
     cocycles = [c]
     if base == "klein" and ring != "gf4":
-        cocycles.append(tw.Cocycle(R, G, {(x, y): R.neg(R.one)
-                                          for x in G.arrows for y in G.arrows
-                                          if x[0] and y[1]}))
+        cocycles.append(bilinear_cocycle(R, G, (0, 1)))
     for d in cocycles:
         T, T_ref = tw.twist_from_cocycle(d), twist_from_cocycle_by_dict(d)
         assert_same_groupoid(T.total, T_ref.total)

@@ -121,19 +121,25 @@ def validate_ring(R):
     n = R.size
     add, mul = list(map(list, R.add_table)), list(map(list, R.mul_table))
     idx = range(n)
+
+    def pairs_pass(a):
+        """a + b = b + a and ab = ba over b, a + 0 = a and a·1 = a."""
+        return add[a] == [t[a] for t in add] and \
+            mul[a] == [t[a] for t in mul] and \
+            add[a][R.zero] == a and mul[a][R.one] == a
+
     S = greedy_generators([0] * n, [0] * n, lambda y, s: add[y][s])[0]
-    if all(add[a] == [t[a] for t in add] and mul[a] == [t[a] for t in mul]
-           and add[a][R.zero] == a and mul[a][R.one] == a for a in idx) and \
-            all(add[add[a][s]] == [add[a][x] for x in add[s]]
-                and [mul[a][x] for x in add[s]] ==
-                [add[y][mul[a][s]] for y in mul[a]] for a in idx for s in S) \
-            and all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
-                    for a in S for b in S for c in S):
+    if all(pairs_pass(a) for a in idx) and \
+            all(add[add[a][s]] == [add[a][x] for x in add[s]] and
+                [mul[a][x] for x in add[s]] == [add[y][mul[a][s]]
+                                                for y in mul[a]]
+                for a in idx for s in S) and \
+            all(mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                for a in S for b in S for c in S):
         return []
     bad = []
     for a in idx:
-        if add[a] == [t[a] for t in add] and mul[a] == [t[a] for t in mul] \
-                and add[a][R.zero] == a and mul[a][R.one] == a:
+        if pairs_pass(a):
             continue
         for b in idx:
             if R.add(a, b) != R.add(b, a):
@@ -153,18 +159,17 @@ def validate_ring(R):
             mul[mul_a[b]] == [mul_a[x] for x in mul[b]] and \
             [mul_a[x] for x in add[b]] == [add_ab[y] for y in mul_a]
 
-    for a, b in itertools.product(idx, idx):
-        if len(bad) <= 20 and row_passes(a, b):
-            continue
-        for c in idx:
-            if R.add(R.add(a, b), c) != R.add(a, R.add(b, c)):
-                bad.append(f"addition not associative at ({a},{b},{c})")
-            if R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c)):
-                bad.append(f"multiplication not associative at ({a},{b},{c})")
-            if R.mul(a, R.add(b, c)) != R.add(R.mul(a, b), R.mul(a, c)):
-                bad.append(f"distributivity fails at ({a},{b},{c})")
-            if len(bad) > 20:
-                return bad
+    triples = ((a, b, c) for a, b in itertools.product(idx, idx)
+               if len(bad) > 20 or not row_passes(a, b) for c in idx)
+    for a, b, c in triples:
+        if R.add(R.add(a, b), c) != R.add(a, R.add(b, c)):
+            bad.append(f"addition not associative at ({a},{b},{c})")
+        if R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c)):
+            bad.append(f"multiplication not associative at ({a},{b},{c})")
+        if R.mul(a, R.add(b, c)) != R.add(R.mul(a, b), R.mul(a, c)):
+            bad.append(f"distributivity fails at ({a},{b},{c})")
+        if len(bad) > 20:
+            break
     return bad
 
 

@@ -54,6 +54,15 @@ LOOP_TABLE = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
               [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
 
+def loop_groupoid():
+    """The loop of LOOP_TABLE on the one object "*"."""
+    arrows = list(range(5))
+    ends = dict.fromkeys(arrows, "*")
+    return gp.make_groupoid("loop", ["*"], arrows, ends, ends,
+                            {(a, b): LOOP_TABLE[a][b]
+                             for a in arrows for b in arrows})
+
+
 def times_coboundary(c, choose):
     """c·∂b for b: arrows → units with b = 1 on unit arrows and each other
     value choose(units), in arrow order."""
@@ -64,6 +73,14 @@ def times_coboundary(c, choose):
     mul = R.mul_table
     return tw.cocycle_from_rows(R, G, [[mul[x][y] for x, y in zip(*rows)]
                                        for rows in zip(c.rows, d.rows)])
+
+
+def relisted(G, reverse=True):
+    """G rebuilt by make_groupoid, its objects and arrows listed in
+    reverse order when reverse is set."""
+    step = -1 if reverse else 1
+    return gp.make_groupoid(G.name, G.objects[::step], G.arrows[::step],
+                            G.src, G.rng, G.compose)
 
 
 def check_cocycle_by_definition(c):

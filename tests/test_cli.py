@@ -593,17 +593,6 @@ def test_classify_on_m16_gf3_keeps_to_100_mb(tmp_path):
     assert len(summary) == 8 and set(summary.values()) == {"true"}
 
 
-def _union(parts):
-    """The disjoint union of the full_relation(n) and group(cyclic(m)) of
-    parts, given as ("X", n) and ("C", m)."""
-    build = {"X": gpd.full_relation,
-             "C": lambda m: gpd.group_as_groupoid(gpd.cyclic_group(m))}
-    G = build[parts[0][0]](parts[0][1])
-    for kind, n in parts[1:]:
-        G = gpd.disjoint_union(G, build[kind](n))
-    return G
-
-
 def _union_text(ring, G):
     """classify's input for G in the explicit form, with the trivial
     cocycle."""
@@ -617,9 +606,10 @@ def _union_text(ring, G):
         + ["[cocycle]", "trivial", ""])
 
 
-_PARTS = [("X", 1), ("X", 2), ("X", 3), ("C", 2), ("C", 3), ("C", 4)]
-_UNIONS = [[p] for p in _PARTS] + [
-    [p, q] for i, p in enumerate(_PARTS) for q in _PARTS[i:]]
+_PARTS = [gpd.full_relation(n) for n in (1, 2, 3)] + \
+    [gpd.cyclic_group(m).groupoid for m in (2, 3, 4)]
+_UNIONS = _PARTS + [gpd.disjoint_union(G, H)
+                    for i, G in enumerate(_PARTS) for H in _PARTS[i:]]
 
 
 @pytest.mark.parametrize("ring, size, principal", [
@@ -634,7 +624,7 @@ def test_classify_checks_the_geometry_of_generated_bases(
     # |A| exits 0; seen collects, over the AQP unions, whether ADP and ACP
     # hold, and principal and other bases both occur where the ring allows
     seen = set()
-    for G in map(_union, _UNIONS):
+    for G in _UNIONS:
         if size ** len(G.arrows) > 10 ** 6:
             continue
         code, out = _run("classify", _union_text(ring, G), tmp_path, capsys)

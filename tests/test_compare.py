@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from quasicartan import finring as fr, groupoid as gp, reconstruct as rc, \
     steinberg as sb, twist as tw
 
-from helpers import C2_CUBED, KLEIN, bases, bilinear_cocycle, twists_on
+from helpers import C2_CUBED, KLEIN, bases, bilinear_cocycle, relisted, \
+    twists_on
 
 PROPERTY = settings(max_examples=150)
 
@@ -18,18 +19,9 @@ PROPERTY = settings(max_examples=150)
 RINGS = [fr.make_gf(3), fr.make_gf(5), fr.make_zmod(4), fr.make_zmod(8),
          fr.make_zmod(9)]
 # |A| ≤ 5^6: full_relation(2) + C2 over GF(5); the definition below walks
-# every arrow bijection, so the bases stay near six arrows
-SIZE = 9 ** 4
-
-
-def _cyclic(n):
-    return gp.group_as_groupoid(gp.cyclic_group(n))
-
-
-def _reversed(G):
-    """G with its objects and arrows listed in reverse order."""
-    return gp.make_groupoid(G.name, G.objects[::-1], G.arrows[::-1],
-                            G.src, G.rng, G.compose)
+# every arrow bijection, so the bases stay near six arrows (at 9^6, which
+# admits twelve arrows over GF(3), it takes minutes)
+SIZE = 5 ** 6
 
 
 @st.composite
@@ -38,8 +30,8 @@ def cocycle_pairs(draw):
     listing."""
     base = draw(bases(RINGS, SIZE))
     cocycles = [draw(twists_on(*base)) for _ in range(2)]
-    return tuple(tw.Cocycle(c.ring, _reversed(c.groupoid), c.values)
-                 if draw(st.booleans()) else c for c in cocycles)
+    return tuple(tw.Cocycle(c.ring, relisted(c.groupoid, draw(st.booleans())),
+                            c.values) for c in cocycles)
 
 
 def _isomorphisms(G1, G2):
@@ -134,8 +126,7 @@ def test_compare_twists_with_a_nontrivial_isotropy_value(reverse1, reverse2):
     # u(g) ∈ {2, 3}; listed in reverse, u(α) of such a g is known when
     # (α, β) forces u(β)
     R, G = fr.make_gf(5), _full_relation_2_times_c2()
-    G1 = _reversed(G) if reverse1 else G
-    G2 = _reversed(G) if reverse2 else G
+    G1, G2 = relisted(G, reverse1), relisted(G, reverse2)
     c1 = tw.Cocycle(R, G1, {(a, b): 4 for a, b in G1.compose
                             if a[2] + b[2] >= 2})
     assert tw.check_cocycle(c1) == []
@@ -173,7 +164,8 @@ def _zero_scalar(G, arrow_map, u):
 
 @pytest.mark.parametrize("alter", [_swap_two_arrows, _merge_two_arrows,
                                    _zero_scalar])
-@pytest.mark.parametrize("G", [_cyclic(3), gp.full_relation(3),
+@pytest.mark.parametrize("G", [gp.cyclic_group(3).groupoid,
+                               gp.full_relation(3),
                                _full_relation_2_times_c2()],
                          ids=["c3", "full_relation_3", "full_relation_2xc2"])
 def test_induced_algebra_map_is_multiplicative_as_on_all_pairs(G, alter):

@@ -11,21 +11,13 @@ from hypothesis import given, settings, strategies as st
 from quasicartan import finring as fr, groupoid as gp, pairs as pr, \
     twist as tw
 
-from helpers import FIXTURE_NAMES, LOOP_TABLE, check_cocycle_by_definition, \
-    make_pair, twists
+from helpers import FIXTURE_NAMES, check_cocycle_by_definition, \
+    loop_groupoid, make_pair, twists
 
 RINGS = [fr.make_zmod(4), fr.make_gf(3), fr.make_gf(2, 2)]
 # |A| ≤ 4^9: full_relation(3) over Z/4; the generic check multiplies out
 # every basis triple
 SIZE = 4 ** 9
-
-
-def loop_groupoid():
-    arrows = list(range(5))
-    ends = {g: "*" for g in arrows}
-    return gp.make_groupoid("loop", ["*"], arrows, ends, ends,
-                            {(a, b): LOOP_TABLE[a][b]
-                             for a in arrows for b in arrows})
 
 
 def generic(c):

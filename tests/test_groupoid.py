@@ -9,7 +9,7 @@ from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
 
 from helpers import C2_CUBED, FIXTURE_NAMES, KLEIN, LOOP_TABLE, \
     assert_same_groupoid, bases, disjoint_union_by_dict, \
-    full_relation_by_dict, klein_z4_pair, make_twist
+    full_relation_by_dict, klein_z4_pair, loop_groupoid, make_twist, relisted
 
 
 def test_full_relation_basic():
@@ -78,8 +78,9 @@ def test_validate_catches_defects():
     # the loop has a unit and inverses, so it is a FiniteGroupoid whose
     # associativity faults validate_groupoid names; C3 with 1∘2 sent to 1
     # leaves 1 without an inverse, so make_groupoid refuses it
-    assert gp.validate_groupoid(_loop()) == _associativity_by_definition(
-        _loop()) != []
+    loop = loop_groupoid()
+    assert gp.validate_groupoid(loop) == \
+        _associativity_by_definition(loop) != []
     G = gp.group_as_groupoid(gp.cyclic_group(3))
     broken = dict(G.compose)
     broken[(1, 2)] = 1  # should be the identity 0
@@ -499,22 +500,6 @@ def _units_and_inverses_by_definition(G, compose=None):
     return unit_at, inv
 
 
-def _relisted(G, reverse):
-    """G rebuilt by make_groupoid, its objects and arrows listed in
-    reverse order when reverse is set."""
-    step = -1 if reverse else 1
-    return gp.make_groupoid(G.name, G.objects[::step], G.arrows[::step],
-                            G.src, G.rng, G.compose)
-
-
-def _loop():
-    arrows = list(range(5))
-    ends = dict.fromkeys(arrows, "*")
-    return gp.make_groupoid("loop", ["*"], arrows, ends, ends,
-                            {(a, b): LOOP_TABLE[a][b]
-                             for a in arrows for b in arrows})
-
-
 def _two_inverses():
     """A magma with identity e in which a has the two inverses b and c, so
     the inverse found depends on the arrow order."""
@@ -527,16 +512,17 @@ def _two_inverses():
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["listed", "reversed"])
-@pytest.mark.parametrize("build", CONSTRUCTED + [_loop, _two_inverses],
+@pytest.mark.parametrize("build",
+                         CONSTRUCTED + [loop_groupoid, _two_inverses],
                          ids=CONSTRUCTED_IDS + ["loop", "two_inverses"])
 def test_units_and_inverses_are_the_first_in_arrow_order(build, reverse):
-    G = _relisted(build(), reverse)
+    G = relisted(build(), reverse)
     assert (G.unit_at, G.inv) == _units_and_inverses_by_definition(G)
 
 
 def test_the_first_inverse_depends_on_the_listing():
     G = _two_inverses()
-    assert (G.inv["a"], _relisted(G, True).inv["a"]) == ("b", "c")
+    assert (G.inv["a"], relisted(G).inv["a"]) == ("b", "c")
 
 
 def test_make_groupoid_refuses_an_arrow_outside_the_objects():
@@ -604,7 +590,8 @@ def test_a_group_table_that_is_not_associative_is_refused():
     table = {(a, b): LOOP_TABLE[a][b] for a in range(5) for b in range(5)}
     with pytest.raises(ValueError) as raised:
         gp.FiniteGroup("loop", range(5), table)
-    assert str(raised.value) == _associativity_by_definition(_loop())[0]
+    assert str(raised.value) == \
+        _associativity_by_definition(loop_groupoid())[0]
 
 
 def test_a_group_keeps_its_groupoid():
@@ -629,16 +616,11 @@ def test_full_relation_builds_what_the_dict_construction_builds(n):
     assert_same_groupoid(gp.full_relation(n), full_relation_by_dict(n))
 
 
-def _group(H):
-    return gp.group_as_groupoid(H)
-
-
-_C2, _C3 = gp.cyclic_group(2), gp.cyclic_group(3)
+_C2, _C3 = gp.cyclic_group(2).groupoid, gp.cyclic_group(3).groupoid
 UNION_PARTS = {
-    "full2+c2": lambda: [gp.full_relation(2), _group(_C2)],
-    "c3+full3": lambda: [_group(_C3), gp.full_relation(3)],
-    "klein+c2+full1": lambda: [_group(KLEIN), _group(_C2),
-                               gp.full_relation(1)],
+    "full2+c2": lambda: [gp.full_relation(2), _C2],
+    "c3+full3": lambda: [_C3, gp.full_relation(3)],
+    "klein+c2+full1": lambda: [KLEIN.groupoid, _C2, gp.full_relation(1)],
 }
 
 
@@ -652,7 +634,7 @@ def test_disjoint_union_builds_what_the_dict_construction_builds(parts):
 
 
 def test_composite_and_value_refuse_a_pair_that_is_not_composable():
-    G = gp.disjoint_union(gp.full_relation(2), _group(_C2))
+    G = gp.disjoint_union(gp.full_relation(2), _C2)
     c = tw.trivial_cocycle(fr.make_gf(3), G)
     assert G.composite((0, (1, 2)), (0, (2, 1))) == (0, (1, 1))
     assert c.value((0, (1, 2)), (0, (2, 1))) == c.ring.one

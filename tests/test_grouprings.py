@@ -179,8 +179,8 @@ def _orbit_count(T):
 
 @pytest.mark.parametrize("R,H,values", [
     (fr.make_gf(5), gp.cyclic_group(2), {(1, 1): 2}),
-    (fr.make_zmod(4), KLEIN, {(x, y): 3 for x in KLEIN.elements
-                              for y in KLEIN.elements if x[0] + y[0] == 2}),
+    (fr.make_zmod(4), KLEIN, carry_cocycle(
+        fr.make_zmod(4), KLEIN.groupoid, (lambda g: g[0], 2), 3).values),
     (fr.make_gf(3), gp.cyclic_group(3), {}),
 ], ids=["gf5_c2_twisted", "z4_klein_twisted", "gf3_c3"])
 def test_units_take_one_solve_per_orbit(R, H, values, monkeypatch):

@@ -24,10 +24,8 @@ RINGS = [fr.make_zmod(2), fr.make_zmod(3), fr.make_zmod(4), fr.make_gf(2, 2),
          fr.make_zmod(6), fr.make_gf(7)]
 
 
-def _component(kind, n):
-    if kind == "full":
-        return gp.full_relation(n)
-    return gp.group_as_groupoid(gp.cyclic_group(n))
+# the bases full_relation(2) and C2 by kind
+TWO = {"full": gp.full_relation(2), "cyclic": gp.cyclic_group(2).groupoid}
 
 
 def twist_pairs():
@@ -513,14 +511,13 @@ BASIS_FREE = ["WT", "local_units", "B_spanned_by_idempotents",
 # twists over rings that are not local: their minimal normalisers have no
 # unit entry, so in a random basis the candidates of canonical_expectation
 # span A only when eliminated per local factor
-NOT_LOCAL = {f"{name}_z{n}": (kind, n) for n in (6, 10, 12)
+NOT_LOCAL = {f"{name}_z{n}": (fr.make_zmod(n), TWO[kind])
+             for n in (6, 10, 12)
              for name, kind in [("c2", "cyclic"), ("full2", "full")]}
 
 
 def _not_local_pair(name):
-    kind, n = NOT_LOCAL[name]
-    return pr.pair_from_twist(tw.trivial_cocycle(fr.make_zmod(n),
-                                                 _component(kind, 2)))
+    return pr.pair_from_twist(tw.trivial_cocycle(*NOT_LOCAL[name]))
 
 
 @pytest.mark.parametrize(
@@ -619,7 +616,7 @@ def test_classify_does_not_list_B_on_m9_gf3(monkeypatch):
 
 
 # twist pairs over the local rings Z/4, GF(4), GF(9) and Z/9
-LOCAL_TWISTS = {f"{kind}_{ring.name}": (ring, kind)
+LOCAL_TWISTS = {f"{kind}_{ring.name}": (ring, TWO[kind])
                 for kind in ("full", "cyclic")
                 for ring in (fr.make_zmod(4), fr.make_gf(2, 2),
                              fr.make_gf(3, 2), fr.make_zmod(9))}
@@ -628,9 +625,7 @@ LOCAL_TWISTS = {f"{kind}_{ring.name}": (ring, kind)
 @pytest.mark.parametrize("name", FIXTURE_NAMES + list(LOCAL_TWISTS))
 def test_pivot_row_atoms_equal_the_listing(monkeypatch, name):
     pair = pr.pair_from_twist(make_twist(name) if name in FIXTURE_NAMES else
-                              tw.trivial_cocycle(
-                                  LOCAL_TWISTS[name][0],
-                                  _component(LOCAL_TWISTS[name][1], 2)))
+                              tw.trivial_cocycle(*LOCAL_TWISTS[name]))
     expected = _idempotents_by_listing(pair)
     listed = _spy_on_B(monkeypatch, pair)
     assert pair.idempotents_of_B() == expected
@@ -648,8 +643,7 @@ def test_atoms_in_a_random_basis_equal_the_listing(name, seed):
 
 @pytest.mark.parametrize("kind", ["full", "cyclic"])
 def test_over_a_ring_that_is_not_local_B_is_listed(monkeypatch, kind):
-    pair = pr.pair_from_twist(
-        tw.trivial_cocycle(fr.make_zmod(6), _component(kind, 2)))
+    pair = pr.pair_from_twist(tw.trivial_cocycle(fr.make_zmod(6), TWO[kind]))
     expected = _idempotents_by_listing(pair)
     listed = _spy_on_B(monkeypatch, pair)
     assert pair.idempotents_of_B() == expected

@@ -121,12 +121,8 @@ def test_free_normalisers():
     # a unit-graph normaliser with isotropy is not free when it has fixed
     # support on the diagonal
     gpair = make_pair("z2_gf3")
-    g_elem = _vec_group(gpair, {1: 1})
+    g_elem = _vec(gpair, {1: 1})
     assert not gpair.is_free_normaliser(g_elem)
-
-
-def _vec_group(pair, coeffs):
-    return pr.element_to_vector(pair, sb.AlgebraElement(pair.cocycle, coeffs))
 
 
 def test_canonical_expectation_is_restriction_on_twist_pairs():

@@ -289,9 +289,7 @@ def _non_central_inj():
     # (−1)^(x₁y₂) on C2×C2: ((1, 0), t) and ((0, 1), s) do not commute
     R = fr.make_gf(3)
     G = KLEIN.groupoid
-    c = tw.Cocycle(R, G, {(x, y): 2 for x in G.arrows for y in G.arrows
-                          if x[0] and y[1]})
-    T = tw.twist_from_cocycle(c)
+    T = tw.twist_from_cocycle(bilinear_cocycle(R, G, (0, 1)))
     inj = {(x, t): ((1, 0), t) for x, t in T.inj}
     return tw.ExplicitTwist(R, T.total, T.base, inj, T.proj)
 

@@ -139,7 +139,7 @@ def build_ring(doc, cap=DEFAULT_CAP):
     if tables is not None:
         if rows is not None:
             raise InputError("give either [ring] or [ring.tables], not both")
-        return _ring_from_tables(tables)
+        return _ring_from_tables(tables, cap)
     if not rows:
         raise InputError("missing [ring] section")
     if len(rows) != 1:
@@ -159,7 +159,7 @@ def build_ring(doc, cap=DEFAULT_CAP):
         raise InputError(f"line {lineno}: {exc}")
 
 
-def _ring_from_tables(rows):
+def _ring_from_tables(rows, cap=DEFAULT_CAP):
     values = _values(rows)
     if not {"elements", "zero", "one"} <= values.keys():
         raise InputError("[ring.tables] needs elements, zero and one")
@@ -178,7 +178,7 @@ def _ring_from_tables(rows):
         raise InputError(f"[ring.tables] missing entry for {missing}")
     except ValueError as exc:
         raise InputError(f"[ring.tables]: {exc}")
-    bad = finring.validate_ring(R)
+    bad = finring.validate_ring(R, cap)
     if bad:
         raise InputError("ring tables violate the ring axioms: " + bad[0])
     return R
@@ -474,21 +474,21 @@ def cmd_units(doc, cap, oracle):
     rows = doc.sections.get("group", [])
     if len(rows) != 1:
         raise InputError("units needs a [group] section with one row")
-    # the census is charged before H and T are built, at no more than the
-    # first charge of the path unit_census takes: count_units' when T is
-    # commutative, enumerate_units' when it is not or with the oracle
-    n = _group_order(*rows[0][2:], cap)
-    _check_size(R.size ** (2 * n) if oracle else
-                min(len(finring.local_factors(R)) * n ** 4, R.size ** n), cap)
-    H = _group(*rows[0][2:], cap)
-    values = None
+    form, groups = rows[0][2:]
+    n = _group_order(form, groups, cap)
+    H = values = None
     if "cocycle" in doc.sections:
-        c = _parse_cocycle(doc, R, gpd.group_as_groupoid(H))
+        H = _group(form, groups, cap)
+        c = build_cocycle(doc, R, gpd.group_as_groupoid(H))
         values = {(a, b): c.value(a, b) for a, b in H.mul}
-    try:
-        T = grouprings.TwistedGroupRing(R, H, values)
-    except pairs_mod.InvalidTwist as exc:
-        raise InputError(str(exc))
+    # the census's first charge, before T (and H, with no [cocycle]) is
+    # built: H is abelian, so T is commutative iff c is symmetric
+    symmetric = values is None or all(v == values[(b, a)]
+                                      for (a, b), v in values.items())
+    _check_size(grouprings.census_charge(R, n, symmetric, oracle), cap)
+    if H is None:
+        H = _group(form, groups, cap)
+    T = grouprings.TwistedGroupRing(R, H, values)
     units, trivial, witness = grouprings.unit_census(T, cap=cap, oracle=oracle)
     report = [f"group ring of {H.name} over {R.name}: "
               f"{units} units, {units - trivial} nontrivial"]

@@ -79,6 +79,17 @@ def unit_census(T, cap=DEFAULT_CAP, oracle=False):
     return units, trivial, witness
 
 
+def census_charge(R, d, commutative, oracle=False):
+    """The first charge unit_census makes on an R(H, c) with |H| = d:
+    count_units' work on a commutative ring, enumerate_units' size on
+    another ring or with the oracle."""
+    if oracle:
+        return R.size ** (2 * d)
+    if commutative:
+        return len(finring.local_factors(R)) * d ** 4
+    return R.size ** d
+
+
 def count_units(T, cap=DEFAULT_CAP):
     """|T^×| of a commutative T = R(H, c), without listing T.
 
@@ -115,7 +126,7 @@ def count_units(T, cap=DEFAULT_CAP):
     """
     R, d = T.ring, T.dim
     factors = finring.local_factors(R)
-    work = len(factors) * d ** 4
+    work = census_charge(R, d, True)
     if work > cap:
         raise CapExceeded(work, cap)
     add, mul, neg, zero = R.add_table, R.mul_table, R._neg, R.zero
@@ -184,7 +195,7 @@ def enumerate_units(T, cap=DEFAULT_CAP, oracle=False):
     before it starts.  The lists come back in the order of
     T.all_elements().
     """
-    size = T.size() ** 2 if oracle else T.size()
+    size = census_charge(T.ring, T.dim, False, oracle)
     if size > cap:
         raise CapExceeded(size, cap)
     if oracle:

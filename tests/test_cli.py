@@ -717,6 +717,49 @@ def test_the_census_is_charged_before_the_group_ring_is_built(tmp_path):
                             "exceeds cap 1000000\n"
 
 
+KLEIN_BILINEAR = "[cocycle]\n" + "".join(
+    f"c({a}, {b}) = 2\n" for a in ("1-0", "1-1") for b in ("0-1", "1-1"))
+
+
+def _main(command, text, tmp_path, capsys):
+    """(exit code, stderr) of the command on text."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code = cli.main([command, str(path)])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, size", [
+    (_units_text("gf(2,1)", 10), 10 ** 4),
+    (_units_text("gf(3,1)", 4) + "[cocycle]\nc(1, 3) = 2\nc(3, 1) = 2\n"
+     "c(2, 2) = 2\nc(2, 3) = 2\nc(3, 2) = 2\nc(3, 3) = 2\n", 4 ** 4),
+    ("[ring]\ngf(3,1)\n[group]\nklein\n" + KLEIN_BILINEAR, 3 ** 4),
+], ids=["count", "symmetric-cocycle", "bilinear"])
+def test_the_census_charge_is_the_first_charge_of_its_path(text, size,
+                                                           tmp_path, capsys):
+    # a cap one below the charge: count_units' len(local_factors)·|H|⁴ on a
+    # commutative ring, enumerate_units' |R|^|H| on the bilinear twist of
+    # C2×C2, whose ring is not commutative
+    assert _main("units", text + f"[options]\ncap = {size - 1}\n",
+                 tmp_path, capsys) == \
+        (2, f"cap exceeded: search size {size} exceeds cap {size - 1}\n")
+    assert _main("units", text + f"[options]\ncap = {size}\n",
+                 tmp_path, capsys) == (0, "")
+
+
+@pytest.mark.parametrize("cocycle, error", [
+    ("c(1, 1) = 7\n", "line 6: unknown ring element '7'"),
+    ("c(1, 1) = 0\n", "cocycle invalid: "),
+], ids=["malformed", "not-a-cocycle"])
+def test_a_faulty_cocycle_is_refused_before_the_census_charge(
+        cocycle, error, tmp_path, capsys):
+    # Z/3[C100] is past the cap, but its [cocycle] is refused first
+    code, err = _main("units", _units_text("zmod(3)", 100) + "[cocycle]\n" +
+                      cocycle, tmp_path, capsys)
+    assert code == 3
+    assert err.startswith("input error: " + error)
+
+
 def _zmod_tables(n):
     """Z/n as a [ring.tables] section, which charges no table to the cap."""
     rows = [f"{op}: {a} {b} = {f(a, b) % n}" for op, f in
@@ -742,6 +785,24 @@ def test_the_witness_walk_is_charged_to_the_cap(cap, code, tmp_path):
                                 "cap 18\n"
     else:
         assert "nontrivial witness: 1·δ[0] + 2·δ[1]\n" in result.stdout
+
+
+@pytest.mark.parametrize("cap, code", [(None, 2), (150 ** 3, 3)])
+def test_naming_the_faults_of_large_tables_is_charged_to_the_cap(
+        cap, code, tmp_path):
+    # Z/150 with 2·3 = 3·2 = 7: the exact check fails at once, and naming
+    # a fault walks up to 150³ triples, which exceed the default cap
+    text = _zmod_tables(150)
+    for row in ("mul: 2 3 = 6", "mul: 3 2 = 6"):
+        text = text.replace(f"\n{row}\n", f"\n{row[:-1]}7\n")
+    path = tmp_path / "input.txt"
+    path.write_text(text + "[group]\ncyclic(2)\n" +
+                    (f"[options]\ncap = {cap}\n" if cap else ""))
+    result = _run_limited("units", path, timeout=30)
+    assert (result.returncode, result.stderr) == (code, {
+        2: "cap exceeded: search size 3375000 exceeds cap 1000000\n",
+        3: "input error: ring tables violate the ring axioms: "
+           "distributivity fails at (2,1,2)\n"}[code])
 
 
 def _conjugated_diagonal(n, p):
@@ -854,9 +915,9 @@ def test_check_validates_ring_tables_once(tmp_path, capsys, monkeypatch):
     # that verdict instead of validating the tables again
     calls = []
 
-    def counted(R, fn=finring.validate_ring):
+    def counted(R, *args, fn=finring.validate_ring):
         calls.append(R)
-        return fn(R)
+        return fn(R, *args)
 
     monkeypatch.setattr(finring, "validate_ring", counted)
     code, out = _run("check", RING_TABLES_GF2, tmp_path, capsys)

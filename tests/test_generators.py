@@ -67,6 +67,8 @@ FAMILIES = {
         "the bilinear class on C2×C2": _noncommuting,
         "full_relation(2) + C2": _named(base=FULL2_C2),
         "Z/8, whose units are C2×C2": _named("zmod(8)"),
+        "full_relation(2) + C2 over Z/8": _named("zmod(8)", FULL2_C2),
+        "full_relation(2) + C2 over Z/9": _named("zmod(9)", FULL2_C2),
     }),
     "compare, two listings": (test_compare.cocycle_pairs(), lambda pair: pair, {
         "one base reversed": lambda pair: pair[0].groupoid.arrows !=

@@ -23,6 +23,7 @@ class TwistedGroupRing(ConvolutionAlgebra):
 
     def __init__(self, ring, group, cocycle_values=None):
         self.group = group
+        self._unit_profile = None  # count_units
         super().__init__(twist_mod.Cocycle(ring, group_as_groupoid(group),
                                            cocycle_values))
         self.name = f"{ring.name}[{group.name}]"
@@ -70,7 +71,7 @@ def unit_census(T, cap=DEFAULT_CAP, oracle=False):
     if oracle or not T.is_commutative():
         units, trivial, nontrivial = enumerate_units(T, cap=cap, oracle=oracle)
         return len(units), len(trivial), next(iter(nontrivial), None)
-    units = count_units(T, cap=cap)
+    units = count_units(T, cap=cap)[0]
     trivial = len(finring.ring_units(T.ring)) * len(T.group)
     witness = None
     if units > trivial:
@@ -91,15 +92,21 @@ def census_charge(R, d, commutative, oracle=False):
 
 
 def count_units(T, cap=DEFAULT_CAP):
-    """|T^×| of a commutative T = R(H, c), without listing T.
+    """(|T^×|, profile) of a commutative T = R(H, c), without listing T.
+    profile lists, for each local factor ε·R of R (finring.local_factors,
+    in their order), (q, |m|, {f: n_f}, u): the residue field GF(q), the
+    maximal ideal m, the number n_f of field factors of degree f over
+    GF(q) of T/J(T), J the Jacobson radical, and u = |(ε·T)^×|.  It is
+    computed once per T and kept on it.
 
-    R is the product of its local factors ε·R (finring.local_factors), so
-    T is the product of the rings ε·T = (ε·R)(H, c), and |T^×| is the
-    product of their unit counts.  Let m be the maximal ideal of ε·R, its
-    non-units, and q = |ε·R/m|, a power of a prime p.  Then m·T is a
-    nilpotent ideal of ε·T, so x is a unit iff its image in the
-    d-dimensional algebra T̄ = ε·T/m·T over the field ε·R/m is one, and
-    |(ε·T)^×| = |m|^d·|T̄^×|, d = |H|.
+    R is the product of its local factors ε·R, so T is the product of
+    the rings ε·T = (ε·R)(H, c), and |T^×| is the product of their unit
+    counts.  Let m be the maximal ideal of ε·R, its non-units, and
+    q = |ε·R/m|, a power of a prime p.  Then m·T is a nilpotent ideal of
+    ε·T, so x is a unit iff its image in the d-dimensional algebra
+    T̄ = ε·T/m·T over the field ε·R/m is one, and
+    |(ε·T)^×| = |m|^d·|T̄^×|, d = |H|.  The same nilpotent ideal makes
+    ε·T/J(ε·T) the quotient of T̄ by its nilradical.
 
     T̄ is commutative of characteristic p, so the Frobenius F(x) = x^q is
     additive on it and fixes the scalars: it is linear.  Its matrix has
@@ -122,15 +129,17 @@ def count_units(T, cap=DEFAULT_CAP):
     1967).
 
     The d powers of F and their ranks cost about d⁴ ring operations per
-    factor, charged to the cap before the first product.
+    factor, charged to the cap before the first product, on every call.
     """
     R, d = T.ring, T.dim
     factors = finring.local_factors(R)
     work = census_charge(R, d, True)
     if work > cap:
         raise CapExceeded(work, cap)
+    if T._unit_profile is not None:
+        return T._unit_profile
     add, mul, neg, zero = R.add_table, R.mul_table, R._neg, R.zero
-    count = 1
+    profile = []
     for eps, inverse in factors:
         part = len({mul[eps][x] for x in R.all_indices()})
         ideal = part - len(inverse)
@@ -164,10 +173,11 @@ def count_units(T, cap=DEFAULT_CAP):
             degrees[f] = divisible[f] - sum(
                 degrees[k * f] for k in range(2, d // f + 1))
         s = d - sum(f * n for f, n in degrees.items())
-        count *= ideal ** d * q ** s
-        for f, n in degrees.items():
-            count *= (q ** f - 1) ** n
-    return count
+        units = ideal ** d * q ** s * math.prod(
+            (q ** f - 1) ** n for f, n in degrees.items())
+        profile.append((q, ideal, degrees, units))
+    T._unit_profile = math.prod(u for *_, u in profile), profile
+    return T._unit_profile
 
 
 def _power(T, x, n):

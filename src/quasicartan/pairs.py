@@ -195,8 +195,10 @@ class Pair:
         self._class_elimination = None
         self._idempotents = None
         self._atoms = None
-        self._expectation = None
-        self._classification = None
+        self._expectation = {}  # walk -> report
+        self._classification = {}  # oracle -> report
+        self._isotropy = None
+        self._profiles = None  # _census, False where the pair walks
         # the ultrafilter groupoid, set by reconstruct.build_ultra_groupoid
         self.ultra_groupoid = None
 
@@ -411,12 +413,15 @@ class Pair:
         return self._membership
 
     def _is_dagger(self, n, k, over):
-        """n·k·n = n, k·n·k = k, and k·b·n, n·b·k in B for every b in over."""
+        """n·k·n = n, k·n·k = k, and k·b·n, n·b·k in B for every b in over;
+        a factor k·b or n·b that is 0 puts its product in B unmultiplied."""
         A = self.algebra
+        zero = A.zero()
         if A.mul(A.mul(k, n), k) != k or A.mul(A.mul(n, k), n) != n:
             return False
-        return all(self.in_B(A.mul(A.mul(k, b), n)) and
-                   self.in_B(A.mul(A.mul(n, b), k)) for b in over)
+        return all(all(x == zero or self.in_B(A.mul(x, y))
+                       for x, y in ((A.mul(k, b), n), (A.mul(n, b), k)))
+                   for b in over)
 
     def is_normaliser(self, n):
         return self.dagger_of(n) is not None
@@ -455,7 +460,8 @@ class Pair:
         normalisers (_full_normalisers).  Without such a u, full scans
         every element of A.
 
-        classify reads only minimal on pairs with local units (see
+        classify reads neither where the census decides (Pair._census),
+        and only minimal on the other pairs with local units (see
         _deciding_normalisers), so full serves check_lbh's cross-check for
         |A| <= 256, reconstruct.ultrafilter_oracle and the tests.
         """
@@ -676,7 +682,7 @@ class Pair:
 
     # -- conditional expectations -------------------------------------
 
-    def canonical_expectation(self):
+    def canonical_expectation(self, oracle=False):
         """The candidate expectation P(n) = n·e(n), built on normalisers
         and extended linearly.
 
@@ -691,13 +697,41 @@ class Pair:
         implemented by idempotents, so on a pair that is not quasi-Cartan
         the map, and with it faithfulness, can depend on the basis given.
 
+        Where classify decides the pair from its census (_census) the
+        report is read off it, with the arrow daggers in closed form
+        (_arrow_daggers), and else, or with oracle, by check_expectation.
+        On the arrow basis P is the restriction to the units G⁽⁰⁾, which
+        is asserted: the source of δ_a is δ_x, x = s(a), the atoms below
+        it are the ε·δ_x, ε a primitive idempotent of R, and δ_a·ε·δ_x =
+        ε·δ_a lies in B iff a is a unit, so e(δ_a) is δ_x or 0.
+        - Faithfulness is the kernel of _is_faithful over the standard
+          basis: there the normalisers span A (_census, (a)).
+        - (b) P is implemented by idempotents iff each ring (ε·R)(H_x, c|)
+          has only its |(ε·R)^×|·|H_x| trivial units; over a local R these
+          are the rings R(H_x, c|).  The minimal normalisers lie in the
+          corners f·A·e of atoms (enumerate_normalisers), and
+          P(n) = f·P(n)·e = P(n)·f·e = 0 for e ≠ f, by bimodularity and
+          as B is commutative.  The corner of e = ε·δ_x is (ε·R)(H_x, c|),
+          its minimal normalisers are its units (_minimal_normalisers, as
+          B·e = R·e), and P is implemented by idempotents there iff P(n)
+          is 0 or n for each unit n (check_expectation).  P(t·δ_g) is
+          t·δ_x or 0 as g is the identity or not, so trivial units pass.
+          A nontrivial unit u with u_g ≠ 0 gives the unit v = δ_g⁻¹·u,
+          nontrivial and with a nonzero identity coefficient, so
+          P(v) ≠ 0, and P(v) ≠ v as v is not in B ∩ e·A·e = R·e, whose
+          units are trivial.
+
         Returns a report dict; 'map' is None when the candidates do not
         span A or the result fails the expectation axioms.
         """
-        if self._expectation is not None:
-            return self._expectation
+        census = self._census(oracle)
+        walk = census is None
+        if walk in self._expectation:
+            return self._expectation[walk]
         A, R = self.algebra, self.algebra.ring
         atoms = self.atoms_of_B()
+        if not walk:
+            self._arrow_daggers()
 
         def row(n):
             source, _ = self.ends(n)
@@ -713,9 +747,9 @@ class Pair:
             candidates += map(row, self._deciding_normalisers())
             images = finring.standard_basis_tails(R, candidates, A.dim)
         if images is None:
-            self._expectation = {
+            self._expectation[walk] = {
                 "map": None, "reason": "the candidate normalisers do not span A"}
-            return self._expectation
+            return self._expectation[walk]
 
         def P(x):
             out = A.zero()
@@ -724,36 +758,36 @@ class Pair:
                     out = A.add(out, A.scale(xi, images[i]))
             return out
 
-        report = self.check_expectation(P)
+        if walk:
+            report = self.check_expectation(P)
+        else:
+            G = self.cocycle.groupoid
+            if any(image != (n if G.is_unit(a) else A.zero())
+                   for a, n, image in zip(A.basis, A.basis_vectors, images)):
+                raise AssertionError("P is not the restriction to the units")
+            ok = self._is_expectation(P)
+            report = {"is_expectation": ok,
+                      "faithful": ok and self._is_faithful(P, A.basis_vectors),
+                      "implemented_by_idempotents": ok and all(
+                          u == (q - 1) * ideal * T.dim for T, profile in census
+                          for q, ideal, _, u in profile)}
         report["map"] = P if report["is_expectation"] else None
-        self._expectation = report
+        self._expectation[walk] = report
         return report
 
-    def check_expectation(self, P):
-        """Evaluate the expectation axioms, faithfulness, and whether P is
-        implemented by idempotents on every normaliser, for a linear P.
-        P fixes B when it fixes sub_basis, which spans B.  The last two are
-        decided on one normaliser per class of unit_classes.
+    def _is_expectation(self, P):
+        """Whether a linear P fixes B, lands in B and is bimodular.  P fixes
+        B when it fixes sub_basis, which spans B.
 
         Bimodularity, P(b·a·b′) = b·P(a)·b′ for spanning b, b′ and basis
         vectors a, makes each P(a), b·a, b·P(a) and product by b′ once; a
-        factor 0 gives 0 with no product, as P(0) = 0.
-
-        With local units the classes are minimal normalisers n in f·A·e,
-        f and e atoms (enumerate_normalisers), and P is implemented by
-        idempotents on n iff P(n) is 0 or n.  Each idempotent E of B is a
-        sum of atoms, so E·f, an idempotent below the atom f, is 0 or f,
-        and E·n = E·f·n is 0 or n; likewise n·E = n·e·E.  So P(n) = n·E
-        forces P(n) in {0, n}.  Conversely E = 0 gives P(n) = 0, and E = u,
-        the sum of the atoms, an identity of A, gives P(n) = n.  Without
-        local units every idempotent of B is tried."""
+        factor 0 gives 0 with no product, as P(0) = 0."""
         A = self.algebra
         zero = A.zero()
-        report = {}
         images = [P(a) for a in A.basis_vectors]
-        # fixes B, lands in B
-        ok = all(P(b) == b for b in self.sub_basis) and \
-            all(map(self.in_B, images))
+        if not (all(P(b) == b for b in self.sub_basis) and
+                all(map(self.in_B, images))):
+            return False
 
         def bimodular(b):
             for a, pa in zip(A.basis_vectors, images):
@@ -766,9 +800,26 @@ class Pair:
             return True
 
         # bimodularity on spanning sets (enough by linearity)
-        ok = ok and all(map(bimodular, self.sub_basis))
-        report["is_expectation"] = ok
-        if not ok:
+        return all(map(bimodular, self.sub_basis))
+
+    def check_expectation(self, P):
+        """Evaluate the expectation axioms (_is_expectation),
+        faithfulness, and whether P is implemented by idempotents on every
+        normaliser, for a linear P.  The last two are decided on one
+        normaliser per class of unit_classes.
+
+        With local units the classes are minimal normalisers n in f·A·e,
+        f and e atoms (enumerate_normalisers), and P is implemented by
+        idempotents on n iff P(n) is 0 or n.  Each idempotent E of B is a
+        sum of atoms, so E·f, an idempotent below the atom f, is 0 or f,
+        and E·n = E·f·n is 0 or n; likewise n·E = n·e·E.  So P(n) = n·E
+        forces P(n) in {0, n}.  Conversely E = 0 gives P(n) = 0, and E = u,
+        the sum of the atoms, an identity of A, gives P(n) = n.  Without
+        local units every idempotent of B is tried."""
+        A = self.algebra
+        zero = A.zero()
+        report = {"is_expectation": self._is_expectation(P)}
+        if not report["is_expectation"]:
             report["faithful"] = False
             report["implemented_by_idempotents"] = False
             return report
@@ -784,23 +835,27 @@ class Pair:
         report["implemented_by_idempotents"] = implemented
         return report
 
-    def _is_faithful(self, P):
+    def _is_faithful(self, P, spanning=None):
         """Whether P(n·a) = 0 for every normaliser n forces a = 0, for a
-        linear P.  P(n·a) is linear in n, so any n that span the
-        normalisers give the same kernel, over any commutative ring: the n
-        of _deciding_normalisers span every normaliser, one n per class of
-        unit_classes spans those, and the pivot rows and the rest of
-        unit-pivot elimination on the classes (_class_rows) span what the
-        classes span, its row operations being invertible.
-        Where the classes span A the pivot rows are the standard basis, so
-        P is evaluated on at most dim² products there."""
+        linear P, with n over spanning, vectors that span what the
+        normalisers span.  P(n·a) is linear in n, so any n that span the
+        normalisers give the same kernel, over any commutative ring: the
+        n of _deciding_normalisers span every normaliser, one n per class
+        of unit_classes spans those, and the pivot rows and the rest of
+        unit-pivot elimination on the classes (_class_rows), the default,
+        span what the classes span, its row operations being invertible.
+        Where the normalisers span A the standard basis serves (there the
+        pivot rows are the standard basis), and P is evaluated on at most
+        dim² products."""
         A = self.algebra
         zero = A.zero()
-        pivots, rest = self._class_rows()
+        if spanning is None:
+            pivots, rest = self._class_rows()
+            spanning = [*pivots.values(), *rest]
         return self._kernel_is_zero(
             ([zero if nb == zero else P(nb)
               for nb in (A.mul(n, b) for b in A.basis_vectors)]
-             for n in [*pivots.values(), *rest]), A.dim)
+             for n in spanning), A.dim)
 
     def _is_own_commutant(self):
         """Whether B is its commutant C, the a with a·b = b·a for every
@@ -932,24 +987,136 @@ class Pair:
         A = self.algebra
         return finring.standard_basis_tails(A.ring, vectors, A.dim) is not None
 
-    def classify(self):
-        """The full flag report with the implication chain asserted.  The
-        normaliser flags are decided on one normaliser per class of
-        unit_classes, and the spanning tests by _spans_A.
+    def isotropy_rings(self):
+        """[R(H_x, c|)] over the first object x of each orbit of a
+        pair_from_twist pair, in the order of the objects: the twisted
+        group ring of the isotropy group H_x at x, with the pair's cocycle
+        restricted to it, built once per pair.  It is the corner δ_x·A·δ_x
+        in the same coordinates.  The other objects y of x's orbit need no
+        ring of their own: for an arrow a from x to y,
+        u ↦ δ_a·u·δ_a† is an isomorphism of R-algebras from δ_x·A·δ_x onto
+        δ_y·A·δ_y, with inverse v ↦ δ_a†·v·δ_a (δ_a†·δ_a = δ_x and
+        δ_a·δ_a† = δ_y, _arrow_daggers), so it keeps units, trivial units
+        (t·δ_h goes to t·c(a, h)·c(ah, a⁻¹)·t′·δ_(aha⁻¹), t′ the scalar
+        of δ_a†) and the census."""
+        if self._isotropy is None:
+            # grouprings subclasses ConvolutionAlgebra, so it is imported
+            # here, not at the top of this module
+            from .grouprings import TwistedGroupRing
 
-        Every classify reaches the cap test of enumerate_normalisers; it is
-        made first, so that a large A is refused before satisfies_wt lists
-        B.  The flags on B read its atoms (atoms_of_B):
+            c, G = self.cocycle, self.cocycle.groupoid
+            self._isotropy, seen = [], set()
+            for x in G.objects:
+                if x not in seen:
+                    seen.update(G.rng[a] for a in G.arrows if G.src[a] == x)
+                    H = isotropy_fibre_group(G, x)
+                    self._isotropy.append(TwistedGroupRing(
+                        c.ring, H, {(a, b): c.value(a, b) for a, b in H.mul}))
+        return self._isotropy
+
+    def _census(self, oracle=False):
+        """[(T, profile)] over the isotropy rings T of a pair_from_twist
+        pair, profile T's unit profile (grouprings.count_units), when
+        classify decides the pair from it; else None, and classify walks:
+        with oracle, on an abstract pair, where some T is not commutative
+        or its census would pass the cap, and where (a) fails.
+
+        (a) Spanning.  The normalisers span A iff, in every local factor
+        ε·R of R with residue field GF(2), each T has at most one field
+        factor GF(2) (n_1 ≤ 1).  They span what the minimal normalisers
+        span (_deciding_normalisers), which lie in the corners f·A·e of
+        the atoms ε·δ_x.  The corner of e = ε·δ_x is (ε·R)(H_x, c|), and
+        its minimal normalisers are its units (_minimal_normalisers, as
+        B·e = R·e).  A corner f·A·e with f ≠ e is 0 unless f = ε·δ_y with
+        an arrow a from x to y, and then its minimal normalisers are
+        δ_a·N_e, whose span is δ_a times the span of N_e, δ_a· being a
+        bijection from e·A·e onto f·A·e (δ_a†· is its inverse).  So they
+        span A iff the units of each commutative L(H_x, c|), L = ε·R,
+        span it over L.  Those units contain 1 + J, J its radical, so
+        their span holds J and 1, and it is everything iff the images of
+        the units, Π_k F_k^×, span Π_k F_k = L(H_x, c|)/J over the
+        residue field GF(q) of L.  A field F_k ≠ GF(2) holds units a ≠ b
+        with a − b any given element, so the differences of two units
+        that differ only at k span F_k; so if at most one F_k is GF(2),
+        the span holds every other F_k and then, from 1, that one too.
+        Two fields F_k = F_l = GF(2) force q = 2, and the GF(2)-linear
+        x ↦ x_k + x_l vanishes on every unit but not on the identity of
+        F_k: the units do not span.  On a twist pair (a) always holds:
+        where q = 2, c is 1 modulo m, and GF(2)[H] has the one field factor
+        GF(2) of its one homomorphism to GF(2); the test is kept, as the
+        walk is the fallback.
+        """
+        if oracle or self.cocycle is None:
+            return None
+        if self._profiles is None:
+            from .grouprings import census_charge, count_units
+
+            rings = self.isotropy_rings()
+            census = None
+            if all(T.is_commutative() and
+                   census_charge(T.ring, T.dim, True) <= self.cap
+                   for T in rings):
+                census = [(T, count_units(T, cap=self.cap)[1])
+                          for T in rings]
+                if any(q == 2 and degrees[1] > 1 for _, profile in census
+                       for q, _, degrees, _ in profile):
+                    census = None
+            self._profiles = census or False
+        return self._profiles or None
+
+    def _arrow_daggers(self):
+        """Put the dagger of each arrow basis vector of a twist pair in the
+        dagger cache, δ_a† = c(a⁻¹, a)⁻¹·δ_(a⁻¹), each checked by
+        _is_dagger, so that no dagger system is solved for it.
+
+        The cocycle is normalised, so its identity at (a, a⁻¹, a) gives
+        c(a, a⁻¹) = c(a⁻¹, a) = t.  With k = t⁻¹·δ_(a⁻¹), k·δ_a = δ_x and
+        δ_a·k = δ_y for a from x to y, so δ_a·k·δ_a = δ_a and
+        k·δ_a·k = k, and for b in B, k·b·δ_a = b(y)·δ_x and
+        δ_a·b·k = b(x)·δ_y lie in B."""
+        A, c = self.algebra, self.cocycle
+        G, R = c.groupoid, c.ring
+        for a, n in zip(A.basis, A.basis_vectors):
+            if (n, False) not in self._dagger_cache:
+                inverse = G.inv[a]
+                k = A.basis_vector(A.index[inverse],
+                                   R.unit_inverse(c.value(inverse, a)))
+                if not self._is_dagger(n, k, self.sub_basis):
+                    raise AssertionError(f"no closed-form dagger of {a}")
+                self._dagger_cache[n, False] = k
+
+    def classify(self, oracle=False):
+        """The full flag report with the implication chain asserted, once
+        per pair and value of oracle.
+
+        Every classify makes the cap test of enumerate_normalisers on |A|
+        first, so that a large A is refused before satisfies_wt lists B,
+        whichever path decides.  The flags on B read its atoms (atoms_of_B):
         span(I(B)) = span(atoms), each idempotent being a sum of atoms, and
         that span is the direct sum of the R·e, since Σ r_e·e = 0 times an
         atom e′ gives r_e′·e′ = 0.  It lies in B, so it is B exactly when
         Π_e |R·e| = |B|, and no span is listed.
 
+        Where the census decides (_census), nothing is listed: the
+        normalisers span A by (a), faithfulness and implementation by
+        idempotents are read off it (canonical_expectation, (b)), and:
+        - (d) ADP: the free normalisers span what the arrow basis vectors
+          that pass is_free_normaliser span.  A minimal m ∈ f·A·e is free
+          iff e ≠ f or m lies in B, its source e and range f being atoms,
+          orthogonal iff distinct.  For e ≠ f, f·A·e lies in the span of
+          the δ_a with s(a) ≠ r(a), each free, and B in that of the free
+          δ_x; free normalisers are sums of free minimal ones
+          (_deciding_normalisers), and free arrow vectors are free
+          normalisers.
+        Otherwise, and with oracle, the walk decides: the normaliser flags
+        on one normaliser per class of unit_classes, and the spanning
+        tests by _spans_A.
+
         On a twist pair (pair_from_twist) where AQP holds, the geometry
         claims are asserted beside the implication chain: ADP iff the base
         groupoid is principal, and ACP iff it is effective."""
-        if self._classification is not None:
-            return self._classification
+        if oracle in self._classification:
+            return self._classification[oracle]
         A = self.algebra
         if A.size() > self.cap:
             raise CapExceeded(A.size(), self.cap)
@@ -963,14 +1130,19 @@ class Pair:
         report["B_spanned_by_idempotents"] = math.prod(
             len({A.scale(t, e) for t in A.ring.all_indices()})
             for e in atoms) == self._b_size
-        _, classes = self.unit_classes()
-        pivots, rest = self._class_rows()
-        report["A_spanned_by_normalisers"] = self._spans_A(
-            [*pivots.values(), *rest])
+        walk = self._census(oracle) is None
+        if walk:
+            _, deciding = self.unit_classes()
+            pivots, rest = self._class_rows()
+            report["A_spanned_by_normalisers"] = self._spans_A(
+                [*pivots.values(), *rest])
+        else:
+            deciding = A.basis_vectors
+            report["A_spanned_by_normalisers"] = True
         base = (report["WT"] and report["local_units"] and
                 report["B_spanned_by_idempotents"] and
                 report["A_spanned_by_normalisers"])
-        ce = self.canonical_expectation()
+        ce = self.canonical_expectation(oracle)
         report["faithful_CE_exists"] = bool(
             ce.get("is_expectation") and ce.get("faithful"))
         base = base and report["faithful_CE_exists"]
@@ -979,7 +1151,7 @@ class Pair:
         # Cartan: B is a maximal commutative subalgebra (commutant of B = B)
         report["ACP"] = base and self._is_own_commutant()
         # diagonal: the free normalisers span A
-        free = [n for n in classes if self.is_free_normaliser(n)]
+        free = [n for n in deciding if self.is_free_normaliser(n)]
         report["ADP"] = base and self._spans_A(free)
         if report["ADP"] and not report["ACP"]:
             raise AssertionError("implication ADP => ACP violated")
@@ -991,7 +1163,7 @@ class Pair:
                 raise AssertionError("ADP <=> principal base violated")
             if report["ACP"] != is_effective(G):
                 raise AssertionError("ACP <=> effective base violated")
-        self._classification = report
+        self._classification[oracle] = report
         return report
 
 
@@ -1021,7 +1193,10 @@ def check_lbh(pair):
     Primary path: for each object x, the twisted group ring R(H, c|) of
     the isotropy group H at x, with c| the pair's cocycle restricted to H,
     must have trivial units only (grouprings.unit_census, which counts
-    them when the ring is commutative).  That ring is the corner
+    them when the ring is commutative).  One x per orbit decides its
+    orbit (Pair.isotropy_rings, shared with classify's census), so the
+    first x with a nontrivial unit is the first object of its orbit.
+    That ring is the corner
     δ_x·A·δ_x in the same coordinates, so a nontrivial unit u is a
     normaliser of the pair (its dagger is its inverse in the corner, and
     δ_x·b·δ_x = b(x)·δ_x for b in B) whose base support is not a
@@ -1029,20 +1204,15 @@ def check_lbh(pair):
     |A| <= 256 the result is checked against the definition over the
     pair's full normaliser enumeration.
     """
-    # grouprings subclasses ConvolutionAlgebra, so it is imported here,
-    # not at the top of this module
-    from .grouprings import TwistedGroupRing, unit_census
+    from .grouprings import unit_census  # see Pair.isotropy_rings
 
     cocycle, A = pair.cocycle, pair.algebra
     R, G = A.ring, cocycle.groupoid
     holds, witness = True, None
-    for x in G.objects:
-        H = isotropy_fibre_group(G, x)
-        ring_T = TwistedGroupRing(R, H, {(a, b): cocycle.value(a, b)
-                                         for a, b in H.mul})
+    for ring_T in pair.isotropy_rings():
         u = unit_census(ring_T, cap=pair.cap)[2]
         if u is not None:
-            coeffs = {g: u[i] for i, g in enumerate(H.elements)
+            coeffs = {g: u[i] for i, g in enumerate(ring_T.group.elements)
                       if u[i] != R.zero}
             witness = steinberg.AlgebraElement(cocycle, coeffs)
             holds = False

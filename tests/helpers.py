@@ -2,6 +2,7 @@
 tests, and memoized expensive computations for the tests."""
 
 import functools
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -13,6 +14,22 @@ from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
 
 KLEIN = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(2))
 C2_CUBED = gp.direct_product_group(KLEIN, gp.cyclic_group(2))
+C2_C4 = gp.direct_product_group(gp.cyclic_group(2), gp.cyclic_group(4))
+
+
+def _symmetric_group_3():
+    """S3 on the permutations p of (0, 1, 2), with (p·q)(i) = p(q(i))."""
+    elements = sorted(itertools.permutations(range(3)))
+    return gp.FiniteGroup("S3", elements, {
+        (p, q): tuple(p[i] for i in q) for p in elements for q in elements})
+
+
+S3 = _symmetric_group_3()
+
+
+def _sign(p):
+    """0 for an even permutation, 1 for an odd one: its inversions mod 2."""
+    return sum(a > b for a, b in itertools.combinations(p, 2)) % 2
 
 
 # name -> builder; spans principal and non-principal bases, trivial and
@@ -110,9 +127,12 @@ def check_cocycle_by_definition(c):
 
 # (group, the coordinate of an element and its order that the carry
 # cocycle t^[x+y ≥ n] reads); C8's generating set is {0, 1}, so most of
-# its arrows are not generators
+# its arrows are not generators.  C2×C4 and C2³ give commutative group
+# rings of rank 2 and 3; S3, whose carry reads the sign, gives rings that
+# are not commutative
 GROUPS = [(gp.cyclic_group(n), lambda g: g, n) for n in range(1, 9)] + \
-    [(KLEIN, lambda g: g[0], 2)]
+    [(KLEIN, lambda g: g[0], 2), (C2_C4, lambda g: g[1], 4),
+     (C2_CUBED, lambda g: g[1], 2), (S3, _sign, 2)]
 # (groupoid, carry): the full relations, whose twists are all trivial, and
 # the groups with their carry coordinate and order
 COMPONENTS = [(gp.full_relation(n), None) for n in (1, 2, 3)] + \

@@ -593,6 +593,40 @@ def test_classify_on_m16_gf3_keeps_to_100_mb(tmp_path):
     assert len(summary) == 8 and set(summary.values()) == {"true"}
 
 
+def test_classify_on_gf3_c16_keeps_to_200_mb(tmp_path):
+    # |A| = 3^16: the flags are read off the unit census of GF(3)[C16],
+    # and none of its units is listed, so with the cap lifted the command
+    # runs within a 200 MB address space.  The ring has nontrivial units,
+    # and C16 is not principal, so ADP, ACP and AQP are false
+    path = tmp_path / "input.txt"
+    path.write_text("[ring]\ngf(3,1)\n[groupoid]\ngroup(cyclic(16))\n"
+                    f"[cocycle]\ntrivial\n[options]\ncap = {3 ** 16}\n")
+    result = _run_limited("classify", path, timeout=30, limit=200_000_000)
+    assert result.returncode == 0, result.stderr
+    summary = cli.parse_summary(result.stdout)
+    assert [key for key, value in summary.items() if value == "false"] == \
+        ["adp", "acp", "aqp"]
+
+
+def test_the_oracle_option_selects_the_walk_for_classify(
+        tmp_path, capsys, monkeypatch):
+    asked = []
+    unit_classes = pairs.Pair.unit_classes
+
+    def spy(self):
+        asked.append(self)
+        return unit_classes(self)
+
+    monkeypatch.setattr(pairs.Pair, "unit_classes", spy)
+    text = "[ring]\ngf(3,1)\n[groupoid]\ngroup(cyclic(4))\n" \
+        "[cocycle]\ntrivial\n"
+    code, out = _run("classify", text, tmp_path, capsys)
+    assert code == 0 and asked == []
+    assert _run("classify", text + "[options]\noracle = on\n", tmp_path,
+                capsys) == (code, out)
+    assert asked
+
+
 def _union_text(ring, G):
     """classify's input for G in the explicit form, with the trivial
     cocycle."""

@@ -8,7 +8,9 @@ from hypothesis import Phase, given, settings
 
 from quasicartan import finring as fr, reconstruct as rc, twist as tw
 
-from helpers import KLEIN, check_cocycle_by_definition, twists
+from helpers import C2_C4, C2_CUBED, KLEIN, S3, check_cocycle_by_definition, \
+    twists
+import test_census
 import test_compare
 import test_convolution
 import test_groupoid
@@ -61,6 +63,13 @@ def _noncommuting(c):
 # call site -> its strategy, how to read the cocycle (or groupoid) off a
 # draw, and the families its old builder drew
 FAMILIES = {
+    # the groups whose rings the census decides at rank 2 and 3, and one
+    # whose ring it leaves to the walk
+    "census": (twists(test_census.RINGS, test_census.SIZE), lambda c: c, {
+        "C2×C4": lambda c: C2_C4.groupoid.name in c.groupoid.name,
+        "C2³": lambda c: C2_CUBED.groupoid.name in c.groupoid.name,
+        "S3": lambda c: S3.groupoid.name in c.groupoid.name,
+    }),
     "compare": (test_compare.cocycle_pairs(), lambda pair: pair[0], {
         "full_relation(2)": _named(base="full_relation(2)"),
         "a cyclic twist that is not a coboundary": _cyclic_class,
@@ -127,5 +136,5 @@ FAMILIES = {
 def test_each_site_reaches_the_families_of_its_old_builder(site, family):
     strategy, read, families = FAMILIES[site]
     hypothesis.find(strategy, lambda draw: families[family](read(draw)),
-                    settings=settings(max_examples=2000, database=None,
+                    settings=settings(max_examples=5000, database=None,
                                       phases=[Phase.generate]))

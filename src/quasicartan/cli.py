@@ -426,7 +426,7 @@ def cmd_check(doc, cap, oracle):
 
 def cmd_classify(doc, cap, oracle):
     R, c, pair = _build_pair(doc, cap)
-    flags = pair.classify(oracle=oracle)
+    flags = pair.classify()
     report = [f"pair over {R.name}: classification"]
     summary = {}
     for key in ("WT", "local_units", "B_spanned_by_idempotents",

@@ -704,8 +704,6 @@ class Pair:
         is asserted: the source of δ_a is δ_x, x = s(a), the atoms below
         it are the ε·δ_x, ε a primitive idempotent of R, and δ_a·ε·δ_x =
         ε·δ_a lies in B iff a is a unit, so e(δ_a) is δ_x or 0.
-        - Faithfulness is the kernel of _is_faithful over the standard
-          basis: there the normalisers span A (_census, (a)).
         - (b) P is implemented by idempotents iff each ring (ε·R)(H_x, c|)
           has only its |(ε·R)^×|·|H_x| trivial units; over a local R these
           are the rings R(H_x, c|).  The minimal normalisers lie in the
@@ -720,6 +718,10 @@ class Pair:
           nontrivial and with a nonzero identity coefficient, so
           P(v) ≠ 0, and P(v) ≠ v as v is not in B ∩ e·A·e = R·e, whose
           units are trivial.
+        - (c) P is faithful.  For a ≠ 0 take a_g ≠ 0, g from x to y.  The
+          normaliser δ_(g⁻¹) gives δ_(g⁻¹)·a = Σ_k c(g⁻¹, k)·a_k·δ_(g⁻¹k),
+          and g⁻¹k is a unit only for k = g, so P(δ_(g⁻¹)·a) has the
+          coefficient c(g⁻¹, g)·a_g ≠ 0 at x, c taking unit values.
 
         Returns a report dict; 'map' is None when the candidates do not
         span A or the result fails the expectation axioms.
@@ -767,7 +769,7 @@ class Pair:
                 raise AssertionError("P is not the restriction to the units")
             ok = self._is_expectation(P)
             report = {"is_expectation": ok,
-                      "faithful": ok and self._is_faithful(P, A.basis_vectors),
+                      "faithful": ok,
                       "implemented_by_idempotents": ok and all(
                           u == (q - 1) * ideal * T.dim for T, profile in census
                           for q, ideal, _, u in profile)}
@@ -835,27 +837,23 @@ class Pair:
         report["implemented_by_idempotents"] = implemented
         return report
 
-    def _is_faithful(self, P, spanning=None):
+    def _is_faithful(self, P):
         """Whether P(n·a) = 0 for every normaliser n forces a = 0, for a
-        linear P, with n over spanning, vectors that span what the
-        normalisers span.  P(n·a) is linear in n, so any n that span the
-        normalisers give the same kernel, over any commutative ring: the
-        n of _deciding_normalisers span every normaliser, one n per class
-        of unit_classes spans those, and the pivot rows and the rest of
-        unit-pivot elimination on the classes (_class_rows), the default,
-        span what the classes span, its row operations being invertible.
-        Where the normalisers span A the standard basis serves (there the
-        pivot rows are the standard basis), and P is evaluated on at most
-        dim² products."""
+        linear P.  P(n·a) is linear in n, so any n that span the
+        normalisers give the same kernel, over any commutative ring: the n
+        of _deciding_normalisers span every normaliser, one n per class of
+        unit_classes spans those, and the pivot rows and the rest of
+        unit-pivot elimination on the classes (_class_rows) span what the
+        classes span, its row operations being invertible.
+        Where the classes span A the pivot rows are the standard basis, so
+        P is evaluated on at most dim² products there."""
         A = self.algebra
         zero = A.zero()
-        if spanning is None:
-            pivots, rest = self._class_rows()
-            spanning = [*pivots.values(), *rest]
+        pivots, rest = self._class_rows()
         return self._kernel_is_zero(
             ([zero if nb == zero else P(nb)
               for nb in (A.mul(n, b) for b in A.basis_vectors)]
-             for n in spanning), A.dim)
+             for n in [*pivots.values(), *rest]), A.dim)
 
     def _is_own_commutant(self):
         """Whether B is its commutant C, the a with a·b = b·a for every
@@ -1018,8 +1016,8 @@ class Pair:
         """[(T, profile)] over the isotropy rings T of a pair_from_twist
         pair, profile T's unit profile (grouprings.count_units), when
         classify decides the pair from it; else None, and classify walks:
-        with oracle, on an abstract pair, where some T is not commutative
-        or its census would pass the cap, and where (a) fails.
+        with oracle, on an abstract pair, and where some T is not
+        commutative or its census would pass the cap.
 
         (a) Spanning.  The normalisers span A iff, in every local factor
         ε·R of R with residue field GF(2), each T has at most one field
@@ -1043,8 +1041,8 @@ class Pair:
         x ↦ x_k + x_l vanishes on every unit but not on the identity of
         F_k: the units do not span.  On a twist pair (a) always holds:
         where q = 2, c is 1 modulo m, and GF(2)[H] has the one field factor
-        GF(2) of its one homomorphism to GF(2); the test is kept, as the
-        walk is the fallback.
+        GF(2) of its one homomorphism to GF(2).  So a census that breaks
+        it is a fault, and raises.
         """
         if oracle or self.cocycle is None:
             return None
@@ -1060,7 +1058,7 @@ class Pair:
                           for T in rings]
                 if any(q == 2 and degrees[1] > 1 for _, profile in census
                        for q, _, degrees, _ in profile):
-                    census = None
+                    raise AssertionError("the normalisers do not span A")
             self._profiles = census or False
         return self._profiles or None
 
@@ -1098,16 +1096,17 @@ class Pair:
         Π_e |R·e| = |B|, and no span is listed.
 
         Where the census decides (_census), nothing is listed: the
-        normalisers span A by (a), faithfulness and implementation by
-        idempotents are read off it (canonical_expectation, (b)), and:
-        - (d) ADP: the free normalisers span what the arrow basis vectors
-          that pass is_free_normaliser span.  A minimal m ∈ f·A·e is free
-          iff e ≠ f or m lies in B, its source e and range f being atoms,
-          orthogonal iff distinct.  For e ≠ f, f·A·e lies in the span of
-          the δ_a with s(a) ≠ r(a), each free, and B in that of the free
-          δ_x; free normalisers are sums of free minimal ones
-          (_deciding_normalisers), and free arrow vectors are free
-          normalisers.
+        normalisers span A by (a), implementation by idempotents is read
+        off it and P is faithful (canonical_expectation, (b) and (c)), and:
+        - (d) ADP iff every arrow a is a unit or has s(a) ≠ r(a).  A
+          minimal m ∈ f·A·e is free iff e ≠ f or m lies in B, its source
+          e and range f being atoms, orthogonal iff distinct.  For e ≠ f,
+          f·A·e lies in the span of the δ_a with s(a) ≠ r(a), and B in
+          that of the δ_x, so the free normalisers, sums of free minimal
+          ones (_deciding_normalisers), span the δ_a with a a unit or
+          s(a) ≠ r(a).  That is A iff every arrow is one.  It is read off
+          the arrows, not by is_principal, so that the geometry claim
+          below still checks is_principal.
         Otherwise, and with oracle, the walk decides: the normaliser flags
         on one normaliser per class of unit_classes, and the spanning
         tests by _spans_A.
@@ -1132,12 +1131,10 @@ class Pair:
             for e in atoms) == self._b_size
         walk = self._census(oracle) is None
         if walk:
-            _, deciding = self.unit_classes()
             pivots, rest = self._class_rows()
             report["A_spanned_by_normalisers"] = self._spans_A(
                 [*pivots.values(), *rest])
         else:
-            deciding = A.basis_vectors
             report["A_spanned_by_normalisers"] = True
         base = (report["WT"] and report["local_units"] and
                 report["B_spanned_by_idempotents"] and
@@ -1151,8 +1148,14 @@ class Pair:
         # Cartan: B is a maximal commutative subalgebra (commutant of B = B)
         report["ACP"] = base and self._is_own_commutant()
         # diagonal: the free normalisers span A
-        free = [n for n in deciding if self.is_free_normaliser(n)]
-        report["ADP"] = base and self._spans_A(free)
+        if walk:
+            _, deciding = self.unit_classes()
+            report["ADP"] = base and self._spans_A(
+                [n for n in deciding if self.is_free_normaliser(n)])
+        else:
+            G = self.cocycle.groupoid
+            report["ADP"] = base and all(
+                G.is_unit(a) or G.src[a] != G.rng[a] for a in G.arrows)
         if report["ADP"] and not report["ACP"]:
             raise AssertionError("implication ADP => ACP violated")
         if report["ACP"] and not report["AQP"]:

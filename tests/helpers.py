@@ -127,16 +127,26 @@ def check_cocycle_by_definition(c):
 
 # (group, the coordinate of an element and its order that the carry
 # cocycle t^[x+y ≥ n] reads); C8's generating set is {0, 1}, so most of
-# its arrows are not generators.  C2×C4 and C2³ give commutative group
-# rings of rank 2 and 3; S3, whose carry reads the sign, gives rings that
-# are not commutative
+# its arrows are not generators
 GROUPS = [(gp.cyclic_group(n), lambda g: g, n) for n in range(1, 9)] + \
-    [(KLEIN, lambda g: g[0], 2), (C2_C4, lambda g: g[1], 4),
-     (C2_CUBED, lambda g: g[1], 2), (S3, _sign, 2)]
+    [(KLEIN, lambda g: g[0], 2)]
+# C2×C4 and C2³ give commutative group rings of rank 2 and 3; S3, whose
+# carry reads the sign, gives rings that are not commutative.  Drawn only
+# where classify's census is compared with the walk, so that the other
+# call sites draw their families as often as before
+CENSUS_GROUPS = [(C2_C4, lambda g: g[1], 4), (C2_CUBED, lambda g: g[1], 2),
+                 (S3, _sign, 2)]
+
+
+def _components(groups):
+    return [(H.groupoid, (coordinate, n)) for H, coordinate, n in groups]
+
+
 # (groupoid, carry): the full relations, whose twists are all trivial, and
 # the groups with their carry coordinate and order
 COMPONENTS = [(gp.full_relation(n), None) for n in (1, 2, 3)] + \
-    [(H.groupoid, (coordinate, n)) for H, coordinate, n in GROUPS]
+    _components(GROUPS)
+CENSUS_COMPONENTS = COMPONENTS + _components(CENSUS_GROUPS)
 
 
 def carry_cocycle(R, G, carry, t):
@@ -166,12 +176,13 @@ def _union(c1, c2):
 
 
 @st.composite
-def bases(draw, rings, budget=None, one_object=False):
-    """A ring R of rings and a list of COMPONENTS, drawn while a coin says
+def bases(draw, rings, budget=None, one_object=False,
+          components=COMPONENTS):
+    """A ring R of rings and a list of components, drawn while a coin says
     so and |R|^arrows stays within budget: one group when one_object, at
     most three components when there is no budget."""
     R = draw(st.sampled_from(rings))
-    choices = [part for part in COMPONENTS if part[1] or not one_object]
+    choices = [part for part in components if part[1] or not one_object]
     limit = 1 if one_object else 3 if budget is None else math.inf
     parts, arrows = [], 0
     while len(parts) < limit and (not parts or draw(st.booleans())):
@@ -204,9 +215,9 @@ def twists_on(draw, R, parts):
         c, random.Random(draw(st.integers(0, 2 ** 16))).choice)
 
 
-def twists(rings, budget=None, one_object=False):
+def twists(rings, budget=None, one_object=False, components=COMPONENTS):
     """Generated twists: a base of bases, then a cocycle of twists_on."""
-    return bases(rings, budget, one_object).flatmap(
+    return bases(rings, budget, one_object, components).flatmap(
         lambda base: twists_on(*base))
 
 

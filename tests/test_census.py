@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from quasicartan import finring as fr, groupoid as gp, grouprings as gr, \
     pairs as pr, twist as tw
 
-from helpers import ABSTRACT_PAIRS, FIXTURE_NAMES, S3, abstract_pair, \
-    make_twist, twists
+from helpers import ABSTRACT_PAIRS, CENSUS_COMPONENTS, FIXTURE_NAMES, S3, \
+    abstract_pair, make_twist, twists
 
 # |A| ≤ 3^9 under the default cap; the walk takes 0.6 s on GF(3)[C9]
 GROUP_RINGS = {f"{R.name}[C{n}]": (R, n) for R, n in [
@@ -22,6 +22,7 @@ RINGS = [fr.make_gf(2), fr.make_gf(3), fr.make_zmod(4), fr.make_gf(2, 2),
          fr.make_gf(5), fr.make_zmod(6), fr.make_zmod(8), fr.make_zmod(9)]
 # |A| ≤ 729: C2×C4 and C2³ over GF(2), S3 over GF(2) and GF(3)
 SIZE = 729
+TWISTS = twists(RINGS, SIZE, components=CENSUS_COMPONENTS)
 
 
 def _twist(name):
@@ -56,7 +57,7 @@ def test_the_census_gives_the_flags_of_the_walk(name):
 
 
 @settings(max_examples=200, deadline=None)
-@given(twists(RINGS, SIZE))
+@given(TWISTS)
 def test_the_census_gives_the_flags_of_the_walk_on_generated_twists(c):
     _check_census_equals_the_walk(c)
 
@@ -115,23 +116,6 @@ def test_the_oracle_walks(monkeypatch):
     pair = pr.pair_from_twist(_twist("klein_gf3"))
     assert not _walks(monkeypatch, pair)
     assert _walks(monkeypatch, pair, oracle=True)
-
-
-def test_a_ring_that_fails_lemma_a_walks(monkeypatch):
-    # no commutative R(H, c) fails (a): modulo m, c takes its values in
-    # GF(2)^× = {1}, and GF(2)[H] has one field factor GF(2).  So a census
-    # with two is made up here, and classify walks
-    count_units = gr.count_units
-
-    def two_factors(T, cap=fr.DEFAULT_CAP):
-        units, profile = count_units(T, cap)
-        return units, [(2, ideal, {**degrees, 1: 2}, u)
-                       for _, ideal, degrees, u in profile]
-
-    monkeypatch.setattr(gr, "count_units", two_factors)
-    pair = pr.pair_from_twist(_twist("z3_gf2"))
-    assert pair._census() is None
-    assert _walks(monkeypatch, pair)
 
 
 def test_classify_and_check_lbh_share_one_census(monkeypatch):

@@ -608,25 +608,6 @@ def test_classify_on_gf3_c16_keeps_to_200_mb(tmp_path):
         ["adp", "acp", "aqp"]
 
 
-def test_the_oracle_option_selects_the_walk_for_classify(
-        tmp_path, capsys, monkeypatch):
-    asked = []
-    unit_classes = pairs.Pair.unit_classes
-
-    def spy(self):
-        asked.append(self)
-        return unit_classes(self)
-
-    monkeypatch.setattr(pairs.Pair, "unit_classes", spy)
-    text = "[ring]\ngf(3,1)\n[groupoid]\ngroup(cyclic(4))\n" \
-        "[cocycle]\ntrivial\n"
-    code, out = _run("classify", text, tmp_path, capsys)
-    assert code == 0 and asked == []
-    assert _run("classify", text + "[options]\noracle = on\n", tmp_path,
-                capsys) == (code, out)
-    assert asked
-
-
 def _union_text(ring, G):
     """classify's input for G in the explicit form, with the trivial
     cocycle."""

@@ -8,8 +8,8 @@ from hypothesis import Phase, given, settings
 
 from quasicartan import finring as fr, reconstruct as rc, twist as tw
 
-from helpers import C2_C4, C2_CUBED, KLEIN, S3, check_cocycle_by_definition, \
-    twists
+from helpers import C2_C4, C2_CUBED, CENSUS_COMPONENTS, KLEIN, S3, \
+    check_cocycle_by_definition, twists
 import test_census
 import test_compare
 import test_convolution
@@ -27,7 +27,7 @@ RINGS = [fr.make_gf(2), fr.make_gf(3), fr.make_zmod(4), fr.make_gf(2, 2),
 
 
 @settings(max_examples=100)
-@given(twists(RINGS))
+@given(twists(RINGS, components=CENSUS_COMPONENTS))
 def test_generated_twists_are_cocycles(c):
     assert check_cocycle_by_definition(c) == []
 
@@ -65,7 +65,7 @@ def _noncommuting(c):
 FAMILIES = {
     # the groups whose rings the census decides at rank 2 and 3, and one
     # whose ring it leaves to the walk
-    "census": (twists(test_census.RINGS, test_census.SIZE), lambda c: c, {
+    "census": (test_census.TWISTS, lambda c: c, {
         "C2×C4": lambda c: C2_C4.groupoid.name in c.groupoid.name,
         "C2³": lambda c: C2_CUBED.groupoid.name in c.groupoid.name,
         "S3": lambda c: S3.groupoid.name in c.groupoid.name,
@@ -136,5 +136,5 @@ FAMILIES = {
 def test_each_site_reaches_the_families_of_its_old_builder(site, family):
     strategy, read, families = FAMILIES[site]
     hypothesis.find(strategy, lambda draw: families[family](read(draw)),
-                    settings=settings(max_examples=5000, database=None,
+                    settings=settings(max_examples=2000, database=None,
                                       phases=[Phase.generate]))

@@ -99,11 +99,8 @@ _RINGS = [fr.make_gf(2), fr.make_gf(3), fr.make_zmod(4), fr.make_zmod(6),
           fr.make_gf(3, 2)]
 # the definition solves f·x = δ_e for every f, so keep |A| ≤ 729
 SIZE = 729
-# the abelian groups, whose carry twists are commutative
 _SMALL_GROUP_RINGS = [(H, coordinate, n, R) for H, coordinate, n in GROUPS
-                      for R in _RINGS if R.size ** len(H) <= SIZE and
-                      all(H.mul[g, h] == H.mul[h, g] for g in H.elements
-                          for h in H.elements)]
+                      for R in _RINGS if R.size ** len(H) <= SIZE]
 
 
 def twisted_group_rings():

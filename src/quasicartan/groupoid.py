@@ -377,7 +377,18 @@ def greedy_generators(src, rng, compose):
 
 def generator_pairs(G):
     """(a, b, a∘b) as arrow indices for each composable pair whose right
-    factor b is in generating_set(G)."""
+    factor b is in generating_set(G).
+
+    Light's lemma for maps: on an associative G these pairs decide
+    whether a map f into an associative target is multiplicative.  If
+    f(a∘s) = f(a)·f(s) for each of them, take a composable pair (a, b)
+    with b = (…(s₁∘s₂)∘…)∘s_k.  For k = 1 it is one of them; otherwise
+    b = b′∘s with b′ a shorter composite, and
+    f(a∘b) = f((a∘b′)∘s) = f(a∘b′)·f(s) = (f(a)·f(b′))·f(s)
+    = f(a)·(f(b′)·f(s)) = f(a)·f(b′∘s), by associativity of G, the pair
+    (a∘b′, s), induction at b′, associativity of the target and the pair
+    (b′, s).  twist and reconstruct test their homomorphisms this way,
+    and walk every pair only when such a test fails, to name faults."""
     ending, pos, rows = composition_rows(G)
     starting = {}
     for i, a in enumerate(G.arrows):

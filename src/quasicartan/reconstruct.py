@@ -15,8 +15,8 @@ from collections import Counter
 
 from . import finring, steinberg, pairs as pairs_mod, twist as twist_mod
 from .finring import DEFAULT_CAP
-from .groupoid import arrows_by_range, greedy_generators, \
-    groupoid_from_rows, validate_groupoid
+from .groupoid import arrows_by_range, generating_set, generator_pairs, \
+    greedy_generators, groupoid_from_rows, validate_groupoid
 # not called here; bench/test_bench.py requires this module to bind it
 from .groupoid import make_groupoid  # noqa: F401
 
@@ -205,15 +205,48 @@ def phi_map(pair):
 
 def _is_homomorphism(c, rebuilt, sigma, beta):
     """Whether β(a∘b) = β(a)∘β(b) in G′ and
-    c(a,b)·σ(a∘b) = c′(βa,βb)·σ(a)·σ(b) for each composable (a, b) of G."""
-    H, mul = rebuilt.groupoid, c.ring.mul_table
-    for a, b, ab in c.groupoid.composable_pairs():
-        ba, bb = beta[a], beta[b]
-        if H.src[ba] != H.rng[bb] or H.composite(ba, bb) != beta[ab] or \
-                mul[c.value(a, b)][sigma[ab]] != \
-                mul[mul[rebuilt.value(ba, bb)][sigma[a]]][sigma[b]]:
-            return False
-    return True
+    c(a,b)·σ(a∘b) = c′(βa,βb)·σ(a)·σ(b) for each composable (a, b) of G.
+
+    The generator pairs of G decide it (_holds_on_generators).  For
+    b = b′∘s, the β part is Light's lemma for maps
+    (groupoid.generator_pairs).  For the scalars, write E(x, y) for the
+    equation at (x, y), and let E hold at the generator pairs (a∘b′, s)
+    and (b′, s) and, by induction, at (a, b′).  With g = βa, h = βb′ and
+    k = βs, the cocycle identities of c and c′ give
+    c(a,b)·c(b′,s)·σ(a∘b) = c(a,b′)·c(a∘b′,s)·σ(a∘b)
+    = c(a,b′)·c′(g∘h,k)·σ(a∘b′)·σ(s) = c′(g∘h,k)·c′(g,h)·σ(a)·σ(b′)·σ(s)
+    = σ(a)·c′(g,h∘k)·c′(h,k)·σ(b′)·σ(s) = σ(a)·c′(βa,βb)·c(b′,s)·σ(b),
+    and c(b′,s) is a unit, so E holds at (a, b).
+    """
+    G, H, mul = c.groupoid, rebuilt.groupoid, c.ring.mul_table
+
+    def holds(a, b):
+        ab, ba, bb = G.composite(a, b), beta[a], beta[b]
+        return H.src[ba] == H.rng[bb] and H.composite(ba, bb) == beta[ab] \
+            and mul[c.value(a, b)][sigma[ab]] == \
+            mul[mul[rebuilt.value(ba, bb)][sigma[a]]][sigma[b]]
+
+    return _holds_on_generators(c, rebuilt, holds) or \
+        all(holds(a, b) for a, b, _ in G.composable_pairs())
+
+
+def _holds_on_generators(c1, c2, holds, every_left=False):
+    """Whether holds(a, s) for the composable pairs (a, s) of arrows of
+    G1 = c1.groupoid with s in generating_set(G1), or, with every_left,
+    for every arrow a and every such s; False unless the twists of c1
+    and c2 are associative (twist.is_associative), which is what the
+    proofs of its callers need.  A caller walks every pair when it is
+    False: on associative twists the walk then finds the failure, and on
+    others it decides alone.
+
+    Every arrow is a composite (…(s₁∘s₂)∘…)∘s_k of generators
+    (groupoid.generating_set), so a property that passes from b′ and s
+    to b′∘s holds for every arrow once it holds for the generators."""
+    G, arrows = c1.groupoid, c1.groupoid.arrows
+    pairs = [(a, s) for s in generating_set(G) for a in range(len(arrows))] \
+        if every_left else [(a, s) for a, s, _ in generator_pairs(G)]
+    return twist_mod.is_associative(c1) and twist_mod.is_associative(c2) \
+        and all(holds(arrows[a], arrows[s]) for a, s in pairs)
 
 
 def verify_reconstruction_theorem(pair):
@@ -556,44 +589,65 @@ def algebra_iso_from_twist_iso(c1, c2, iso):
     twist isomorphism; verified multiplicative, bijective and diagonal-
     preserving on the basis.  Returns (map, report).
 
-    Multiplicativity is checked on the pairs of point masses.  When the
-    arrow map ψ is injective, the composable pairs are enough.  Let (a, b)
-    be a pair that is not composable, so ψ(δ_a*δ_b) = 0, and suppose
-    ψ(δ_a) = u(a)·δ_ψa and ψ(δ_b) = u(b)·δ_ψb are nonzero (otherwise
-    ψ(δ_a)*ψ(δ_b) = 0 as well).  With s the unit at the source of a, the
-    checked pair (a, s) gives u(a)·δ_ψa = ψ(δ_a*δ_s) = ψ(δ_a)*ψ(δ_s) (c1
-    is normalised), a nonzero multiple of δ_(ψa·ψs); so ψs is the unit at
-    the source of ψa.
-    Likewise ψ maps the unit r at the range of b to the unit at the range
-    of ψb.  If ψa and ψb were composable, ψs = ψr, so s = r and (a, b)
-    would be composable; hence ψ(δ_a)*ψ(δ_b) = 0 too.  A map that is not
-    injective has every pair of arrows convolved.
+    ψ is linear: the coefficient of ψ(f) at an arrow h of G2 is the sum
+    of u(g)·f(g) over the arrows g with ψg = h.  It is bijective exactly
+    when its arrow map is a bijection onto the arrows of G2 and every
+    u(g) is a unit.
+
+    Multiplicativity is checked on pairs of point masses, by convolve,
+    and the pairs (a, s) with s a generator of G1 decide it
+    (_holds_on_generators): the composable ones when the arrow map is
+    injective, all of them otherwise.  Only when that test fails are the
+    composable pairs walked, or every pair of arrows for an arrow map
+    that is not injective.  Both algebras are associative (checked
+    first, twist.is_associative), and ψ and the convolution are linear
+    over the commutative R.  For b = b′∘s,
+    δ_b′*δ_s = c1(b′,s)·δ_b with c1(b′,s) a unit, and δ_a*δ_b′ is a
+    multiple of δ_x for x = a∘b′, or 0.  So if ψ is multiplicative at
+    (x, s), at (b′, s) and, by induction, at (a, b′), then
+    c1(b′,s)·ψ(δ_a*δ_b) = ψ((δ_a*δ_b′)*δ_s) = ψ(δ_a*δ_b′)*ψ(δ_s)
+    = ψ(δ_a)*ψ(δ_b′)*ψ(δ_s) = c1(b′,s)·ψ(δ_a)*ψ(δ_b).  With every pair
+    (x, s) this covers every pair (a, b); with the composable ones, every
+    composable (a, b), which is enough for an injective arrow map.
+
+    Indeed, let (a, b) be a pair that is not composable, so ψ(δ_a*δ_b) = 0,
+    and suppose ψ(δ_a) = u(a)·δ_ψa and ψ(δ_b) = u(b)·δ_ψb are nonzero
+    (otherwise ψ(δ_a)*ψ(δ_b) = 0 as well).  With s the unit at the
+    source of a, u(a)·δ_ψa = ψ(δ_a*δ_s) = ψ(δ_a)*ψ(δ_s) (c1 is
+    normalised), a nonzero multiple of δ_(ψa·ψs); so ψs is the unit at
+    the source of ψa.  Likewise ψ maps the unit r at the range of b to
+    the unit at the range of ψb.  If ψa and ψb were composable, ψs = ψr,
+    so s = r and (a, b) would be composable; hence ψ(δ_a)*ψ(δ_b) = 0 too.
     """
     obj_map, arrow_map, u = iso
-    R = c1.ring
-    G1 = c1.groupoid
+    R, G1 = c1.ring, c1.groupoid
 
     def psi(f):
-        return steinberg.AlgebraElement(
-            c2, {arrow_map[g]: R.mul(u.get(g, R.one), v)
-                 for g, v in f.coeffs.items()})
+        out = {}
+        for g, v in f.coeffs.items():
+            out[arrow_map[g]] = R.add(out.get(arrow_map[g], R.zero),
+                                      R.mul(u.get(g, R.one), v))
+        return steinberg.AlgebraElement(c2, out)
 
-    report = {}
     point = {g: steinberg.point_mass(c1, g) for g in G1.arrows}
     image = {g: psi(x) for g, x in point.items()}  # ψ(δ_g), made once
-    if len({arrow_map[g] for g in G1.arrows}) == len(G1.arrows):
-        pairs = [(a, b) for a, b, _ in G1.composable_pairs()]
-    else:
-        pairs = [(a, b) for a in G1.arrows for b in G1.arrows]
-    mult = all(psi(steinberg.convolve(point[a], point[b])) ==
-               steinberg.convolve(image[a], image[b]) for a, b in pairs)
-    report["multiplicative"] = mult
-    report["bijective_on_basis"] = len({tuple(sorted(x.coeffs.items(),
-                                                     key=str))
-                                        for x in image.values()}) == len(point)
-    units1 = set(c1.groupoid.units)
+
+    def holds(a, b):
+        return psi(steinberg.convolve(point[a], point[b])) == \
+            steinberg.convolve(image[a], image[b])
+
+    onto = {arrow_map[g] for g in G1.arrows}
+    injective = len(onto) == len(G1.arrows)
+    pairs = ((a, b) for a, b, _ in G1.composable_pairs()) if injective \
+        else itertools.product(G1.arrows, repeat=2)
+    report = {"multiplicative":
+              _holds_on_generators(c1, c2, holds, not injective)
+              or all(holds(a, b) for a, b in pairs)}
+    report["bijective_on_basis"] = injective and \
+        onto == set(c2.groupoid.arrows) and \
+        all(R.is_unit(u.get(g, R.one)) for g in G1.arrows)
     report["diagonal_preserving"] = all(
-        image[g].support() <= set(c2.groupoid.units) for g in units1)
+        image[g].support() <= c2.groupoid.units for g in G1.units)
     return psi, report
 
 

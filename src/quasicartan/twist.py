@@ -12,12 +12,13 @@ extension axioms can be checked directly.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
+from itertools import accumulate, chain
 from types import MappingProxyType
 
 from . import finring
-from .groupoid import composition_rows, generator_pairs, \
-    groupoid_from_rows, isotropy_fibre_group, validate_groupoid
+from .groupoid import composition_rows, generating_set, generator_pairs, \
+    greedy_generators, groupoid_from_rows, isotropy_fibre_group, \
+    validate_groupoid
 # not called here; bench/test_bench.py requires this module to bind it
 from .groupoid import make_groupoid  # noqa: F401
 
@@ -198,6 +199,15 @@ def _cocycle_identity_faults(c, table, vals):
     return bad
 
 
+def is_associative(c):
+    """Whether G passes validate_groupoid and c check_cocycle, so that the
+    twist of c and its convolution algebra are associative.  Both passes
+    are kept, on G and on c, and neither is run again after one."""
+    G = c.groupoid
+    return (G._associative or not validate_groupoid(G)) and \
+        (c._passed or not check_cocycle(c))
+
+
 class ExplicitTwist:
     """A central extension of a groupoid by the ring's unit group.
 
@@ -260,7 +270,7 @@ def twist_from_cocycle(c):
 
 
 def check_twist_axioms(T):
-    """Verify the extension axioms exhaustively; returns a violation list.
+    """Verify the extension axioms; returns a violation list.
 
     Each axiom takes one pass: the arrows of total are grouped by proj
     once, for surjectivity, exactness and the fibre sizes, and the action
@@ -272,6 +282,23 @@ def check_twist_axioms(T):
     reads it; an inj(x, t) that is not an arrow from x to x skips the
     axioms that compose with it, multiplicativity of inj, centrality and
     freeness.
+
+    Total and base have passed validate_groupoid when the maps are read,
+    so three axioms are decided on generators, and every pair or arrow is
+    walked only when that test fails, to name the faults:
+    - proj on the generator pairs of total (_proj_is_multiplicative);
+    - inj(x,t)∘inj(x,u) = inj(x,tu) for u in a generating set U of R^×
+      (_unit_generators).  If it holds at u and v for every x and t then
+      inj(x,t)∘inj(x,uv) = (inj(x,t)∘inj(x,u))∘inj(x,v) = inj(x,tuv), as
+      total is associative; so it holds at every product of elements of
+      U, which is every unit, R^× being finite;
+    - centrality on generating_set(total) and freeness on the unit arrows.
+      If t·σ′ = σ′·t and t·s = s·t for every t, then for σ = σ′∘s,
+      t·σ = (t·σ′)∘s = (σ′·t)∘s = σ′∘(t·s) = σ′∘(s·t) = σ·t, the action
+      being a composite in an associative total; so centrality at the
+      generators gives it at every composite of them, which is every
+      arrow.  As σ is invertible, t·σ = σ iff inj(rng σ, t) is the unit
+      at rng σ, that is iff t·1 = 1 for the unit arrow 1 at rng σ.
     """
     R = T.ring
     units = T.units_of_ring()
@@ -310,12 +337,17 @@ def check_twist_axioms(T):
         if total.src[s] != total.rng[s] or proj[s] != base.unit_at[x]:
             bad.append(f"inj({x},{t}) does not sit over the unit at {x}")
         inj_at_objects &= total.src[s] == x == total.rng[s]
-    for x in base.objects if inj_at_objects else ():
-        for t in units:
-            for u in units:
-                lhs = total.composite(inj[(x, t)], inj[(x, u)])
-                if lhs != inj[(x, R.mul(t, u))]:
-                    bad.append(f"inj not multiplicative at ({x},{t},{u})")
+
+    def multiplies(x, t, u):
+        return total.composite(inj[(x, t)], inj[(x, u)]) == \
+            inj[(x, R.mul(t, u))]
+
+    gens = _unit_generators(R, units)
+    if inj_at_objects and not all(multiplies(x, t, u) for x in base.objects
+                                  for t in units for u in gens):
+        bad.extend(f"inj not multiplicative at ({x},{t},{u})"
+                   for x in base.objects for t in units for u in units
+                   if not multiplies(x, t, u))
     # exactness: the fibre over each unit of the base is exactly inj({x} x units)
     for x in base.objects:
         if set(fibres.get(base.unit_at[x], ())) != {inj[(x, t)] for t in units}:
@@ -329,17 +361,24 @@ def check_twist_axioms(T):
     _, pos, rows = composition_rows(total)
     one = units.index(R.one)
     at = {x: [total.number[inj[(x, t)]] for t in units] for x in base.objects}
-    for s, row in zip(total.arrows, rows) if inj_at_objects else ():
-        g, here = proj[s], pos[total.number[s]]
-        left = [rows[i][here] for i in at[base.rng[g]]]  # t·s
-        right = [row[pos[i]] for i in at[base.src[g]]]  # s·t
-        if left == right and left.count(here) == (left[one] == here):
-            continue
-        for k, (t, ts, st) in enumerate(zip(units, left, right)):
-            if ts != st:
-                bad.append(f"centrality fails at ({s},{t})")
-            if ts == here and k != one:
-                not_free.append(f"action not free: {t}·{s} = {s}")
+
+    def action_faults(i):
+        """The centrality and freeness faults at σ = total.arrows[i]."""
+        s, here = total.arrows[i], pos[i]
+        left = [rows[k][here] for k in at[base.rng[proj[s]]]]  # t·σ
+        right = [rows[i][pos[k]] for k in at[base.src[proj[s]]]]  # σ·t
+        return ([f"centrality fails at ({s},{t})"
+                 for t, ts, st in zip(units, left, right) if ts != st],
+                [f"action not free: {t}·{s} = {s}"
+                 for k, (t, ts) in enumerate(zip(units, left))
+                 if ts == here and k != one])
+
+    probe = {*generating_set(total), *map(total.number.get, total.units)}
+    if inj_at_objects and any(any(action_faults(i)) for i in probe):
+        for i in range(len(total.arrows)):
+            central, free = action_faults(i)
+            bad.extend(central)
+            not_free.extend(free)
     # fibre sizes (local triviality in the finite discrete setting)
     for g in base.arrows:
         size = len(fibres.get(g, ()))
@@ -354,26 +393,38 @@ def check_twist_axioms(T):
     return bad + not_free
 
 
+def _unit_generators(R, units):
+    """A set U that generates R^× under products, as the elements of the
+    units taken by groupoid.greedy_generators, which walks them in
+    decreasing multiplicative order, the number of distinct powers: a
+    cyclic R^× then has one generator, its first element, and every R^×
+    at most 1 + log₂ |R^×|."""
+    mul = R.mul_table
+    ranked = sorted(units, reverse=True, key=lambda t: len(set(accumulate(
+        [t] * len(units), lambda power, _: mul[power][t]))))
+    place = {t: k for k, t in enumerate(ranked)}
+    ends = [0] * len(ranked)
+    gens, _ = greedy_generators(
+        ends, ends, lambda y, g: place[mul[ranked[y]][ranked[g]]])
+    return [ranked[k] for k in gens]
+
+
 def _proj_is_multiplicative(total, base, proj):
     """Whether proj(a∘c) = proj(a)∘proj(c) on every composite of total,
-    for a proj onto the base arrows that keeps the ends, read off the
-    composition rows of both groupoids (groupoid.composition_rows).
+    for total and base associative and a proj onto the base arrows that
+    keeps the ends, read off the composition rows of both groupoids
+    (groupoid.composition_rows).
 
-    Both sides end at rng a, so each is compared as its place among the
-    base arrows that end there: for c in ending[src a] of total, the
-    place of proj(a∘c) against row[proj a][place of proj c] in base,
-    which depends only on proj a and src a, so it is built once for each.
+    By Light's lemma for maps (groupoid.generator_pairs) the generator
+    pairs (a, c) of total decide it.  Both sides end at rng a, so each is
+    compared as its place among the base arrows that end there: the
+    place of proj(a∘c) against row[proj a][place of proj c] in base.
     """
-    ending, _, rows = composition_rows(total)
     _, base_pos, base_rows = composition_rows(base)
     image = [base.number[proj[s]] for s in total.arrows]
     place = [base_pos[g] for g in image]
-    sources = [total.src[a] for a in total.arrows]
-    base_side = {(g, x): [base_rows[g][place[c]] for c in ending[x]]
-                 for g, x in set(zip(image, sources))}
-    return all([place[into[k]] for k in row] == base_side[(g, x)]
-               for row, g, x, into in zip(rows, image, sources, (
-                   ending[total.rng[a]] for a in total.arrows)))
+    return all(place[ac] == base_rows[image[a]][place[c]]
+               for a, c, ac in generator_pairs(total))
 
 
 def _composite_or_none(G, a, b):

@@ -10,12 +10,17 @@ package against them.
   and from a ring nilpotent.
 - Rings: whether a ring is reduced.
 - Pairs: the convolution-algebra element of a coefficient tuple.
+- Homomorphisms, on every pair where the package decides them on
+  generators: the algebra map of a twist map and the twist map (β, σ) of
+  reconstruct's φ; and the extension axioms of an explicit twist, each
+  over every arrow, object and unit it quantifies over.
 """
 
 import itertools
 
 from quasicartan import finring
-from quasicartan.steinberg import AlgebraElement, is_bisection
+from quasicartan.groupoid import validate_groupoid
+from quasicartan.steinberg import AlgebraElement, convolve, is_bisection
 
 
 # -- twisted convolution algebras ---------------------------------------
@@ -189,3 +194,114 @@ def vector_to_element(pair, vec):
     coefficient tuple vec; pairs.element_to_vector inverts it."""
     return AlgebraElement(
         pair.cocycle, {g: vec[i] for g, i in pair.algebra.index.items()})
+
+
+# -- homomorphisms on every pair ----------------------------------------
+
+
+def induced_algebra_map(c1, c2, arrow_map, u):
+    """ψ(f) = Σ f(g)·u(g)·δ_ψg, the linear map of a twist map (ψ, u)."""
+    R = c1.ring
+
+    def psi(f):
+        out = AlgebraElement(c2, {})
+        for g, v in f.coeffs.items():
+            out = out + AlgebraElement(c2, {arrow_map[g]: R.mul(u[g], v)})
+        return out
+
+    return psi
+
+
+def algebra_map_is_multiplicative(c1, psi):
+    """ψ(δ_a*δ_b) = ψ(δ_a)*ψ(δ_b) for every pair of arrows (a, b)."""
+    basis = [AlgebraElement(c1, {g: c1.ring.one}) for g in c1.groupoid.arrows]
+    return all(psi(convolve(x, y)) == convolve(psi(x), psi(y))
+               for x in basis for y in basis)
+
+
+def is_twist_homomorphism(c1, c2, sigma, beta):
+    """β(a∘b) = β(a)∘β(b) and c1(a,b)·σ(a∘b) = c2(βa,βb)·σ(a)·σ(b) for
+    every composable pair (a, b)."""
+    R, G, H = c1.ring, c1.groupoid, c2.groupoid
+    for (a, b), ab in G.compose.items():
+        if (beta[a], beta[b]) not in H.compose or \
+                H.compose[(beta[a], beta[b])] != beta[ab] or \
+                R.mul(c1.value(a, b), sigma[ab]) != \
+                R.mul(c2.value(beta[a], beta[b]), R.mul(sigma[a], sigma[b])):
+            return False
+    return True
+
+
+def twist_axiom_faults(T):
+    """twist.check_twist_axioms by its definition: each axiom a loop over
+    the arrows, objects and units it quantifies over."""
+    R = T.ring
+    units = T.units_of_ring()
+    total, base = T.total, T.base
+    bad = []
+    bad.extend("total groupoid: " + v for v in validate_groupoid(total))
+    bad.extend("base groupoid: " + v for v in validate_groupoid(base))
+    if bad:
+        return bad
+    image = set()
+    for s in total.arrows:
+        g = T.proj.get(s)
+        if g is None:
+            bad.append(f"proj undefined on {s}")
+            continue
+        image.add(g)
+        if base.src[g] != total.src[s] or base.rng[g] != total.rng[s]:
+            bad.append(f"proj does not respect src/rng at {s}")
+    proj_is_a_map = not bad
+    if image != set(base.arrows):
+        bad.append("proj is not surjective")
+    # every later axiom reads proj as a map that keeps the ends
+    if not proj_is_a_map:
+        return bad
+    for (a, b), ab in total.compose.items():
+        pa, pb = T.proj[a], T.proj[b]
+        if base.compose.get((pa, pb)) != T.proj[ab]:
+            bad.append(f"proj not multiplicative at ({a},{b})")
+    seen = {}
+    for (x, t), s in T.inj.items():
+        if s in seen:
+            bad.append(f"inj not injective: {(x, t)} and {seen[s]} collide")
+        seen[s] = (x, t)
+        if total.src[s] != total.rng[s] or T.proj[s] != base.unit_at[x]:
+            bad.append(f"inj({x},{t}) does not sit over the unit at {x}")
+    # the axioms that compose with inj need each inj(x, t) at x
+    composable = all(total.src[s] == x == total.rng[s]
+                     for (x, _), s in T.inj.items())
+    for x in base.objects if composable else ():
+        for t in units:
+            for u in units:
+                lhs = total.compose[(T.inj[(x, t)], T.inj[(x, u)])]
+                if lhs != T.inj[(x, R.mul(t, u))]:
+                    bad.append(f"inj not multiplicative at ({x},{t},{u})")
+    for x in base.objects:
+        fibre = {s for s in total.arrows if T.proj[s] == base.unit_at[x]}
+        if fibre != {T.inj[(x, t)] for t in units}:
+            bad.append(f"exactness fails over object {x}")
+    for s in total.arrows if composable else ():
+        xr = base.rng[T.proj[s]]
+        xs = base.src[T.proj[s]]
+        for t in units:
+            left = total.compose[(T.inj[(xr, t)], s)]
+            right = total.compose[(s, T.inj[(xs, t)])]
+            if left != right:
+                bad.append(f"centrality fails at ({s},{t})")
+    for g in base.arrows:
+        fibre = [s for s in total.arrows if T.proj[s] == g]
+        if len(fibre) != len(units):
+            bad.append(f"fibre over {g} has size {len(fibre)}, "
+                       f"expected {len(units)}")
+    tot_units = {total.unit_at[x] for x in total.objects}
+    proj_units = {T.proj[u] for u in tot_units}
+    if proj_units != {base.unit_at[x] for x in base.objects} or \
+            len(proj_units) != len(tot_units):
+        bad.append("unit spaces do not correspond bijectively")
+    for s in total.arrows if composable else ():
+        for t in units:
+            if t != R.one and T.act(t, s) == s:
+                bad.append(f"action not free: {t}·{s} = {s}")
+    return bad

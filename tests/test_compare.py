@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from quasicartan import finring as fr, groupoid as gp, reconstruct as rc, \
     steinberg as sb, twist as tw
 
+from definitions import algebra_map_is_multiplicative
 from helpers import C2_CUBED, KLEIN, bases, bilinear_cocycle, relisted, \
     twists_on
 
@@ -98,9 +99,7 @@ def _check_against_the_definition(c1, c2):
 def _multiplicative_on_all_pairs(c1, c2, iso):
     """ψ(δ_a*δ_b) = ψ(δ_a)*ψ(δ_b) for every pair of arrows (a, b)."""
     psi, _ = rc.algebra_iso_from_twist_iso(c1, c2, iso)
-    basis = [sb.point_mass(c1, g) for g in c1.groupoid.arrows]
-    return all(psi(sb.convolve(x, y)) == sb.convolve(psi(x), psi(y))
-               for x in basis for y in basis)
+    return algebra_map_is_multiplicative(c1, psi)
 
 
 @PROPERTY
@@ -198,7 +197,9 @@ def test_induced_algebra_map_of_a_folding_arrow_map():
     assert not _multiplicative_on_all_pairs(c, c, iso)
 
 
-def test_induced_algebra_map_convolves_only_composable_pairs(monkeypatch):
+def test_induced_algebra_map_convolves_only_generator_pairs(monkeypatch):
+    # the generator pairs of full_relation(3), 15 of its 27 composable
+    # pairs, decide multiplicativity (groupoid.generator_pairs)
     R, G = fr.make_gf(5), gp.full_relation(3)
     c1 = tw.trivial_cocycle(R, G)
     c2 = tw.coboundary_cocycle(R, G, {g: 2 for g in G.arrows
@@ -214,7 +215,42 @@ def test_induced_algebra_map_convolves_only_composable_pairs(monkeypatch):
     monkeypatch.setattr(sb, "convolve", counted)
     _, report = rc.algebra_iso_from_twist_iso(c1, c2, iso)
     assert report["multiplicative"]
-    assert len(calls) == 2 * len(G.compose) == 2 * 27
+    assert len(calls) == 2 * len(gp.generator_pairs(G)) == 30
+
+
+def _two_points_folded(R, u):
+    """Two copies of full_relation(1), the second folded onto the first,
+    with u = 1 on the first and u on the second."""
+    G = gp.disjoint_union(gp.full_relation(1), gp.full_relation(1))
+    a, b = G.arrows
+    return tw.trivial_cocycle(R, G), ({x: G.objects[0] for x in G.objects},
+                                      {a: a, b: a}, {a: R.one, b: u})
+
+
+def test_the_induced_map_of_a_folding_adds_what_it_folds():
+    R = fr.make_gf(5)
+    c, iso = _two_points_folded(R, 2)
+    a, b = c.groupoid.arrows
+    psi, report = rc.algebra_iso_from_twist_iso(c, c, iso)
+    # ψ(2δ_a − δ_b) = 2·δ_a − 2·δ_a
+    assert psi(sb.AlgebraElement(c, {a: 2, b: R.neg(R.one)})) == \
+        sb.AlgebraElement(c, {})
+    assert psi(sb.AlgebraElement(c, {a: 1, b: 1})) == \
+        sb.AlgebraElement(c, {a: 3})
+    assert not report["bijective_on_basis"]
+
+
+def test_the_induced_map_is_bijective_iff_its_arrow_map_is_and_u_is_unit():
+    R, G = fr.make_zmod(4), gp.full_relation(2)
+    c = tw.trivial_cocycle(R, G)
+    iso = rc.compare_twists(c, c)
+    assert rc.algebra_iso_from_twist_iso(c, c, iso)[1]["bijective_on_basis"]
+    obj_map, arrow_map, u = iso
+    # 2·δ_g has 2·(2·δ_g) = 0: not injective, though the images of the
+    # point masses differ
+    halved = (obj_map, arrow_map, {**u, G.arrows[0]: 2})
+    assert not rc.algebra_iso_from_twist_iso(c, c, halved)[1][
+        "bijective_on_basis"]
 
 
 def _counting_adjustments(monkeypatch):

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quasicartan import finring as fr, groupoid as gp, twist as tw
+from quasicartan import cli, finring as fr, groupoid as gp, twist as tw
 
-from helpers import FIXTURE_NAMES, KLEIN, assert_same_groupoid, \
+from definitions import twist_axiom_faults
+from helpers import FIXTURE_NAMES, KLEIN, S3, assert_same_groupoid, \
     bilinear_cocycle, check_cocycle_by_definition, coboundary_by_dict, \
     make_twist, twist_from_cocycle_by_dict, twists
 
@@ -19,7 +20,7 @@ def test_fixture_cocycles_are_valid(name):
 def test_twist_from_cocycle_satisfies_axioms(name):
     c = make_twist(name)
     T = tw.twist_from_cocycle(c)
-    assert tw.check_twist_axioms(T) == _twist_axioms_by_definition(T) == []
+    assert tw.check_twist_axioms(T) == twist_axiom_faults(T) == []
     units = len(fr.ring_units(c.ring))
     assert len(T.total.arrows) == len(c.groupoid.arrows) * units
 
@@ -187,80 +188,6 @@ def test_fibre_cocycle():
     assert fc2.values[(1, 1)] == R.mul(4, R.mul(2, 2))
 
 
-def _twist_axioms_by_definition(T):
-    """twist.check_twist_axioms by its definition: each axiom a loop over
-    the arrows, objects and units it quantifies over."""
-    R = T.ring
-    units = T.units_of_ring()
-    total, base = T.total, T.base
-    bad = []
-    bad.extend("total groupoid: " + v for v in gp.validate_groupoid(total))
-    bad.extend("base groupoid: " + v for v in gp.validate_groupoid(base))
-    if bad:
-        return bad
-    image = set()
-    for s in total.arrows:
-        g = T.proj.get(s)
-        if g is None:
-            bad.append(f"proj undefined on {s}")
-            continue
-        image.add(g)
-        if base.src[g] != total.src[s] or base.rng[g] != total.rng[s]:
-            bad.append(f"proj does not respect src/rng at {s}")
-    proj_is_a_map = not bad
-    if image != set(base.arrows):
-        bad.append("proj is not surjective")
-    # every later axiom reads proj as a map that keeps the ends
-    if not proj_is_a_map:
-        return bad
-    for (a, b), ab in total.compose.items():
-        pa, pb = T.proj[a], T.proj[b]
-        if base.compose.get((pa, pb)) != T.proj[ab]:
-            bad.append(f"proj not multiplicative at ({a},{b})")
-    seen = {}
-    for (x, t), s in T.inj.items():
-        if s in seen:
-            bad.append(f"inj not injective: {(x, t)} and {seen[s]} collide")
-        seen[s] = (x, t)
-        if total.src[s] != total.rng[s] or T.proj[s] != base.unit_at[x]:
-            bad.append(f"inj({x},{t}) does not sit over the unit at {x}")
-    # the axioms that compose with inj need each inj(x, t) at x
-    composable = all(total.src[s] == x == total.rng[s]
-                     for (x, _), s in T.inj.items())
-    for x in base.objects if composable else ():
-        for t in units:
-            for u in units:
-                lhs = total.compose[(T.inj[(x, t)], T.inj[(x, u)])]
-                if lhs != T.inj[(x, R.mul(t, u))]:
-                    bad.append(f"inj not multiplicative at ({x},{t},{u})")
-    for x in base.objects:
-        fibre = {s for s in total.arrows if T.proj[s] == base.unit_at[x]}
-        if fibre != {T.inj[(x, t)] for t in units}:
-            bad.append(f"exactness fails over object {x}")
-    for s in total.arrows if composable else ():
-        xr = base.rng[T.proj[s]]
-        xs = base.src[T.proj[s]]
-        for t in units:
-            left = total.compose[(T.inj[(xr, t)], s)]
-            right = total.compose[(s, T.inj[(xs, t)])]
-            if left != right:
-                bad.append(f"centrality fails at ({s},{t})")
-    for g in base.arrows:
-        fibre = [s for s in total.arrows if T.proj[s] == g]
-        if len(fibre) != len(units):
-            bad.append(f"fibre over {g} has size {len(fibre)}, expected {len(units)}")
-    tot_units = {total.unit_at[x] for x in total.objects}
-    proj_units = {T.proj[u] for u in tot_units}
-    if proj_units != {base.unit_at[x] for x in base.objects} or \
-            len(proj_units) != len(tot_units):
-        bad.append("unit spaces do not correspond bijectively")
-    for s in total.arrows if composable else ():
-        for t in units:
-            if t != R.one and T.act(t, s) == s:
-                bad.append(f"action not free: {t}·{s} = {s}")
-    return bad
-
-
 def _broken_proj():
     T = tw.twist_from_cocycle(make_twist("z2_gf3"))
     proj = dict(T.proj)
@@ -292,6 +219,30 @@ def _non_central_inj():
     T = tw.twist_from_cocycle(bilinear_cocycle(R, G, (0, 1)))
     inj = {(x, t): ((1, 0), t) for x, t in T.inj}
     return tw.ExplicitTwist(R, T.total, T.base, inj, T.proj)
+
+
+def _inj_not_multiplicative():
+    # inj(x, 2) and inj(x, 4) swapped over GF(5): t ↦ inj(x, t) is then a
+    # bijection onto the fibre that is not a homomorphism, as 2·2 = 4 and
+    # 4·4 = 1; the action stays central and free
+    T = tw.twist_from_cocycle(tw.trivial_cocycle(fr.make_gf(5),
+                                                 gp.full_relation(1)))
+    inj = dict(T.inj)
+    inj[(1, 2)], inj[(1, 4)] = T.inj[(1, 4)], T.inj[(1, 2)]
+    return tw.ExplicitTwist(T.ring, T.total, T.base, inj, T.proj)
+
+
+def _non_central_units():
+    # S3 over C2 by the sign, with GF(4)^× ≅ C3 sent onto the rotations:
+    # an extension in every axiom but centrality
+    R, H = fr.make_gf(2, 2), S3.groupoid
+    g = next(t for t in fr.ring_units(R) if t != R.one)
+    r, powers = (1, 2, 0), [R.one, g, R.mul(g, g)]
+    rotations = [H.unit_at["*"], r, H.composite(r, r)]
+    base = gp.cyclic_group(2).groupoid
+    return tw.ExplicitTwist(
+        R, H, base, {("*", t): p for t, p in zip(powers, rotations)},
+        {p: 0 if p in rotations else 1 for p in H.arrows})
 
 
 def _trivial_action():
@@ -344,7 +295,10 @@ BROKEN_TWISTS = {
     "wrong_proj_off_the_units": (_wrong_proj_off_the_units,
                                  "proj not multiplicative at "),
     "non_injective_inj": (_non_injective_inj, "inj not injective: "),
+    "inj_not_multiplicative": (_inj_not_multiplicative,
+                               "inj not multiplicative at "),
     "non_central_inj": (_non_central_inj, "centrality fails at "),
+    "non_central_units": (_non_central_units, "centrality fails at "),
     "trivial_action": (_trivial_action, "action not free: "),
     "fibres_too_large": (_fibres_too_large, "fibre over 0 has size 4, expected 2"),
     "proj_undefined": (_proj_undefined, "proj undefined on ((1, 2), 1)"),
@@ -359,8 +313,78 @@ def test_broken_twist_detected():
     for name, (build, fault) in BROKEN_TWISTS.items():
         T = build()
         bad = tw.check_twist_axioms(T)
-        assert bad == _twist_axioms_by_definition(T), name
+        assert bad == twist_axiom_faults(T), name
         assert any(v.startswith(fault) for v in bad), name
+
+
+# one broken twist per axiom that check_twist_axioms decides on generators
+# (proj, inj, centrality, freeness), with the faults it listed when it
+# walked every pair and arrow
+WALKED_FAULTS = {
+    "broken_proj": [
+        "proj not multiplicative at ((0, 2),(1, 1))",
+        "proj not multiplicative at ((0, 2),(1, 2))",
+        "proj not multiplicative at ((1, 1),(0, 2))",
+        "proj not multiplicative at ((1, 1),(1, 2))",
+        "proj not multiplicative at ((1, 2),(0, 2))",
+        "proj not multiplicative at ((1, 2),(1, 1))",
+        "exactness fails over object *", "fibre over 0 has size 3, expected 2",
+        "fibre over 1 has size 1, expected 2"],
+    "inj_not_multiplicative": [
+        "inj not multiplicative at (1,2,2)",
+        "inj not multiplicative at (1,2,3)",
+        "inj not multiplicative at (1,3,2)",
+        "inj not multiplicative at (1,3,3)",
+        "inj not multiplicative at (1,3,4)",
+        "inj not multiplicative at (1,4,3)",
+        "inj not multiplicative at (1,4,4)"],
+    "non_central_units": [
+        "centrality fails at ((0, 2, 1),1)",
+        "centrality fails at ((0, 2, 1),3)",
+        "centrality fails at ((1, 0, 2),1)",
+        "centrality fails at ((1, 0, 2),3)",
+        "centrality fails at ((2, 1, 0),1)",
+        "centrality fails at ((2, 1, 0),3)"],
+    "trivial_action": [
+        "inj not injective: (1, 2) and (1, 1) collide",
+        "inj not injective: (2, 2) and (2, 1) collide",
+        "fibre over (1, 1) has size 1, expected 2",
+        "fibre over (1, 2) has size 1, expected 2",
+        "fibre over (2, 1) has size 1, expected 2",
+        "fibre over (2, 2) has size 1, expected 2",
+        "action not free: 2·(1, 1) = (1, 1)",
+        "action not free: 2·(1, 2) = (1, 2)",
+        "action not free: 2·(2, 1) = (2, 1)",
+        "action not free: 2·(2, 2) = (2, 2)"],
+}
+
+
+@pytest.mark.parametrize("name", WALKED_FAULTS)
+def test_a_failed_generator_test_lists_the_faults_of_the_walk(name):
+    assert tw.check_twist_axioms(BROKEN_TWISTS[name][0]()) == \
+        WALKED_FAULTS[name]
+
+
+def test_check_composes_inj_with_the_generators_of_the_units(
+        monkeypatch, tmp_path, capsys):
+    # GF(7)^× is cyclic: inj is composed at 6 objects · 6 units · 1
+    # generator, not at 6 · 6 · 6 pairs of units
+    path = tmp_path / "full6.txt"
+    path.write_text("[ring]\ngf(7,1)\n[groupoid]\nfull_relation(6)\n"
+                    "[cocycle]\ntrivial\n")
+    calls = []
+    composite = gp.FiniteGroupoid.composite
+
+    def counted(G, a, b):
+        if G.name == "twist(full_relation(6))":
+            calls.append((a, b))
+        return composite(G, a, b)
+
+    monkeypatch.setattr(gp.FiniteGroupoid, "composite", counted)
+    assert cli.main(["check", str(path)]) == 0
+    assert "twist_ok=true" in capsys.readouterr().out
+    assert len(calls) == 36 and all(a[0] == b[0] == (a[0][0], a[0][0])
+                                    for a, b in calls)
 
 
 ROW_RINGS = {"gf3": lambda: fr.make_gf(3), "z4": lambda: fr.make_zmod(4),
